@@ -70,11 +70,11 @@ func BenchmarkFig6FanMethods(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			for _, m := range []experiment.FanMethod{experiment.FanDynamic, experiment.FanStatic, experiment.FanConstant} {
+			for _, m := range []string{"dynamic", "static", "constant"} {
 				row := r.Row(m)
-				b.ReportMetric(row.SteadyC, "degC-"+m.String())
-				b.ReportMetric(row.PeakDuty, "peakduty-"+m.String())
-				b.ReportMetric(row.StabilizeS, "settle-s-"+m.String())
+				b.ReportMetric(row.SteadyC, "degC-"+m)
+				b.ReportMetric(row.PeakDuty, "peakduty-"+m)
+				b.ReportMetric(row.StabilizeS, "settle-s-"+m)
 			}
 		}
 	}

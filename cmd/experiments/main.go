@@ -94,8 +94,8 @@ func main() {
 		fmt.Println(r)
 		series := map[string]*trace.Series{}
 		for _, row := range r.Rows {
-			series["temp_"+row.Method.String()] = row.Temp
-			series["duty_"+row.Method.String()] = row.Duty
+			series["temp_"+row.Method] = row.Temp
+			series["duty_"+row.Method] = row.Duty
 		}
 		writeSeries(*csvDir, "fig6.csv", series)
 	}

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"thermctl"
-	"thermctl/internal/core"
 )
 
 func main() {
@@ -30,15 +29,10 @@ func main() {
 		// One hybrid controller per node, as daemons run per machine.
 		var hybrids []*thermctl.Hybrid
 		for i, n := range cluster.Nodes {
-			fan, err := thermctl.NewDynamicFanControl(n, pp, 50)
+			h, err := thermctl.NewUnified(n, pp, 50)
 			if err != nil {
 				log.Fatal(err)
 			}
-			dvfs, err := thermctl.NewTDVFS(n, pp)
-			if err != nil {
-				log.Fatal(err)
-			}
-			h := core.NewHybrid(fan, dvfs)
 			cluster.AddNodeController(i, h)
 			hybrids = append(hybrids, h)
 		}

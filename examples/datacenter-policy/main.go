@@ -17,7 +17,6 @@ import (
 
 	"thermctl"
 	"thermctl/internal/cluster"
-	"thermctl/internal/core"
 	"thermctl/internal/node"
 )
 
@@ -50,15 +49,11 @@ func main() {
 		}
 		rack.Settle(0)
 		for i, n := range rack.Nodes {
-			fan, err := thermctl.NewDynamicFanControl(n, pp, 60)
+			h, err := thermctl.NewUnified(n, pp, 60)
 			if err != nil {
 				log.Fatal(err)
 			}
-			dvfs, err := thermctl.NewTDVFS(n, pp)
-			if err != nil {
-				log.Fatal(err)
-			}
-			rack.AddNodeController(i, core.NewHybrid(fan, dvfs))
+			rack.AddNodeController(i, h)
 		}
 
 		res := rack.RunProgram(thermctl.BTB4(), 0)

@@ -13,6 +13,7 @@ import (
 	"log"
 	"time"
 
+	"thermctl"
 	"thermctl/internal/core"
 	"thermctl/internal/node"
 	"thermctl/internal/workload"
@@ -37,17 +38,18 @@ func main() {
 			log.Fatal(err)
 		}
 
-		act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
-		if err != nil {
-			log.Fatal(err)
-		}
 		var ctl interface{ OnStep(time.Duration) }
 		var wd *core.Watchdog
 		switch scheme {
 		case "tDVFS":
-			ctl, err = core.NewTDVFS(core.DefaultTDVFSConfig(50),
-				core.SysfsTemp(n.FS, n.Hwmon.TempInput), act)
+			ctl, err = thermctl.NewTDVFS(n, 50)
 		case "watchdog":
+			// The tach watchdog is no scenario technique: it is wired by
+			// hand onto the node's DVFS actuator.
+			act, aerr := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+			if aerr != nil {
+				log.Fatal(aerr)
+			}
 			rpm := func() (float64, error) {
 				v, err := n.FS.ReadInt(n.Hwmon.FanInput)
 				return float64(v), err

@@ -15,12 +15,12 @@ func TestScenarioGallery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The gallery ships the legacy program scenario plus the workload
-	// plane set (base fleet, one per load shape, the heterogeneous
-	// fleet); a glob that comes back short means the gallery moved and
-	// this test is silently validating nothing.
-	if len(files) < 7 {
-		t.Fatalf("only %d gallery scenarios found, want >= 7", len(files))
+	// The gallery ships the legacy program scenario, the workload plane
+	// set (base fleet, one per load shape, the heterogeneous fleet) and
+	// the two single-node demos; a glob that comes back short means the
+	// gallery moved and this test is silently validating nothing.
+	if len(files) < 9 {
+		t.Fatalf("only %d gallery scenarios found, want >= 9", len(files))
 	}
 	for _, path := range files {
 		t.Run(filepath.Base(path), func(t *testing.T) {
@@ -32,6 +32,7 @@ func TestScenarioGallery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
+			defer rig.Cluster.Close()
 			if rig.Cluster == nil || len(rig.Cluster.Nodes) != s.Nodes {
 				t.Fatalf("rig has %d nodes, scenario declares %d", len(rig.Cluster.Nodes), s.Nodes)
 			}

@@ -277,9 +277,10 @@ type NodeControl struct {
 	Sleep *core.Controller
 }
 
-// BuildNode wires one node's controllers from the spec. This is the
-// loop body thermctld, clustersim and the experiments driver shared by
-// copy before the scenario layer.
+// BuildNode wires one node's controllers from the spec. It is the only
+// constructor of a controller stack: thermctld, clustersim, the
+// experiment harness, the public facade and every scenario build go
+// through it.
 func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, error) {
 	out := &NodeControl{}
 	read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
@@ -447,11 +448,6 @@ func (s Scenario) Build() (*Rig, error) {
 		}
 		rig.Generators = gens
 	}
-	workers := s.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	c.SetWorkers(workers)
 	c.Settle(0)
 	rig.Cluster = c
 
@@ -484,22 +480,44 @@ func (s Scenario) Build() (*Rig, error) {
 		rig.Plane = plane
 	}
 
+	if rig.Nodes, err = AttachControl(c, s.Control, rig.Registry, s.Metrics.Labels); err != nil {
+		return nil, err
+	}
+	// The worker pool starts last, so no error path above leaks it.
+	workers := s.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	c.SetWorkers(workers)
+	return rig, nil
+}
+
+// AttachControl builds every node's controller stack from cs and
+// attaches it to the cluster's node-local phase, in node order. It is
+// the last step of Build; a run that must act between building its
+// cluster and wiring control (a hand-written fault plan that belongs in
+// the pre-controller phase, a custom node set) builds without control
+// and calls it itself. With reg non-nil each node's controllers are
+// instrumented under node="<name>" plus the constant labels. The result
+// is index-aligned with c.Nodes.
+func AttachControl(c *cluster.Cluster, cs ControlSpec, reg *metrics.Registry, labels map[string]string) ([]*NodeControl, error) {
+	// Constant labels in sorted key order: metric identity must not
+	// depend on map iteration order.
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*NodeControl, 0, len(c.Nodes))
 	for i, n := range c.Nodes {
-		opt := NodeOptions{Registry: rig.Registry}
-		if rig.Registry != nil {
+		opt := NodeOptions{Registry: reg}
+		if reg != nil {
 			opt.Labels = append(opt.Labels, metrics.L("node", n.Name))
-			// Constant labels in sorted key order: metric identity must
-			// not depend on map iteration order.
-			keys := make([]string, 0, len(s.Metrics.Labels))
-			for k := range s.Metrics.Labels {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
 			for _, k := range keys {
-				opt.Labels = append(opt.Labels, metrics.L(k, s.Metrics.Labels[k]))
+				opt.Labels = append(opt.Labels, metrics.L(k, labels[k]))
 			}
 		}
-		nc, err := s.Control.BuildNode(n, opt)
+		nc, err := cs.BuildNode(n, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -508,7 +526,7 @@ func (s Scenario) Build() (*Rig, error) {
 		for _, ctl := range nc.Controllers {
 			c.AddNodeController(i, ctl)
 		}
-		rig.Nodes = append(rig.Nodes, nc)
+		out = append(out, nc)
 	}
-	return rig, nil
+	return out, nil
 }

@@ -58,6 +58,8 @@ func ablationRun(seed uint64, win window.Config) (AblationRow, error) {
 		return AblationRow{}, err
 	}
 	n.Settle(0)
+	// Wired by hand, not through ControlSpec.BuildNode: the window
+	// dimensions swept here are a knob no control spec exposes.
 	cfg := core.DefaultConfig(50)
 	cfg.Window = win
 	ctl, err := core.NewController(cfg,

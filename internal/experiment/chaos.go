@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"thermctl/internal/cluster"
-	"thermctl/internal/core"
+	"thermctl/internal/config"
 	"thermctl/internal/faults"
 	"thermctl/internal/workload"
 )
@@ -144,10 +144,14 @@ func chaosDropout(seed uint64) (DropoutResult, error) {
 		failFor   = 30 * time.Second
 		runFor    = 90 * time.Second
 	)
-	c, err := newCluster(1, seed)
+	// Built without control: the hand-written fault plan must join the
+	// serial pre-controller phase ahead of the hybrid.
+	rig, err := build(1, seed, "", chipAuto)
 	if err != nil {
 		return DropoutResult{}, err
 	}
+	c := rig.Cluster
+	defer c.Close()
 	plan := faults.Plan{
 		Name: "dropout-single",
 		Schedules: []faults.Schedule{{
@@ -162,7 +166,7 @@ func chaosDropout(seed uint64) (DropoutResult, error) {
 	if _, err := c.ApplyFaults(plan, seed); err != nil {
 		return DropoutResult{}, err
 	}
-	hybrids, err := attachHybrid(c, 50, 100, core.DefaultTDVFSConfig(50))
+	nodes, err := config.AttachControl(c, control("dynamic", "tdvfs", 50, 100), nil, nil)
 	if err != nil {
 		return DropoutResult{}, err
 	}
@@ -178,7 +182,7 @@ func chaosDropout(seed uint64) (DropoutResult, error) {
 		Emergencies: c.Nodes[0].Emergencies(),
 		FinalDuty:   c.Nodes[0].Fan.Duty(),
 	}
-	for _, ev := range hybrids[0].FailSafeEvents() {
+	for _, ev := range nodes[0].Hybrid.FailSafeEvents() {
 		if ev.Lane != "fan" {
 			continue
 		}
@@ -205,23 +209,18 @@ func chaosCampaign(seed uint64) (CampaignResult, error) {
 		planSpan = 60 * time.Second
 		runFor   = 75 * time.Second
 	)
-	c, err := newCluster(4, seed)
+	s := config.Scenario{Nodes: 4, Seed: seed, Workers: Workers, Control: control("dynamic", "tdvfs", 50, 100)}
+	// The campaign draws from the fleet's seed; normalizing first keeps
+	// seed 0 (the scenario default) from meaning "no faults".
+	s.Normalize()
+	s.Chaos = config.ChaosSpec{Seed: s.Seed, HorizonMS: int(planSpan / time.Millisecond)}
+	rig, err := s.Build()
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	targets := make([]string, len(c.Nodes))
-	for i, n := range c.Nodes {
-		targets[i] = n.Name
-	}
-	plan := faults.Generate(seed, targets, planSpan)
-	plane, err := c.ApplyFaults(plan, seed)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	hybrids, err := attachHybrid(c, 50, 100, core.DefaultTDVFSConfig(50))
-	if err != nil {
-		return CampaignResult{}, err
-	}
+	c, plane := rig.Cluster, rig.Plane
+	defer c.Close()
+	plan := plane.Plan()
 	tr := &chaosTracker{c: c}
 	c.AddController(tr)
 
@@ -236,7 +235,8 @@ func chaosCampaign(seed uint64) (CampaignResult, error) {
 	for _, sch := range plan.Schedules {
 		r.Episodes += len(sch.Episodes)
 	}
-	for _, h := range hybrids {
+	for _, nc := range rig.Nodes {
+		h := nc.Hybrid
 		for _, ev := range h.FailSafeEvents() {
 			if !ev.Engaged {
 				continue

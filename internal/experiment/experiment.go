@@ -18,11 +18,11 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
-	"thermctl/internal/baseline"
 	"thermctl/internal/cluster"
-	"thermctl/internal/core"
+	"thermctl/internal/config"
 	"thermctl/internal/trace"
 )
 
@@ -85,132 +85,30 @@ func (p *probe) OnStep(now time.Duration) {
 	}
 }
 
-// FanMethod selects the fan control scheme of a run.
-type FanMethod int
-
-// The fan control schemes compared in the paper.
-const (
-	FanDynamic  FanMethod = iota // the paper's history-based controller
-	FanStatic                    // traditional static map (Figure 1)
-	FanConstant                  // fixed duty
-	FanNone                      // leave the ADT7467 in chip-automatic mode
-)
-
-// String implements fmt.Stringer.
-func (m FanMethod) String() string {
-	switch m {
-	case FanDynamic:
-		return "dynamic"
-	case FanStatic:
-		return "static"
-	case FanConstant:
-		return "constant"
-	default:
-		return "chip-auto"
-	}
+// control is one experiment run's per-node technique set: fan and dvfs
+// name the ControlSpec techniques, at policy pp with the fan duty capped
+// at maxDuty percent; every other knob keeps its paper default.
+func control(fan, dvfs string, pp int, maxDuty float64) config.ControlSpec {
+	tune := config.Default()
+	tune.Pp, tune.MaxFanDuty = pp, maxDuty
+	return config.ControlSpec{Fan: fan, DVFS: dvfs, Sleep: "none", Tuning: tune}
 }
 
-// attachFanControl installs the chosen per-node fan controller on every
-// node of the cluster, in the node-local (sharded) controller phase.
-func attachFanControl(c *cluster.Cluster, method FanMethod, pp int, maxDuty float64) ([]*core.Controller, error) {
-	var ctls []*core.Controller
-	for i, n := range c.Nodes {
-		read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
-		port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
-		switch method {
-		case FanDynamic:
-			ctl, err := core.NewController(core.DefaultConfig(pp), read,
-				core.ActuatorBinding{Actuator: core.NewFanActuator(port, maxDuty)})
-			if err != nil {
-				return nil, err
-			}
-			c.AddNodeController(i, ctl)
-			ctls = append(ctls, ctl)
-		case FanStatic:
-			ctl, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(maxDuty), read, port)
-			if err != nil {
-				return nil, err
-			}
-			c.AddNodeController(i, ctl)
-		case FanConstant:
-			c.AddNodeController(i, baseline.NewConstantFan(maxDuty, port))
-		case FanNone:
-			// chip automatic mode: nothing to attach
-		}
-	}
-	return ctls, nil
+// dvfsTechnique maps a report's daemon label (tDVFS, CPUSPEED) to its
+// ControlSpec dvfs name.
+func dvfsTechnique(daemon string) string { return strings.ToLower(daemon) }
+
+// build assembles an experiment cluster through the scenario layer:
+// nodes standard nodes settled at idle, stepped by Workers goroutines,
+// each under cs, with the named SPMD program (bt, lu or none) in
+// Rig.Program. The caller closes the cluster.
+func build(nodes int, seed uint64, program string, cs config.ControlSpec) (*config.Rig, error) {
+	return config.Scenario{Nodes: nodes, Seed: seed, Workers: Workers, Program: program, Control: cs}.Build()
 }
 
-// attachTDVFS installs a tDVFS daemon on every node and returns them.
-func attachTDVFS(c *cluster.Cluster, cfg core.TDVFSConfig) ([]*core.TDVFS, error) {
-	var daemons []*core.TDVFS
-	for i, n := range c.Nodes {
-		act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
-		if err != nil {
-			return nil, err
-		}
-		d, err := core.NewTDVFS(cfg, core.SysfsTemp(n.FS, n.Hwmon.TempInput), act)
-		if err != nil {
-			return nil, err
-		}
-		c.AddNodeController(i, d)
-		daemons = append(daemons, d)
-	}
-	return daemons, nil
-}
-
-// attachHybrid installs the unified controller on every node: a dynamic
-// fan controller (policy fanPp, duty cap maxDuty) coordinated with a
-// tDVFS daemon.
-func attachHybrid(c *cluster.Cluster, fanPp int, maxDuty float64, cfg core.TDVFSConfig) ([]*core.Hybrid, error) {
-	var hybrids []*core.Hybrid
-	for i, n := range c.Nodes {
-		read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
-		port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
-		fan, err := core.NewController(core.DefaultConfig(fanPp), read,
-			core.ActuatorBinding{Actuator: core.NewFanActuator(port, maxDuty)})
-		if err != nil {
-			return nil, err
-		}
-		act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
-		if err != nil {
-			return nil, err
-		}
-		d, err := core.NewTDVFS(cfg, read, act)
-		if err != nil {
-			return nil, err
-		}
-		h := core.NewHybrid(fan, d)
-		c.AddNodeController(i, h)
-		hybrids = append(hybrids, h)
-	}
-	return hybrids, nil
-}
-
-// attachCPUSpeed installs a CPUSPEED daemon on every node.
-func attachCPUSpeed(c *cluster.Cluster) error {
-	for i, n := range c.Nodes {
-		cs, err := baseline.NewCPUSpeed(baseline.DefaultCPUSpeedConfig(), n.FS,
-			&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
-		if err != nil {
-			return err
-		}
-		c.AddNodeController(i, cs)
-	}
-	return nil
-}
-
-// newCluster builds the standard 4-node experiment cluster, settled at
-// idle.
-func newCluster(nodes int, seed uint64) (*cluster.Cluster, error) {
-	c, err := cluster.New(nodes, cluster.DefaultDt, seed)
-	if err != nil {
-		return nil, err
-	}
-	c.SetWorkers(Workers)
-	c.Settle(0)
-	return c, nil
-}
+// chipAuto leaves every fan on the chip's firmware curve with no
+// software controller: the rig for runs that pin the hardware by hand.
+var chipAuto = config.ControlSpec{Fan: "auto", DVFS: "none", Sleep: "none"}
 
 // avgAcrossNodes returns the mean over nodes of the given per-node
 // series statistic.

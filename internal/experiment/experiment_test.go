@@ -68,7 +68,7 @@ func TestFig6MethodComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, sta, con := r.Row(FanDynamic), r.Row(FanStatic), r.Row(FanConstant)
+	dyn, sta, con := r.Row("dynamic"), r.Row("static"), r.Row("constant")
 	if dyn == nil || sta == nil || con == nil {
 		t.Fatal("missing rows")
 	}

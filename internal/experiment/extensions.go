@@ -10,8 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/baseline"
-	"thermctl/internal/cluster"
+	"thermctl/internal/config"
 	"thermctl/internal/core"
 	"thermctl/internal/node"
 	"thermctl/internal/trace"
@@ -43,8 +42,8 @@ type FanFailureResult struct {
 // continues for ten more minutes under each configuration.
 func FanFailure(seed uint64) (*FanFailureResult, error) {
 	res := &FanFailureResult{FailAtS: 90}
-	for _, config := range []string{"unprotected", "static-fan", "tDVFS"} {
-		row, err := fanFailureRun(seed, config, res.FailAtS)
+	for _, setup := range []string{"unprotected", "static-fan", "tDVFS"} {
+		row, err := fanFailureRun(seed, setup, res.FailAtS)
 		if err != nil {
 			return nil, err
 		}
@@ -53,8 +52,8 @@ func FanFailure(seed uint64) (*FanFailureResult, error) {
 	return res, nil
 }
 
-func fanFailureRun(seed uint64, config string, failAtS float64) (FanFailureRow, error) {
-	cfg := node.DefaultConfig("fanfail-"+config, seed)
+func fanFailureRun(seed uint64, setup string, failAtS float64) (FanFailureRow, error) {
+	cfg := node.DefaultConfig("fanfail-"+setup, seed)
 	cfg.ProtectC = 66 // within reach of a dead fan under cpu-burn
 	n, err := node.New(cfg)
 	if err != nil {
@@ -62,10 +61,8 @@ func fanFailureRun(seed uint64, config string, failAtS float64) (FanFailureRow, 
 	}
 	n.Settle(0)
 
-	read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
-	var controllers []interface{ OnStep(time.Duration) }
-	var dvfs *core.TDVFS
-	switch config {
+	cs := chipAuto
+	switch setup {
 	case "unprotected":
 		// Fan pinned at a healthy 50% until it dies; nothing reacts.
 		port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
@@ -73,30 +70,15 @@ func fanFailureRun(seed uint64, config string, failAtS float64) (FanFailureRow, 
 			return FanFailureRow{}, err
 		}
 	case "static-fan":
-		s, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(100), read,
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
-		if err != nil {
-			return FanFailureRow{}, err
-		}
-		controllers = append(controllers, s)
+		cs = control("static", "none", 50, 100)
 	case "tDVFS":
-		s, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(100), read,
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
-		if err != nil {
-			return FanFailureRow{}, err
-		}
-		act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
-		if err != nil {
-			return FanFailureRow{}, err
-		}
-		tcfg := core.DefaultTDVFSConfig(50)
-		d, err := core.NewTDVFS(tcfg, read, act)
-		if err != nil {
-			return FanFailureRow{}, err
-		}
-		dvfs = d
-		controllers = append(controllers, s, d)
+		cs = control("static", "tdvfs", 50, 100)
 	}
+	nc, err := cs.BuildNode(n, config.NodeOptions{})
+	if err != nil {
+		return FanFailureRow{}, err
+	}
+	controllers, dvfs := nc.Controllers, nc.TDVFS
 
 	n.SetGenerator(workload.NewCPUBurn(nil))
 	peak := &trace.Series{}
@@ -120,7 +102,7 @@ func fanFailureRun(seed uint64, config string, failAtS float64) (FanFailureRow, 
 	}
 
 	row := FanFailureRow{
-		Config:       config,
+		Config:       setup,
 		Emergencies:  n.Emergencies(),
 		ProtectedS:   n.ProtectedTime().Seconds(),
 		PeakC:        peak.Max(),
@@ -186,17 +168,13 @@ func Scaling(seed uint64) (*ScalingResult, error) {
 	})
 	res := &ScalingResult{}
 	for _, size := range []int{2, 4, 8, 16} {
-		c, err := cluster.New(size, cluster.DefaultDt, seed)
+		rig, err := build(size, seed, "", control("dynamic", "tdvfs", 50, 30))
 		if err != nil {
 			return nil, err
 		}
-		c.SetWorkers(Workers)
-		c.Settle(0)
-		hybrids, err := attachHybrid(c, 50, 30, core.DefaultTDVFSConfig(50))
-		if err != nil {
-			return nil, err
-		}
+		c := rig.Cluster
 		run := c.RunProgram(prog, 0)
+		c.Close()
 
 		row := ScalingRow{
 			Nodes:  size,
@@ -215,8 +193,8 @@ func Scaling(seed uint64) (*ScalingResult, error) {
 			}
 		}
 		row.MaxTempC, row.TempSpreadC = hi, hi-lo
-		for _, h := range hybrids {
-			if _, ok := h.DVFS.TriggeredAt(); ok {
+		for _, nc := range rig.Nodes {
+			if _, ok := nc.TDVFS.TriggeredAt(); ok {
 				row.Triggers++
 			}
 		}

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/core"
 	"thermctl/internal/trace"
-	"thermctl/internal/workload"
 )
 
 // Fig10Row is one hybrid policy's outcome.
@@ -44,16 +42,14 @@ func Fig10(seed uint64) (*Fig10Result, error) {
 }
 
 func fig10Run(seed uint64, pp int) (Fig10Row, error) {
-	c, err := newCluster(4, seed)
+	rig, err := build(4, seed, "bt", control("dynamic", "tdvfs", pp, 50))
 	if err != nil {
 		return Fig10Row{}, err
 	}
-	hybrids, err := attachHybrid(c, pp, 50, core.DefaultTDVFSConfig(pp))
-	if err != nil {
-		return Fig10Row{}, err
-	}
+	c := rig.Cluster
+	defer c.Close()
 	p := newProbe(c, 250*time.Millisecond)
-	run := c.RunProgram(workload.BTB4(), 0)
+	run := c.RunProgram(*rig.Program, 0)
 
 	temp := p.rec.Series("n0_temp")
 	// The deepest frequency anywhere in the cluster: the trigger often
@@ -76,8 +72,8 @@ func fig10Run(seed uint64, pp int) (Fig10Row, error) {
 	}
 	// Earliest trigger across the nodes: the cluster-visible onset of
 	// in-band control.
-	for _, h := range hybrids {
-		if at, ok := h.DVFS.TriggeredAt(); ok {
+	for _, nc := range rig.Nodes {
+		if at, ok := nc.TDVFS.TriggeredAt(); ok {
 			if !row.Triggered || at.Seconds() < row.TriggeredS {
 				row.Triggered = true
 				row.TriggeredS = at.Seconds()

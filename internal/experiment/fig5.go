@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/core"
+	"thermctl/internal/config"
 	"thermctl/internal/node"
 	"thermctl/internal/rng"
 	"thermctl/internal/trace"
@@ -46,15 +46,11 @@ func fig5Run(seed uint64, pp int) (Fig5Row, error) {
 		return Fig5Row{}, err
 	}
 	n.Settle(0)
-	ctl, err := core.NewController(
-		core.DefaultConfig(pp),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.ActuatorBinding{Actuator: core.NewFanActuator(
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)},
-	)
+	nc, err := control("dynamic", "none", pp, 100).BuildNode(n, config.NodeOptions{})
 	if err != nil {
 		return Fig5Row{}, err
 	}
+	ctl := nc.Fan
 
 	row := Fig5Row{
 		Pp:   pp,

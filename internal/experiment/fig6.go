@@ -6,12 +6,11 @@ import (
 	"time"
 
 	"thermctl/internal/trace"
-	"thermctl/internal/workload"
 )
 
 // Fig6Row is one fan method's outcome on BT.B.4.
 type Fig6Row struct {
-	Method     FanMethod
+	Method     string        // ControlSpec fan technique: dynamic, static or constant
 	Temp       *trace.Series // node-0 temperature
 	Duty       *trace.Series // node-0 duty
 	PeakDuty   float64       // paper: dynamic rises past 45%, static ~32%
@@ -31,7 +30,7 @@ type Fig6Result struct {
 // Fig6 runs the three-way comparison.
 func Fig6(seed uint64) (*Fig6Result, error) {
 	res := &Fig6Result{}
-	for _, m := range []FanMethod{FanDynamic, FanStatic, FanConstant} {
+	for _, m := range []string{"dynamic", "static", "constant"} {
 		row, err := fig6Run(seed, m)
 		if err != nil {
 			return nil, err
@@ -41,16 +40,15 @@ func Fig6(seed uint64) (*Fig6Result, error) {
 	return res, nil
 }
 
-func fig6Run(seed uint64, method FanMethod) (Fig6Row, error) {
-	c, err := newCluster(4, seed)
+func fig6Run(seed uint64, method string) (Fig6Row, error) {
+	rig, err := build(4, seed, "bt", control(method, "none", 50, 75))
 	if err != nil {
 		return Fig6Row{}, err
 	}
-	if _, err := attachFanControl(c, method, 50, 75); err != nil {
-		return Fig6Row{}, err
-	}
+	c := rig.Cluster
+	defer c.Close()
 	p := newProbe(c, 250*time.Millisecond)
-	run := c.RunProgram(workload.BTB4(), 0)
+	run := c.RunProgram(*rig.Program, 0)
 
 	temp := p.rec.Series("n0_temp")
 	duty := p.rec.Series("n0_duty")
@@ -72,8 +70,8 @@ func fig6Run(seed uint64, method FanMethod) (Fig6Row, error) {
 	return row, nil
 }
 
-// Row returns the row for the given method, or nil.
-func (r *Fig6Result) Row(m FanMethod) *Fig6Row {
+// Row returns the row for the given fan technique, or nil.
+func (r *Fig6Result) Row(m string) *Fig6Row {
 	for i := range r.Rows {
 		if r.Rows[i].Method == m {
 			return &r.Rows[i]

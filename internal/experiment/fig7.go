@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"thermctl/internal/trace"
-	"thermctl/internal/workload"
 )
 
 // Fig7Row is one maximum-duty cap's outcome.
@@ -29,15 +28,14 @@ type Fig7Result struct {
 func Fig7(seed uint64) (*Fig7Result, error) {
 	res := &Fig7Result{}
 	for _, cap := range []float64{25, 50, 75, 100} {
-		c, err := newCluster(4, seed)
+		rig, err := build(4, seed, "bt", control("dynamic", "none", 50, cap))
 		if err != nil {
 			return nil, err
 		}
-		if _, err := attachFanControl(c, FanDynamic, 50, cap); err != nil {
-			return nil, err
-		}
+		c := rig.Cluster
 		p := newProbe(c, 250*time.Millisecond)
-		run := c.RunProgram(workload.BTB4(), 0)
+		run := c.RunProgram(*rig.Program, 0)
+		c.Close()
 
 		temp := p.rec.Series("n0_temp")
 		duty := p.rec.Series("n0_duty")

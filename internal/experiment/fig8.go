@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/core"
 	"thermctl/internal/trace"
 	"thermctl/internal/workload"
 )
@@ -29,20 +28,15 @@ type Fig8Result struct {
 // Fig8 runs the experiment: threshold 51 °C, Pp=50, static fan capped
 // at 25% duty.
 func Fig8(seed uint64) (*Fig8Result, error) {
-	c, err := newCluster(4, seed)
+	rig, err := build(4, seed, "lu", control("static", "tdvfs", 50, 25))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := attachFanControl(c, FanStatic, 50, 25); err != nil {
-		return nil, err
-	}
-	daemons, err := attachTDVFS(c, core.DefaultTDVFSConfig(50))
-	if err != nil {
-		return nil, err
-	}
+	c := rig.Cluster
+	defer c.Close()
 	p := newProbe(c, 250*time.Millisecond)
 
-	run := c.RunProgram(workload.LUB4(), 0)
+	run := c.RunProgram(*rig.Program, 0)
 	// Idle tail: the application has exited; temperature decays and
 	// tDVFS restores the nominal frequency (the right edge of the
 	// paper's Figure 8).
@@ -53,8 +47,8 @@ func Fig8(seed uint64) (*Fig8Result, error) {
 	return &Fig8Result{
 		Temp:       temp,
 		Freq:       freq,
-		Downscales: daemons[0].Downscales(),
-		Upscales:   daemons[0].Upscales(),
+		Downscales: rig.Nodes[0].TDVFS.Downscales(),
+		Upscales:   rig.Nodes[0].TDVFS.Upscales(),
 		MinFreqGHz: freq.Min(),
 		EndFreqGHz: freq.Last(),
 		SteadyC:    temp.MeanAfter(run.ExecTime / 2),

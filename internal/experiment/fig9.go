@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/core"
 	"thermctl/internal/trace"
-	"thermctl/internal/workload"
 )
 
 // Fig9Row is one DVFS daemon's outcome under the weak-fan condition.
@@ -43,25 +41,14 @@ func Fig9(seed uint64) (*Fig9Result, error) {
 }
 
 func fig9Run(seed uint64, daemon string) (Fig9Row, error) {
-	c, err := newCluster(4, seed)
+	rig, err := build(4, seed, "bt", control("dynamic", dvfsTechnique(daemon), 50, 25))
 	if err != nil {
 		return Fig9Row{}, err
 	}
-	switch daemon {
-	case "tDVFS":
-		if _, err := attachHybrid(c, 50, 25, core.DefaultTDVFSConfig(50)); err != nil {
-			return Fig9Row{}, err
-		}
-	case "CPUSPEED":
-		if _, err := attachFanControl(c, FanDynamic, 50, 25); err != nil {
-			return Fig9Row{}, err
-		}
-		if err := attachCPUSpeed(c); err != nil {
-			return Fig9Row{}, err
-		}
-	}
+	c := rig.Cluster
+	defer c.Close()
 	p := newProbe(c, 250*time.Millisecond)
-	run := c.RunProgram(workload.BTB4(), 0)
+	run := c.RunProgram(*rig.Program, 0)
 
 	temp := p.rec.Series("n0_temp")
 	row := Fig9Row{

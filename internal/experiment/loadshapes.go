@@ -126,6 +126,7 @@ func loadShapesCell(seed uint64, name string, spec workload.Spec, pp int) (LoadS
 		return LoadShapesRow{}, err
 	}
 	c := rig.Cluster
+	defer c.Close()
 
 	tr := &groupTracker{
 		c:      c,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"thermctl/internal/cluster"
+	"thermctl/internal/config"
 	"thermctl/internal/core"
 	"thermctl/internal/node"
 	"thermctl/internal/rack"
@@ -69,32 +70,20 @@ func rackRun(seed uint64, unified bool) ([]RackRow, error) {
 		return nil, err
 	}
 	c.SetWorkers(Workers)
+	defer c.Close()
 	c.Settle(1)
 	r, err := rack.New(rack.Default(), nodes)
 	if err != nil {
 		return nil, err
 	}
+	// The rack's recirculation model runs in the pre-controller phase.
 	c.AddController(r)
-	for i, n := range nodes {
-		if unified {
-			fan, err := core.NewController(core.DefaultConfig(50),
-				core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-				core.ActuatorBinding{Actuator: core.NewFanActuator(
-					&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
-			if err != nil {
-				return nil, err
-			}
-			act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
-			if err != nil {
-				return nil, err
-			}
-			d, err := core.NewTDVFS(core.DefaultTDVFSConfig(50),
-				core.SysfsTemp(n.FS, n.Hwmon.TempInput), act)
-			if err != nil {
-				return nil, err
-			}
-			c.AddNodeController(i, core.NewHybrid(fan, d))
-		} else {
+	if unified {
+		if _, err := config.AttachControl(c, control("dynamic", "tdvfs", 50, 100), nil, nil); err != nil {
+			return nil, err
+		}
+	} else {
+		for _, n := range nodes {
 			port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
 			if err := port.SetDutyPercent(45); err != nil {
 				return nil, err

@@ -68,6 +68,7 @@ func sleepStatesRun(seed uint64, name string, gen workload.Generator, sleep bool
 		return SleepStatesRow{}, err
 	}
 	c := rig.Cluster
+	defer c.Close()
 
 	row := SleepStatesRow{Workload: name, Sleep: sleep}
 	tr := &chaosTracker{c: c}

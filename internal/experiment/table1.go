@@ -3,9 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-
-	"thermctl/internal/core"
-	"thermctl/internal/workload"
 )
 
 // Table1Cell is one (daemon, max-duty) configuration's measurements —
@@ -42,24 +39,13 @@ func Table1(seed uint64) (*Table1Result, error) {
 }
 
 func table1Run(seed uint64, daemon string, cap float64) (Table1Cell, error) {
-	c, err := newCluster(4, seed)
+	rig, err := build(4, seed, "bt", control("dynamic", dvfsTechnique(daemon), 50, cap))
 	if err != nil {
 		return Table1Cell{}, err
 	}
-	switch daemon {
-	case "tDVFS":
-		if _, err := attachHybrid(c, 50, cap, core.DefaultTDVFSConfig(50)); err != nil {
-			return Table1Cell{}, err
-		}
-	case "CPUSPEED":
-		if _, err := attachFanControl(c, FanDynamic, 50, cap); err != nil {
-			return Table1Cell{}, err
-		}
-		if err := attachCPUSpeed(c); err != nil {
-			return Table1Cell{}, err
-		}
-	}
-	run := c.RunProgram(workload.BTB4(), 0)
+	c := rig.Cluster
+	defer c.Close()
+	run := c.RunProgram(*rig.Program, 0)
 
 	avgW := meterAvgW(c)
 	return Table1Cell{

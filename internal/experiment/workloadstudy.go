@@ -44,36 +44,43 @@ func WorkloadStudy(seed uint64) (*WorkloadStudyResult, error) {
 	res := &WorkloadStudyResult{}
 	for _, prog := range progs {
 		row := WorkloadRow{Name: prog.Name}
-		for _, freq := range []float64{2.4, 2.0} {
-			c, err := newCluster(4, seed)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range c.Nodes {
-				if err := n.FS.WriteInt(n.Hwmon.PWMEnable, 1); err != nil {
-					return nil, err
-				}
-				if err := n.FS.WriteInt(n.Hwmon.PWM, 128); err != nil { // ≈50%
-					return nil, err
-				}
-				if !n.CPU.SetFreqGHz(freq) {
-					return nil, fmt.Errorf("no %v GHz state", freq)
-				}
-			}
-			p := newProbe(c, time.Second)
-			run := c.RunProgram(prog, 0)
-			if freq == 2.4 {
-				row.ExecS = run.ExecTime.Seconds()
-				row.AvgPowerW = meterAvgW(c)
-				row.PeakC = maxAcross(p.rec, len(c.Nodes))
-			} else {
-				row.Exec20S = run.ExecTime.Seconds()
-			}
+		var err error
+		if row.ExecS, row.AvgPowerW, row.PeakC, err = workloadRun(seed, prog, 2.4); err != nil {
+			return nil, err
+		}
+		if row.Exec20S, _, _, err = workloadRun(seed, prog, 2.0); err != nil {
+			return nil, err
 		}
 		row.SlowdownPct = (row.Exec20S/row.ExecS - 1) * 100
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// workloadRun executes prog on 4 nodes with the fan pinned at 50% duty
+// and every CPU at freq GHz, returning the execution time, the average
+// wall power per node and the hottest sensor reading.
+func workloadRun(seed uint64, prog workload.Program, freq float64) (execS, avgW, peakC float64, err error) {
+	rig, err := build(4, seed, "", chipAuto)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	c := rig.Cluster
+	defer c.Close()
+	for _, n := range c.Nodes {
+		if err := n.FS.WriteInt(n.Hwmon.PWMEnable, 1); err != nil {
+			return 0, 0, 0, err
+		}
+		if err := n.FS.WriteInt(n.Hwmon.PWM, 128); err != nil { // ≈50%
+			return 0, 0, 0, err
+		}
+		if !n.CPU.SetFreqGHz(freq) {
+			return 0, 0, 0, fmt.Errorf("no %v GHz state", freq)
+		}
+	}
+	p := newProbe(c, time.Second)
+	run := c.RunProgram(prog, 0)
+	return run.ExecTime.Seconds(), meterAvgW(c), maxAcross(p.rec, len(c.Nodes)), nil
 }
 
 func maxAcross(rec *trace.Recorder, nodes int) float64 {

@@ -1,11 +1,21 @@
 package report
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"thermctl/internal/experiment"
 )
+
+var update = flag.Bool("update", false, "rewrite docs/report.md from a live Collect")
+
+// goldenReport is the committed generated report.
+var goldenReport = filepath.Join("..", "..", "docs", "report.md")
 
 func TestCollectAndMarkdown(t *testing.T) {
 	all, err := Collect(experiment.Seed)
@@ -56,5 +66,62 @@ func TestMarkdownDeterministic(t *testing.T) {
 	}
 	if render() != render() {
 		t.Error("generated report not byte-identical across runs")
+	}
+}
+
+// TestReportGolden pins the committed docs/report.md to the live
+// evaluation: wiring or refactoring that moves any reported number
+// fails here. Run with -update to regenerate the file after a
+// deliberate change.
+func TestReportGolden(t *testing.T) {
+	all, err := Collect(experiment.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := all.Markdown(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got := sb.String()
+	if *update {
+		if err := os.WriteFile(goldenReport, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s differs from the live report at line %d:\n  live:      %s\n  committed: %s\n(rerun with -update after a deliberate change)",
+					goldenReport, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s differs from the live report in length: %d vs %d lines", goldenReport, len(wl), len(gl))
+	}
+}
+
+// TestCollectReleasesWorkers checks that every cluster the evaluation
+// builds is closed: at Workers=4 each 4-node cluster starts three pool
+// helpers, and none may outlive Collect.
+func TestCollectReleasesWorkers(t *testing.T) {
+	defer func(w int) { experiment.Workers = w }(experiment.Workers)
+	experiment.Workers = 4
+	const slack = 2
+	before := runtime.NumGoroutine()
+	if _, err := Collect(experiment.Seed); err != nil {
+		t.Fatal(err)
+	}
+	// A closed pool's helpers exit asynchronously; give them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+slack && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before+slack {
+		t.Errorf("Collect left %d goroutines running (%d before, %d after)", after-before, before, after)
 	}
 }

@@ -37,6 +37,11 @@ go test -race ./...
 echo "==> scenario gallery (examples/*.json load + build, extends chains included)"
 go test ./internal/config -run 'TestScenarioGallery|TestGalleryExtendsChains' -count=1
 
+echo "==> single-node gallery smoke (clustersim -scenario)"
+for s in examples/single-node-fan.json examples/weak-fan-tdvfs.json; do
+	go run ./cmd/clustersim -scenario "$s" -for 120s >/dev/null
+done
+
 echo "==> chaos smoke (experiments -only chaos)"
 go run ./cmd/experiments -only chaos >/dev/null
 

@@ -18,7 +18,8 @@
 //     over any set of actuators, the tDVFS daemon, and the Hybrid
 //     coordinator that couples the fan and DVFS knobs under one policy.
 //   - The paper's baselines: traditional static fan control, constant
-//     fan speed, and the CPUSPEED utilization governor.
+//     fan speed, and the CPUSPEED utilization governor, selected by
+//     name in a Scenario's control spec.
 //   - An experiment harness regenerating every figure and table of the
 //     paper's evaluation (run `go test -bench .` or cmd/experiments).
 //
@@ -39,13 +40,11 @@
 package thermctl
 
 import (
-	"thermctl/internal/baseline"
 	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/core"
 	"thermctl/internal/core/ctlarray"
 	"thermctl/internal/core/window"
-	"thermctl/internal/cstates"
 	"thermctl/internal/experiment"
 	"thermctl/internal/node"
 	"thermctl/internal/rng"
@@ -117,10 +116,6 @@ type (
 	Program = workload.Program
 	// Generator is an open-loop utilization source.
 	Generator = workload.Generator
-	// StaticFan is the traditional static fan controller baseline.
-	StaticFan = baseline.StaticFan
-	// CPUSpeed is the CPUSPEED utilization-governor baseline.
-	CPUSpeed = baseline.CPUSpeed
 )
 
 // Policy bounds for the Pp parameter, from the paper.
@@ -150,42 +145,52 @@ func NewCluster(n int, seed uint64) (*Cluster, error) {
 	return cluster.New(n, cluster.DefaultDt, seed)
 }
 
+// buildNode wires the named techniques on n through
+// config.ControlSpec.BuildNode, the one constructor of a controller
+// stack, at policy pp with the fan capped at maxDuty percent. The tuning
+// is validated first: BuildNode normalizes, which would quietly turn a
+// zero Pp into the default.
+func buildNode(n *Node, fan, dvfs, sleep string, pp int, maxDuty float64) (*config.NodeControl, error) {
+	tune := config.Default()
+	tune.Pp, tune.MaxFanDuty = pp, maxDuty
+	if err := tune.Validate(); err != nil {
+		return nil, err
+	}
+	cs := config.ControlSpec{Fan: fan, DVFS: dvfs, Sleep: sleep, Tuning: tune}
+	return cs.BuildNode(n, config.NodeOptions{})
+}
+
 // NewDynamicFanControl attaches the paper's history-based dynamic fan
 // controller to a node: policy pp in [1,100], fan duty capped at
-// maxDuty percent. Drive it by calling OnStep after each node Step.
+// maxDuty percent in [1,100]. Drive it by calling OnStep after each
+// node Step.
 func NewDynamicFanControl(n *Node, pp int, maxDuty float64) (*Controller, error) {
-	return core.NewController(
-		core.DefaultConfig(pp),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.ActuatorBinding{Actuator: core.NewFanActuator(
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, maxDuty)},
-	)
+	nc, err := buildNode(n, "dynamic", "none", "none", pp, maxDuty)
+	if err != nil {
+		return nil, err
+	}
+	return nc.Fan, nil
 }
 
 // NewTDVFS attaches the temperature-aware DVFS daemon to a node with
 // the paper's parameters (51 °C threshold) at policy pp.
 func NewTDVFS(n *Node, pp int) (*TDVFS, error) {
-	act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	nc, err := buildNode(n, "auto", "tdvfs", "none", pp, 100)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewTDVFS(core.DefaultTDVFSConfig(pp),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput), act)
+	return nc.TDVFS, nil
 }
 
 // NewUnified attaches the full unified controller to a node: dynamic
 // fan control and tDVFS coordinated under one policy pp, fan capped at
 // maxDuty percent.
 func NewUnified(n *Node, pp int, maxDuty float64) (*Hybrid, error) {
-	fan, err := NewDynamicFanControl(n, pp, maxDuty)
+	nc, err := buildNode(n, "dynamic", "tdvfs", "none", pp, maxDuty)
 	if err != nil {
 		return nil, err
 	}
-	dvfs, err := NewTDVFS(n, pp)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewHybrid(fan, dvfs), nil
+	return nc.Hybrid, nil
 }
 
 // NewSleepStateControl attaches a thermal control array driving the
@@ -194,31 +199,15 @@ func NewUnified(n *Node, pp int, maxDuty float64) (*Hybrid, error) {
 // steps. It demonstrates the array is technique-agnostic: any actuator
 // with ordered modes plugs in.
 func NewSleepStateControl(n *Node, pp int) (*Controller, error) {
-	return core.NewController(
-		core.DefaultConfig(pp),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.ActuatorBinding{Actuator: cstates.NewActuator(n.FS, n.CStates)},
-	)
+	nc, err := buildNode(n, "auto", "none", "ctlarray", pp, 100)
+	if err != nil {
+		return nil, err
+	}
+	return nc.Sleep, nil
 }
 
 // LoadScenario reads, normalizes and validates a JSON scenario file.
 func LoadScenario(path string) (Scenario, error) { return config.LoadScenario(path) }
-
-// NewStaticFanControl attaches the traditional static fan controller
-// (the paper's Figure 1 baseline) with the given duty cap.
-func NewStaticFanControl(n *Node, maxDuty float64) (*StaticFan, error) {
-	return baseline.NewStaticFan(
-		baseline.DefaultStaticFanConfig(maxDuty),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon},
-	)
-}
-
-// NewCPUSpeed attaches the CPUSPEED utilization governor baseline.
-func NewCPUSpeed(n *Node) (*CPUSpeed, error) {
-	return baseline.NewCPUSpeed(baseline.DefaultCPUSpeedConfig(), n.FS,
-		&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
-}
 
 // CPUBurn returns the cpu-burn stressor workload (sustained full load
 // with scheduling noise) seeded deterministically.

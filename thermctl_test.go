@@ -3,6 +3,8 @@ package thermctl
 import (
 	"testing"
 	"time"
+
+	"thermctl/internal/config"
 )
 
 // The root-package tests exercise the public facade end to end, the way
@@ -75,11 +77,14 @@ func TestBaselinesConstruct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStaticFanControl(n, 75); err != nil {
-		t.Error(err)
+	// The baselines are scenario techniques: static fan plus CPUSPEED.
+	cs := config.ControlSpec{Fan: "static", DVFS: "cpuspeed", Sleep: "none", Tuning: config.Default()}
+	nc, err := cs.BuildNode(n, config.NodeOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewCPUSpeed(n); err != nil {
-		t.Error(err)
+	if len(nc.Controllers) != 2 {
+		t.Errorf("static fan + CPUSPEED built %d controllers, want 2", len(nc.Controllers))
 	}
 	if _, err := NewTDVFS(n, 50); err != nil {
 		t.Error(err)

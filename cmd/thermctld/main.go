@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"thermctl"
+	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/faults"
 	"thermctl/internal/ipmi"
@@ -229,9 +230,9 @@ func run(o options, out io.Writer) error {
 	steps := reg.NewCounter("thermctl_daemon_steps_total",
 		"daemon control-loop steps executed")
 
-	// Optional binary trace of the run, one record set per control
-	// step. The schema matches a one-node cluster trace, so the same
-	// thermtrace invocations work on daemon and clustersim output.
+	// Optional binary trace of the run, one cluster sample frame per
+	// control step. The schema matches a one-node cluster trace, so the
+	// same thermtrace invocations work on daemon and clustersim output.
 	var tw *tracefile.Writer
 	if o.trace != "" {
 		f, err := os.Create(o.trace)
@@ -289,6 +290,7 @@ func run(o options, out io.Writer) error {
 
 	dt := 250 * time.Millisecond
 	next := time.Duration(0)
+	frame := make([]float64, cluster.FrameWidth)
 	for n.Elapsed() < o.duration {
 		if o.stop != nil {
 			select {
@@ -311,14 +313,15 @@ func run(o options, out io.Writer) error {
 		}
 		stepSeconds.ObserveSince(begin)
 		steps.Inc()
-		if tw != nil {
-			now := n.Elapsed()
-			tw.Append(0, now, n.Sensor.Read())
-			tw.Append(1, now, n.Fan.Duty())
-			tw.Append(2, now, n.CPU.FreqGHz())
-			tw.Append(3, now, n.Power().Total())
+		now := n.Elapsed()
+		due := now >= next
+		if tw != nil || due {
+			cluster.SampleNode(n, frame)
 		}
-		if n.Elapsed() >= next {
+		if tw != nil {
+			tw.AppendFrame(now, frame)
+		}
+		if due {
 			next += o.every
 			engaged := "-"
 			if nc.TDVFS != nil {
@@ -328,8 +331,8 @@ func run(o options, out io.Writer) error {
 				}
 			}
 			fmt.Fprintf(out, "%8s %10.2f %8.1f %9.1f %8s %10.1f\n",
-				n.Elapsed().Truncate(time.Second), n.Sensor.Read(), n.Fan.Duty(),
-				n.CPU.FreqGHz(), engaged, n.Power().Total())
+				now.Truncate(time.Second), frame[cluster.FrameTemp], frame[cluster.FrameDuty],
+				frame[cluster.FrameFreq], engaged, frame[cluster.FramePower])
 			if o.verbose {
 				switch {
 				case nc.Fan != nil:

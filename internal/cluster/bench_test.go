@@ -91,36 +91,13 @@ func BenchmarkClusterStep(b *testing.B) {
 	}
 }
 
-// benchTraceProbe streams per-node observables to a tracefile.Writer
-// from the serial phase — the same wiring config.AttachTraceProbe
-// installs behind clustersim's -trace flag, restated locally because
-// package cluster cannot import config (cycle).
-type benchTraceProbe struct {
-	c     *Cluster
-	w     *tracefile.Writer
-	every time.Duration
-	next  time.Duration
-}
-
-func (p *benchTraceProbe) OnStep(now time.Duration) {
-	if now < p.next {
-		return
-	}
-	p.next += p.every
-	for i, n := range p.c.Nodes {
-		base := i * 4
-		p.w.Append(base+0, now, n.Sensor.Read())
-		p.w.Append(base+1, now, n.Fan.Duty())
-		p.w.Append(base+2, now, n.CPU.FreqGHz())
-		p.w.Append(base+3, now, n.Power().Total())
-	}
-}
-
 // BenchmarkClusterStepTrace is the trace-recording twin of
-// BenchmarkClusterStep at the 64-node scale: the same step loop with a
-// tracefile probe sampling every node once per simulated second (the
-// -trace cadence of clustersim), writer draining to io.Discard with
-// raw chunks, matching AttachTraceProbe's options. It sits directly
+// BenchmarkClusterStep at the 64-node scale: the same step loop with
+// the production trace path — the cluster sampler (Cluster.Sample)
+// feeding Writer.AppendFrame once per simulated second, the -trace
+// cadence of clustersim — writer draining to io.Discard with raw
+// chunks. That is config.AttachTraceProbe minus the schema header,
+// which package cluster cannot import (cycle). It sits directly
 // after BenchmarkClusterStep in the file on purpose: the two record
 // close together in time, so the 5% gate compares numbers from the
 // same host conditions rather than minutes of drift apart.
@@ -128,29 +105,29 @@ func (p *benchTraceProbe) OnStep(now time.Duration) {
 // the cost of out-of-core trace recording on the step path; the
 // acceptance bar — enforced by `benchjson -within ClusterStep
 // ClusterStepTrace -tolerance 5` in scripts/bench.sh — is within 5% of
-// the bare step. Writer.Append is a hotalloc root, so the budget is
-// spent on delta encoding alone, never on allocation.
+// the bare step. Writer.Append and AppendFrame are hotalloc roots, so
+// the budget is spent on sampling and delta encoding alone, never on
+// allocation.
 func BenchmarkClusterStepTrace(b *testing.B) {
 	const nodes = 64
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("nodes=%d/workers=%d", nodes, workers), func(b *testing.B) {
 			c := benchCluster(b, nodes, workers)
 			defer c.Close()
-			schema := make([]tracefile.SeriesDef, 0, nodes*4)
+			schema := make([]tracefile.SeriesDef, 0, nodes*FrameWidth)
 			for i := 0; i < nodes; i++ {
-				prefix := fmt.Sprintf("n%d_", i)
-				schema = append(schema,
-					tracefile.SeriesDef{Name: prefix + "temp", Unit: "degC"},
-					tracefile.SeriesDef{Name: prefix + "duty", Unit: "percent"},
-					tracefile.SeriesDef{Name: prefix + "freq", Unit: "GHz"},
-					tracefile.SeriesDef{Name: prefix + "power", Unit: "W"})
+				for _, f := range FrameFields {
+					schema = append(schema, tracefile.SeriesDef{Name: fmt.Sprintf("n%d_%s", i, f.Name), Unit: f.Unit})
+				}
 			}
 			w, err := tracefile.NewWriter(io.Discard, schema,
 				&tracefile.Options{NoCompress: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			c.AddController(&benchTraceProbe{c: c, w: w, every: time.Second})
+			if err := c.Sample(time.Second, w.AppendFrame); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Step()

@@ -1,7 +1,6 @@
 package config
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -10,55 +9,26 @@ import (
 	"thermctl/internal/tracefile"
 )
 
-// ErrTraceInterval reports an AttachTraceProbe sampling interval <= 0.
-// A zero or negative interval would leave the probe's schedule stuck
-// (next never advances past now), silently sampling every step.
-var ErrTraceInterval = errors.New("config: trace probe interval must be positive")
-
-// Per-node observables recorded by the trace probe, in series-index
-// order within each node's block.
-const (
-	traceTemp = iota
-	traceDuty
-	traceFreq
-	tracePower
-	traceSeriesPerNode
-)
+// ErrTraceInterval rejects an interval <= 0 before any header byte is written.
+var ErrTraceInterval = cluster.ErrSampleInterval
 
 // ClusterTraceSchema declares the trace-file series of an n-node
-// cluster: temp/duty/freq/power per node, named exactly like the
-// in-memory experiment probes ("n3_temp"), with the physical units the
-// unitsafe analyzer tracks in code.
+// cluster: the cluster sample frame (cluster.FrameFields per node, in
+// node order) named "n3_temp" like the in-memory experiment probes,
+// with the physical units the unitsafe analyzer tracks in code.
 func ClusterTraceSchema(n int) []tracefile.SeriesDef {
-	defs := make([]tracefile.SeriesDef, 0, n*traceSeriesPerNode)
+	defs := make([]tracefile.SeriesDef, 0, n*cluster.FrameWidth)
 	for i := 0; i < n; i++ {
-		prefix := fmt.Sprintf("n%d_", i)
-		defs = append(defs,
-			tracefile.SeriesDef{Name: prefix + "temp", Unit: "degC"},
-			tracefile.SeriesDef{Name: prefix + "duty", Unit: "percent"},
-			tracefile.SeriesDef{Name: prefix + "freq", Unit: "GHz"},
-			tracefile.SeriesDef{Name: prefix + "power", Unit: "W"},
-		)
+		for _, f := range cluster.FrameFields {
+			defs = append(defs, tracefile.SeriesDef{Name: fmt.Sprintf("n%d_%s", i, f.Name), Unit: f.Unit})
+		}
 	}
 	return defs
 }
 
-// TraceProbe streams per-node observables to a tracefile.Writer on a
-// fixed schedule. It runs as a cluster-level controller in the serial
-// phase, which both serializes access to the writer and keeps the byte
-// stream identical at every worker count — the same discipline the
-// fault plane and experiment probes follow. Appends are allocation-free
-// (Writer.Append is a hotalloc root), so tracing rides the step path
-// within the bench gate.
-type TraceProbe struct {
-	c     *cluster.Cluster
-	w     *tracefile.Writer
-	every time.Duration
-	next  time.Duration
-}
-
 // AttachTraceProbe writes the schema header for the cluster to dst and
-// registers a probe sampling every interval. Close the returned writer
+// registers the cluster sampler every interval, feeding the writer and
+// then any extra sinks from the same frame. Close the returned writer
 // after the run to flush chunks and the index footer; the first
 // append/write error surfaces there.
 //
@@ -67,31 +37,14 @@ type TraceProbe struct {
 // loop, and its cost alone breaches the 5% trace-overhead gate —
 // while the delta+varint encoding already carries most of the size
 // win. Offline writers (golden images) keep compression on.
-func AttachTraceProbe(c *cluster.Cluster, dst io.Writer, every time.Duration) (*tracefile.Writer, error) {
+func AttachTraceProbe(c *cluster.Cluster, dst io.Writer, every time.Duration, also ...cluster.Sink) (*tracefile.Writer, error) {
 	if every <= 0 {
-		return nil, fmt.Errorf("%w (got %s)", ErrTraceInterval, every)
+		return nil, fmt.Errorf("config: trace probe: %w (got %s)", ErrTraceInterval, every)
 	}
 	w, err := tracefile.NewWriter(dst, ClusterTraceSchema(len(c.Nodes)),
 		&tracefile.Options{NoCompress: true})
 	if err != nil {
 		return nil, err
 	}
-	p := &TraceProbe{c: c, w: w, every: every}
-	c.AddController(p)
-	return w, nil
-}
-
-// OnStep implements cluster.Controller.
-func (p *TraceProbe) OnStep(now time.Duration) {
-	if now < p.next {
-		return
-	}
-	p.next += p.every
-	for i, n := range p.c.Nodes {
-		base := i * traceSeriesPerNode
-		p.w.Append(base+traceTemp, now, n.Sensor.Read())
-		p.w.Append(base+traceDuty, now, n.Fan.Duty())
-		p.w.Append(base+traceFreq, now, n.CPU.FreqGHz())
-		p.w.Append(base+tracePower, now, n.Power().Total())
-	}
+	return w, c.Sample(every, append([]cluster.Sink{w.AppendFrame}, also...)...)
 }

@@ -13,7 +13,7 @@ import (
 	"thermctl/internal/workload"
 )
 
-// shadowProbe records the same observables as TraceProbe into an
+// shadowProbe records the same observables as the cluster sampler into an
 // in-memory recorder, at the same cadence, from the same serial phase
 // — the reference the file must reproduce byte for byte.
 type shadowProbe struct {
@@ -30,11 +30,11 @@ func (p *shadowProbe) OnStep(now time.Duration) {
 	}
 	p.next += p.every
 	for i, n := range p.c.Nodes {
-		base := i * traceSeriesPerNode
-		p.rec.Record(p.names[base+traceTemp].Name, now, n.Sensor.Read())
-		p.rec.Record(p.names[base+traceDuty].Name, now, n.Fan.Duty())
-		p.rec.Record(p.names[base+traceFreq].Name, now, n.CPU.FreqGHz())
-		p.rec.Record(p.names[base+tracePower].Name, now, n.Power().Total())
+		base := i * cluster.FrameWidth
+		p.rec.Record(p.names[base+cluster.FrameTemp].Name, now, n.Sensor.Read())
+		p.rec.Record(p.names[base+cluster.FrameDuty].Name, now, n.Fan.Duty())
+		p.rec.Record(p.names[base+cluster.FrameFreq].Name, now, n.CPU.FreqGHz())
+		p.rec.Record(p.names[base+cluster.FramePower].Name, now, n.Power().Total())
 	}
 }
 

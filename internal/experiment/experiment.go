@@ -17,13 +17,13 @@
 package experiment
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
 	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/trace"
+	"thermctl/internal/tracefile"
 )
 
 // Seed is the default seed used by all experiments; fixed so every run
@@ -37,52 +37,27 @@ const Seed = 20100131 // ICPP 2010 submission era
 // value changes wall-clock time only, never a result.
 var Workers = 1
 
-// probe records per-node observables on a fixed schedule.
-type probe struct {
-	c      *cluster.Cluster
-	rec    *trace.Recorder
-	every  time.Duration
-	next   time.Duration
-	labels []probeLabels
+// recorderSink records sample frames under the ClusterTraceSchema
+// series names ("n3_temp"). Its record method is the cluster.Sink.
+type recorderSink struct {
+	rec   *trace.Recorder
+	names []tracefile.SeriesDef
 }
 
-// probeLabels holds one node's series names, formatted once at probe
-// construction: OnStep samples every node every interval and must not
-// build strings per sample.
-type probeLabels struct {
-	temp, duty, freq, power string
+func (s recorderSink) record(now time.Duration, frame []float64) {
+	for i, v := range frame {
+		s.rec.Record(s.names[i].Name, now, v)
+	}
 }
 
-// newProbe attaches a recorder to the cluster sampling every interval.
-func newProbe(c *cluster.Cluster, every time.Duration) *probe {
-	p := &probe{c: c, rec: trace.NewRecorder(), every: every, next: 0}
-	p.labels = make([]probeLabels, len(c.Nodes))
-	for i := range c.Nodes {
-		prefix := fmt.Sprintf("n%d_", i)
-		p.labels[i] = probeLabels{
-			temp:  prefix + "temp",
-			duty:  prefix + "duty",
-			freq:  prefix + "freq",
-			power: prefix + "power",
-		}
+// newProbe attaches an in-memory recorder to the cluster sampler,
+// sampling every interval. every is positive at every call site.
+func newProbe(c *cluster.Cluster, every time.Duration) *trace.Recorder {
+	s := recorderSink{trace.NewRecorder(), config.ClusterTraceSchema(len(c.Nodes))}
+	if err := c.Sample(every, s.record); err != nil {
+		panic(err)
 	}
-	c.AddController(p)
-	return p
-}
-
-// OnStep implements cluster.Controller.
-func (p *probe) OnStep(now time.Duration) {
-	if now < p.next {
-		return
-	}
-	p.next += p.every
-	for i, n := range p.c.Nodes {
-		l := &p.labels[i]
-		p.rec.Record(l.temp, now, n.Sensor.Read())
-		p.rec.Record(l.duty, now, n.Fan.Duty())
-		p.rec.Record(l.freq, now, n.CPU.FreqGHz())
-		p.rec.Record(l.power, now, n.Power().Total())
-	}
+	return s.rec
 }
 
 // control is one experiment run's per-node technique set: fan and dvfs
@@ -109,21 +84,6 @@ func build(nodes int, seed uint64, program string, cs config.ControlSpec) (*conf
 // chipAuto leaves every fan on the chip's firmware curve with no
 // software controller: the rig for runs that pin the hardware by hand.
 var chipAuto = config.ControlSpec{Fan: "auto", DVFS: "none", Sleep: "none"}
-
-// avgAcrossNodes returns the mean over nodes of the given per-node
-// series statistic.
-func avgAcrossNodes(rec *trace.Recorder, nodes int, suffix string,
-	stat func(*trace.Series) float64) float64 {
-	var sum float64
-	for i := 0; i < nodes; i++ {
-		s := rec.Series(fmt.Sprintf("n%d_%s", i, suffix))
-		if s == nil {
-			return 0
-		}
-		sum += stat(s)
-	}
-	return sum / float64(nodes)
-}
 
 // meterAvgW returns the average wall power across the cluster's nodes.
 func meterAvgW(c *cluster.Cluster) float64 {

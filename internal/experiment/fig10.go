@@ -48,22 +48,22 @@ func fig10Run(seed uint64, pp int) (Fig10Row, error) {
 	}
 	c := rig.Cluster
 	defer c.Close()
-	p := newProbe(c, 250*time.Millisecond)
+	rec := newProbe(c, 250*time.Millisecond)
 	run := c.RunProgram(*rig.Program, 0)
 
-	temp := p.rec.Series("n0_temp")
+	temp := rec.Series("n0_temp")
 	// The deepest frequency anywhere in the cluster: the trigger often
 	// lands on whichever node's sensor runs warmest, not node 0.
 	minFreq := math.Inf(1)
 	for i := range c.Nodes {
-		if s := p.rec.Series(fmt.Sprintf("n%d_freq", i)); s != nil && s.Min() < minFreq {
+		if s := rec.Series(fmt.Sprintf("n%d_freq", i)); s != nil && s.Min() < minFreq {
 			minFreq = s.Min()
 		}
 	}
 	row := Fig10Row{
 		Pp:         pp,
 		Temp:       temp,
-		Freq:       p.rec.Series("n0_freq"),
+		Freq:       rec.Series("n0_freq"),
 		AvgTempC:   temp.MeanAfter(run.ExecTime / 4),
 		MinFreqGHz: minFreq,
 		ExecS:      run.ExecTime.Seconds(),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/node"
 	"thermctl/internal/rng"
@@ -62,11 +63,13 @@ func fig5Run(seed uint64, pp int) (Fig5Row, error) {
 	n.SetGenerator(workload.NewCPUBurn(rng.New(seed + uint64(pp))))
 	dt := 250 * time.Millisecond
 	total := 5 * time.Minute
+	frame := make([]float64, cluster.FrameWidth)
 	for n.Elapsed() < total {
 		n.Step(dt)
 		ctl.OnStep(n.Elapsed())
-		row.Temp.Add(n.Elapsed(), n.Sensor.Read())
-		row.Duty.Add(n.Elapsed(), n.Fan.Duty())
+		cluster.SampleNode(n, frame)
+		row.Temp.Add(n.Elapsed(), frame[cluster.FrameTemp])
+		row.Duty.Add(n.Elapsed(), frame[cluster.FrameDuty])
 	}
 	// Steady-state statistics over the second half of the run, past the
 	// warm-up transient.

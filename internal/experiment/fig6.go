@@ -47,11 +47,11 @@ func fig6Run(seed uint64, method string) (Fig6Row, error) {
 	}
 	c := rig.Cluster
 	defer c.Close()
-	p := newProbe(c, 250*time.Millisecond)
+	rec := newProbe(c, 250*time.Millisecond)
 	run := c.RunProgram(*rig.Program, 0)
 
-	temp := p.rec.Series("n0_temp")
-	duty := p.rec.Series("n0_duty")
+	temp := rec.Series("n0_temp")
+	duty := rec.Series("n0_duty")
 	row := Fig6Row{
 		Method:     method,
 		Temp:       temp,

@@ -33,12 +33,12 @@ func Fig7(seed uint64) (*Fig7Result, error) {
 			return nil, err
 		}
 		c := rig.Cluster
-		p := newProbe(c, 250*time.Millisecond)
+		rec := newProbe(c, 250*time.Millisecond)
 		run := c.RunProgram(*rig.Program, 0)
 		c.Close()
 
-		temp := p.rec.Series("n0_temp")
-		duty := p.rec.Series("n0_duty")
+		temp := rec.Series("n0_temp")
+		duty := rec.Series("n0_duty")
 		res.Rows = append(res.Rows, Fig7Row{
 			MaxDuty: cap,
 			Temp:    temp,

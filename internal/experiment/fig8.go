@@ -34,7 +34,7 @@ func Fig8(seed uint64) (*Fig8Result, error) {
 	}
 	c := rig.Cluster
 	defer c.Close()
-	p := newProbe(c, 250*time.Millisecond)
+	rec := newProbe(c, 250*time.Millisecond)
 
 	run := c.RunProgram(*rig.Program, 0)
 	// Idle tail: the application has exited; temperature decays and
@@ -42,8 +42,8 @@ func Fig8(seed uint64) (*Fig8Result, error) {
 	// paper's Figure 8).
 	c.RunGenerator(workload.Constant(0.02), 3*time.Minute)
 
-	temp := p.rec.Series("n0_temp")
-	freq := p.rec.Series("n0_freq")
+	temp := rec.Series("n0_temp")
+	freq := rec.Series("n0_freq")
 	return &Fig8Result{
 		Temp:       temp,
 		Freq:       freq,

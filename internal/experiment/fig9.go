@@ -47,14 +47,14 @@ func fig9Run(seed uint64, daemon string) (Fig9Row, error) {
 	}
 	c := rig.Cluster
 	defer c.Close()
-	p := newProbe(c, 250*time.Millisecond)
+	rec := newProbe(c, 250*time.Millisecond)
 	run := c.RunProgram(*rig.Program, 0)
 
-	temp := p.rec.Series("n0_temp")
+	temp := rec.Series("n0_temp")
 	row := Fig9Row{
 		Daemon:      daemon,
 		Temp:        temp,
-		Freq:        p.rec.Series("n0_freq"),
+		Freq:        rec.Series("n0_freq"),
 		FinalC:      temp.MeanAfter(run.ExecTime - 15*time.Second),
 		PeakC:       temp.Max(),
 		Transitions: totalTransitions(c),

@@ -92,14 +92,10 @@ func rackRun(seed uint64, unified bool) ([]RackRow, error) {
 	}
 	// Average each slot's duty over the run: the per-step duty dithers
 	// with sensor noise around the controller's operating point.
-	dutySum := make([]float64, len(nodes))
-	steps := 0
-	c.AddController(cluster.ControllerFunc(func(time.Duration) {
-		for i, n := range nodes {
-			dutySum[i] += n.Fan.Duty()
-		}
-		steps++
-	}))
+	duty := &dutyMean{sum: make([]float64, len(nodes))}
+	if err := c.Sample(c.Clock.Dt(), duty.add); err != nil {
+		return nil, err
+	}
 	c.RunGenerator(workload.Constant(1), 10*time.Minute)
 
 	rows := make([]RackRow, len(nodes))
@@ -108,11 +104,24 @@ func rackRun(seed uint64, unified bool) ([]RackRow, error) {
 			Slot:    i,
 			InletC:  r.InletC(i),
 			DieC:    n.TrueDieC(),
-			FanDuty: dutySum[i] / float64(steps),
+			FanDuty: duty.sum[i] / duty.n,
 			FreqGHz: n.CPU.FreqGHz(),
 		}
 	}
 	return rows, nil
+}
+
+// dutyMean is a cluster.Sink averaging each node's fan duty.
+type dutyMean struct {
+	sum []float64
+	n   float64
+}
+
+func (d *dutyMean) add(_ time.Duration, frame []float64) {
+	for i := range d.sum {
+		d.sum[i] += frame[i*cluster.FrameWidth+cluster.FrameDuty]
+	}
+	d.n++
 }
 
 // String prints both configurations side by side.

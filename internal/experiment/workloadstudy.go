@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/trace"
 	"thermctl/internal/workload"
 )
 
@@ -78,19 +77,15 @@ func workloadRun(seed uint64, prog workload.Program, freq float64) (execS, avgW,
 			return 0, 0, 0, fmt.Errorf("no %v GHz state", freq)
 		}
 	}
-	p := newProbe(c, time.Second)
+	rec := newProbe(c, time.Second)
 	run := c.RunProgram(prog, 0)
-	return run.ExecTime.Seconds(), meterAvgW(c), maxAcross(p.rec, len(c.Nodes)), nil
-}
-
-func maxAcross(rec *trace.Recorder, nodes int) float64 {
-	peak := -1e9
-	for i := 0; i < nodes; i++ {
-		if s := rec.Series(fmt.Sprintf("n%d_temp", i)); s != nil && s.Max() > peak {
-			peak = s.Max()
+	peakC = -1e9
+	for i := range c.Nodes {
+		if s := rec.Series(fmt.Sprintf("n%d_temp", i)); s != nil && s.Max() > peakC {
+			peakC = s.Max()
 		}
 	}
-	return peak
+	return run.ExecTime.Seconds(), meterAvgW(c), peakC, nil
 }
 
 // Row returns the named kernel's row, or nil.

@@ -117,9 +117,11 @@ func (g *Graph) Roots() []*Node { return g.roots }
 // step for the whole program), a Utilization method (every workload
 // generator is evaluated per node per step inside the sharded phase,
 // so the whole generator library must be allocation-free), an Apply*
-// method on a type named Txn, or tracefile's Writer.Append (the trace
-// recording path rides the step loop and is benchmarked within 5% of
-// the untraced step, so it must stay allocation-free).
+// method on a type named Txn, or any method shaped like a cluster.Sink
+// (tracefile's Writer.AppendFrame among them: trace recording rides
+// the step loop within 5% of the untraced step). The sampler calls
+// sinks through func values the graph does not follow, and a
+// func-literal sink has no declaration to root.
 func IsRoot(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -128,13 +130,13 @@ func IsRoot(fn *types.Func) bool {
 	switch fn.Name() {
 	case "Step", "OnStep", "Decide", "RunProgram", "Utilization":
 		return true
-	case "Append":
-		return recvTypeName(sig) == "Writer"
 	}
 	if strings.HasPrefix(fn.Name(), "Apply") {
 		return recvTypeName(sig) == "Txn"
 	}
-	return false
+	in := sig.Params() // the sink shape: func(time.Duration, []float64)
+	return in.Len() == 2 && sig.Results().Len() == 0 &&
+		in.At(0).Type().String() == "time.Duration" && in.At(1).Type().String() == "[]float64"
 }
 
 // recvTypeName returns the bare name of the receiver's named type

@@ -16,6 +16,8 @@ import (
 var fixture = map[string]string{
 	"a/a.go": `package a
 
+import "time"
+
 type Actuator interface{ Apply(level int) }
 
 type Ctl struct{ Act Actuator }
@@ -38,6 +40,12 @@ type Txn struct{}
 
 func (t *Txn) ApplyFan(pct float64) {}
 func (t *Txn) Commit()              {}
+
+// A sampler sink is a root by signature; a near miss is not.
+type Probe struct{}
+
+func (p *Probe) sink(now time.Duration, frame []float64) {}
+func (p *Probe) other(now time.Duration, frame []int)    {}
 `,
 	"b/b.go": `package b
 
@@ -96,7 +104,7 @@ func TestRootsAndCache(t *testing.T) {
 	for _, r := range g.Roots() {
 		roots = append(roots, callgraph.Label(r.Fn))
 	}
-	want := []string{"(*m/a.Ctl).OnStep", "(*m/a.Txn).ApplyFan"}
+	want := []string{"(*m/a.Ctl).OnStep", "(*m/a.Txn).ApplyFan", "(*m/a.Probe).sink"}
 	if strings.Join(roots, ",") != strings.Join(want, ",") {
 		t.Errorf("roots = %v, want %v", roots, want)
 	}
@@ -162,7 +170,7 @@ func TestHotDecls(t *testing.T) {
 		path string
 		want []string
 	}{
-		{"m/a", []string{"OnStep", "helper", "deep", "ApplyFan"}},
+		{"m/a", []string{"OnStep", "helper", "deep", "ApplyFan", "sink"}},
 		{"m/b", []string{"Apply", "spin"}},
 	} {
 		var got []string

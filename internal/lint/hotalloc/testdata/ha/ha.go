@@ -118,3 +118,8 @@ func notAStep() string {
 	xs = append(xs, 9)
 	return fmt.Sprintf("cold %d", xs[0])
 }
+
+// record has a sampler sink's shape: a hot root, reached by no call.
+func (c *ctl) record(now time.Duration, frame []float64) {
+	c.last = fmt.Sprintf("%v", frame[0]) // want `call to fmt.Sprintf formats a new string per round`
+}

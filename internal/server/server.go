@@ -458,21 +458,21 @@ func (s *Server) execute(j *Job) (*report.CampaignSummary, error) {
 		return nil, fmt.Errorf("build: %w", err)
 	}
 	c := rig.Cluster
+	defer c.Close()
 	c.SetStop(j.ctx.Done())
 
 	tf, err := os.Create(s.store.TracePath(j.id))
 	if err != nil {
 		return nil, fmt.Errorf("trace artifact: %w", err)
 	}
-	tw, err := config.AttachTraceProbe(c, tf, s.cfg.SampleEvery)
+	// One sampler feeds the trace and the stream: both see the same
+	// frame at the same step boundary.
+	sp := newStreamProbe(rig, j.hub, s.m.encodeErrs)
+	tw, err := config.AttachTraceProbe(c, tf, s.cfg.SampleEvery, sp.sample)
 	if err != nil {
 		tf.Close()
 		return nil, fmt.Errorf("trace probe: %w", err)
 	}
-
-	// The stream probe joins the serial post phase alongside the trace
-	// probe, so both observe the same step boundaries.
-	c.AddController(newStreamProbe(rig, j.hub, s.cfg.SampleEvery, s.m.encodeErrs))
 
 	var res cluster.RunResult
 	if rig.Program != nil {

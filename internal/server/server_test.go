@@ -7,13 +7,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/metrics"
 	"thermctl/internal/report"
@@ -169,9 +172,9 @@ func TestJobLifecycle(t *testing.T) {
 	fetchTrace(t, ts, final, 2)
 }
 
-// fetchTrace downloads the job's trace artifact and validates it with
-// the tracefile reader, returning the series count.
-func fetchTrace(t *testing.T, ts *httptest.Server, v View, nodes int) {
+// fetchTrace downloads the job's trace artifact, validates it with
+// the tracefile reader and returns the reader.
+func fetchTrace(t *testing.T, ts *httptest.Server, v View, nodes int) *tracefile.Reader {
 	t.Helper()
 	resp, err := http.Get(ts.URL + v.Artifacts["trace"])
 	if err != nil {
@@ -181,25 +184,19 @@ func fetchTrace(t *testing.T, ts *httptest.Server, v View, nodes int) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET trace: status %d", resp.StatusCode)
 	}
-	path := t.TempDir() + "/job.tct"
-	f, err := os.Create(path)
+	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
 		t.Fatalf("download trace: %v", err)
 	}
-	f.Close()
-
-	r, closer, err := tracefile.OpenFile(path)
+	r, err := tracefile.NewBytesReader(b)
 	if err != nil {
 		t.Fatalf("open trace: %v", err)
 	}
-	defer closer.Close()
 	want := config.ClusterTraceSchema(nodes)
 	if len(r.Schema()) != len(want) {
 		t.Fatalf("trace has %d series, want %d", len(r.Schema()), len(want))
 	}
+	return r
 }
 
 func TestSubmitInvalidScenario(t *testing.T) {
@@ -466,6 +463,23 @@ func TestStreamDeliversSamplesAndFinalState(t *testing.T) {
 	if events[0].kind != "state" {
 		t.Fatalf("first frame %q, want the state greeting", events[0].kind)
 	}
+
+	// The stream and the trace are two sinks of one sampler: every
+	// streamed value is bit-identical to the trace sample at its t_ms.
+	final := waitTerminal(t, ts, v.ID)
+	traced := map[int64][]float64{}
+	r := fetchTrace(t, ts, final, 2)
+	if err := r.Samples(tracefile.Window{}, func(s tracefile.Sample) error {
+		ms := s.T.Milliseconds()
+		if traced[ms] == nil {
+			traced[ms] = make([]float64, len(r.Schema()))
+		}
+		traced[ms][s.Series] = s.V
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
 	samples := 0
 	lastT := int64(-1)
 	for _, ev := range events {
@@ -473,13 +487,7 @@ func TestStreamDeliversSamplesAndFinalState(t *testing.T) {
 			continue
 		}
 		samples++
-		var rec struct {
-			TMS   int64 `json:"t_ms"`
-			Nodes []struct {
-				Temp  float64 `json:"temp_c"`
-				Power float64 `json:"power_w"`
-			} `json:"nodes"`
-		}
+		var rec sampleRec
 		if err := json.Unmarshal([]byte(ev.data), &rec); err != nil {
 			t.Fatalf("sample frame: %v", err)
 		}
@@ -493,6 +501,26 @@ func TestStreamDeliversSamplesAndFinalState(t *testing.T) {
 		if rec.Nodes[0].Temp < 10 || rec.Nodes[0].Temp > 150 {
 			t.Fatalf("implausible temperature %v", rec.Nodes[0].Temp)
 		}
+		frame := traced[rec.TMS]
+		if frame == nil {
+			t.Fatalf("sample at %d ms has no trace samples", rec.TMS)
+		}
+		for i, n := range rec.Nodes {
+			f := frame[i*cluster.FrameWidth:]
+			for _, c := range []struct {
+				name        string
+				stream, tct float64
+			}{
+				{"temp", n.Temp, f[cluster.FrameTemp]},
+				{"duty", n.Duty, f[cluster.FrameDuty]},
+				{"freq", n.Freq, f[cluster.FrameFreq]},
+				{"power", n.Power, f[cluster.FramePower]},
+			} {
+				if math.Float64bits(c.stream) != math.Float64bits(c.tct) {
+					t.Fatalf("t=%d ms node %d %s: stream %v, trace %v", rec.TMS, i, c.name, c.stream, c.tct)
+				}
+			}
+		}
 	}
 	if samples < 5 {
 		t.Fatalf("stream delivered %d samples over a 20s campaign, want >= 5", samples)
@@ -500,6 +528,33 @@ func TestStreamDeliversSamplesAndFinalState(t *testing.T) {
 	last := events[len(events)-1]
 	if last.kind != "state" {
 		t.Fatalf("stream ended with %q, want the final state", last.kind)
+	}
+}
+
+// TestJobsReleaseWorkers: a job's cluster steps on its own worker pool,
+// which must be closed once the job's artifacts are written, or every
+// finished job leaks its pool goroutines.
+func TestJobsReleaseWorkers(t *testing.T) {
+	const slack = 2
+	before := runtime.NumGoroutine()
+	_, ts := newTestServer(t, Config{Workers: 1, GeneratorHorizon: 5 * time.Second})
+	for i := 0; i < 4; i++ {
+		v := submit(t, ts, `{"nodes": 2, "workers": 2}`)
+		if final := waitTerminal(t, ts, v.ID); final.State != StateDone {
+			t.Fatalf("job %s: state %s (error %q), want done", v.ID, final.State, final.Error)
+		}
+	}
+	ts.Client().CloseIdleConnections()
+	http.DefaultClient.CloseIdleConnections()
+	// One server worker goroutine is expected; closed pools' helpers
+	// and idle HTTP connections exit asynchronously.
+	limit := before + 1 + slack
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > limit && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > limit {
+		t.Errorf("4 finished jobs left %d goroutines running (%d before, %d after)", after-before, before, after)
 	}
 }
 

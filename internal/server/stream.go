@@ -1,25 +1,26 @@
 package server
 
-// Live telemetry streaming. Each job owns a hub; the job runner
-// attaches a streamProbe to the cluster's serial post phase (the same
-// discipline as the trace probe and the fault plane), and every SSE
-// handler subscribes to the hub. Publishing never blocks the
-// simulation: a subscriber whose buffer is full loses that record and
-// the hub counts the drop.
+// Live telemetry streaming. Each job owns a hub; the job runner feeds
+// a streamProbe from the cluster sampler that also writes the job's
+// trace (one frame, two sinks, in the serial post phase like the fault
+// plane), and every SSE handler subscribes to the hub. Publishing never
+// blocks the simulation: a subscriber whose buffer is full loses that
+// record and the hub counts the drop.
 //
 // The probe rides the step loop, so it obeys the hot-path allocation
-// budget: per-node observables and fail-safe / fault edges come from
-// cheap constant-cost accessors (FailSafe() booleans, the injectors'
-// atomic State loads) sampled at the stream cadence — never from the
-// event-log copying accessors, which exist for end-of-run reporting.
-// Stream events are therefore quantized to the sample cadence; the
-// full-resolution logs live in the job's report artifact.
+// budget: fail-safe / fault edges come from cheap constant-cost
+// accessors (FailSafe() booleans, the injectors' atomic State loads)
+// read at the sample instant — never from the event-log copying
+// accessors, which exist for end-of-run reporting. Stream events are
+// therefore quantized to the sample cadence; the full-resolution logs
+// live in the job's report artifact.
 
 import (
 	"encoding/json"
 	"sync"
 	"time"
 
+	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/core"
 	"thermctl/internal/faults"
@@ -154,18 +155,13 @@ func (l *lane) failSafe() bool {
 	return l.dvfs.FailSafe()
 }
 
-// streamProbe publishes telemetry from the cluster's serial post
-// phase: per-node samples at a fixed simulated cadence, plus fault and
-// fail-safe transitions edge-detected at the same cadence. It runs
-// after the sharded node-local phase each step, so every read observes
-// a consistent step boundary.
+// streamProbe is a cluster sampler sink publishing telemetry: each
+// frame becomes a "sample" event, and fault and fail-safe transitions
+// are edge-detected at the same instant.
 type streamProbe struct {
-	rig   *config.Rig
-	hub   *hub
-	every time.Duration
-	next  time.Duration
+	hub *hub
 
-	// lanes, injs and prevFault are wired at construction; OnStep only
+	// lanes, injs and prevFault are wired at construction; sample only
 	// reads the cheap accessors and flips the edge state in place.
 	lanes     []lane
 	targets   []string
@@ -183,11 +179,9 @@ type streamProbe struct {
 	encodeErrs *metrics.Counter
 }
 
-func newStreamProbe(rig *config.Rig, h *hub, every time.Duration, encodeErrs *metrics.Counter) *streamProbe {
+func newStreamProbe(rig *config.Rig, h *hub, encodeErrs *metrics.Counter) *streamProbe {
 	p := &streamProbe{
-		rig:        rig,
 		hub:        h,
-		every:      every,
 		rec:        sampleRec{Nodes: make([]nodeSample, len(rig.Cluster.Nodes))},
 		encodeErrs: encodeErrs,
 	}
@@ -220,24 +214,18 @@ func newStreamProbe(rig *config.Rig, h *hub, every time.Duration, encodeErrs *me
 	return p
 }
 
-// OnStep implements cluster.Controller. Edge detection shares the
-// sample gate: between samples the probe costs one comparison per
-// step.
-func (p *streamProbe) OnStep(now time.Duration) {
-	if now < p.next {
-		return
-	}
-	p.next += p.every
+// sample is the cluster.Sink: it publishes the frame, then the
+// fail-safe and fault edges since the previous frame.
+func (p *streamProbe) sample(now time.Duration, frame []float64) {
 	nowMS := now.Milliseconds()
-
-	c := p.rig.Cluster
 	p.rec.TMS = nowMS
-	for i, n := range c.Nodes {
+	for i := range p.rec.Nodes {
+		f := frame[i*cluster.FrameWidth:]
 		p.rec.Nodes[i] = nodeSample{
-			Temp:  n.Sensor.Read(),
-			Duty:  n.Fan.Duty(),
-			Freq:  n.CPU.FreqGHz(),
-			Power: n.Power().Total(),
+			Temp:  f[cluster.FrameTemp],
+			Duty:  f[cluster.FrameDuty],
+			Freq:  f[cluster.FrameFreq],
+			Power: f[cluster.FramePower],
 		}
 	}
 	p.emit("sample", &p.rec)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -49,42 +51,99 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecordAndSnapshot checks that WriteCSV and Names taken
-// mid-flight are internally consistent snapshots: every emitted row
-// parses and matches the header width, even while writers keep going.
+// TestConcurrentRecordAndSnapshot checks that WriteCSV snapshots taken
+// mid-flight are internally consistent, even while writers keep going:
+// writers are appending as each snapshot starts and contend for its
+// lock until it ends, every emitted row parses, and each series holds
+// between the records written before the snapshot began and those its
+// writer could add before the lock was taken. Writers are paced by the
+// snapshots (batch records each per snapshot), which keeps memory
+// bounded however slow the snapshots run.
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
+	const (
+		writers = 4
+		snaps   = 20
+		batch   = 250
+	)
 	rec := NewRecorder()
+	// budget is the record count each writer may reach; entered counts
+	// Record calls begun, recorded those returned.
+	var budget, entered, recorded atomic.Int64
+	budget.Store(batch)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			name := fmt.Sprintf("s%d", g)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+			for i := int64(0); ; i++ {
+				for i >= budget.Load() {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
 				}
+				entered.Add(1)
 				rec.Record(name, time.Duration(i)*time.Millisecond, float64(i))
+				recorded.Add(1)
 			}
 		}(g)
 	}
-	for snap := 0; snap < 20; snap++ {
-		var buf bytes.Buffer
-		if err := rec.WriteCSV(&buf); err != nil {
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for snap := 0; snap < snaps; snap++ {
+		have := budget.Load()
+		for recorded.Load() < writers*have {
+			runtime.Gosched()
+		}
+		// Half the next batch is released before the snapshot, so
+		// writers are appending as it starts. The other half is
+		// released by its first write, under the recorder's lock, which
+		// then waits until a writer enters Record and blocks on that
+		// lock (unless every writer already waits there).
+		budget.Add(batch / 2)
+		w := &hookWriter{hook: func() {
+			before := entered.Load()
+			budget.Add(batch / 2)
+			for entered.Load() == before && entered.Load()-recorded.Load() < writers {
+				runtime.Gosched()
+			}
+		}}
+		if err := rec.WriteCSV(w); err != nil {
 			t.Fatalf("snapshot %d: WriteCSV: %v", snap, err)
 		}
-		if buf.Len() == 0 {
-			continue // nothing recorded yet
-		}
-		if _, err := ReadCSV(&buf); err != nil {
+		back, err := ReadCSV(&w.buf)
+		if err != nil {
 			t.Fatalf("snapshot %d not parseable: %v", snap, err)
 		}
+		if names := back.Names(); len(names) != writers {
+			t.Fatalf("snapshot %d: %d series, want %d", snap, len(names), writers)
+		}
+		for _, name := range back.Names() {
+			if n := int64(back.Series(name).Len()); n < have || n > have+batch/2 {
+				t.Fatalf("snapshot %d: %s has %d points, want %d..%d", snap, name, n, have, have+batch/2)
+			}
+		}
 	}
-	close(stop)
-	wg.Wait()
+}
+
+// hookWriter buffers writes and calls hook before the first one.
+type hookWriter struct {
+	buf  bytes.Buffer
+	hook func()
+}
+
+func (w *hookWriter) Write(p []byte) (int, error) {
+	if w.hook != nil {
+		w.hook()
+		w.hook = nil
+	}
+	return w.buf.Write(p)
 }
 
 // TestCSVRoundTripSparse round-trips a recorder whose series share no

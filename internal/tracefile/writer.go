@@ -206,6 +206,14 @@ func (w *Writer) Append(series int, t time.Duration, v float64) {
 	}
 }
 
+// AppendFrame appends vals[i] to series i at t for every i: the
+// cluster.Sink feeding a cluster trace schema.
+func (w *Writer) AppendFrame(t time.Duration, vals []float64) {
+	for i, v := range vals {
+		w.Append(i, t, v)
+	}
+}
+
 // Event records one timestamped line of text (a fail-safe edge, a fault
 // transition, a golden-trace step line). Events share the file with
 // samples but live in their own chunks. Errors stick and are reported

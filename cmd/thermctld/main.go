@@ -35,6 +35,10 @@
 //	{"name": "drill", "schedules": [{"target": "thermctld",
 //	  "episodes": [{"kind": "sensor-dropout", "start": "30s", "for": "20s"}]}]}
 //
+// The final report then lists the controller errors and each control
+// lane's fail-safe edges ("fail-safe: fan 2, dvfs 2 edges"). A fuller
+// drill ships as examples/faults/thermctld-drill.json.
+//
 // With -ipmi, connect with any client speaking this repository's IPMI
 // framing, e.g.:
 //
@@ -58,6 +62,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"thermctl"
@@ -66,17 +71,16 @@ import (
 	"thermctl/internal/faults"
 	"thermctl/internal/ipmi"
 	"thermctl/internal/metrics"
+	"thermctl/internal/node"
 	"thermctl/internal/rng"
 	"thermctl/internal/tracefile"
 )
 
-// rng stream indices for the daemon's fault-plane draws, disjoint from
-// the node model's own streams (which are derived from the seed with
-// small indices).
-const (
-	faultStream = 0xfa170000
-	retryStream = 0xfa170001
-)
+// retryStream is the rng stream index of the daemon's retry-jitter
+// draws, next to the cluster's fault stream (0xfa170000 + node index)
+// and disjoint from the node model's own streams (which are derived
+// from the seed with small indices).
+const retryStream = 0xfa170001
 
 // options holds the parsed command line plus the test hooks, so the
 // daemon loop is runnable (and stoppable) from a test without flag
@@ -180,26 +184,24 @@ func run(o options, out io.Writer) error {
 		return err
 	}
 	n.Settle(0)
+	dt := 250 * time.Millisecond
+	c, err := cluster.NewWithNodes([]*node.Node{n}, dt)
+	if err != nil {
+		return err
+	}
 
-	// Optional fault plan: replayed by a plane stepped in lockstep with
-	// the control loop, exactly like the cluster's serial fault phase.
+	// Optional fault plan: replayed by the cluster's fault plane in the
+	// serial phase before the controllers, so every schedule must
+	// target this node, "thermctld".
 	var plane *faults.Plane
 	if o.faults != "" {
 		plan, err := faults.LoadPlan(o.faults)
 		if err != nil {
 			return err
 		}
-		for _, sch := range plan.Schedules {
-			if sch.Target != n.Name {
-				return fmt.Errorf("fault plan %q targets %q; this daemon's node is %q",
-					plan.Name, sch.Target, n.Name)
-			}
-		}
-		plane, err = faults.NewPlane(plan)
-		if err != nil {
+		if plane, err = c.ApplyFaults(plan, o.seed); err != nil {
 			return err
 		}
-		n.AttachFaults(plane.Injector(n.Name), rng.New(rng.Mix(o.seed, faultStream)))
 	}
 
 	// Every actuator write runs under the bounded-retry policy, so a
@@ -217,6 +219,9 @@ func run(o options, out io.Writer) error {
 	nc, err := cs.BuildNode(n, config.NodeOptions{Retrier: retrier, Registry: reg})
 	if err != nil {
 		return err
+	}
+	for _, ctl := range nc.Controllers {
+		c.AddNodeController(0, ctl)
 	}
 	n.Fan.InstrumentMetrics(reg)
 	n.Chip.InstrumentMetrics(reg)
@@ -288,14 +293,22 @@ func run(o options, out io.Writer) error {
 	fmt.Fprintf(out, "%8s %10s %8s %9s %8s %10s\n",
 		"time", "temp degC", "duty %", "freq GHz", "dvfs", "power W")
 
-	dt := 250 * time.Millisecond
-	next := time.Duration(0)
-	frame := make([]float64, cluster.FrameWidth)
-	for n.Elapsed() < o.duration {
+	// One sampler feeds the trace (every step) and the periodic report;
+	// without a trace it samples only at the report cadence.
+	pr := &probe{tw: tw, every: o.every}
+	every := o.every
+	if tw != nil || every <= 0 {
+		every = dt
+	}
+	if err := c.Sample(every, pr.sample); err != nil {
+		return err
+	}
+
+	for c.Clock.Now() < o.duration {
 		if o.stop != nil {
 			select {
 			case <-o.stop:
-				fmt.Fprintf(out, "\nstopped at %s\n", n.Elapsed().Truncate(time.Second))
+				fmt.Fprintf(out, "\nstopped at %s\n", c.Clock.Now().Truncate(time.Second))
 				return closeTrace()
 			default:
 			}
@@ -304,42 +317,29 @@ func run(o options, out io.Writer) error {
 			time.Sleep(time.Duration(float64(dt) / o.pace))
 		}
 		begin := metrics.Now()
-		n.Step(dt)
-		if plane != nil {
-			plane.OnStep(n.Elapsed())
-		}
-		for _, ctl := range nc.Controllers {
-			ctl.OnStep(n.Elapsed())
-		}
+		c.Step()
 		stepSeconds.ObserveSince(begin)
 		steps.Inc()
-		now := n.Elapsed()
-		due := now >= next
-		if tw != nil || due {
-			cluster.SampleNode(n, frame)
+		if !pr.due {
+			continue
 		}
-		if tw != nil {
-			tw.AppendFrame(now, frame)
-		}
-		if due {
-			next += o.every
-			engaged := "-"
-			if nc.TDVFS != nil {
-				engaged = "idle"
-				if nc.TDVFS.Engaged() {
-					engaged = "engaged"
-				}
+		pr.due = false
+		engaged := "-"
+		if nc.TDVFS != nil {
+			engaged = "idle"
+			if nc.TDVFS.Engaged() {
+				engaged = "engaged"
 			}
-			fmt.Fprintf(out, "%8s %10.2f %8.1f %9.1f %8s %10.1f\n",
-				now.Truncate(time.Second), frame[cluster.FrameTemp], frame[cluster.FrameDuty],
-				frame[cluster.FrameFreq], engaged, frame[cluster.FramePower])
-			if o.verbose {
-				switch {
-				case nc.Fan != nil:
-					fmt.Fprintf(out, "          %s\n", nc.Fan.Status())
-				case nc.Sleep != nil:
-					fmt.Fprintf(out, "          %s\n", nc.Sleep.Status())
-				}
+		}
+		fmt.Fprintf(out, "%8s %10.2f %8.1f %9.1f %8s %10.1f\n",
+			c.Clock.Now().Truncate(time.Second), pr.frame[cluster.FrameTemp], pr.frame[cluster.FrameDuty],
+			pr.frame[cluster.FrameFreq], engaged, pr.frame[cluster.FramePower])
+		if o.verbose {
+			switch {
+			case nc.Fan != nil:
+				fmt.Fprintf(out, "          %s\n", nc.Fan.Status())
+			case nc.Sleep != nil:
+				fmt.Fprintf(out, "          %s\n", nc.Sleep.Status())
 			}
 		}
 	}
@@ -360,37 +360,39 @@ func run(o options, out io.Writer) error {
 	}
 	if plane != nil {
 		fmt.Fprintf(out, "fault timeline:\n%s", plane.Timeline())
-		// The hybrid's aggregated surface covers both lanes; other
-		// configurations report per-controller.
-		if h := nc.Hybrid; h != nil {
-			var fanEdges, dvfsEdges int
-			for _, ev := range h.FailSafeEvents() {
-				switch ev.Lane {
-				case "fan":
-					fanEdges++
-				case "dvfs":
-					dvfsEdges++
-				}
-			}
-			fmt.Fprintf(out, "controller errors: %d; fail-safe: fan %d, dvfs %d edges\n",
-				h.Errors(), fanEdges, dvfsEdges)
-		} else {
-			var errs uint64
-			var edges int
-			if nc.Fan != nil {
-				errs += nc.Fan.Errors()
-				edges += len(nc.Fan.FailSafeEvents())
-			}
-			if nc.TDVFS != nil {
-				errs += nc.TDVFS.Errors()
-				edges += len(nc.TDVFS.FailSafeEvents())
-			}
-			if nc.Sleep != nil {
-				errs += nc.Sleep.Errors()
-				edges += len(nc.Sleep.FailSafeEvents())
-			}
-			fmt.Fprintf(out, "controller errors: %d; fail-safe: %d edges\n", errs, edges)
+		var errs uint64
+		var edges []string
+		for _, l := range nc.Lanes {
+			errs += l.Binding.Errors()
+			edges = append(edges, fmt.Sprintf("%s %d", l.Name, len(l.Binding.FailSafeEvents())))
 		}
+		fs := "no controller lanes"
+		if len(edges) > 0 {
+			fs = strings.Join(edges, ", ") + " edges"
+		}
+		fmt.Fprintf(out, "controller errors: %d; fail-safe: %s\n", errs, fs)
 	}
 	return nil
+}
+
+// probe is the daemon's cluster sink: it appends every frame to the
+// trace and keeps the frame of each report instant, which run prints
+// between steps, outside the step loop's allocation budget.
+type probe struct {
+	tw          *tracefile.Writer
+	every, next time.Duration
+	due         bool
+	frame       [cluster.FrameWidth]float64
+}
+
+func (p *probe) sample(now time.Duration, frame []float64) {
+	if p.tw != nil {
+		p.tw.AppendFrame(now, frame)
+	}
+	if now < p.next {
+		return
+	}
+	p.next += p.every
+	p.due = true
+	copy(p.frame[:], frame)
 }

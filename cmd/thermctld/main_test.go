@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -178,5 +180,51 @@ func TestRunWritesTrace(t *testing.T) {
 	}
 	if got := r.Schema()[0].Name; got != "n0_temp" {
 		t.Fatalf("first series = %q", got)
+	}
+}
+
+// TestRunFaultsReportsLaneErrors replays a sensor-dropout drill and
+// checks the final lane report. A static fan counts its failed reads on
+// its own binding, so its errors must show; the default hybrid's line
+// is pinned byte for byte.
+func TestRunFaultsReportsLaneErrors(t *testing.T) {
+	plan := filepath.Join(t.TempDir(), "dropout.json")
+	if err := os.WriteFile(plan, []byte(`{"name": "dropout", "schedules": [{"target": "thermctld",
+		"episodes": [{"kind": "sensor-dropout", "start": "20s", "for": "15s"}]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		fan, dvfs string
+		check     func(t *testing.T, line string)
+	}{
+		{"static", "none", func(t *testing.T, line string) {
+			var errs int
+			if _, err := fmt.Sscanf(line, "controller errors: %d;", &errs); err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			if errs == 0 {
+				t.Errorf("static fan under a 15 s sensor dropout reports 0 errors: %q", line)
+			}
+			if !strings.HasSuffix(line, "; fail-safe: fan 0 edges") {
+				t.Errorf("line %q does not list the static fan lane", line)
+			}
+		}},
+		{"dynamic", "tdvfs", func(t *testing.T, line string) {
+			if want := "controller errors: 120; fail-safe: fan 2, dvfs 2 edges"; line != want {
+				t.Errorf("hybrid lane report = %q, want %q", line, want)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.fan+"/"+tc.dvfs, func(t *testing.T) {
+			var out bytes.Buffer
+			o := options{pp: 50, maxDuty: 50, duration: time.Minute, seed: 1, every: time.Minute,
+				fan: tc.fan, dvfs: tc.dvfs, sleep: "none", faults: plan}
+			if err := run(o, &out); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+			tc.check(t, lines[len(lines)-1])
+		})
 	}
 }

@@ -32,14 +32,10 @@ type Config struct {
 	// control-array index coefficient. Defaults 38 and 82.
 	TminC float64 `json:"tmin_c"`
 	TmaxC float64 `json:"tmax_c"`
-	// EnableDVFS enables the in-band knob (tDVFS). Default true; JSON
-	// uses a pointer so an absent field means default.
-	EnableDVFS *bool `json:"enable_dvfs,omitempty"`
 }
 
 // Default returns the paper-parameter configuration.
 func Default() Config {
-	t := true
 	return Config{
 		Pp:          50,
 		MaxFanDuty:  100,
@@ -48,7 +44,6 @@ func Default() Config {
 		SampleMS:    250,
 		TminC:       38,
 		TmaxC:       82,
-		EnableDVFS:  &t,
 	}
 }
 
@@ -75,9 +70,6 @@ func (c *Config) Normalize() {
 	}
 	if c.TmaxC == 0 {
 		c.TmaxC = d.TmaxC
-	}
-	if c.EnableDVFS == nil {
-		c.EnableDVFS = d.EnableDVFS
 	}
 }
 

@@ -29,18 +29,15 @@ func TestReadFillsDefaults(t *testing.T) {
 	if c.MaxFanDuty != 100 || c.ThresholdC != 51 || c.SampleMS != 250 {
 		t.Errorf("defaults not filled: %+v", c)
 	}
-	if c.EnableDVFS == nil || !*c.EnableDVFS {
-		t.Error("EnableDVFS default should be true")
-	}
 }
 
-func TestReadRespectsExplicitFalse(t *testing.T) {
-	c, err := Read(strings.NewReader(`{"enable_dvfs": false}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *c.EnableDVFS {
-		t.Error("explicit false overridden by default")
+// TestReadRejectsEnableDVFS: enable_dvfs is not a config field (the
+// scenario's control.dvfs selects the daemon), so strict decoding must
+// refuse it rather than let "false" look like tDVFS is off.
+func TestReadRejectsEnableDVFS(t *testing.T) {
+	_, err := Read(strings.NewReader(`{"enable_dvfs": false}`))
+	if err == nil || !strings.Contains(err.Error(), "enable_dvfs") {
+		t.Fatalf("enable_dvfs: error %v, want an unknown-field rejection naming it", err)
 	}
 }
 

@@ -257,12 +257,26 @@ type NodeOptions struct {
 	Labels   []metrics.Label
 }
 
+// Lane is one control lane of a node: a decision law bound to its
+// actuators, named by the technique it drives.
+type Lane struct {
+	// Name is "fan" (dynamic, static or constant fan), "dvfs" (tDVFS
+	// or CPUSPEED) or "sleep" (the standalone sleep-state array).
+	Name    string
+	Binding *core.Binding
+}
+
 // NodeControl is the per-node controller set a ControlSpec builds. The
-// Controllers slice is what the caller attaches (in order); the typed
-// fields expose the pieces observability code needs.
+// Controllers slice is what the caller attaches (in order); Lanes is
+// what reports walk; the typed fields expose technique-specific state.
 type NodeControl struct {
 	// Controllers in attachment order.
 	Controllers []cluster.Controller
+	// Lanes holds every binding BuildNode created, always in the order
+	// fan, dvfs, sleep, whatever order the controllers step in (the
+	// hybrid steps dvfs first). A sleep actuator hosted on the dynamic
+	// fan controller is a slot of the fan lane, not a lane of its own.
+	Lanes []Lane
 	// Fan is the dynamic ctlarray controller (nil for other methods).
 	// When Sleep is ctlarray and Fan is dynamic, the sleep actuator is
 	// a second binding on this controller.
@@ -317,14 +331,18 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 		}
 		fanCtl = ctl
 		out.Fan = ctl
+		out.Lanes = append(out.Lanes, Lane{"fan", ctl.Binding()})
 	case "static":
 		s, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(tune.MaxFanDuty), read, fanPort)
 		if err != nil {
 			return nil, err
 		}
 		out.Controllers = append(out.Controllers, s)
+		out.Lanes = append(out.Lanes, Lane{"fan", s.Binding()})
 	case "constant":
-		out.Controllers = append(out.Controllers, baseline.NewConstantFan(tune.MaxFanDuty, fanPort))
+		cf := baseline.NewConstantFan(tune.MaxFanDuty, fanPort)
+		out.Controllers = append(out.Controllers, cf)
+		out.Lanes = append(out.Lanes, Lane{"fan", cf.Binding()})
 	case "auto":
 		// chip firmware curve; nothing to attach
 	}
@@ -340,6 +358,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 			return nil, err
 		}
 		out.TDVFS = d
+		out.Lanes = append(out.Lanes, Lane{"dvfs", d.Binding()})
 		if fanCtl != nil {
 			h := core.NewHybrid(fanCtl, d)
 			if opt.Registry != nil {
@@ -360,6 +379,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 			return nil, err
 		}
 		out.Controllers = append(out.Controllers, csd)
+		out.Lanes = append(out.Lanes, Lane{"dvfs", csd.Binding()})
 	case "none":
 	}
 	if fanCtl != nil {
@@ -383,6 +403,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 		}
 		out.Sleep = ctl
 		out.Controllers = append(out.Controllers, ctl)
+		out.Lanes = append(out.Lanes, Lane{"sleep", ctl.Binding()})
 	}
 	return out, nil
 }

@@ -1,10 +1,13 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"thermctl/internal/core"
+	"thermctl/internal/node"
 	"thermctl/internal/workload"
 )
 
@@ -102,6 +105,79 @@ func TestScenarioBuildDefault(t *testing.T) {
 		}
 		if len(nc.Controllers) != 1 {
 			t.Errorf("controllers = %d, want 1 (the hybrid)", len(nc.Controllers))
+		}
+	}
+}
+
+// TestBuildNodeLanes walks every fan × dvfs × sleep combination:
+// Lanes names each binding BuildNode created, always in the order fan,
+// dvfs, sleep, and each entry is the very binding the controllers step.
+func TestBuildNodeLanes(t *testing.T) {
+	for _, fan := range []string{"dynamic", "static", "constant", "auto"} {
+		for _, dvfs := range []string{"none", "tdvfs", "cpuspeed"} {
+			for _, sleep := range []string{"none", "ctlarray"} {
+				name := fan + "/" + dvfs + "/" + sleep
+				n, err := node.New(node.DefaultConfig("n0", 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cs := ControlSpec{Fan: fan, DVFS: dvfs, Sleep: sleep, Tuning: Default()}
+				nc, err := cs.BuildNode(n, NodeOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+
+				var want []string
+				if fan != "auto" {
+					want = append(want, "fan")
+				}
+				if dvfs != "none" {
+					want = append(want, "dvfs")
+				}
+				if sleep == "ctlarray" && fan != "dynamic" {
+					want = append(want, "sleep")
+				}
+				var got []string
+				lane := map[string]*core.Binding{}
+				for _, l := range nc.Lanes {
+					got = append(got, l.Name)
+					lane[l.Name] = l.Binding
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: lanes %v, want %v", name, got, want)
+				}
+
+				// Every lane is a binding some attached controller steps.
+				stepped := map[*core.Binding]bool{}
+				for _, ctl := range nc.Controllers {
+					switch c := ctl.(type) {
+					case *core.Hybrid:
+						stepped[c.Fan.Binding()] = true
+						stepped[c.DVFS.Binding()] = true
+					case interface{ Binding() *core.Binding }:
+						stepped[c.Binding()] = true
+					default:
+						t.Errorf("%s: controller %T exposes no binding", name, ctl)
+					}
+				}
+				if len(stepped) != len(nc.Lanes) {
+					t.Errorf("%s: controllers step %d bindings, lanes list %d", name, len(stepped), len(nc.Lanes))
+				}
+				for _, l := range nc.Lanes {
+					if !stepped[l.Binding] {
+						t.Errorf("%s: lane %q binding is not stepped by any controller", name, l.Name)
+					}
+				}
+				if nc.Fan != nil && lane["fan"] != nc.Fan.Binding() {
+					t.Errorf("%s: fan lane is not Fan.Binding()", name)
+				}
+				if nc.TDVFS != nil && lane["dvfs"] != nc.TDVFS.Binding() {
+					t.Errorf("%s: dvfs lane is not TDVFS.Binding()", name)
+				}
+				if nc.Sleep != nil && lane["sleep"] != nc.Sleep.Binding() {
+					t.Errorf("%s: sleep lane is not Sleep.Binding()", name)
+				}
+			}
 		}
 	}
 }
@@ -294,7 +370,7 @@ func TestScenarioBuildDeterministic(t *testing.T) {
 		}
 		res := rig.Cluster.RunProgram(*rig.Program, 0)
 		n := rig.Cluster.Nodes[0]
-		return res.ExecTime.Seconds(), n.Meter.AverageW(), rig.Nodes[0].Hybrid.Errors()
+		return res.ExecTime.Seconds(), n.Meter.AverageW(), rig.Nodes[0].Hybrid.Engine().Errors()
 	}
 	t1, w1, e1 := run()
 	t2, w2, e2 := run()

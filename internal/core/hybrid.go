@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"thermctl/internal/metrics"
@@ -63,77 +61,3 @@ func (h *Hybrid) Engine() *Engine { return h.eng }
 // decides first, then the fan controller runs with its floor held if
 // the in-band knob is engaged.
 func (h *Hybrid) OnStep(now time.Duration) { h.eng.OnStep(now) }
-
-// Errors returns the combined error count of both lanes. Safe to call
-// concurrently with the control loop.
-func (h *Hybrid) Errors() uint64 { return h.eng.Errors() }
-
-// FailSafe reports whether either lane's fail-safe escalation is
-// currently engaged.
-func (h *Hybrid) FailSafe() bool { return h.Fan.FailSafe() || h.DVFS.FailSafe() }
-
-// HybridFailSafeEvent is one lane's fail-safe edge in the merged log.
-type HybridFailSafeEvent struct {
-	// Lane names the controller that produced the event: "fan" or
-	// "dvfs".
-	Lane string
-	FailSafeEvent
-}
-
-// FailSafeEvents returns both lanes' escalation/recovery logs merged
-// into one timeline (stable-sorted by time, fan before dvfs on ties
-// only insofar as lane order preserves it).
-func (h *Hybrid) FailSafeEvents() []HybridFailSafeEvent {
-	var out []HybridFailSafeEvent
-	for _, ev := range h.Fan.FailSafeEvents() {
-		out = append(out, HybridFailSafeEvent{Lane: "fan", FailSafeEvent: ev})
-	}
-	for _, ev := range h.DVFS.FailSafeEvents() {
-		out = append(out, HybridFailSafeEvent{Lane: "dvfs", FailSafeEvent: ev})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// HybridStatus is a point-in-time observability snapshot covering both
-// lanes plus the coordination state, so daemons and reports need not
-// reach into the individual controllers.
-type HybridStatus struct {
-	// Fan is the fan lane's full snapshot.
-	Fan Status
-	// DVFSMode is the in-band lane's current physical mode (0 =
-	// nominal frequency); Engaged mirrors DVFSMode > 0.
-	DVFSMode int
-	Engaged  bool
-	// Downscales/Upscales count the in-band lane's decisions.
-	Downscales, Upscales uint64
-	// Errors is the combined error count; FailSafe is true if either
-	// lane is escalated.
-	Errors   uint64
-	FailSafe bool
-}
-
-// Status returns the aggregated snapshot.
-func (h *Hybrid) Status() HybridStatus {
-	return HybridStatus{
-		Fan:        h.Fan.Status(),
-		DVFSMode:   h.DVFS.CurrentMode(),
-		Engaged:    h.DVFS.Engaged(),
-		Downscales: h.DVFS.Downscales(),
-		Upscales:   h.DVFS.Upscales(),
-		Errors:     h.Errors(),
-		FailSafe:   h.FailSafe(),
-	}
-}
-
-// String renders the snapshot as a single log line.
-func (s HybridStatus) String() string {
-	out := s.Fan.String()
-	out += fmt.Sprintf(" dvfs[mode=%d engaged=%v down=%d up=%d]",
-		s.DVFSMode, s.Engaged, s.Downscales, s.Upscales)
-	out += fmt.Sprintf(" total-errs=%d", s.Errors)
-	if s.FailSafe {
-		out += " FAILSAFE"
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -156,5 +157,53 @@ func TestControllerSetHoldFloorBlocksDecreases(t *testing.T) {
 		if fa.applied[i] < fa.applied[i-1] {
 			t.Fatalf("mode decreased under hold-floor: %v", fa.applied)
 		}
+	}
+}
+
+// TestHybridLanesFailSafeOnDeadSensor: the two lanes share one sensor,
+// so when it dies both escalate on their own bindings, and the fan is
+// pinned at full duty.
+func TestHybridLanesFailSafeOnDeadSensor(t *testing.T) {
+	reads := 0
+	read := func() (float64, error) {
+		reads++
+		if reads > 40 {
+			return 0, errors.New("sensor dead")
+		}
+		return 50, nil
+	}
+	port := &fakeFanPort{}
+	fan, err := NewController(DefaultConfig(50), read,
+		ActuatorBinding{Actuator: NewFanActuator(port, 100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, act := newDVFSRig(t)
+	dvfs, err := NewTDVFS(DefaultTDVFSConfig(50), read, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHybrid(fan, dvfs)
+	for i := 1; i <= 120; i++ {
+		h.OnStep(time.Duration(i) * 250 * time.Millisecond)
+	}
+
+	if !h.Fan.FailSafe() || !h.DVFS.FailSafe() {
+		t.Fatalf("fail-safe fan=%v dvfs=%v, want both lanes escalated", h.Fan.FailSafe(), h.DVFS.FailSafe())
+	}
+	if len(h.Fan.FailSafeEvents()) == 0 || len(h.DVFS.FailSafeEvents()) == 0 {
+		t.Error("a lane escalated without logging the edge")
+	}
+	if h.Fan.Errors() == 0 || h.DVFS.Errors() == 0 {
+		t.Errorf("errors fan=%d dvfs=%d under a dead sensor", h.Fan.Errors(), h.DVFS.Errors())
+	}
+	if want := h.Fan.Errors() + h.DVFS.Errors(); h.Engine().Errors() != want {
+		t.Errorf("engine errors = %d, want lane sum %d", h.Engine().Errors(), want)
+	}
+	if !h.DVFS.Engaged() {
+		t.Error("dvfs lane not engaged under fail-safe")
+	}
+	if port.duty != 100 {
+		t.Errorf("fan at %v%% under fail-safe, want 100", port.duty)
 	}
 }

@@ -182,10 +182,7 @@ func chaosDropout(seed uint64) (DropoutResult, error) {
 		Emergencies: c.Nodes[0].Emergencies(),
 		FinalDuty:   c.Nodes[0].Fan.Duty(),
 	}
-	for _, ev := range nodes[0].Hybrid.FailSafeEvents() {
-		if ev.Lane != "fan" {
-			continue
-		}
+	for _, ev := range nodes[0].Fan.FailSafeEvents() {
 		switch {
 		case ev.Engaged && !r.Escalated:
 			r.Escalated = true
@@ -236,19 +233,20 @@ func chaosCampaign(seed uint64) (CampaignResult, error) {
 		r.Episodes += len(sch.Episodes)
 	}
 	for _, nc := range rig.Nodes {
-		h := nc.Hybrid
-		for _, ev := range h.FailSafeEvents() {
-			if !ev.Engaged {
-				continue
+		for _, l := range nc.Lanes {
+			for _, ev := range l.Binding.FailSafeEvents() {
+				if !ev.Engaged {
+					continue
+				}
+				switch l.Name {
+				case "fan":
+					r.FanEscalations++
+				case "dvfs":
+					r.DVFSEscalations++
+				}
 			}
-			switch ev.Lane {
-			case "fan":
-				r.FanEscalations++
-			case "dvfs":
-				r.DVFSEscalations++
-			}
+			r.BusErrors += l.Binding.Errors()
 		}
-		r.BusErrors += h.Errors()
 	}
 	for _, n := range c.Nodes {
 		r.Emergencies += n.Emergencies()

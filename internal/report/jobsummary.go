@@ -104,24 +104,12 @@ func SummarizeCampaign(rig *config.Rig, res cluster.RunResult) *CampaignSummary 
 	return s
 }
 
-// failSafeEdges counts one node's fail-safe transitions across
-// whichever controllers the scenario wired.
+// failSafeEdges counts one node's fail-safe transitions across its
+// control lanes.
 func failSafeEdges(nc *config.NodeControl) int {
-	if nc == nil {
-		return 0
-	}
-	if nc.Hybrid != nil {
-		return len(nc.Hybrid.FailSafeEvents())
-	}
 	edges := 0
-	if nc.Fan != nil {
-		edges += len(nc.Fan.FailSafeEvents())
-	}
-	if nc.TDVFS != nil {
-		edges += len(nc.TDVFS.FailSafeEvents())
-	}
-	if nc.Sleep != nil {
-		edges += len(nc.Sleep.FailSafeEvents())
+	for _, l := range nc.Lanes {
+		edges += len(l.Binding.FailSafeEvents())
 	}
 	return edges
 }

@@ -799,3 +799,62 @@ func TestNewRequiresDir(t *testing.T) {
 		t.Fatal("New without a dir must fail")
 	}
 }
+
+// TestStreamFailSafeEdgesFollowLanes: sampled at the control cadence,
+// the stream carries exactly the fail-safe edges each node's lanes
+// logged, under the lane's name, alternating engaged/recovered.
+func TestStreamFailSafeEdgesFollowLanes(t *testing.T) {
+	for _, cs := range []config.ControlSpec{
+		{Fan: "dynamic", DVFS: "tdvfs", Sleep: "ctlarray"},
+		{Fan: "static", DVFS: "cpuspeed", Sleep: "ctlarray"},
+	} {
+		s := config.Scenario{Nodes: 4, Program: "bt", Workers: 1, Control: cs,
+			Chaos: config.ChaosSpec{Seed: 42, HorizonMS: 60000}}
+		rig, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := newHub(nil)
+		ch := make(chan event, 1<<16)
+		h.subs[ch] = struct{}{}
+		if err := rig.Cluster.Sample(250*time.Millisecond, newStreamProbe(rig, h, nil).sample); err != nil {
+			t.Fatal(err)
+		}
+		rig.Cluster.RunProgram(*rig.Program, 0)
+		rig.Cluster.Close()
+		h.close()
+
+		streamed := map[string]int{}
+		engaged := map[string]bool{}
+		for ev := range ch {
+			if ev.kind != "failsafe" {
+				continue
+			}
+			var rec failSafeRec
+			if err := json.Unmarshal(ev.data, &rec); err != nil {
+				t.Fatal(err)
+			}
+			key := rec.Node + "/" + rec.Lane
+			if rec.Engaged == engaged[key] {
+				t.Errorf("%s: edge at %d ms does not alternate", key, rec.TMS)
+			}
+			engaged[key] = rec.Engaged
+			streamed[key]++
+		}
+		logged := map[string]int{}
+		for i, nc := range rig.Nodes {
+			for _, l := range nc.Lanes {
+				if n := len(l.Binding.FailSafeEvents()); n > 0 {
+					logged[rig.Cluster.Nodes[i].Name+"/"+l.Name] = n
+				}
+			}
+		}
+		name := cs.Fan + "/" + cs.DVFS + "/" + cs.Sleep
+		if len(logged) == 0 {
+			t.Fatalf("%s: no lane escalated, so nothing was checked", name)
+		}
+		if fmt.Sprint(streamed) != fmt.Sprint(logged) {
+			t.Errorf("%s: streamed edges %v, lanes logged %v", name, streamed, logged)
+		}
+	}
+}

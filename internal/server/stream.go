@@ -22,7 +22,6 @@ import (
 
 	"thermctl/internal/cluster"
 	"thermctl/internal/config"
-	"thermctl/internal/core"
 	"thermctl/internal/faults"
 	"thermctl/internal/metrics"
 )
@@ -136,23 +135,11 @@ type failSafeRec struct {
 	Engaged bool   `json:"engaged"`
 }
 
-// lane is one edge-detected fail-safe source: exactly one of ctl (fan
-// or sleep ctlarray) and dvfs (the tDVFS daemon) is set.
+// lane is one edge-detected fail-safe source: a node's control lane.
 type lane struct {
+	config.Lane
 	node    string
-	name    string
-	ctl     *core.Controller
-	dvfs    *core.TDVFS
 	engaged bool
-}
-
-// failSafe reads the lane's current escalation state (a constant-cost
-// boolean, safe on the step path).
-func (l *lane) failSafe() bool {
-	if l.ctl != nil {
-		return l.ctl.FailSafe()
-	}
-	return l.dvfs.FailSafe()
 }
 
 // streamProbe is a cluster sampler sink publishing telemetry: each
@@ -187,21 +174,8 @@ func newStreamProbe(rig *config.Rig, h *hub, encodeErrs *metrics.Counter) *strea
 	}
 	for i, nc := range rig.Nodes {
 		name := rig.Cluster.Nodes[i].Name
-		switch {
-		case nc.Hybrid != nil:
-			p.lanes = append(p.lanes,
-				lane{node: name, name: "fan", ctl: nc.Hybrid.Fan},
-				lane{node: name, name: "dvfs", dvfs: nc.Hybrid.DVFS})
-		default:
-			if nc.Fan != nil {
-				p.lanes = append(p.lanes, lane{node: name, name: "fan", ctl: nc.Fan})
-			}
-			if nc.TDVFS != nil {
-				p.lanes = append(p.lanes, lane{node: name, name: "dvfs", dvfs: nc.TDVFS})
-			}
-			if nc.Sleep != nil {
-				p.lanes = append(p.lanes, lane{node: name, name: "sleep", ctl: nc.Sleep})
-			}
+		for _, l := range nc.Lanes {
+			p.lanes = append(p.lanes, lane{Lane: l, node: name})
 		}
 	}
 	if rig.Plane != nil {
@@ -232,9 +206,9 @@ func (p *streamProbe) sample(now time.Duration, frame []float64) {
 
 	for i := range p.lanes {
 		l := &p.lanes[i]
-		if eng := l.failSafe(); eng != l.engaged {
+		if eng := l.Binding.FailSafe(); eng != l.engaged {
 			l.engaged = eng
-			p.fsrec = failSafeRec{TMS: nowMS, Node: l.node, Lane: l.name, Engaged: eng}
+			p.fsrec = failSafeRec{TMS: nowMS, Node: l.node, Lane: l.Name, Engaged: eng}
 			p.emit("failsafe", &p.fsrec)
 		}
 	}

@@ -42,6 +42,9 @@ for s in examples/single-node-fan.json examples/weak-fan-tdvfs.json; do
 	go run ./cmd/clustersim -scenario "$s" -for 120s >/dev/null
 done
 
+echo "==> thermctld fault-drill smoke (thermctld -faults)"
+go run ./cmd/thermctld -duration 2m -faults examples/faults/thermctld-drill.json >/dev/null
+
 echo "==> chaos smoke (experiments -only chaos)"
 go run ./cmd/experiments -only chaos >/dev/null
 

@@ -209,16 +209,9 @@ func main() {
 	if s.Control.Sleep == "ctlarray" {
 		fmt.Printf("\nsleep-state array (cstates through ctlarray):\n")
 		for i, nc := range rig.Nodes {
-			ctl := nc.Fan
-			slot := 1 // second binding on the dynamic fan controller
-			if ctl == nil {
-				ctl, slot = nc.Sleep, 0
+			if mode, moves, ok := nc.SleepState(); ok {
+				fmt.Printf("%-8s mode C%d (%d moves)\n", c.Nodes[i].Name, mode, moves)
 			}
-			if ctl == nil {
-				continue
-			}
-			fmt.Printf("%-8s mode C%d (%d moves)\n",
-				c.Nodes[i].Name, ctl.Policy().Mode(slot), ctl.Binding().Moves(slot))
 		}
 	}
 

@@ -63,6 +63,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"thermctl"
@@ -277,12 +278,18 @@ func run(o options, out io.Writer) error {
 		}
 	}
 
+	// The loop goroutine owns the node; the IPMI server's connections
+	// reach its BMC only under owner, which the loop holds around each
+	// step and releases between steps (and through -pace sleeps).
+	var owner sync.Mutex
+	closeIPMI := func() {}
 	if o.ipmiAddr != "" {
-		srv, err := ipmi.ListenAndServe(o.ipmiAddr, n.BMC)
+		srv, err := ipmi.ListenAndServe(o.ipmiAddr, n.BMC, &owner)
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
+		closeIPMI = func() { _ = srv.Close() }
+		defer closeIPMI()
 		fmt.Fprintf(out, "thermctld: BMC serving IPMI on %s\n", srv.Addr())
 	}
 
@@ -317,7 +324,9 @@ func run(o options, out io.Writer) error {
 			time.Sleep(time.Duration(float64(dt) / o.pace))
 		}
 		begin := metrics.Now()
+		owner.Lock()
 		c.Step()
+		owner.Unlock()
 		stepSeconds.ObserveSince(begin)
 		steps.Inc()
 		if !pr.due {
@@ -343,20 +352,16 @@ func run(o options, out io.Writer) error {
 			}
 		}
 	}
+	// No out-of-band request may touch the node while the final
+	// report reads it.
+	closeIPMI()
 	if err := closeTrace(); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\nfinal: die %.2f degC, duty %.1f%%, %.1f GHz; avg power %.2f W; %d freq transitions\n",
 		n.TrueDieC(), n.Fan.Duty(), n.CPU.FreqGHz(), n.Meter.AverageW(), n.CPU.Transitions())
-	if cs.Sleep == "ctlarray" {
-		ctl, slot := nc.Sleep, 0
-		if ctl == nil && nc.Fan != nil {
-			ctl, slot = nc.Fan, 1 // second binding on the dynamic controller
-		}
-		if ctl != nil {
-			fmt.Fprintf(out, "sleep-state array: mode C%d, %d moves\n",
-				ctl.Policy().Mode(slot), ctl.Binding().Moves(slot))
-		}
+	if mode, moves, ok := nc.SleepState(); ok {
+		fmt.Fprintf(out, "sleep-state array: mode C%d, %d moves\n", mode, moves)
 	}
 	if plane != nil {
 		fmt.Fprintf(out, "fault timeline:\n%s", plane.Timeline())

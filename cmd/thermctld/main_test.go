@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"thermctl/internal/ipmi"
+	"thermctl/internal/node"
 	"thermctl/internal/tracefile"
 )
 
@@ -226,5 +230,145 @@ func TestRunFaultsReportsLaneErrors(t *testing.T) {
 			lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 			tc.check(t, lines[len(lines)-1])
 		})
+	}
+}
+
+// bmcAddrWriter collects the daemon's output and reports the address
+// from its "BMC serving IPMI on" line.
+type bmcAddrWriter struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	addr chan string
+}
+
+func (w *bmcAddrWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	const prefix = "thermctld: BMC serving IPMI on "
+	if line := string(p); strings.HasPrefix(line, prefix) {
+		w.addr <- strings.TrimSpace(strings.TrimPrefix(line, prefix))
+	}
+	return w.buf.Write(p)
+}
+
+func (w *bmcAddrWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestDaemonServesIPMIWhileStepping runs the daemon with -ipmi on an
+// ephemeral port and drives its BMC from several TCP clients while the
+// loop steps flat out: readers poll the whole repository, an actuator
+// takes the fan to manual and sweeps the duty. Under -race this is the
+// daemon-level check of the owner lock; the die temperature the readers
+// see must move (the loop really steps between requests), every
+// commanded duty must read back, and the daemon must stop cleanly.
+func TestDaemonServesIPMIWhileStepping(t *testing.T) {
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	out := &bmcAddrWriter{addr: make(chan string, 1)}
+	o := options{
+		pp:       50,
+		maxDuty:  50,
+		duration: 100000 * time.Hour, // the stop channel ends the run
+		ipmiAddr: "127.0.0.1:0",
+		seed:     1,
+		every:    time.Hour,
+		fan:      "auto", // no in-band controller rewrites the BMC's duty
+		stop:     stop,
+	}
+	go func() { done <- run(o, out) }()
+	var addr string
+	select {
+	case addr = <-out.addr:
+	case err := <-done:
+		t.Fatalf("daemon exited before serving IPMI: %v (output: %s)", err, out)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not serve IPMI within 10s")
+	}
+
+	const iters = 100
+	var wg sync.WaitGroup
+	errc := make(chan error, 3)
+	temps := make([]map[float64]bool, 2)
+	for r := range temps {
+		temps[r] = map[float64]bool{}
+		wg.Add(1)
+		go func(seen map[float64]bool) {
+			defer wg.Done()
+			tc, err := ipmi.Dial(addr)
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer tc.Close()
+			c := ipmi.NewClient(tc)
+			for i := 0; i < iters; i++ {
+				sensors, err := c.ListSensors()
+				if err != nil {
+					errc <- err
+					return
+				}
+				for _, s := range sensors {
+					v, err := c.ReadSensor(s.Number)
+					if err != nil {
+						errc <- err
+						return
+					}
+					if s.Number == node.SensorCPUTemp {
+						seen[v] = true
+					}
+				}
+			}
+		}(temps[r])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tc, err := ipmi.Dial(addr)
+		if err != nil {
+			errc <- err
+			return
+		}
+		defer tc.Close()
+		c := ipmi.NewClient(tc)
+		if err := c.SetFanManual(true); err != nil {
+			errc <- err
+			return
+		}
+		for i := 0; i < iters; i++ {
+			want := float64(20 + i%60)
+			if err := c.SetFanDuty(want); err != nil {
+				errc <- err
+				return
+			}
+			got, err := c.FanDuty()
+			if err != nil {
+				errc <- err
+				return
+			}
+			if math.Abs(got-want) > 1 {
+				errc <- fmt.Errorf("fan duty read back %v after setting %v", got, want)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	for r, seen := range temps {
+		if len(seen) < 2 {
+			t.Errorf("reader %d saw one die temperature %v: the loop did not step between requests", r, seen)
+		}
+	}
+	if !strings.Contains(out.String(), "stopped at") {
+		t.Errorf("daemon did not report a clean stop:\n%s", out)
 	}
 }

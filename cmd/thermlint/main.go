@@ -1,7 +1,7 @@
 // Command thermlint is the repository's domain-aware static-analysis
 // gate. It loads the whole module into one program (so analyzers can
 // follow calls across package boundaries through the shared call graph
-// in internal/lint/callgraph) and runs nine analyzers:
+// in internal/lint/callgraph) and runs ten analyzers:
 //
 //	determinism   — no wall-clock, global math/rand or map-ordered
 //	                effects inside the simulation core
@@ -21,6 +21,8 @@
 //	                mutex
 //	shardsafe     — no runtime-mutable package-level state in the
 //	                node-model packages stepped in parallel
+//	singleowner   — no sync or sync/atomic in the node-model device
+//	                packages; the stepping goroutine owns them
 //	metricsafe    — no metric registration in Step-reachable code;
 //	                register at wiring time, update on the hot path
 //
@@ -62,6 +64,7 @@ import (
 	"thermctl/internal/lint/mutexcallback"
 	"thermctl/internal/lint/onstepblock"
 	"thermctl/internal/lint/shardsafe"
+	"thermctl/internal/lint/singleowner"
 	"thermctl/internal/lint/unitsafe"
 )
 
@@ -74,6 +77,7 @@ var allAnalyzers = []*lint.Analyzer{
 	mutexcallback.Analyzer,
 	onstepblock.Analyzer,
 	shardsafe.Analyzer,
+	singleowner.Analyzer,
 	unitsafe.Analyzer,
 }
 

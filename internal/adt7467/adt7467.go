@@ -22,7 +22,6 @@ package adt7467
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"thermctl/internal/fan"
@@ -73,20 +72,18 @@ const TachConstant = 5400000
 
 // Chip is the device model. It reads die temperature through a sensor,
 // drives a fan, and exposes the datasheet register map on the i2c bus.
-// Safe for concurrent use: mu serializes the monitoring cycle (Step,
-// driven by the simulation loop) with bus transactions (ReadReg and
+// It is owned by the stepping goroutine; not safe for concurrent use:
+// the monitoring cycle (Step) and the bus transactions (ReadReg and
 // WriteReg, reached through the host's and the BMC's driver handles on
-// the shared i2c bus). mu is always acquired after the bus lock and
-// before the fan's, so the order bus → chip → fan is acyclic.
+// the shared i2c bus) all run on that goroutine.
 type Chip struct {
-	mu   sync.Mutex
 	rf   *i2c.RegisterFile
 	temp *sensor.Sensor
 	fan  *fan.Fan
 
 	// alarm latching state: cond is the live limit violation, latched
 	// holds until read (datasheet: status bits clear on read once the
-	// condition has gone). Guarded by mu.
+	// condition has gone).
 	alarmCond    bool
 	alarmLatched bool
 
@@ -173,15 +170,11 @@ func (c *Chip) tachCounts() uint16 {
 
 // ReadReg implements i2c.Device.
 func (c *Chip) ReadReg(reg uint8) (uint8, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.rf.ReadReg(reg)
 }
 
 // WriteReg implements i2c.Device.
 func (c *Chip) WriteReg(reg, val uint8) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.regWrites.Inc()
 	return c.rf.WriteReg(reg, val)
 }
@@ -191,11 +184,8 @@ func (c *Chip) WriteReg(reg, val uint8) error {
 // reaching the chip increments it, whatever the register. Wiring-time
 // only — registration must not happen in Step-reachable code.
 func (c *Chip) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label) {
-	ctr := reg.NewCounter("thermctl_adt7467_register_writes_total",
+	c.regWrites = reg.NewCounter("thermctl_adt7467_register_writes_total",
 		"i2c register write transactions handled by the chip", labels...)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.regWrites = ctr
 }
 
 // Step runs one monitoring cycle. In automatic mode the chip re-evaluates
@@ -204,8 +194,6 @@ func (c *Chip) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label)
 // reflected into RegPWM1Duty so the host can read back what the fan is
 // doing, as on real silicon.
 func (c *Chip) Step(time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	// A failed conversion (sensor dropout fault) freezes the monitoring
 	// cycle: the chip holds the last commanded duty and the last alarm
 	// condition rather than acting on garbage.

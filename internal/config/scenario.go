@@ -291,6 +291,25 @@ type NodeControl struct {
 	Sleep *core.Controller
 }
 
+// SleepState finds the sleep-state actuator among the lanes — the slot
+// whose actuator is cstates, whether it rides the dynamic fan
+// controller or a standalone array — and returns its current C-state
+// mode and move count. ok is false when no lane hosts one.
+func (nc *NodeControl) SleepState() (mode int, moves uint64, ok bool) {
+	for _, l := range nc.Lanes {
+		p, isArray := l.Binding.Policy().(*core.CtlArrayPolicy)
+		if !isArray {
+			continue
+		}
+		for i := 0; i < l.Binding.Slots(); i++ {
+			if l.Binding.Actuator(i).Name() == "cstates" {
+				return p.Mode(i), l.Binding.Moves(i), true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
 // BuildNode wires one node's controllers from the spec. It is the only
 // constructor of a controller stack: thermctld, clustersim, the
 // experiment harness, the public facade and every scenario build go

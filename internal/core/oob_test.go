@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -85,14 +86,17 @@ func abs(v float64) float64 {
 // real TCP connection: the full out-of-band stack, wire encoding
 // included. The simulation steps and the controller issues IPMI
 // commands from the same goroutine, as a management station polling a
-// rack would.
+// rack would. That goroutine owns the node: it holds the server's lock
+// around Step and releases it before the controller round, which waits
+// on the server's connection goroutine to take the lock in turn.
 func TestOutOfBandOverTCP(t *testing.T) {
 	n, err := node.New(node.DefaultConfig("tcp-path", 57))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Settle(0)
-	srv, err := ipmi.ListenAndServe("127.0.0.1:0", n.BMC)
+	var owner sync.Mutex
+	srv, err := ipmi.ListenAndServe("127.0.0.1:0", n.BMC, &owner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +117,13 @@ func TestOutOfBandOverTCP(t *testing.T) {
 	n.SetGenerator(workload.NewCPUBurn(nil))
 	dt := 250 * time.Millisecond
 	for i := 0; i < 600; i++ {
+		owner.Lock()
 		n.Step(dt)
+		owner.Unlock()
 		ctl.OnStep(n.Elapsed())
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if ctl.Errors() != 0 {
 		t.Fatalf("controller errors over TCP: %d", ctl.Errors())

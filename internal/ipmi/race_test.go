@@ -5,56 +5,26 @@ import (
 	"testing"
 	"time"
 
-	"thermctl/internal/adt7467"
-	"thermctl/internal/fan"
-	"thermctl/internal/i2c"
 	"thermctl/internal/ipmi"
-	"thermctl/internal/sensor"
-	"thermctl/internal/thermal"
+	"thermctl/internal/node"
 )
 
-// buildNode wires the out-of-band stack the way internal/node does:
-// sensor and fan behind an ADT7467 on a shared i2c bus, with the BMC
-// holding its own driver handle on that bus.
-func buildNode(t *testing.T) (*ipmi.BMC, *adt7467.Chip, *fan.Fan) {
-	t.Helper()
-	net := thermal.New(thermal.Default())
-	sens := sensor.New(sensor.Config{Quantum: 0.25}, sensor.SourceFunc(net.DieC), nil)
-	f := fan.New(fan.Default(), 30)
-	chip := adt7467.NewChip(sens, f)
-	bus := i2c.NewBus()
-	if err := bus.Attach(adt7467.DefaultAddr, chip); err != nil {
-		t.Fatal(err)
-	}
-	drv, err := adt7467.NewDriver(bus, adt7467.DefaultAddr)
+// TestConcurrentSensorReadsAndFanActuation hammers a node's BMC over TCP
+// — several readers polling the whole repository, several actuators
+// flipping the fan mode and sweeping the duty — while the owner
+// goroutine keeps stepping the node, exactly as thermctld does with
+// -ipmi. The devices carry no locks of their own: the one lock the
+// owner holds around each Step, and hands the server, is the whole
+// concurrency contract. Run with -race, any device state touched outside
+// that lock shows up here.
+func TestConcurrentSensorReadsAndFanActuation(t *testing.T) {
+	n, err := node.New(node.DefaultConfig("hammer", 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := ipmi.NewBMC(drv)
-	recs := []ipmi.SensorRecord{
-		{Number: 1, Name: "CPU Temp", Unit: "degrees C", Read: sens.Read},
-		{Number: 2, Name: "CPU Fan", Unit: "RPM", Read: f.TachRPM},
-		{Number: 3, Name: "System Power", Unit: "Watts", Read: func() float64 { return 70 + f.Power() }},
-	}
-	for _, rec := range recs {
-		if err := b.AddSensor(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return b, chip, f
-}
-
-// TestConcurrentSensorReadsAndFanActuation hammers BMC sensor reads
-// concurrently with OEM fan actuation and the device monitoring cycle —
-// the interleaving a management network produces when several operators
-// poll a node whose daemon is actuating the fan. Run with -race: the
-// sensor closures observe the rotor and the chip registers while the
-// actuation path mutates them, so any missing lock in fan, adt7467 or
-// ipmi shows up here.
-func TestConcurrentSensorReadsAndFanActuation(t *testing.T) {
-	bmc, chip, f := buildNode(t)
-
-	srv, err := ipmi.ListenAndServe("127.0.0.1:0", bmc)
+	n.Settle(0.5)
+	var owner sync.Mutex
+	srv, err := ipmi.ListenAndServe("127.0.0.1:0", n.BMC, &owner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +51,7 @@ func TestConcurrentSensorReadsAndFanActuation(t *testing.T) {
 			defer tc.Close()
 			c := ipmi.NewClient(tc)
 			for i := 0; i < iters; i++ {
-				for num := uint8(1); num <= 3; num++ {
+				for _, num := range []uint8{node.SensorCPUTemp, node.SensorFanRPM, node.SensorSystemW, node.SensorAmbientC} {
 					if _, err := c.ReadSensor(num); err != nil {
 						errc <- err
 						return
@@ -124,39 +94,41 @@ func TestConcurrentSensorReadsAndFanActuation(t *testing.T) {
 		}(a)
 	}
 
-	// The device models keep running while the BMC is hammered, exactly
-	// as the simulation loop steps them.
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			chip.Step(100 * time.Millisecond)
-			f.Step(100 * time.Millisecond)
-			// Pace the loop: an unthrottled stepper monopolizes the
-			// device locks and starves the BMC goroutines under -race.
-			time.Sleep(200 * time.Microsecond)
+	// The owner steps the node under the lock until the clients finish,
+	// releasing it between steps so the BMC can answer.
+	clientsDone := make(chan struct{})
+	go func() { wg.Wait(); close(clientsDone) }()
+	steps := 0
+step:
+	for {
+		select {
+		case <-clientsDone:
+			break step
+		default:
 		}
-	}()
-
-	wg.Wait()
-	close(stop)
-	stepWG.Wait()
+		owner.Lock()
+		n.Step(100 * time.Millisecond)
+		owner.Unlock()
+		steps++
+		time.Sleep(100 * time.Microsecond)
+	}
 	close(errc)
 	for err := range errc {
 		t.Error(err)
 	}
 
-	if got := bmc.Handled(); got == 0 {
-		t.Fatal("BMC handled no requests")
+	// After Close no request runs, so the owner reads without the lock.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if d := f.Duty(); d < 0 || d > 100 {
+	// Per reader iteration: 4 reads, SDR count, 4 SDR records.
+	if got, want := n.BMC.Handled(), uint64(readers*iters*9+actuators*(1+iters*2)); got != want {
+		t.Fatalf("BMC handled %d requests, want %d", got, want)
+	}
+	if steps == 0 {
+		t.Fatal("owner never stepped the node")
+	}
+	if d := n.Fan.Duty(); d < 0 || d > 100 {
 		t.Fatalf("fan duty %v out of range after hammer", d)
 	}
 }

@@ -1,6 +1,7 @@
 package ipmi
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,43 +11,52 @@ import (
 )
 
 // Server serves BMC requests over a stream listener (the RMCP-lite LAN
-// channel of this reproduction).
+// channel of this reproduction). It is the one place a foreign
+// goroutine reaches a node's devices: every Handle runs under the
+// Locker the server was given, which the goroutine that steps the node
+// also holds around each step.
 type Server struct {
-	h  Handler
-	ln net.Listener
-	wg sync.WaitGroup
+	h    Handler
+	lock sync.Locker
+	ln   net.Listener
+	wg   sync.WaitGroup
 
-	mu     sync.Mutex
-	closed bool
+	// done is cancelled by Close; each live connection closes itself
+	// on it, unblocking a read that waits on an idle client.
+	done   context.Context
+	cancel context.CancelFunc
 }
 
 // Serve starts serving h on ln in background goroutines and returns
-// immediately. Close the server to stop.
-func Serve(ln net.Listener, h Handler) *Server {
-	s := &Server{h: h, ln: ln}
+// immediately. Each request is handled with lock held; pass the lock
+// the node's stepping goroutine holds around Step. Close the server to
+// stop.
+func Serve(ln net.Listener, h Handler, lock sync.Locker) *Server {
+	s := &Server{h: h, lock: lock, ln: ln}
+	s.done, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
 }
 
 // ListenAndServe listens on addr ("host:port"; use ":0" or
-// "127.0.0.1:0" for an ephemeral port) and serves h.
-func ListenAndServe(addr string, h Handler) (*Server, error) {
+// "127.0.0.1:0" for an ephemeral port) and serves h under lock.
+func ListenAndServe(addr string, h Handler, lock sync.Locker) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ipmi: listen: %w", err)
 	}
-	return Serve(ln, h), nil
+	return Serve(ln, h, lock), nil
 }
 
 // Addr returns the listener's address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Close stops accepting and waits for in-flight connections to finish.
+// Close stops accepting, closes every live connection and waits for
+// their goroutines to finish. When it returns, no Handle is running or
+// will run.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.cancel()
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err
@@ -69,6 +79,8 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	stop := context.AfterFunc(s.done, func() { conn.Close() })
+	defer stop()
 	for {
 		body, err := readFrame(conn)
 		if err != nil {
@@ -79,7 +91,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			resp = Response{CC: CCInvalidCommand}
 		} else {
+			s.lock.Lock()
 			resp = s.h.Handle(req)
+			s.lock.Unlock()
 		}
 		frame, err := EncodeResponse(resp)
 		if err != nil {

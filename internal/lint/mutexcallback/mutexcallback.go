@@ -1,12 +1,13 @@
 // Package mutexcallback flags invoking a user-supplied callback while
 // a sync.Mutex or sync.RWMutex is held.
 //
-// The shape is the classic BMC deadlock: a sensor repository locks its
-// mutex, then calls a SensorReader closure that re-enters the
-// repository (or another subsystem that eventually needs the same
-// lock). internal/ipmi deliberately copies the record out and releases
-// the lock before invoking Read; this analyzer keeps it — and every
-// future callback-holding structure — that way.
+// The shape is the classic registry deadlock: a structure locks its
+// mutex, then calls a closure that re-enters the structure (or another
+// subsystem that eventually needs the same lock). The node devices
+// sidestep it by holding no locks at all — the BMC's SensorReader
+// closures run under the owner's lock that an ipmi.Server takes around
+// Handle, and are plain reads that never lock. This analyzer keeps
+// every lock-guarded structure that does invoke callbacks honest.
 //
 // A "callback" is a call through a value of function type that is not
 // a declared function or method and not a closure defined locally in

@@ -15,8 +15,6 @@ package node
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"thermctl/internal/acpi"
@@ -101,7 +99,10 @@ func DefaultConfig(name string, seed uint64) Config {
 	}
 }
 
-// Node is one assembled server.
+// Node is one assembled server. It and every device it wires are owned
+// by the goroutine that steps it; not safe for concurrent use. A foreign
+// goroutine (an IPMI server connection) reaches the node only under a
+// lock that the stepping goroutine also holds around Step.
 type Node struct {
 	// Name identifies the node.
 	Name string
@@ -140,20 +141,11 @@ type Node struct {
 	elapsed time.Duration
 	baseW   float64
 
-	// mu serializes Step with the BMC's sensor closures: the IPMI
-	// server handles connections on their own goroutines, so an
-	// out-of-band read must see a consistent between-steps snapshot of
-	// the thermal/CPU/fan state rather than race the integrators.
-	mu sync.Mutex
-
 	// jiffy accounting backing the /proc/stat file (USER_HZ = 100).
 	busyJiffies float64
 	idleJiffies float64
 	// steps counts Step calls; it keys the sensor's conversion ticks.
-	// Atomic: the tick source is read from inside Step's own call chain
-	// (chip → sensor) as well as from BMC goroutines, so it cannot take
-	// mu.
-	steps atomic.Uint64
+	steps uint64
 
 	// hardware thermal protection state.
 	protectC      float64
@@ -196,7 +188,7 @@ func New(cfg Config) (*Node, error) {
 	// Noise is keyed to the step counter: every consumer of the sensor
 	// (hwmon, ADT7467, BMC, probes) sees the same conversion within a
 	// step, so adding observers never perturbs a run.
-	n.Sensor.SetTickSource(func() uint64 { return n.steps.Load() })
+	n.Sensor.SetTickSource(func() uint64 { return n.steps })
 
 	// i2c bus with the fan controller.
 	n.Bus = i2c.NewBus()
@@ -224,30 +216,11 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node %s: bmc: %w", cfg.Name, err)
 	}
 	n.BMC = ipmi.NewBMC(bmcDrv)
-	// Every repository closure takes n.mu: the BMC calls them from its
-	// server goroutines, and the physical state they sample is mutated
-	// by Step.
 	sensors := []ipmi.SensorRecord{
-		{Number: SensorCPUTemp, Name: "CPU Temp", Unit: "degrees C", Read: func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return n.Sensor.Read()
-		}},
-		{Number: SensorFanRPM, Name: "CPU Fan", Unit: "RPM", Read: func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return n.Fan.TachRPM()
-		}},
-		{Number: SensorSystemW, Name: "System Power", Unit: "Watts", Read: func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return n.breakdown().Total()
-		}},
-		{Number: SensorAmbientC, Name: "Inlet Temp", Unit: "degrees C", Read: func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return n.Thermal.AmbientC()
-		}},
+		{Number: SensorCPUTemp, Name: "CPU Temp", Unit: "degrees C", Read: n.Sensor.Read},
+		{Number: SensorFanRPM, Name: "CPU Fan", Unit: "RPM", Read: n.Fan.TachRPM},
+		{Number: SensorSystemW, Name: "System Power", Unit: "Watts", Read: func() float64 { return n.breakdown().Total() }},
+		{Number: SensorAmbientC, Name: "Inlet Temp", Unit: "degrees C", Read: n.Thermal.AmbientC},
 	}
 	for _, rec := range sensors {
 		if err := n.BMC.AddSensor(rec); err != nil {
@@ -328,8 +301,6 @@ func (n *Node) Power() power.Breakdown { return n.breakdown() }
 // Step advances all device models by dt and returns the compute work
 // retired (giga-cycles).
 func (n *Node) Step(dt time.Duration) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.gen != nil {
 		n.util = n.gen.Utilization(n.elapsed)
 	}
@@ -363,7 +334,7 @@ func (n *Node) Step(dt time.Duration) float64 {
 	n.busyJiffies += n.util * dt.Seconds() * 100
 	n.idleJiffies += (1 - n.util) * dt.Seconds() * 100
 	n.elapsed += dt
-	n.steps.Add(1)
+	n.steps++
 	return work
 }
 

@@ -12,7 +12,6 @@ package sensor
 import (
 	"errors"
 	"math"
-	"sync/atomic"
 
 	"thermctl/internal/faults"
 	"thermctl/internal/rng"
@@ -51,7 +50,8 @@ func Default() Config {
 	return Config{Quantum: 0.25, NoiseStd: 0.15}
 }
 
-// Sensor reads a physical temperature source with realistic error.
+// Sensor reads a physical temperature source with realistic error. It
+// is owned by the stepping goroutine; not safe for concurrent use.
 //
 // Noise is keyed to a conversion tick, not to the Read call: a real ADC
 // converts at a fixed rate and every consumer (lm-sensors, the fan
@@ -69,11 +69,10 @@ type Sensor struct {
 
 	// inj, when attached, drives stuck/dropout/spike fault episodes.
 	inj *faults.Injector
-	// lastGood holds the Float64bits of the most recent successful
-	// sample; stuck episodes and unchecked reads during dropout replay
-	// it. Atomic because the BMC reads concurrently with the sim loop.
-	lastGood atomic.Uint64
-	haveGood atomic.Bool
+	// lastGood holds the most recent successful sample; stuck episodes
+	// and unchecked reads during dropout replay it.
+	lastGood float64
+	haveGood bool
 }
 
 // New returns a sensor reading src with cfg's error model, drawing noise
@@ -104,8 +103,8 @@ func (s *Sensor) AttachInjector(inj *faults.Injector) { s.inj = inj }
 func (s *Sensor) Read() float64 {
 	v, err := s.ReadChecked()
 	if err != nil {
-		if last, ok := s.lastGoodSample(); ok {
-			return last
+		if s.haveGood {
+			return s.lastGood
 		}
 		return 0
 	}
@@ -123,8 +122,8 @@ func (s *Sensor) ReadChecked() (float64, error) {
 		return 0, ErrDropout
 	}
 	if st.SensorStuck {
-		if last, ok := s.lastGoodSample(); ok {
-			return last, nil
+		if s.haveGood {
+			return s.lastGood, nil
 		}
 	}
 	t := s.src.Temperature() + s.cfg.Offset + st.SensorSpikeC
@@ -134,17 +133,8 @@ func (s *Sensor) ReadChecked() (float64, error) {
 	if s.cfg.Quantum > 0 {
 		t = math.Round(t/s.cfg.Quantum) * s.cfg.Quantum
 	}
-	s.lastGood.Store(math.Float64bits(t))
-	s.haveGood.Store(true)
+	s.lastGood, s.haveGood = t, true
 	return t, nil
-}
-
-// lastGoodSample returns the most recent successful sample, if any.
-func (s *Sensor) lastGoodSample() (float64, bool) {
-	if !s.haveGood.Load() {
-		return 0, false
-	}
-	return math.Float64frombits(s.lastGood.Load()), true
 }
 
 // drawNoise returns a standard-normal value: tick-keyed when a tick

@@ -45,6 +45,9 @@ done
 echo "==> thermctld fault-drill smoke (thermctld -faults)"
 go run ./cmd/thermctld -duration 2m -faults examples/faults/thermctld-drill.json >/dev/null
 
+echo "==> IPMI smoke (scripts/ipmismoke.sh: race-built thermctld driven by ipmitool)"
+./scripts/ipmismoke.sh >/dev/null
+
 echo "==> chaos smoke (experiments -only chaos)"
 go run ./cmd/experiments -only chaos >/dev/null
 

@@ -14,8 +14,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PORT="${PORT:-9623}"
-HOST="127.0.0.1:$PORT"
 WORK="$(mktemp -d)"
 LOG="$WORK/thermctld.log"
 
@@ -23,9 +21,11 @@ echo "==> build thermctld (-race) and ipmitool"
 go build -race -o "$WORK/thermctld" ./cmd/thermctld
 go build -o "$WORK/ipmitool" ./cmd/ipmitool
 
-echo "==> boot thermctld with the BMC on $HOST"
+echo "==> boot thermctld with the BMC on a free loopback port"
 # -pace 20 turns the 5m simulated run into about 15 s of wall time.
-"$WORK/thermctld" -ipmi "$HOST" -pace 20 -duration 5m -fan auto >"$LOG" 2>&1 &
+# Port 0 lets the kernel pick the port; the daemon prints the bound
+# address on its "BMC serving IPMI on" line.
+"$WORK/thermctld" -ipmi 127.0.0.1:0 -pace 20 -duration 5m -fan auto >"$LOG" 2>&1 &
 DAEMON=$!
 cleanup() {
 	kill "$DAEMON" 2>/dev/null || true
@@ -38,12 +38,14 @@ i=0
 until grep -q "BMC serving IPMI on" "$LOG"; do
 	i=$((i + 1))
 	if [ "$i" -gt 100 ]; then
-		echo "thermctld never served IPMI on $HOST" >&2
+		echo "thermctld never served IPMI" >&2
 		cat "$LOG" >&2
 		exit 1
 	fi
 	sleep 0.1
 done
+HOST="$(sed -n 's/^thermctld: BMC serving IPMI on //p' "$LOG" | head -n 1)"
+echo "==> BMC on $HOST"
 
 ipmitool() { "$WORK/ipmitool" -H "$HOST" "$@"; }
 

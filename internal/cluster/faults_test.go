@@ -14,13 +14,16 @@ import (
 // fault-injected cluster run plus the fault plane's event timeline.
 func faultSignature(t *testing.T, workers int) []byte {
 	t.Helper()
-	const nodes = 8
+	const nodes = poolNodes
 	c, err := New(nodes, DefaultDt, 20100131)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	c.SetWorkers(workers)
+	if workers > 1 {
+		requirePool(t, c, min(workers, 4))
+	}
 	c.Settle(0)
 
 	targets := make([]string, nodes)
@@ -58,6 +61,7 @@ func faultSignature(t *testing.T, workers int) []byte {
 // same fault timeline AND the same faulted device trajectories for any
 // worker count. Run under -race in the full gate.
 func TestFaultTimelineByteIdenticalAcrossWorkers(t *testing.T) {
+	forceProcs(t, 4)
 	want := faultSignature(t, 1)
 	if len(want) == 0 {
 		t.Fatal("empty signature")

@@ -27,14 +27,17 @@ func perNodeGens(n int, seed uint64) []workload.Generator {
 func TestRunGeneratorsByteIdenticalAcrossWorkers(t *testing.T) {
 	forceProcs(t, 4)
 	run := func(workers int) []float64 {
-		c, err := New(6, DefaultDt, 7)
+		c, err := New(poolNodes, DefaultDt, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		c.SetWorkers(workers)
+		if workers > 1 {
+			requirePool(t, c, workers)
+		}
 		c.Settle(0)
-		res := c.RunGenerators(perNodeGens(6, 7), 5*time.Second)
+		res := c.RunGenerators(perNodeGens(poolNodes, 7), 5*time.Second)
 		if res.Err != nil || res.Canceled {
 			t.Fatalf("run failed: %+v", res)
 		}
@@ -45,7 +48,7 @@ func TestRunGeneratorsByteIdenticalAcrossWorkers(t *testing.T) {
 		return out
 	}
 	want := run(1)
-	for _, workers := range []int{2, 6} {
+	for _, workers := range []int{2, 4} {
 		got := run(workers)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

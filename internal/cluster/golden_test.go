@@ -124,11 +124,9 @@ func hybridClusterTrace(t *testing.T, workers int) []string {
 }
 
 func TestGoldenHybridCluster(t *testing.T) {
-	// Raise GOMAXPROCS so the pool's goroutine path runs even on a
-	// single-CPU host (dispatch steps inline at GOMAXPROCS 1, which
-	// would make the multi-worker comparisons vacuous).
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+	// The golden's 4 nodes are under the fan-out threshold, so every
+	// worker count below steps inline; TestParallelStepByteIdentical
+	// runs the same hybrid control through a real pool.
 	path := filepath.Join("testdata", "golden", "hybrid-cluster.tct")
 	ref := hybridClusterTrace(t, 1)
 	if *update {

@@ -54,8 +54,8 @@ func TestClusterMetricsSerial(t *testing.T) {
 }
 
 func TestClusterMetricsSharded(t *testing.T) {
-	forceProcs(t, 4) // the pool's inline single-P path records no shard metrics
-	c, err := New(8, DefaultDt, 1)
+	forceProcs(t, 4) // a single-P runtime builds no pool and records no shard metrics
+	c, err := New(poolNodes, DefaultDt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +66,7 @@ func TestClusterMetricsSharded(t *testing.T) {
 	c.InstrumentMetrics(reg)
 	const workers = 4
 	c.SetWorkers(workers)
+	requirePool(t, c, workers)
 	for _, n := range c.Nodes {
 		n.SetGenerator(workload.Constant(0.5))
 	}
@@ -91,7 +92,7 @@ func TestClusterMetricsSharded(t *testing.T) {
 
 func TestClusterMetricsPoolBeforeInstrument(t *testing.T) {
 	forceProcs(t, 4)
-	c, err := New(8, DefaultDt, 1)
+	c, err := New(poolNodes, DefaultDt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +100,7 @@ func TestClusterMetricsPoolBeforeInstrument(t *testing.T) {
 	// Shard first, then instrument: InstrumentMetrics must reach the
 	// existing pool.
 	c.SetWorkers(2)
+	requirePool(t, c, 2)
 	reg := metrics.NewRegistry()
 	c.InstrumentMetrics(reg)
 	for i := 0; i < 5; i++ {

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,15 +14,269 @@ import (
 	"thermctl/internal/workload"
 )
 
+// poolNodes is the cluster size the pool tests use: four participants'
+// worth at the fan-out threshold, so SetWorkers(w) builds a pool of
+// min(w, 4) participants under forceProcs(t, 4) instead of stepping
+// inline.
+const poolNodes = 4 * minNodesPerWorker
+
 // forceProcs raises GOMAXPROCS for the duration of the test so the
 // worker pool's goroutine path runs even on a single-CPU host
-// (shardPool.dispatch steps inline when GOMAXPROCS is 1, which would
-// leave the helper goroutines, channels and the claim counter
-// untested).
+// (SetWorkers caps the participants at GOMAXPROCS, so at 1 it would
+// build no pool and leave the helper goroutines, the wake/join
+// handoff and the claim counter untested).
 func forceProcs(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// requirePool fails the test unless c steps on a pool of want
+// participants, so a byte-identity comparison cannot pass by having
+// stepped inline on both sides.
+func requirePool(t *testing.T, c *Cluster, want int) {
+	t.Helper()
+	if c.pool == nil || c.Workers() != want || len(c.pool.helpers) != want-1 {
+		t.Fatalf("cluster of %d nodes steps with workers=%d pool=%v, want a pool of %d participants",
+			len(c.Nodes), c.Workers(), c.pool != nil, want)
+	}
+}
+
+// helperGoroutines counts the live helper goroutines of every shard
+// pool in the process and how many of them are blocked on their wake
+// channel.
+func helperGoroutines() (live, parked int) {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if !bytes.Contains(g, []byte("(*shardPool).loop")) {
+			continue
+		}
+		live++
+		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte("(*shardPool).await")) {
+			parked++
+		}
+	}
+	return live, parked
+}
+
+// quietHelpers waits until every helper goroutine left in the process
+// (pools other tests closed or leaked) has exited or parked, and
+// returns the count of those parked leftovers.
+func quietHelpers(t *testing.T) int {
+	t.Helper()
+	var base int
+	waitFor(t, "leftover helpers exited or parked", func() bool {
+		live, parked := helperGoroutines()
+		base = live
+		return live == parked
+	})
+	return base
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// allParked reports whether every helper of p has raised its park flag.
+func allParked(p *shardPool) bool {
+	for w := range p.helpers {
+		if !p.helpers[w].parked.Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// noHang runs f and fails the test if it does not return within a
+// generous bound — a lost wake shows up as a hung sweep.
+func noHang(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s hung", what)
+	}
+}
+
+// TestSweepSplitsAcrossParticipants: a sweep really runs on more than
+// one goroutine. Whichever participant claims node 0 holds it until
+// some node of the last chunk has run, which only another participant
+// can do; a sweep stepped on one goroutine would wait out the deadline.
+func TestSweepSplitsAcrossParticipants(t *testing.T) {
+	forceProcs(t, 2)
+	p := newShardPool(2, poolNodes)
+	defer p.close()
+	var lastChunkRan atomic.Bool
+	var ran atomic.Int64
+	waited := true
+	noHang(t, "split sweep", func() {
+		p.dispatch(func(i int) {
+			ran.Add(1)
+			if i >= poolNodes-p.chunk {
+				lastChunkRan.Store(true)
+			}
+			if i != 0 {
+				return
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for !lastChunkRan.Load() {
+				if time.Now().After(deadline) {
+					waited = false
+					return
+				}
+				runtime.Gosched()
+			}
+		})
+	})
+	if !waited {
+		t.Fatal("node 0's participant waited 10 s and no other participant reached the last chunk")
+	}
+	if got := ran.Load(); got != poolNodes {
+		t.Fatalf("sweep ran %d jobs, want %d", got, poolNodes)
+	}
+}
+
+// TestIdlePoolParks: once a sweep is done and the spin budget has run
+// out, every helper parks on its wake channel — an idle cluster costs
+// no CPU — and the next sweep wakes them all.
+func TestIdlePoolParks(t *testing.T) {
+	forceProcs(t, 4)
+	base := quietHelpers(t)
+	p := newShardPool(4, poolNodes)
+	defer p.close()
+	var ran atomic.Int64
+	count := func(int) { ran.Add(1) }
+	for round := 1; round <= 3; round++ {
+		p.dispatch(count)
+		if got := ran.Load(); got != int64(round*poolNodes) {
+			t.Fatalf("round %d: %d jobs ran, want %d", round, got, round*poolNodes)
+		}
+		waitFor(t, "every helper raised its park flag", func() bool { return allParked(p) })
+		waitFor(t, "every helper blocked on its wake channel", func() bool {
+			live, parked := helperGoroutines()
+			return live == base+3 && parked == base+3
+		})
+		if p.joinParked.Load() {
+			t.Fatalf("round %d: dispatcher's park flag still raised after the join", round)
+		}
+	}
+}
+
+// TestFreshPoolFirstSweep: a sweep published before the helper
+// goroutines have even started must still be run and joined. A helper
+// that took its starting epoch from a load instead of from 0 would
+// miss that sweep and hang the join.
+func TestFreshPoolFirstSweep(t *testing.T) {
+	forceProcs(t, 4)
+	noHang(t, "first sweep of a fresh pool", func() {
+		for i := 0; i < 200; i++ {
+			p := newShardPool(2+i%3, poolNodes)
+			var ran atomic.Int64
+			p.dispatch(func(int) { ran.Add(1) })
+			p.close()
+			if got := ran.Load(); got != poolNodes {
+				t.Errorf("pool %d: first sweep ran %d jobs, want %d", i, got, poolNodes)
+				return
+			}
+		}
+	})
+}
+
+// TestSweepsAcrossParkMatchSerial: steps taken back to back (helpers
+// spinning between sweeps) and steps separated by sleeps past the spin
+// budget (helpers parked, woken by the dispatcher) both complete and
+// leave every node bit-identical to serial stepping.
+func TestSweepsAcrossParkMatchSerial(t *testing.T) {
+	forceProcs(t, 4)
+	run := func(workers int) []uint64 {
+		c, err := New(poolNodes, DefaultDt, 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetWorkers(workers)
+		if workers > 1 {
+			requirePool(t, c, workers)
+		}
+		for i := range c.Nodes {
+			c.Nodes[i].SetGenerator(workload.Constant(0.3 + 0.005*float64(i)))
+			c.AddNodeController(i, ControllerFunc(func(time.Duration) {}))
+		}
+		for burst := 0; burst < 4; burst++ {
+			noHang(t, "back-to-back steps", func() {
+				for i := 0; i < 20; i++ {
+					c.Step()
+				}
+			})
+			if c.pool != nil {
+				time.Sleep(2 * time.Millisecond)
+				waitFor(t, "helpers parked between bursts", func() bool { return allParked(c.pool) })
+			}
+		}
+		var out []uint64
+		for _, n := range c.Nodes {
+			out = append(out, math.Float64bits(n.TrueDieC()), math.Float64bits(n.Sensor.Read()),
+				math.Float64bits(n.Meter.EnergyJ()))
+		}
+		return out
+	}
+	want := run(1)
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: observable %d = %x, serial %x", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCloseReleasesHelpers: Close ends every helper goroutine, whether
+// it is parked on its wake channel or still spinning on the epoch.
+func TestCloseReleasesHelpers(t *testing.T) {
+	forceProcs(t, 4)
+	base := quietHelpers(t)
+	noop := func(int) {}
+
+	parked := newShardPool(4, poolNodes)
+	parked.dispatch(noop)
+	waitFor(t, "every helper parked", func() bool { return allParked(parked) })
+	parked.close()
+	waitFor(t, "a parked pool's helpers exited", func() bool {
+		live, _ := helperGoroutines()
+		return live == base
+	})
+
+	for i := 0; i < 20; i++ {
+		spinning := newShardPool(4, poolNodes)
+		spinning.dispatch(noop) // helpers are inside their spin budget
+		spinning.close()
+	}
+	waitFor(t, "spinning pools' helpers exited", func() bool {
+		live, _ := helperGoroutines()
+		return live == base
+	})
 }
 
 // TestRepeatedSetWorkersInstrumented reconfigures the pool several
@@ -31,7 +287,7 @@ func forceProcs(t *testing.T, n int) {
 // caught here.
 func TestRepeatedSetWorkersInstrumented(t *testing.T) {
 	forceProcs(t, 4)
-	c, err := New(8, DefaultDt, 1)
+	c, err := New(poolNodes, DefaultDt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +302,7 @@ func TestRepeatedSetWorkersInstrumented(t *testing.T) {
 	steps := 0
 	for _, w := range []int{2, 4, 3, 4, 2} {
 		c.SetWorkers(w)
+		requirePool(t, c, w)
 		for i := 0; i < 3; i++ {
 			c.Step()
 		}
@@ -73,7 +330,7 @@ func TestRepeatedSetWorkersInstrumented(t *testing.T) {
 func TestCloseThenStepSerialFallback(t *testing.T) {
 	forceProcs(t, 4)
 	run := func(parallelFirst bool) []float64 {
-		c, err := New(6, DefaultDt, 77)
+		c, err := New(poolNodes, DefaultDt, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +341,7 @@ func TestCloseThenStepSerialFallback(t *testing.T) {
 		}
 		if parallelFirst {
 			c.SetWorkers(3)
+			requirePool(t, c, 3)
 		}
 		for i := 0; i < 10; i++ {
 			c.Step()
@@ -112,38 +370,53 @@ func TestCloseThenStepSerialFallback(t *testing.T) {
 	}
 }
 
-// TestSetWorkersClampsToNodeCount: asking for more workers than nodes
-// must clamp (a worker with no possible work is pure overhead), and the
-// clamped pool must still step correctly.
+// TestSetWorkersClampsToNodeCount: SetWorkers caps the participants
+// at GOMAXPROCS and at one per minNodesPerWorker nodes (a participant
+// with too little work is pure overhead), steps inline with no pool
+// below two, and the clamped pool still steps correctly.
 func TestSetWorkersClampsToNodeCount(t *testing.T) {
 	forceProcs(t, 4)
-	c, err := New(3, DefaultDt, 5)
+	for _, tc := range []struct{ nodes, ask, want int }{
+		{poolNodes, 64, 4},               // capped at GOMAXPROCS
+		{poolNodes, 0, 4},                // 0 selects GOMAXPROCS
+		{2 * minNodesPerWorker, 64, 2},   // capped by the threshold
+		{3*minNodesPerWorker - 1, 3, 2},  // partial share rounds down
+		{2*minNodesPerWorker - 1, 64, 1}, // under two shares: inline
+		{3, 64, 1},                       // a rack of three: inline
+		{1, 8, 1},                        // single node: inline
+	} {
+		c, err := New(tc.nodes, DefaultDt, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetWorkers(tc.ask)
+		if tc.want > 1 {
+			requirePool(t, c, tc.want)
+		} else if c.Workers() != 1 || c.pool != nil {
+			t.Fatalf("SetWorkers(%d) on %d nodes: workers=%d pool=%v, want serial",
+				tc.ask, tc.nodes, c.Workers(), c.pool != nil)
+		}
+		for _, n := range c.Nodes {
+			n.SetGenerator(workload.Constant(0.4))
+		}
+		for i := 0; i < 5; i++ {
+			c.Step()
+		}
+		if c.Clock.Now() != 5*DefaultDt {
+			t.Fatalf("clock at %v after 5 steps", c.Clock.Now())
+		}
+		c.Close()
+	}
+	// GOMAXPROCS is read when the pool is built: a single-P runtime
+	// never builds one, whatever the request.
+	runtime.GOMAXPROCS(1)
+	c, err := New(poolNodes, DefaultDt, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	c.SetWorkers(64)
-	if c.Workers() != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(64) on 3 nodes, want 3", c.Workers())
-	}
-	for _, n := range c.Nodes {
-		n.SetGenerator(workload.Constant(0.4))
-	}
-	for i := 0; i < 5; i++ {
-		c.Step()
-	}
-	if c.Clock.Now() != 5*DefaultDt {
-		t.Fatalf("clock at %v after 5 steps", c.Clock.Now())
-	}
-	// Single-node cluster: any request collapses to serial.
-	c1, err := New(1, DefaultDt, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c1.SetWorkers(8)
-	if c1.Workers() != 1 || c1.pool != nil {
-		t.Fatalf("single-node cluster got workers=%d pool=%v", c1.Workers(), c1.pool != nil)
+	c.SetWorkers(4)
+	if c.Workers() != 1 || c.pool != nil {
+		t.Fatalf("GOMAXPROCS=1: workers=%d pool=%v, want serial", c.Workers(), c.pool != nil)
 	}
 }
 

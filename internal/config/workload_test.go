@@ -39,14 +39,21 @@ func TestWorkloadByteIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Grow both groups so the fleet clears the pool's fan-out
+		// threshold: a 5-node fleet steps inline at every worker count.
+		s.Groups[0].Nodes, s.Groups[1].Nodes = 80, 48
+		s.Nodes = 128
 		s.Workers = workers
 		rig, err := s.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rig.Cluster.Close()
-		if len(rig.Generators) != 5 {
-			t.Fatalf("generators = %d, want 5", len(rig.Generators))
+		if len(rig.Generators) != 128 {
+			t.Fatalf("generators = %d, want 128", len(rig.Generators))
+		}
+		if got := rig.Cluster.Workers(); got != min(workers, 4) {
+			t.Fatalf("workers = %d at workers %d, want %d (a pool, not inline stepping)", got, workers, min(workers, 4))
 		}
 		res := rig.Cluster.RunGenerators(rig.Generators, 20*time.Second)
 		if res.Err != nil {

@@ -533,13 +533,14 @@ func TestStreamDeliversSamplesAndFinalState(t *testing.T) {
 
 // TestJobsReleaseWorkers: a job's cluster steps on its own worker pool,
 // which must be closed once the job's artifacts are written, or every
-// finished job leaks its pool goroutines.
+// finished job leaks its pool goroutines. 64 nodes clear the cluster's
+// fan-out threshold, so each job builds a pool wherever GOMAXPROCS >= 2.
 func TestJobsReleaseWorkers(t *testing.T) {
 	const slack = 2
 	before := runtime.NumGoroutine()
 	_, ts := newTestServer(t, Config{Workers: 1, GeneratorHorizon: 5 * time.Second})
 	for i := 0; i < 4; i++ {
-		v := submit(t, ts, `{"nodes": 2, "workers": 2}`)
+		v := submit(t, ts, `{"nodes": 64, "workers": 2}`)
 		if final := waitTerminal(t, ts, v.ID); final.State != StateDone {
 			t.Fatalf("job %s: state %s (error %q), want done", v.ID, final.State, final.Error)
 		}

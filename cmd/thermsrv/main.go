@@ -76,7 +76,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.listen, "listen", "127.0.0.1:9600", "HTTP address to serve the API on")
 	flag.StringVar(&o.dir, "dir", "thermsrv-data", "artifact store root (one directory per job)")
-	flag.IntVar(&o.workers, "workers", 4, "concurrent campaigns")
+	flag.IntVar(&o.workers, "workers", 4, "concurrent campaigns; each job steps on at most GOMAXPROCS/workers cluster workers")
 	flag.IntVar(&o.queue, "queue", 64, "queued submissions beyond the running jobs before 429")
 	flag.DurationVar(&o.sample, "sample", time.Second, "trace and stream cadence in simulated time")
 	flag.DurationVar(&o.genHorizon, "gen-horizon", 60*time.Second, "simulated run length for generator-driven (programless) jobs without a chaos horizon")

@@ -1,12 +1,14 @@
 package cluster_test
 
 // Cluster-level golden equivalence: a 4-node cluster under per-node
-// hybrid controllers and a generated fault campaign must produce a
-// byte-identical observable trace at 1, 4 and GOMAXPROCS workers, and
-// that trace must match the committed golden recorded from the
+// hybrid controllers and a generated fault campaign must produce an
+// observable trace that matches the committed golden recorded from the
 // pre-engine controller implementations. This is the integration half of
 // the control-plane refactor's behavior-preservation contract (the unit
-// half lives in internal/core/golden_test.go).
+// half lives in internal/core/golden_test.go). The same scenario on a
+// cluster large enough to build a shard pool must produce a
+// byte-identical trace at 1, 2 and 4 workers, so faulted hybrid control,
+// fail-safe events included, is checked through a real pool.
 
 import (
 	"flag"
@@ -14,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,29 +29,15 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden trace files")
 
-// goldenWorkerCounts returns the deduplicated worker sweep {1, 4,
-// GOMAXPROCS} the acceptance contract names.
-func goldenWorkerCounts() []int {
-	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	var out []int
-	for _, w := range counts {
-		if w > 0 && !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// hybridClusterTrace runs the scenario at the given worker count and
-// returns the observable trace, one line per record.
-func hybridClusterTrace(t *testing.T, workers int) []string {
+// hybridClusterTrace runs the scenario on a cluster of the given size
+// at the given worker count and returns the observable trace, one line
+// per record. It fails the test unless the cluster steps on want
+// participants.
+func hybridClusterTrace(t *testing.T, nodes, workers, want int) []string {
 	t.Helper()
 	const (
 		seed      = 20100131
 		chaosSeed = 7
-		nodes     = 4
 	)
 	c, err := cluster.New(nodes, cluster.DefaultDt, seed)
 	if err != nil {
@@ -56,6 +45,9 @@ func hybridClusterTrace(t *testing.T, workers int) []string {
 	}
 	defer c.Close()
 	c.SetWorkers(workers)
+	if got := c.Workers(); got != want {
+		t.Fatalf("%d nodes at workers=%d step on %d participants, want %d", nodes, workers, got, want)
+	}
 	c.Settle(0.2)
 
 	names := make([]string, len(c.Nodes))
@@ -124,11 +116,8 @@ func hybridClusterTrace(t *testing.T, workers int) []string {
 }
 
 func TestGoldenHybridCluster(t *testing.T) {
-	// The golden's 4 nodes are under the fan-out threshold, so every
-	// worker count below steps inline; TestParallelStepByteIdentical
-	// runs the same hybrid control through a real pool.
 	path := filepath.Join("testdata", "golden", "hybrid-cluster.tct")
-	ref := hybridClusterTrace(t, 1)
+	ref := hybridClusterTrace(t, 4, 1, 1)
 	if *update {
 		img, err := tracefile.EncodeEvents(ref)
 		if err != nil {
@@ -150,12 +139,29 @@ func TestGoldenHybridCluster(t *testing.T) {
 			t.Fatalf("workers=1 vs golden: %v", err)
 		}
 	}
-	for _, w := range goldenWorkerCounts() {
-		if w == 1 {
-			continue
+}
+
+// TestHybridClusterPoolByteIdentical runs the golden's scenario on a
+// cluster of cluster.PoolNodes, where the 4-node golden would step
+// inline, and requires the 2- and 4-participant pools to reproduce the
+// serial trace. GOMAXPROCS is raised to 4 so the pool is built even on
+// a host with fewer CPUs.
+func TestHybridClusterPoolByteIdentical(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	ref := hybridClusterTrace(t, cluster.PoolNodes, 1, 1)
+	events := 0
+	for _, line := range ref {
+		if strings.HasPrefix(line, "event ") {
+			events++
 		}
-		got := hybridClusterTrace(t, w)
-		diffFatal(t, fmt.Sprintf("workers=%d vs workers=1", w), ref, got)
+	}
+	if events == 0 {
+		t.Fatal("the fault campaign engaged no fail-safe, so the comparison would not cover fail-safe control")
+	}
+	for _, w := range []int{2, 4} {
+		got := hybridClusterTrace(t, cluster.PoolNodes, w, w)
+		diffFatal(t, fmt.Sprintf("%d nodes, workers=%d vs workers=1", cluster.PoolNodes, w), ref, got)
 	}
 }
 

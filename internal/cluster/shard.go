@@ -33,7 +33,8 @@ const spinBudget = 1 << 16
 // concurrent thermsrv jobs of 128 nodes at workers 2 on 4 server
 // workers and 2 Ps took 7.6-7.9 s of wall time without yields and
 // 2.3-2.8 s yielding every 2^12 polls, against 1.9-2.3 s for the
-// channel wake this replaced (6 alternating runs each). On a single
+// channel wake this replaced (6 alternating runs each); thermsrv now
+// also caps each job's workers at its share of the Ps. On a single
 // cluster the yields cost 0-10% at 64-256 nodes, within run-to-run
 // noise.
 const spinYield = 1 << 12
@@ -80,7 +81,11 @@ const minNodesPerWorker = 16
 //     no other participant is writing. Measured against one shared
 //     counter, whose claims interleave at random, at 64 nodes on 2 Ps
 //     (5 runs each): EngineStep 19.8-20.8 µs against 26.3-32.2 µs,
-//     ClusterStep 16.0-17.7 µs against 18.6-22.6 µs.
+//     ClusterStep 16.0-17.7 µs against 18.6-22.6 µs. End to end, the
+//     bench/ fleet-unified workload (256 nodes, hybrid control, 20 s
+//     runs, 10 alternating pairs on a 2-vCPU Xeon @ 2.1 GHz): median
+//     latency_p50_ms 0.0743 ms with one counter, 0.0581 ms with home
+//     spans, which won all 10 pairs.
 //
 // The handoff is a bounded spin-then-park on both sides. To start a
 // sweep the dispatcher publishes the job, sets pending to the helper

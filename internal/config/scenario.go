@@ -81,9 +81,10 @@ type Scenario struct {
 	// Seed seeds the simulation. Default 20100131.
 	Seed uint64 `json:"seed"`
 	// Workers is the stepping worker-pool size; 0 picks GOMAXPROCS at
-	// build time, and a value above Nodes is clamped to Nodes by the
-	// cluster's SetWorkers (a worker per node is the useful maximum —
-	// not an error). Results are identical for any value.
+	// build time. The cluster's SetWorkers caps it at GOMAXPROCS and at
+	// one worker per fan-out threshold's worth of nodes, stepping
+	// inline below two (not an error), and thermsrv caps a job's value
+	// at its share of the Ps. Results are identical for any value.
 	Workers int `json:"workers,omitempty"`
 	// Program is the SPMD program to execute: bt, lu, or empty for
 	// generator-driven runs (driven by Workload when set, otherwise the

@@ -24,6 +24,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +38,8 @@ import (
 
 // Config sizes and wires a Server.
 type Config struct {
-	// Workers is the number of concurrent campaigns. Default 4.
+	// Workers is the number of concurrent campaigns. Default 4. It
+	// also bounds each job's stepping workers (see Server.jobWorkers).
 	Workers int
 	// QueueDepth bounds the FIFO backlog beyond the running jobs; a
 	// submission past the bound is refused with 429. Default 64.
@@ -82,6 +84,19 @@ type Server struct {
 	store *Store
 	m     *srvMetrics
 
+	// jobWorkers caps a job's cluster stepping workers at its share of
+	// the Ps, GOMAXPROCS/Config.Workers read once in New (at least 1),
+	// so the concurrent jobs together field no more shard-pool
+	// participants than there are Ps. A pool's idle participants spin
+	// before they park; with more of them than Ps they spin against
+	// the goroutines they wait for. BenchmarkConcurrentJobs (eight
+	// 128-node jobs at workers 2 on 4 server workers) on a 2-vCPU Xeon
+	// @ 2.1 GHz, 6 alternating runs: 504-574 ms a burst uncapped,
+	// 410-464 ms capped, 437-505 ms for the channel handoff the
+	// spinning pool replaced. Results are identical at any worker
+	// count, so the cap changes only wall time.
+	jobWorkers int
+
 	// baseCtx parents every job context and every SSE handler's wait;
 	// canceling it is the force-stop lever.
 	baseCtx    context.Context
@@ -114,6 +129,7 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
+		jobWorkers: max(1, runtime.GOMAXPROCS(0)/cfg.Workers),
 		store:      store,
 		m:          newSrvMetrics(cfg.Registry),
 		baseCtx:    ctx,
@@ -449,11 +465,21 @@ func (s *Server) runJob(j *Job) {
 	j.hub.close()
 }
 
+// build builds j's rig with its stepping workers capped at
+// s.jobWorkers; 0, which would pick GOMAXPROCS, takes the cap too.
+func (s *Server) build(j *Job) (*config.Rig, error) {
+	sc := j.scenario
+	if sc.Workers == 0 || sc.Workers > s.jobWorkers {
+		sc.Workers = s.jobWorkers
+	}
+	return sc.Build()
+}
+
 // execute builds and runs one campaign, writing the trace and report
 // artifacts. The returned summary is non-nil whenever the simulation
 // ran, even if canceled part-way.
 func (s *Server) execute(j *Job) (*report.CampaignSummary, error) {
-	rig, err := j.scenario.Build()
+	rig, err := s.build(j)
 	if err != nil {
 		return nil, fmt.Errorf("build: %w", err)
 	}

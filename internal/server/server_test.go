@@ -29,7 +29,7 @@ const btSpec = `{"nodes": 2, "program": "bt"}`
 
 // newTestServer builds a server over a test temp dir. Callers mutate
 // cfg via the argument; zero fields take the defaults.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
@@ -54,7 +54,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // submit posts a scenario document and decodes the accepted view.
-func submit(t *testing.T, ts *httptest.Server, spec string) View {
+func submit(t testing.TB, ts *httptest.Server, spec string) View {
 	t.Helper()
 	v, status := trySubmit(t, ts, spec)
 	if status != http.StatusAccepted {
@@ -65,7 +65,7 @@ func submit(t *testing.T, ts *httptest.Server, spec string) View {
 
 // trySubmit posts a scenario document and returns the view (zero on
 // rejection) plus the HTTP status.
-func trySubmit(t *testing.T, ts *httptest.Server, spec string) (View, int) {
+func trySubmit(t testing.TB, ts *httptest.Server, spec string) (View, int) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 	if err != nil {
@@ -87,7 +87,7 @@ func trySubmit(t *testing.T, ts *httptest.Server, spec string) (View, int) {
 }
 
 // getView fetches one job's current view.
-func getView(t *testing.T, ts *httptest.Server, id string) View {
+func getView(t testing.TB, ts *httptest.Server, id string) View {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
@@ -105,7 +105,7 @@ func getView(t *testing.T, ts *httptest.Server, id string) View {
 }
 
 // waitTerminal polls until the job leaves the live states.
-func waitTerminal(t *testing.T, ts *httptest.Server, id string) View {
+func waitTerminal(t testing.TB, ts *httptest.Server, id string) View {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"thermctl/internal/fan"
+	"thermctl/internal/faults"
 	"thermctl/internal/i2c"
+	"thermctl/internal/rng"
 	"thermctl/internal/sensor"
 )
 
@@ -273,12 +275,95 @@ func TestDutyRegisterQuantization(t *testing.T) {
 	}
 }
 
+func TestStepConvertsOncePerCycle(t *testing.T) {
+	temp, calls := 60.0, 0
+	src := sensor.SourceFunc(func() float64 { calls++; return temp })
+	f := fan.New(fan.Default(), 10)
+	chip := NewChip(sensor.New(sensor.Config{}, src, nil), f)
+	bus := i2c.NewBus()
+	if err := bus.Attach(DefaultAddr, chip); err != nil {
+		t.Fatal(err)
+	}
+	drv, err := NewDriver(bus, DefaultAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, manual := range []bool{false, true} {
+		if err := drv.SetManual(manual); err != nil {
+			t.Fatal(err)
+		}
+		for cycle := 0; cycle < 3; cycle++ {
+			calls = 0
+			chip.Step(time.Second)
+			if calls != 1 {
+				t.Errorf("manual=%v cycle %d: %d sensor conversions, want 1", manual, cycle, calls)
+			}
+		}
+	}
+}
+
+func TestDropoutCycleFreezesDutyAndAlarm(t *testing.T) {
+	set, f, chip, drv := rig(t)
+	dropout := faults.Static(faults.State{SensorDropout: true})
+	// cycle runs one monitoring cycle at temperature c, under a sensor
+	// dropout when drop is set.
+	cycle := func(c float64, drop bool) {
+		set(c)
+		if drop {
+			chip.temp.AttachInjector(dropout)
+		} else {
+			chip.temp.AttachInjector(nil)
+		}
+		chip.Step(time.Second)
+	}
+	alarm := func() bool {
+		t.Helper()
+		a, err := drv.TempAlarm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	// In limits, then a hot reading the chip never sees.
+	cycle(45, false)
+	duty := f.Duty()
+	cycle(95, true)
+	if f.Duty() != duty {
+		t.Errorf("dropout cycle moved the duty from %v to %v", duty, f.Duty())
+	}
+	if alarm() {
+		t.Error("dropout cycle raised the alarm from a reading it never took")
+	}
+
+	// Violating, then a cool reading the chip never sees: the duty and
+	// the live violation both hold, so the latch re-arms on every read.
+	cycle(95, false)
+	duty = f.Duty()
+	cycle(45, true)
+	if f.Duty() != duty {
+		t.Errorf("dropout cycle moved the duty from %v to %v", duty, f.Duty())
+	}
+	for i := 0; i < 2; i++ {
+		if !alarm() {
+			t.Fatalf("alarm read %d after a dropout cycle cleared the held violation", i)
+		}
+	}
+}
+
+// BenchmarkChipStepAuto prices one monitoring cycle as a node pays it:
+// a noisy sensor whose conversion tick advances every cycle, so each
+// cycle draws fresh Box-Muller noise.
 func BenchmarkChipStepAuto(b *testing.B) {
 	src := sensor.SourceFunc(func() float64 { return 55 })
-	sens := sensor.New(sensor.Config{}, src, nil)
+	sens := sensor.New(sensor.Default(), src, rng.New(1))
+	var tick uint64
+	sens.SetTickSource(func() uint64 { return tick })
 	f := fan.New(fan.Default(), 10)
 	chip := NewChip(sens, f)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chip.Step(250 * time.Millisecond)
+		chip.Step(50 * time.Millisecond)
+		tick++
 	}
 }

@@ -39,27 +39,30 @@ type Scaler interface {
 // SimScaler implements Scaler over the simulated CPU, and additionally
 // tracks per-frequency residency for the stats/time_in_state file.
 type SimScaler struct {
-	c         *cpu.CPU
-	residency map[int64]time.Duration
+	c *cpu.CPU
+	// residency is indexed by P-state, parallel to the CPU's table.
+	residency []time.Duration
 }
 
 // NewSimScaler wraps c.
 func NewSimScaler(c *cpu.CPU) *SimScaler {
-	return &SimScaler{c: c, residency: make(map[int64]time.Duration)}
+	return &SimScaler{c: c, residency: make([]time.Duration, len(c.Table()))}
 }
 
-// Account credits dt of residency to the current frequency. The node
+// Account credits dt of residency to the current P-state. The node
 // calls it once per simulation step.
 func (s *SimScaler) Account(dt time.Duration) {
-	s.residency[s.CurrentKHz()] += dt
+	s.residency[s.c.PState()] += dt
 }
 
 // TimeInState returns the per-frequency residency, in cpufreq's unit of
-// 10 ms ticks, keyed by kHz.
+// 10 ms ticks, keyed by kHz. Only states with residency have a key.
 func (s *SimScaler) TimeInState() map[int64]int64 {
 	out := make(map[int64]int64, len(s.residency))
-	for khz, d := range s.residency {
-		out[khz] = int64(d / (10 * time.Millisecond))
+	for i, p := range s.c.Table() {
+		if d := s.residency[i]; d != 0 {
+			out[ghzToKHz(p.FreqGHz)] = int64(d / (10 * time.Millisecond))
+		}
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package cpufreq
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -174,5 +176,59 @@ func TestTimeInStateResidency(t *testing.T) {
 	// Untouched frequencies appear with zero residency.
 	if !strings.Contains(body, "1000000 0") {
 		t.Errorf("zero-residency state missing:\n%s", body)
+	}
+}
+
+func TestTimeInStateRandomWalk(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		c, s := newScaler()
+		fs := hwmon.NewFS()
+		p := Mount(fs, 0, s)
+		freqs := s.AvailableKHz()
+		visited := map[int64]bool{}
+		var elapsed time.Duration
+		// Short walks leave some states unvisited, long ones visit all.
+		for steps := r.Intn(40); steps > 0; steps-- {
+			if r.Intn(3) == 0 {
+				c.SetPState(r.Intn(len(freqs)))
+			}
+			// Whole 10 ms ticks, so per-state floors sum exactly.
+			dt := time.Duration(1+r.Intn(100)) * 10 * time.Millisecond
+			s.Account(dt)
+			visited[s.CurrentKHz()] = true
+			elapsed += dt
+		}
+
+		tis := s.TimeInState()
+		var sum int64
+		for khz, ticks := range tis {
+			if !visited[khz] {
+				t.Errorf("seed %d: TimeInState has unvisited %d kHz", seed, khz)
+			}
+			sum += ticks
+		}
+		for khz := range visited {
+			if _, ok := tis[khz]; !ok {
+				t.Errorf("seed %d: TimeInState misses visited %d kHz", seed, khz)
+			}
+		}
+		if want := int64(elapsed / (10 * time.Millisecond)); sum != want {
+			t.Errorf("seed %d: residency sums to %d ticks, want %d", seed, sum, want)
+		}
+
+		body, err := fs.ReadFile(p.TimeInState)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(body), "\n")
+		if len(lines) != len(freqs) {
+			t.Fatalf("seed %d: time_in_state has %d lines, want %d:\n%s", seed, len(lines), len(freqs), body)
+		}
+		for i, khz := range freqs {
+			if want := fmt.Sprintf("%d %d", khz, tis[khz]); lines[i] != want {
+				t.Errorf("seed %d: time_in_state line %d = %q, want %q", seed, i, lines[i], want)
+			}
+		}
 	}
 }

@@ -58,6 +58,13 @@ type Fan struct {
 	rpm    float64 // current (lagged) speed
 	failed bool
 
+	// lagDt and lag memoize the rotor's per-step lag factor
+	// 1-exp(-lagDt/TimeConst): a cluster steps at one fixed dt, so Step
+	// recomputes the exponential only when dt changes. The zero value is
+	// consistent (dt 0 lags by exactly 0).
+	lagDt time.Duration
+	lag   float64
+
 	// inj, when attached, drives bearing-degradation and hard-stall
 	// fault episodes on top of the explicit SetFailed knob.
 	inj *faults.Injector
@@ -143,8 +150,10 @@ func (f *Fan) Step(dt time.Duration) {
 		f.rpm = target
 		return
 	}
-	alpha := 1 - math.Exp(-dt.Seconds()/tau)
-	f.rpm += alpha * (target - f.rpm)
+	if dt != f.lagDt {
+		f.lagDt, f.lag = dt, 1-math.Exp(-dt.Seconds()/tau)
+	}
+	f.rpm += f.lag * (target - f.rpm)
 }
 
 // RPM returns the true current rotational speed.

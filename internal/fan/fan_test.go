@@ -135,6 +135,36 @@ func TestStringMentionsDutyAndRPM(t *testing.T) {
 	}
 }
 
+func TestStepMatchesClosedForm(t *testing.T) {
+	// Node.Settle steps the rotor at 1 s and a cluster at 50 ms; the
+	// memoized lag factor must give the closed form bit for bit across
+	// every switch between them, at dt 0 and with no rotor lag.
+	var dts []time.Duration
+	for i := 0; i < 3; i++ {
+		dts = append(dts, time.Second, time.Second, 50*time.Millisecond, 0, 50*time.Millisecond,
+			50*time.Millisecond, time.Second, 0, 0, 250*time.Millisecond, 50*time.Millisecond)
+	}
+	for _, tc := range []time.Duration{Default().TimeConst, 0} {
+		cfg := Default()
+		cfg.TimeConst = tc
+		f := New(cfg, 10)
+		rpm := f.RPM()
+		for i, dt := range dts {
+			f.SetDuty(float64(10 + 37*i%91))
+			target := f.targetRPM()
+			if tau := cfg.TimeConst.Seconds(); tau > 0 {
+				rpm += (1 - math.Exp(-dt.Seconds()/tau)) * (target - rpm)
+			} else {
+				rpm = target
+			}
+			f.Step(dt)
+			if math.Float64bits(f.RPM()) != math.Float64bits(rpm) {
+				t.Fatalf("TimeConst %v step %d (dt %v): RPM %v, closed form %v", tc, i, dt, f.RPM(), rpm)
+			}
+		}
+	}
+}
+
 func BenchmarkFanStep(b *testing.B) {
 	f := New(Default(), 50)
 	f.SetDuty(80)

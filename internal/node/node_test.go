@@ -313,6 +313,10 @@ func TestACPIThrottlingMounted(t *testing.T) {
 	}
 }
 
+// stepDt is the cluster's step (cluster.DefaultDt), the dt every node
+// steps at in a fleet run.
+const stepDt = 50 * time.Millisecond
+
 func BenchmarkNodeStep(b *testing.B) {
 	n, err := New(DefaultConfig("bench", 1))
 	if err != nil {
@@ -321,7 +325,24 @@ func BenchmarkNodeStep(b *testing.B) {
 	n.SetGenerator(workload.Constant(0.8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Step(250 * time.Millisecond)
+		n.Step(stepDt)
+	}
+}
+
+func TestStepAllocationFree(t *testing.T) {
+	for _, manual := range []bool{false, true} {
+		n, err := New(DefaultConfig("alloc", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Drv.SetManual(manual); err != nil {
+			t.Fatal(err)
+		}
+		n.SetGenerator(workload.Constant(0.8))
+		n.Settle(0.8)
+		if allocs := testing.AllocsPerRun(400, func() { n.Step(stepDt) }); allocs != 0 {
+			t.Errorf("manual=%v: Step allocates %v times per call, want 0", manual, allocs)
+		}
 	}
 }
 

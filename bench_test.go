@@ -252,7 +252,7 @@ func benchFanRun(b *testing.B, win window.Config, useL2 bool) (steadyC float64, 
 	ctl, err := core.NewController(cfg,
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 		core.ActuatorBinding{Actuator: core.NewFanActuator(
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+			core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func BenchmarkAblatePpSweep(b *testing.B) {
 			ctl, err := core.NewController(core.DefaultConfig(pp),
 				core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 				core.ActuatorBinding{Actuator: core.NewFanActuator(
-					&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+					core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -367,7 +367,7 @@ func BenchmarkAblateVsPID(b *testing.B) {
 		if usePID {
 			p, err := baseline.NewPIDFan(baseline.DefaultPIDFanConfig(),
 				core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-				&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
+				core.NewSysfsFanPort(n.FS, n.Hwmon))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -376,7 +376,7 @@ func BenchmarkAblateVsPID(b *testing.B) {
 			c, err := core.NewController(core.DefaultConfig(50),
 				core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 				core.ActuatorBinding{Actuator: core.NewFanActuator(
-					&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+					core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 			if err != nil {
 				b.Fatal(err)
 			}

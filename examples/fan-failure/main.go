@@ -33,7 +33,7 @@ func main() {
 		}
 		n.Settle(0)
 		// A healthy 60% fan until the failure.
-		port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+		port := core.NewSysfsFanPort(n.FS, n.Hwmon)
 		if err := port.SetDutyPercent(60); err != nil {
 			log.Fatal(err)
 		}
@@ -46,12 +46,13 @@ func main() {
 		case "watchdog":
 			// The tach watchdog is no scenario technique: it is wired by
 			// hand onto the node's DVFS actuator.
-			act, aerr := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+			act, aerr := core.NewDVFSActuator(core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 			if aerr != nil {
 				log.Fatal(aerr)
 			}
+			fanInput := n.FS.Open(n.Hwmon.FanInput)
 			rpm := func() (float64, error) {
-				v, err := n.FS.ReadInt(n.Hwmon.FanInput)
+				v, err := fanInput.ReadInt()
 				return float64(v), err
 			}
 			wd, err = core.NewWatchdog(core.DefaultWatchdogConfig(), rpm, act)

@@ -90,13 +90,13 @@ func Mount(fs *hwmon.FS, idx int, c *cpu.CPU) Paths {
 // Actuator exposes the T-states to the unified controller: mode 0 is
 // T0 (least effective), mode 7 is T7 (most effective).
 type Actuator struct {
-	fs   *hwmon.FS
-	path string
+	throttling *hwmon.Attr
 }
 
-// NewActuator returns an actuator driving the mounted throttling file.
+// NewActuator returns an actuator driving the mounted throttling file,
+// opened once here.
 func NewActuator(fs *hwmon.FS, p Paths) *Actuator {
-	return &Actuator{fs: fs, path: p.Throttling}
+	return &Actuator{throttling: fs.Open(p.Throttling)}
 }
 
 // Name implements core.Actuator.
@@ -123,12 +123,12 @@ func (a *Actuator) Apply(m int) error {
 	if m >= NumTStates {
 		m = NumTStates - 1
 	}
-	return a.fs.WriteFile(a.path, tstateStrings[m])
+	return a.throttling.Write(tstateStrings[m])
 }
 
 // Current implements core.Actuator.
 func (a *Actuator) Current() (int, error) {
-	body, err := a.fs.ReadFile(a.path)
+	body, err := a.throttling.Read()
 	if err != nil {
 		return 0, err
 	}

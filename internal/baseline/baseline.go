@@ -212,7 +212,7 @@ type CPUSpeed struct {
 // the transaction's error counter.
 type cpuSpeedPolicy struct {
 	cfg  CPUSpeedConfig
-	fs   *hwmon.FS
+	stat *hwmon.Attr // /proc/stat, opened when the daemon is built
 	freq core.FreqPort
 
 	lastBusy, lastTotal float64
@@ -237,7 +237,7 @@ func NewCPUSpeed(cfg CPUSpeedConfig, fs *hwmon.FS, freq core.FreqPort) (*CPUSpee
 	if err != nil {
 		return nil, fmt.Errorf("baseline: cpuspeed: %w", err)
 	}
-	pol := &cpuSpeedPolicy{cfg: cfg, fs: fs, freq: freq, nmodes: len(freqs)}
+	pol := &cpuSpeedPolicy{cfg: cfg, stat: fs.Open("/proc/stat"), freq: freq, nmodes: len(freqs)}
 	b, err := core.NewBinding(core.BindingConfig{
 		Policy:       pol,
 		SamplePeriod: cfg.Interval,
@@ -259,7 +259,7 @@ func (c *CPUSpeed) Errors() uint64 { return c.b.Errors() }
 // readProcStat parses the aggregate cpu line of /proc/stat into busy and
 // total jiffies.
 func (p *cpuSpeedPolicy) readProcStat() (busy, total float64, err error) {
-	body, err := p.fs.ReadFile("/proc/stat")
+	body, err := p.stat.Read()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -24,7 +24,7 @@ func TestStaticFanDutyLine(t *testing.T) {
 	n := newTestNode(t)
 	s, err := NewStaticFan(DefaultStaticFanConfig(100),
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
+		core.NewSysfsFanPort(n.FS, n.Hwmon))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestStaticFanCap(t *testing.T) {
 	n := newTestNode(t)
 	s, err := NewStaticFan(DefaultStaticFanConfig(75),
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
+		core.NewSysfsFanPort(n.FS, n.Hwmon))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestStaticFanCap(t *testing.T) {
 func TestStaticFanValidation(t *testing.T) {
 	n := newTestNode(t)
 	read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
-	port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+	port := core.NewSysfsFanPort(n.FS, n.Hwmon)
 	if _, err := NewStaticFan(DefaultStaticFanConfig(75), nil, port); err == nil {
 		t.Error("nil reader accepted")
 	}
@@ -74,7 +74,7 @@ func TestStaticFanFollowsTemperature(t *testing.T) {
 	n.Settle(0)
 	s, err := NewStaticFan(DefaultStaticFanConfig(100),
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
+		core.NewSysfsFanPort(n.FS, n.Hwmon))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestStaticFanFollowsTemperature(t *testing.T) {
 
 func TestConstantFanPins(t *testing.T) {
 	n := newTestNode(t)
-	c := NewConstantFan(75, &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
+	c := NewConstantFan(75, core.NewSysfsFanPort(n.FS, n.Hwmon))
 	c.OnStep(0)
 	c.OnStep(time.Second)
 	if d := n.Fan.Duty(); math.Abs(d-75) > 1 {
@@ -106,7 +106,7 @@ func TestConstantFanPins(t *testing.T) {
 
 func TestCPUSpeedValidation(t *testing.T) {
 	n := newTestNode(t)
-	port := &core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq}
+	port := core.NewSysfsFreqPort(n.FS, n.Cpufreq)
 	if _, err := NewCPUSpeed(DefaultCPUSpeedConfig(), nil, port); err == nil {
 		t.Error("nil fs accepted")
 	}
@@ -120,7 +120,7 @@ func TestCPUSpeedValidation(t *testing.T) {
 func TestCPUSpeedStaysFastUnderFullLoad(t *testing.T) {
 	n := newTestNode(t)
 	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
-		&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+		core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCPUSpeedStaysFastUnderFullLoad(t *testing.T) {
 func TestCPUSpeedStepsDownWhenIdle(t *testing.T) {
 	n := newTestNode(t)
 	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
-		&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+		core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCPUSpeedStepsDownWhenIdle(t *testing.T) {
 func TestCPUSpeedJumpsToMaxOnLoad(t *testing.T) {
 	n := newTestNode(t)
 	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
-		&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+		core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCPUSpeedChurnsOnParallelWorkload(t *testing.T) {
 	c.Settle(0)
 	for i, n := range c.Nodes {
 		cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
-			&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+			core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func BenchmarkCPUSpeedOnStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
-		&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+		core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func pidRig(t *testing.T, cfg PIDFanConfig) (*node.Node, *PIDFan) {
 	n.Settle(0)
 	p, err := NewPIDFan(cfg,
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
+		core.NewSysfsFanPort(n.FS, n.Hwmon))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func pidRig(t *testing.T, cfg PIDFanConfig) (*node.Node, *PIDFan) {
 func TestPIDValidation(t *testing.T) {
 	n := newTestNode(t)
 	read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
-	port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+	port := core.NewSysfsFanPort(n.FS, n.Hwmon)
 	if _, err := NewPIDFan(DefaultPIDFanConfig(), nil, port); err == nil {
 		t.Error("nil reader accepted")
 	}
@@ -129,7 +129,7 @@ func TestPIDChurnsOnJitterWherePaperControllerHolds(t *testing.T) {
 	pidSwing := dutySwing(func(n *node.Node) func(time.Duration) {
 		p, err := NewPIDFan(DefaultPIDFanConfig(),
 			core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon})
+			core.NewSysfsFanPort(n.FS, n.Hwmon))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestPIDChurnsOnJitterWherePaperControllerHolds(t *testing.T) {
 		c, err := core.NewController(core.DefaultConfig(50),
 			core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 			core.ActuatorBinding{Actuator: core.NewFanActuator(
-				&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+				core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -210,11 +210,11 @@ func BenchmarkEngineStep(b *testing.B) {
 					read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
 					fan, err := core.NewController(core.DefaultConfig(50), read,
 						core.ActuatorBinding{Actuator: core.NewFanActuator(
-							&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+							core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 					if err != nil {
 						b.Fatal(err)
 					}
-					act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+					act, err := core.NewDVFSActuator(core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -65,11 +65,11 @@ func hybridClusterTrace(t *testing.T, nodes, workers, want int) []string {
 		read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
 		fan, err := core.NewController(core.DefaultConfig(50), read,
 			core.ActuatorBinding{Actuator: core.NewFanActuator(
-				&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+				core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+		act, err := core.NewDVFSActuator(core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 		if err != nil {
 			t.Fatal(err)
 		}

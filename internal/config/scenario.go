@@ -317,11 +317,23 @@ func (nc *NodeControl) SleepState() (mode int, moves uint64, ok bool) {
 // through it.
 func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, error) {
 	out := &NodeControl{}
-	read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
-	fanPort := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
-	var freqPort core.FreqPort = &core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq}
-	if opt.Retrier != nil {
-		freqPort = &core.RetryFreqPort{Port: freqPort, R: opt.Retrier}
+	// Each lane opens the sysfs attributes it drives when it is wired,
+	// so a node left on the chip's auto curve opens none. The lanes
+	// share one temperature reader.
+	var read core.TempReader
+	temp := func() core.TempReader {
+		if read == nil {
+			read = core.SysfsTemp(n.FS, n.Hwmon.TempInput)
+		}
+		return read
+	}
+	fanPort := func() core.FanPort { return core.NewSysfsFanPort(n.FS, n.Hwmon) }
+	freqPort := func() core.FreqPort {
+		var p core.FreqPort = core.NewSysfsFreqPort(n.FS, n.Cpufreq)
+		if opt.Retrier != nil {
+			p = &core.RetryFreqPort{Port: p, R: opt.Retrier}
+		}
+		return p
 	}
 	wrap := func(a core.Actuator) core.Actuator {
 		if opt.Retrier == nil {
@@ -338,14 +350,14 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 	switch cs.Fan {
 	case "dynamic":
 		bindings := []core.ActuatorBinding{{
-			Actuator: wrap(core.NewFanActuator(fanPort, tune.MaxFanDuty)),
+			Actuator: wrap(core.NewFanActuator(fanPort(), tune.MaxFanDuty)),
 		}}
 		if cs.Sleep == "ctlarray" {
 			bindings = append(bindings, core.ActuatorBinding{
 				Actuator: wrap(cstates.NewActuator(n.FS, n.CStates)),
 			})
 		}
-		ctl, err := core.NewController(tune.ControllerConfig(), read, bindings...)
+		ctl, err := core.NewController(tune.ControllerConfig(), temp(), bindings...)
 		if err != nil {
 			return nil, err
 		}
@@ -353,14 +365,14 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 		out.Fan = ctl
 		out.Lanes = append(out.Lanes, Lane{"fan", ctl.Binding()})
 	case "static":
-		s, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(tune.MaxFanDuty), read, fanPort)
+		s, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(tune.MaxFanDuty), temp(), fanPort())
 		if err != nil {
 			return nil, err
 		}
 		out.Controllers = append(out.Controllers, s)
 		out.Lanes = append(out.Lanes, Lane{"fan", s.Binding()})
 	case "constant":
-		cf := baseline.NewConstantFan(tune.MaxFanDuty, fanPort)
+		cf := baseline.NewConstantFan(tune.MaxFanDuty, fanPort())
 		out.Controllers = append(out.Controllers, cf)
 		out.Lanes = append(out.Lanes, Lane{"fan", cf.Binding()})
 	case "auto":
@@ -369,11 +381,11 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 
 	switch cs.DVFS {
 	case "tdvfs":
-		act, err := core.NewDVFSActuator(freqPort)
+		act, err := core.NewDVFSActuator(freqPort())
 		if err != nil {
 			return nil, err
 		}
-		d, err := core.NewTDVFS(tune.TDVFSConfig(), read, act)
+		d, err := core.NewTDVFS(tune.TDVFSConfig(), temp(), act)
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +406,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 			out.Controllers = append(out.Controllers, d)
 		}
 	case "cpuspeed":
-		csd, err := baseline.NewCPUSpeed(baseline.DefaultCPUSpeedConfig(), n.FS, freqPort)
+		csd, err := baseline.NewCPUSpeed(baseline.DefaultCPUSpeedConfig(), n.FS, freqPort())
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +425,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 	// hosts the actuator: the same decision law over the cstates mode
 	// set alone, proving the array is technique-agnostic.
 	if cs.Sleep == "ctlarray" && out.Fan == nil {
-		ctl, err := core.NewController(tune.ControllerConfig(), read,
+		ctl, err := core.NewController(tune.ControllerConfig(), temp(),
 			core.ActuatorBinding{Actuator: wrap(cstates.NewActuator(n.FS, n.CStates))})
 		if err != nil {
 			return nil, err

@@ -307,7 +307,7 @@ func TestEndToEndFanControlOnNode(t *testing.T) {
 	ctl, err := NewController(
 		DefaultConfig(50),
 		SysfsTemp(n.FS, n.Hwmon.TempInput),
-		ActuatorBinding{Actuator: NewFanActuator(&SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)},
+		ActuatorBinding{Actuator: NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 100)},
 	)
 	if err != nil {
 		t.Fatal(err)

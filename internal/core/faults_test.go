@@ -26,7 +26,7 @@ func TestFanControlSurvivesFlakyBus(t *testing.T) {
 
 	ctl, err := NewController(DefaultConfig(50),
 		SysfsTemp(n.FS, n.Hwmon.TempInput), // hwmon path: unaffected by the bus
-		ActuatorBinding{Actuator: NewFanActuator(&SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+		ActuatorBinding{Actuator: NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTDVFSSurvivesSensorDropouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	act, err := NewDVFSActuator(&SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}

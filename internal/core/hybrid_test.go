@@ -10,7 +10,7 @@ import (
 )
 
 // newHybridRig builds a node with a full unified controller.
-func newHybridRig(t *testing.T, pp int, maxDuty float64) (*node.Node, *Hybrid) {
+func newHybridRig(t testing.TB, pp int, maxDuty float64) (*node.Node, *Hybrid) {
 	t.Helper()
 	n, err := node.New(node.DefaultConfig("hybrid", 13))
 	if err != nil {
@@ -19,11 +19,11 @@ func newHybridRig(t *testing.T, pp int, maxDuty float64) (*node.Node, *Hybrid) {
 	n.Settle(0)
 	read := SysfsTemp(n.FS, n.Hwmon.TempInput)
 	fan, err := NewController(DefaultConfig(pp), read,
-		ActuatorBinding{Actuator: NewFanActuator(&SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, maxDuty)})
+		ActuatorBinding{Actuator: NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), maxDuty)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	act, err := NewDVFSActuator(&SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +205,23 @@ func TestHybridLanesFailSafeOnDeadSensor(t *testing.T) {
 	}
 	if port.duty != 100 {
 		t.Errorf("fan at %v%% under fail-safe, want 100", port.duty)
+	}
+}
+
+// BenchmarkControlRound times one hybrid node's control round through
+// the in-band sysfs ports: the temperature read, the fan array and
+// tDVFS decisions, and any pwm1/scaling_setspeed write they make. The
+// node is warmed under cpu-burn first and not stepped while timed.
+func BenchmarkControlRound(b *testing.B) {
+	n, h := newHybridRig(b, 50, 30)
+	n.SetGenerator(workload.NewCPUBurn(nil))
+	runHybrid(n, h, 2*time.Minute)
+	now := n.Elapsed()
+	period := 250 * time.Millisecond
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += period
+		h.OnStep(now)
 	}
 }

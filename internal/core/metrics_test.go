@@ -60,7 +60,7 @@ func TestWatchdogInstrumentMetrics(t *testing.T) {
 	n, w := newWatchdogRig(t)
 	reg := metrics.NewRegistry()
 	w.InstrumentMetrics(reg)
-	port := &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	if err := port.SetDutyPercent(50); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func runFanControlOver(t *testing.T, seed uint64, oob bool) (finalTempC, finalDu
 		port = &IPMIFanPort{C: client}
 	} else {
 		read = SysfsTemp(n.FS, n.Hwmon.TempInput)
-		port = &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+		port = NewSysfsFanPort(n.FS, n.Hwmon)
 	}
 	ctl, err := NewController(DefaultConfig(50), read,
 		ActuatorBinding{Actuator: NewFanActuator(port, 100)})

@@ -30,10 +30,12 @@ import (
 type TempReader func() (float64, error)
 
 // SysfsTemp reads an hwmon temp*_input attribute (millidegrees) —
-// the in-band path, equivalent to lm-sensors.
+// the in-band path, equivalent to lm-sensors. The attribute is opened
+// once, here, and re-read through the handle on every sample.
 func SysfsTemp(fs *hwmon.FS, path string) TempReader {
+	attr := fs.Open(path)
 	return func() (float64, error) {
-		v, err := fs.ReadInt(path)
+		v, err := attr.ReadInt()
 		if err != nil {
 			return 0, err
 		}
@@ -55,10 +57,14 @@ type FanPort interface {
 // SysfsFanPort drives pwm1 through the virtual sysfs (in-band). It
 // flips pwm1_enable to manual on first use.
 type SysfsFanPort struct {
-	FS   *hwmon.FS
-	Chip hwmon.Chip
+	pwm, enable *hwmon.Attr
 
 	armed bool
+}
+
+// NewSysfsFanPort opens the chip's pwm1 and pwm1_enable attributes.
+func NewSysfsFanPort(fs *hwmon.FS, chip hwmon.Chip) *SysfsFanPort {
+	return &SysfsFanPort{pwm: fs.Open(chip.PWM), enable: fs.Open(chip.PWMEnable)}
 }
 
 // SetDutyPercent implements FanPort.
@@ -66,19 +72,19 @@ type SysfsFanPort struct {
 //thermlint:unit d=percent
 func (p *SysfsFanPort) SetDutyPercent(d float64) error {
 	if !p.armed {
-		if err := p.FS.WriteInt(p.Chip.PWMEnable, hwmon.PWMEnableManual); err != nil {
+		if err := p.enable.WriteInt(hwmon.PWMEnableManual); err != nil {
 			return err
 		}
 		p.armed = true
 	}
-	return p.FS.WriteInt(p.Chip.PWM, dutyToPWMReg(d))
+	return p.pwm.WriteInt(dutyToPWMReg(d))
 }
 
 // DutyPercent implements FanPort.
 //
 //thermlint:unit percent
 func (p *SysfsFanPort) DutyPercent() (float64, error) {
-	v, err := p.FS.ReadInt(p.Chip.PWM)
+	v, err := p.pwm.ReadInt()
 	if err != nil {
 		return 0, err
 	}
@@ -131,13 +137,22 @@ type FreqPort interface {
 
 // SysfsFreqPort drives cpufreq through the virtual sysfs.
 type SysfsFreqPort struct {
-	FS    *hwmon.FS
-	Paths cpufreq.Paths
+	availAttr, setSpeed, curFreq *hwmon.Attr
 
 	// avail caches the parsed frequency table: the set of available
 	// frequencies of a CPU is static, and policies may ask for it on
 	// every decision.
 	avail []int64
+}
+
+// NewSysfsFreqPort opens the policy's scaling_available_frequencies,
+// scaling_setspeed and scaling_cur_freq attributes.
+func NewSysfsFreqPort(fs *hwmon.FS, paths cpufreq.Paths) *SysfsFreqPort {
+	return &SysfsFreqPort{
+		availAttr: fs.Open(paths.AvailableFreqs),
+		setSpeed:  fs.Open(paths.SetSpeed),
+		curFreq:   fs.Open(paths.CurFreq),
+	}
 }
 
 // AvailableKHz implements FreqPort. The table is read and parsed once,
@@ -149,7 +164,7 @@ func (p *SysfsFreqPort) AvailableKHz() ([]int64, error) {
 	if p.avail != nil {
 		return p.avail, nil
 	}
-	body, err := p.FS.ReadFile(p.Paths.AvailableFreqs)
+	body, err := p.availAttr.Read()
 	if err != nil {
 		return nil, err
 	}
@@ -165,14 +180,14 @@ func (p *SysfsFreqPort) AvailableKHz() ([]int64, error) {
 //
 //thermlint:unit f=kHz
 func (p *SysfsFreqPort) SetKHz(f int64) error {
-	return p.FS.WriteInt(p.Paths.SetSpeed, f)
+	return p.setSpeed.WriteInt(f)
 }
 
 // CurrentKHz implements FreqPort.
 //
 //thermlint:unit kHz
 func (p *SysfsFreqPort) CurrentKHz() (int64, error) {
-	return p.FS.ReadInt(p.Paths.CurFreq)
+	return p.curFreq.ReadInt()
 }
 
 // Actuator is one thermal control technique unified under the control

@@ -34,6 +34,45 @@ func TestSysfsTempReader(t *testing.T) {
 	}
 }
 
+// TestSysfsPortsAllocationFree pins the in-band port methods a control
+// round calls at zero allocations after warm-up: each resolves its
+// attribute once, at wiring time. The ACPI throttling actuator and
+// CPUSPEED's /proc/stat read are left out on purpose: both speak a text
+// file (the throttling table, kernel-formatted jiffies) that is
+// formatted and parsed on every access, as on a real host.
+func TestSysfsPortsAllocationFree(t *testing.T) {
+	n := newTestNode(t)
+	n.Settle(0)
+	read := SysfsTemp(n.FS, n.Hwmon.TempInput)
+	fan := NewSysfsFanPort(n.FS, n.Hwmon)
+	freq := NewSysfsFreqPort(n.FS, n.Cpufreq)
+	freqs, err := freq.AvailableKHz()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	roots := []struct {
+		name string
+		fn   func()
+	}{
+		{"SysfsTemp", func() { _, err := read(); check(err) }},
+		{"SysfsFanPort.SetDutyPercent", func() { check(fan.SetDutyPercent(60)) }},
+		{"SysfsFanPort.DutyPercent", func() { _, err := fan.DutyPercent(); check(err) }},
+		{"SysfsFreqPort.SetKHz", func() { check(freq.SetKHz(freqs[len(freqs)-1])) }},
+		{"SysfsFreqPort.CurrentKHz", func() { _, err := freq.CurrentKHz(); check(err) }},
+	}
+	for _, r := range roots {
+		r.fn() // warm-up: the fan port arms pwm1_enable on first use
+		if allocs := testing.AllocsPerRun(200, r.fn); allocs != 0 {
+			t.Errorf("%s allocates %v per call, want 0", r.name, allocs)
+		}
+	}
+}
+
 func TestIPMITempReader(t *testing.T) {
 	n := newTestNode(t)
 	n.Settle(0)
@@ -49,7 +88,7 @@ func TestIPMITempReader(t *testing.T) {
 
 func TestSysfsFanPort(t *testing.T) {
 	n := newTestNode(t)
-	p := &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+	p := NewSysfsFanPort(n.FS, n.Hwmon)
 	if err := p.SetDutyPercent(60); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +114,7 @@ func TestIPMIFanPort(t *testing.T) {
 
 func TestFanActuatorModeMapping(t *testing.T) {
 	n := newTestNode(t)
-	act := NewFanActuator(&SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 75)
+	act := NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 75)
 	if act.NumModes() != 100 {
 		t.Fatalf("NumModes = %d", act.NumModes())
 	}
@@ -102,7 +141,7 @@ func TestFanActuatorModeMapping(t *testing.T) {
 
 func TestFanActuatorApplyCurrentRoundTrip(t *testing.T) {
 	n := newTestNode(t)
-	act := NewFanActuator(&SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)
+	act := NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 100)
 	for _, m := range []int{0, 25, 50, 99} {
 		if err := act.Apply(m); err != nil {
 			t.Fatal(err)
@@ -126,7 +165,7 @@ func absInt(v int) int {
 
 func TestDVFSActuator(t *testing.T) {
 	n := newTestNode(t)
-	act, err := NewDVFSActuator(&SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +192,7 @@ func TestDVFSActuator(t *testing.T) {
 
 func TestDVFSActuatorClamping(t *testing.T) {
 	n := newTestNode(t)
-	act, err := NewDVFSActuator(&SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func newDVFSRig(t *testing.T) (*node.Node, *DVFSActuator) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	act, err := NewDVFSActuator(&SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestTDVFSEndToEndStabilizesHotNode(t *testing.T) {
 	n, act := newDVFSRig(t)
 	n.Settle(0)
 	// Pin the fan at 25% duty (weak cooling).
-	port := &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	if err := port.SetDutyPercent(25); err != nil {
 		t.Fatal(err)
 	}

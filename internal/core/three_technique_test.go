@@ -21,8 +21,8 @@ func TestUnifiedControllerOverThreeTechniques(t *testing.T) {
 	}
 	n.Settle(0)
 	read := SysfsTemp(n.FS, n.Hwmon.TempInput)
-	fanAct := NewFanActuator(&SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)
-	dvfsAct, err := NewDVFSActuator(&SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	fanAct := NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 100)
+	dvfsAct, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDVFSBeatsThrottlePerLostCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Settle(0)
-		port := &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+		port := NewSysfsFanPort(n.FS, n.Hwmon)
 		if err := port.SetDutyPercent(50); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"thermctl/internal/faults"
+	"thermctl/internal/i2c"
 	"thermctl/internal/node"
+	"thermctl/internal/rng"
 	"thermctl/internal/workload"
 )
 
@@ -15,12 +19,13 @@ func newWatchdogRig(t *testing.T) (*node.Node, *Watchdog) {
 		t.Fatal(err)
 	}
 	n.Settle(0)
-	act, err := NewDVFSActuator(&SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fanInput := n.FS.Open(n.Hwmon.FanInput)
 	rpm := func() (float64, error) {
-		v, err := n.FS.ReadInt(n.Hwmon.FanInput)
+		v, err := fanInput.ReadInt()
 		return float64(v), err
 	}
 	w, err := NewWatchdog(DefaultWatchdogConfig(), rpm, act)
@@ -45,7 +50,7 @@ func TestWatchdogValidation(t *testing.T) {
 func TestWatchdogDeclaresFailureAndDownclocks(t *testing.T) {
 	n, w := newWatchdogRig(t)
 	// Fan running: pin it at 50% through sysfs.
-	port := &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	if err := port.SetDutyPercent(50); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestWatchdogDeclaresFailureAndDownclocks(t *testing.T) {
 
 func TestWatchdogRecovers(t *testing.T) {
 	n, w := newWatchdogRig(t)
-	port := &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	_ = port.SetDutyPercent(50)
 	n.SetGenerator(workload.NewCPUBurn(nil))
 	dt := 250 * time.Millisecond
@@ -115,7 +120,7 @@ func TestWatchdogRecovers(t *testing.T) {
 
 func TestWatchdogIgnoresBriefStall(t *testing.T) {
 	n, w := newWatchdogRig(t)
-	port := &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	_ = port.SetDutyPercent(50)
 	dt := 250 * time.Millisecond
 	run := func(steps int) {
@@ -150,16 +155,17 @@ func TestWatchdogBeatsThermalResponse(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Settle(0)
-		port := &SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+		port := NewSysfsFanPort(n.FS, n.Hwmon)
 		_ = port.SetDutyPercent(60)
-		act, err := NewDVFSActuator(&SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+		act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ctl interface{ OnStep(time.Duration) }
 		if useWatchdog {
+			fanInput := n.FS.Open(n.Hwmon.FanInput)
 			rpm := func() (float64, error) {
-				v, err := n.FS.ReadInt(n.Hwmon.FanInput)
+				v, err := fanInput.ReadInt()
 				return float64(v), err
 			}
 			ctl, err = NewWatchdog(DefaultWatchdogConfig(), rpm, act)
@@ -188,5 +194,39 @@ func TestWatchdogBeatsThermalResponse(t *testing.T) {
 	td := peak(false)
 	if wd >= td {
 		t.Errorf("watchdog peak %.2f °C not below tDVFS peak %.2f °C", wd, td)
+	}
+}
+
+// TestWatchdogCountsNAKAsReadError: during an i2c NAK burst fan1_input
+// fails with the driver's error instead of reading as a 0 RPM tach, so
+// the watchdog counts read errors and never declares a stall.
+func TestWatchdogCountsNAKAsReadError(t *testing.T) {
+	n, w := newWatchdogRig(t)
+	if err := NewSysfsFanPort(n.FS, n.Hwmon).SetDutyPercent(50); err != nil {
+		t.Fatal(err)
+	}
+	plane, err := faults.NewPlane(faults.Plan{Schedules: []faults.Schedule{{
+		Target:   "wd",
+		Episodes: []faults.Episode{{Kind: faults.I2CNAK, Duration: faults.Dur(time.Hour), Rate: 1}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AttachFaults(plane.Injector("wd"), rng.New(3))
+	plane.OnStep(0)
+	if v, err := n.FS.ReadInt(n.Hwmon.FanInput); !errors.Is(err, i2c.ErrNACK) {
+		t.Fatalf("fan1_input during a NAK burst = %d, %v; want an i2c NAK error", v, err)
+	}
+	dt := 250 * time.Millisecond
+	for i := 0; i < 40; i++ {
+		n.Step(dt)
+		plane.OnStep(n.Elapsed())
+		w.OnStep(n.Elapsed())
+	}
+	if w.Errors() == 0 {
+		t.Error("watchdog counted no read errors during the NAK burst")
+	}
+	if w.Emergency() || len(w.Events()) != 0 {
+		t.Errorf("watchdog declared a stall on a healthy fan behind a NAKing bus: %+v", w.Events())
 	}
 }

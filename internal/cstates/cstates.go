@@ -78,13 +78,13 @@ func Mount(fs *hwmon.FS, idx int, c *cpu.CPU) Paths {
 // (least effective at reducing idle heat), the last mode the deepest
 // state.
 type Actuator struct {
-	fs   *hwmon.FS
-	path string
+	maxState *hwmon.Attr
 }
 
-// NewActuator returns an actuator driving the mounted cpuidle file.
+// NewActuator returns an actuator driving the mounted cpuidle file,
+// opened once here.
 func NewActuator(fs *hwmon.FS, p Paths) *Actuator {
-	return &Actuator{fs: fs, path: p.MaxState}
+	return &Actuator{maxState: fs.Open(p.MaxState)}
 }
 
 // Name implements core.Actuator.
@@ -101,12 +101,12 @@ func (a *Actuator) Apply(m int) error {
 	if n := len(Table()); m >= n {
 		m = n - 1
 	}
-	return a.fs.WriteInt(a.path, int64(m))
+	return a.maxState.WriteInt(int64(m))
 }
 
 // Current implements core.Actuator.
 func (a *Actuator) Current() (int, error) {
-	v, err := a.fs.ReadInt(a.path)
+	v, err := a.maxState.ReadInt()
 	if err != nil {
 		return 0, err
 	}

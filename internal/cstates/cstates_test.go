@@ -49,6 +49,33 @@ func TestMountAppliesIdleFactor(t *testing.T) {
 	}
 }
 
+// TestActuatorAllocationFree: Apply and Current sit on the control
+// round's actuation path and allocate nothing after warm-up.
+func TestActuatorAllocationFree(t *testing.T) {
+	fs, _, p := rig()
+	a := NewActuator(fs, p)
+	m := 0
+	apply := func() {
+		m = (m + 1) % a.NumModes()
+		if err := a.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	current := func() {
+		if _, err := a.Current(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply()
+	current()
+	if allocs := testing.AllocsPerRun(200, apply); allocs != 0 {
+		t.Errorf("Apply allocates %v per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, current); allocs != 0 {
+		t.Errorf("Current allocates %v per call, want 0", allocs)
+	}
+}
+
 func TestDeepIdleCutsIdlePowerOnly(t *testing.T) {
 	fs, c, p := rig()
 	c.SetUtilization(0)

@@ -65,7 +65,7 @@ func ablationRun(seed uint64, win window.Config) (AblationRow, error) {
 	ctl, err := core.NewController(cfg,
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 		core.ActuatorBinding{Actuator: core.NewFanActuator(
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+			core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 	if err != nil {
 		return AblationRow{}, err
 	}

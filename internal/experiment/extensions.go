@@ -65,7 +65,7 @@ func fanFailureRun(seed uint64, setup string, failAtS float64) (FanFailureRow, e
 	switch setup {
 	case "unprotected":
 		// Fan pinned at a healthy 50% until it dies; nothing reacts.
-		port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+		port := core.NewSysfsFanPort(n.FS, n.Hwmon)
 		if err := port.SetDutyPercent(50); err != nil {
 			return FanFailureRow{}, err
 		}

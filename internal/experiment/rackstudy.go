@@ -84,7 +84,7 @@ func rackRun(seed uint64, unified bool) ([]RackRow, error) {
 		}
 	} else {
 		for _, n := range nodes {
-			port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+			port := core.NewSysfsFanPort(n.FS, n.Hwmon)
 			if err := port.SetDutyPercent(45); err != nil {
 				return nil, err
 			}

@@ -65,18 +65,23 @@ func MountADT7467(fs *FS, idx int, drv *adt7467.Driver, sens *sensor.Sensor, f *
 	// a read error, the EIO a dead sensor produces on real sysfs, so
 	// in-band controllers can distinguish "no data" from a bogus 0 °C.
 	fs.Register(c.TempInput, IntFuncFile{ReadFn: sens.CheckedMillidegrees})
+	// Every other attribute is a register behind the i2c driver. A failed
+	// bus transaction (a NAK burst, a transient bus fault) fails the read
+	// with the driver's error, the EIO a real hwmon driver returns, so a
+	// reader never mistakes a dead bus for a 0 RPM tach or a 0 duty.
+	//
 	// temp1_max / temp1_max_alarm bridge the chip's limit registers and
 	// latched interrupt status into the standard hwmon names.
-	fs.Register(c.TempMax, IntFile{
+	fs.Register(c.TempMax, IntFuncFile{
 		Min: -128000, Max: 127000,
-		Get: func() int64 {
+		ReadFn: func() (int64, error) {
 			_, hi, err := drv.TempLimits()
 			if err != nil {
-				return 0
+				return 0, err
 			}
-			return int64(hi * 1000)
+			return int64(hi * 1000), nil
 		},
-		Set: func(v int64) error {
+		WriteFn: func(v int64) error {
 			lo, _, err := drv.TempLimits()
 			if err != nil {
 				return err
@@ -84,55 +89,55 @@ func MountADT7467(fs *FS, idx int, drv *adt7467.Driver, sens *sensor.Sensor, f *
 			return drv.SetTempLimits(lo, float64(v)/1000)
 		},
 	})
-	fs.Register(c.TempMaxAlarm, IntFile{
-		Get: func() int64 {
+	fs.Register(c.TempMaxAlarm, IntFuncFile{
+		ReadFn: func() (int64, error) {
 			a, err := drv.TempAlarm()
 			if err != nil || !a {
-				return 0
+				return 0, err
 			}
-			return 1
+			return 1, nil
 		},
 	})
 
-	fs.Register(c.FanInput, IntFile{
-		Get: func() int64 {
+	fs.Register(c.FanInput, IntFuncFile{
+		ReadFn: func() (int64, error) {
 			rpm, err := drv.FanRPM()
 			if err != nil {
-				return 0
+				return 0, err
 			}
-			return int64(math.Round(rpm))
+			return int64(math.Round(rpm)), nil
 		},
 	})
 
 	// pwm1_enable mirrors the chip's mode bits; writing it flips the
 	// chip between manual and automatic through the i2c driver.
-	fs.Register(c.PWMEnable, IntFile{
+	fs.Register(c.PWMEnable, IntFuncFile{
 		Min: 1, Max: 2,
-		Get: func() int64 {
+		ReadFn: func() (int64, error) {
 			m, err := drv.Manual()
 			if err != nil {
-				return 0
+				return 0, err
 			}
 			if m {
-				return PWMEnableManual
+				return PWMEnableManual, nil
 			}
-			return PWMEnableAuto
+			return PWMEnableAuto, nil
 		},
-		Set: func(v int64) error {
+		WriteFn: func(v int64) error {
 			return drv.SetManual(v == PWMEnableManual)
 		},
 	})
 
-	fs.Register(c.PWM, IntFile{
+	fs.Register(c.PWM, IntFuncFile{
 		Min: 0, Max: 255,
-		Get: func() int64 {
+		ReadFn: func() (int64, error) {
 			d, err := drv.Duty()
 			if err != nil {
-				return 0
+				return 0, err
 			}
-			return int64(math.Round(d * 255 / 100))
+			return int64(math.Round(d * 255 / 100)), nil
 		},
-		Set: func(v int64) error {
+		WriteFn: func(v int64) error {
 			if !manualMode(drv) {
 				// The Linux ADT746x driver rejects duty writes while
 				// the chip owns the fan.

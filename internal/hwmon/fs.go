@@ -9,6 +9,18 @@
 // That keeps the control code one string constant away from running
 // against the real /sys on a Linux host, which is the portability
 // property the paper claims for its framework.
+//
+// A real daemon opens such a file once and re-reads the open file
+// descriptor every period; FS.Open is that fd analogue. It cleans and
+// resolves a path once and returns an *Attr that caches the resolved
+// File, with its IntReader/IntWriter fast paths, and the tree's
+// registration generation. Register and Unregister bump the
+// generation; a handle whose generation is stale resolves its path
+// again on the next access. A handle therefore returns exactly what
+// the by-path call returns at that moment, ENOENT and EISDIR
+// included, while the steady state costs no path cleaning and no map
+// lookup. The by-path calls (ReadFile, WriteFile, ReadInt, WriteInt)
+// are one-shot handles over the same lookup.
 package hwmon
 
 import (
@@ -60,12 +72,15 @@ func (f FuncFile) Write(s string) error {
 }
 
 // IntFuncFile adapts integer-producing closures (which may fail, e.g.
-// on a sensor conversion error) to File. It implements IntReader, so
-// ReadInt on such an attribute skips the decimal round-trip — the
-// fast path for the control plane's per-sample temp_input reads.
+// on a sensor conversion error or a NAKed bus transaction) to File. It
+// implements IntReader, so ReadInt on such an attribute skips the
+// decimal round-trip — the fast path for the control plane's
+// per-sample temp_input reads. Min and Max bound accepted writes (both
+// zero means unbounded), as for IntFile.
 type IntFuncFile struct {
-	ReadFn  func() (int64, error)
-	WriteFn func(int64) error
+	ReadFn   func() (int64, error)
+	WriteFn  func(int64) error
+	Min, Max int64
 }
 
 // Read implements File.
@@ -94,6 +109,9 @@ func (f IntFuncFile) WriteInt(v int64) error {
 	if f.WriteFn == nil {
 		return ErrPermission
 	}
+	if err := checkRange(v, f.Min, f.Max); err != nil {
+		return err
+	}
 	return f.WriteFn(v)
 }
 
@@ -102,11 +120,11 @@ func (f IntFuncFile) Write(s string) error {
 	if f.WriteFn == nil {
 		return ErrPermission
 	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	v, err := parseInt(s)
 	if err != nil {
-		return fmt.Errorf("%w: %q", ErrInvalid, s)
+		return err
 	}
-	return f.WriteFn(v)
+	return f.WriteInt(v)
 }
 
 // StaticFile is a read-only constant attribute (e.g. a "name" file).
@@ -149,16 +167,11 @@ func (f IntFile) Write(s string) error {
 	if f.Set == nil {
 		return ErrPermission
 	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	v, err := parseInt(s)
 	if err != nil {
-		return fmt.Errorf("%w: %q", ErrInvalid, s)
+		return err
 	}
-	if f.Min != 0 || f.Max != 0 {
-		if v < f.Min || v > f.Max {
-			return fmt.Errorf("%w: %d outside [%d, %d]", ErrInvalid, v, f.Min, f.Max)
-		}
-	}
-	return f.Set(v)
+	return f.WriteInt(v)
 }
 
 // WriteInt implements IntWriter, enforcing the same bounds as Write
@@ -167,12 +180,29 @@ func (f IntFile) WriteInt(v int64) error {
 	if f.Set == nil {
 		return ErrPermission
 	}
-	if f.Min != 0 || f.Max != 0 {
-		if v < f.Min || v > f.Max {
-			return fmt.Errorf("%w: %d outside [%d, %d]", ErrInvalid, v, f.Min, f.Max)
-		}
+	if err := checkRange(v, f.Min, f.Max); err != nil {
+		return err
 	}
 	return f.Set(v)
+}
+
+// parseInt parses a written sysfs value: decimal, surrounding
+// whitespace (the trailing newline of `echo`) ignored.
+func parseInt(s string) (int64, error) {
+	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %q", ErrInvalid, s)
+	}
+	return v, nil
+}
+
+// checkRange enforces an integer attribute's write bounds; lo and hi
+// both zero means unbounded.
+func checkRange(v, lo, hi int64) error {
+	if (lo != 0 || hi != 0) && (v < lo || v > hi) {
+		return fmt.Errorf("%w: %d outside [%d, %d]", ErrInvalid, v, lo, hi)
+	}
+	return nil
 }
 
 // FS is the virtual sysfs tree. It is owned by the stepping goroutine;
@@ -180,6 +210,9 @@ func (f IntFile) WriteInt(v int64) error {
 type FS struct {
 	files map[string]File // cleaned absolute path → attribute
 	dirs  map[string]bool // cleaned absolute path → exists
+	// gen counts Register and Unregister calls; an Attr resolved at an
+	// older generation resolves its path again before its next access.
+	gen uint64
 }
 
 // NewFS returns an empty tree containing only "/".
@@ -208,6 +241,7 @@ func (fs *FS) Register(p string, f File) {
 		}
 	}
 	fs.files[p] = f
+	fs.gen++
 }
 
 // Unregister removes the attribute at p, if present. Empty parent
@@ -215,34 +249,20 @@ func (fs *FS) Register(p string, f File) {
 func (fs *FS) Unregister(p string) {
 	p = clean(p)
 	delete(fs.files, p)
+	fs.gen++
 }
 
-// ReadFile returns the content of the attribute at p.
-func (fs *FS) ReadFile(p string) (string, error) {
-	p = clean(p)
+// lookup resolves a cleaned path to its attribute, or to the errno an
+// open of it would fail with.
+func (fs *FS) lookup(p string) (File, error) {
 	f, ok := fs.files[p]
-	isDir := fs.dirs[p]
 	if !ok {
-		if isDir {
-			return "", fmt.Errorf("%w: %s", ErrIsDir, p)
+		if fs.dirs[p] {
+			return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
 		}
-		return "", fmt.Errorf("%w: %s", ErrNotExist, p)
+		return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
-	return f.Read()
-}
-
-// WriteFile writes s to the attribute at p.
-func (fs *FS) WriteFile(p, s string) error {
-	p = clean(p)
-	f, ok := fs.files[p]
-	isDir := fs.dirs[p]
-	if !ok {
-		if isDir {
-			return fmt.Errorf("%w: %s", ErrIsDir, p)
-		}
-		return fmt.Errorf("%w: %s", ErrNotExist, p)
-	}
-	return f.Write(s)
+	return f, nil
 }
 
 // IntReader is implemented by attributes whose value is natively an
@@ -253,31 +273,6 @@ type IntReader interface {
 	ReadInt() (int64, error)
 }
 
-// ReadInt reads the attribute at p as a decimal integer.
-func (fs *FS) ReadInt(p string) (int64, error) {
-	p = clean(p)
-	f, ok := fs.files[p]
-	isDir := fs.dirs[p]
-	if !ok {
-		if isDir {
-			return 0, fmt.Errorf("%w: %s", ErrIsDir, p)
-		}
-		return 0, fmt.Errorf("%w: %s", ErrNotExist, p)
-	}
-	if ir, ok := f.(IntReader); ok {
-		return ir.ReadInt()
-	}
-	s, err := f.Read()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %s contains %q", ErrInvalid, p, s)
-	}
-	return v, nil
-}
-
 // IntWriter is the write-side twin of IntReader: attributes whose
 // value is natively an integer accept it without the format-then-parse
 // decimal round-trip. WriteInt uses it on the actuator write path —
@@ -286,17 +281,132 @@ type IntWriter interface {
 	WriteInt(int64) error
 }
 
+// Attr is an open attribute, the analogue of a file descriptor a
+// daemon keeps on a sysfs file. It holds the cleaned path, the File
+// it resolved to (or the error the resolution gave) with the
+// IntReader/IntWriter assertions already made, and the generation of
+// the tree at resolution. Any access first compares that generation
+// with the tree's and resolves the path again if a Register or
+// Unregister happened since, so a handle never outlives a replaced or
+// removed attribute. Like its FS, an Attr belongs to the stepping
+// goroutine.
+type Attr struct {
+	fs   *FS
+	path string
+	gen  uint64
+	f    File
+	err  error
+	ir   IntReader
+	iw   IntWriter
+}
+
+// Open returns a handle on the attribute at p. It never fails: a path
+// that is missing or a directory yields a handle whose accesses return
+// ENOENT or EISDIR until an attribute is registered there.
+func (fs *FS) Open(p string) *Attr {
+	a := fs.attr(p)
+	return &a
+}
+
+// attr resolves p into a handle value; the by-path calls use it as a
+// one-shot handle on their stack.
+func (fs *FS) attr(p string) Attr {
+	a := Attr{fs: fs, path: clean(p)}
+	a.resolve()
+	return a
+}
+
+func (a *Attr) resolve() {
+	a.gen = a.fs.gen
+	a.f, a.err = a.fs.lookup(a.path)
+	a.ir, _ = a.f.(IntReader)
+	a.iw, _ = a.f.(IntWriter)
+}
+
+// file returns the attribute the handle refers to now.
+func (a *Attr) file() (File, error) {
+	if a.gen != a.fs.gen {
+		a.resolve()
+	}
+	return a.f, a.err
+}
+
+// Read returns the attribute's content.
+func (a *Attr) Read() (string, error) {
+	f, err := a.file()
+	if err != nil {
+		return "", err
+	}
+	return f.Read()
+}
+
+// Write writes s to the attribute.
+func (a *Attr) Write(s string) error {
+	f, err := a.file()
+	if err != nil {
+		return err
+	}
+	return f.Write(s)
+}
+
+// ReadInt reads the attribute as a decimal integer, taking the
+// IntReader fast path when the attribute supports it.
+func (a *Attr) ReadInt() (int64, error) {
+	f, err := a.file()
+	if err != nil {
+		return 0, err
+	}
+	if a.ir != nil {
+		return a.ir.ReadInt()
+	}
+	s, err := f.Read()
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %s contains %q", ErrInvalid, a.path, s)
+	}
+	return v, nil
+}
+
+// WriteInt writes v to the attribute in decimal, taking the IntWriter
+// fast path when the attribute supports it.
+func (a *Attr) WriteInt(v int64) error {
+	f, err := a.file()
+	if err != nil {
+		return err
+	}
+	if a.iw != nil {
+		return a.iw.WriteInt(v)
+	}
+	//thermlint:allow hotalloc -- slow path for string attributes only; every integer attribute implements IntWriter
+	return f.Write(strconv.FormatInt(v, 10))
+}
+
+// ReadFile returns the content of the attribute at p.
+func (fs *FS) ReadFile(p string) (string, error) {
+	a := fs.attr(p)
+	return a.Read()
+}
+
+// WriteFile writes s to the attribute at p.
+func (fs *FS) WriteFile(p, s string) error {
+	a := fs.attr(p)
+	return a.Write(s)
+}
+
+// ReadInt reads the attribute at p as a decimal integer.
+func (fs *FS) ReadInt(p string) (int64, error) {
+	a := fs.attr(p)
+	return a.ReadInt()
+}
+
 // WriteInt writes v to the attribute at p in decimal, taking the
 // IntWriter fast path when the attribute supports it.
 func (fs *FS) WriteInt(p string, v int64) error {
-	f, ok := fs.files[clean(p)]
-	if ok {
-		if iw, isInt := f.(IntWriter); isInt {
-			return iw.WriteInt(v)
-		}
-	}
-	//thermlint:allow hotalloc -- slow path for string attributes only; every integer attribute implements IntWriter
-	return fs.WriteFile(p, strconv.FormatInt(v, 10))
+	a := fs.attr(p)
+	return a.WriteInt(v)
 }
 
 // List returns the immediate children of directory p (files and

@@ -151,7 +151,7 @@ func TestUnifiedControlCompensatesHotSlot(t *testing.T) {
 				ctl, err := core.NewController(core.DefaultConfig(50),
 					core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 					core.ActuatorBinding{Actuator: core.NewFanActuator(
-						&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+						core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +159,7 @@ func TestUnifiedControlCompensatesHotSlot(t *testing.T) {
 			} else {
 				// Equal fixed duty on every slot: the gradient hits
 				// the dies one to one.
-				port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
+				port := core.NewSysfsFanPort(n.FS, n.Hwmon)
 				if err := port.SetDutyPercent(45); err != nil {
 					t.Fatal(err)
 				}

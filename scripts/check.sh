@@ -35,8 +35,8 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> device microbenchmarks (one iteration each, so they cannot rot)"
-go test -run '^$' -bench '^Benchmark(NodeStep|ChipStepAuto|FanStep|ThermalStep)$' -benchtime 1x \
-	./internal/node ./internal/adt7467 ./internal/fan ./internal/thermal >/dev/null
+go test -run '^$' -bench '^Benchmark(NodeStep|ChipStepAuto|FanStep|ThermalStep|ControlRound)$' -benchtime 1x \
+	./internal/node ./internal/adt7467 ./internal/fan ./internal/thermal ./internal/core >/dev/null
 
 echo "==> scenario gallery (examples/*.json load + build, extends chains included)"
 go test ./internal/config -run 'TestScenarioGallery|TestGalleryExtendsChains' -count=1

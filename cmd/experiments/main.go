@@ -4,7 +4,13 @@
 //
 // Usage:
 //
-//	experiments [-only fig5,table1] [-seed N] [-csv dir]
+//	experiments [-only fig5,table1] [-seed N] [-csv dir] [-markdown] [-workers N]
+//
+// The experiments run in table order: report.Experiments (the paper's
+// figures and table, the extension studies, chaos and the metrics run),
+// then the ablation, sleepstates and loadshapes studies, which the
+// generated report leaves out. -only picks a subset by name; an unknown
+// name is a usage error (exit 2) that lists the valid ones.
 //
 // With -csv, the temperature/duty/frequency time series behind each
 // figure are written as CSV files into the given directory, ready for
@@ -12,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -25,208 +33,174 @@ import (
 	"thermctl/internal/trace"
 )
 
+// studies are the experiments the generated report leaves out; they
+// run after report.Experiments.
+var studies = []report.Experiment{
+	{Name: "ablation", Run: func(_ *report.All, s uint64) (fmt.Stringer, error) { return experiment.Ablation(s) }},
+	{Name: "sleepstates", Run: func(_ *report.All, s uint64) (fmt.Stringer, error) { return experiment.SleepStates(s) }},
+	{Name: "loadshapes", Run: func(_ *report.All, s uint64) (fmt.Stringer, error) { return experiment.LoadShapes(s) }},
+}
+
+// table is every experiment the command runs, in run order.
+var table = append(append([]report.Experiment(nil), report.Experiments...), studies...)
+
+type seriesMap = map[string]*trace.Series
+
+// figureSeries gives, by experiment name, the time series behind each
+// figure that -csv writes to <name>.csv.
+var figureSeries = map[string]func(a *report.All) seriesMap{
+	"fig2": func(a *report.All) seriesMap { return seriesMap{"temp": a.Fig2.Temp} },
+	"fig5": func(a *report.All) seriesMap {
+		m := seriesMap{}
+		for _, row := range a.Fig5.Rows {
+			m[fmt.Sprintf("temp_pp%d", row.Pp)] = row.Temp
+			m[fmt.Sprintf("duty_pp%d", row.Pp)] = row.Duty
+		}
+		return m
+	},
+	"fig6": func(a *report.All) seriesMap {
+		m := seriesMap{}
+		for _, row := range a.Fig6.Rows {
+			m["temp_"+row.Method] = row.Temp
+			m["duty_"+row.Method] = row.Duty
+		}
+		return m
+	},
+	"fig7": func(a *report.All) seriesMap {
+		m := seriesMap{}
+		for _, row := range a.Fig7.Rows {
+			m[fmt.Sprintf("temp_cap%.0f", row.MaxDuty)] = row.Temp
+			m[fmt.Sprintf("duty_cap%.0f", row.MaxDuty)] = row.Duty
+		}
+		return m
+	},
+	"fig8": func(a *report.All) seriesMap { return seriesMap{"temp": a.Fig8.Temp, "freq": a.Fig8.Freq} },
+	"fig9": func(a *report.All) seriesMap {
+		m := seriesMap{}
+		for _, row := range a.Fig9.Rows {
+			m["temp_"+row.Daemon] = row.Temp
+			m["freq_"+row.Daemon] = row.Freq
+		}
+		return m
+	},
+	"fig10": func(a *report.All) seriesMap {
+		m := seriesMap{}
+		for _, row := range a.Fig10.Rows {
+			m[fmt.Sprintf("temp_pp%d", row.Pp)] = row.Temp
+			m[fmt.Sprintf("freq_pp%d", row.Pp)] = row.Freq
+		}
+		return m
+	},
+}
+
+// usageError is a mistake on the command line; main exits 2 on it, as
+// the flag package does.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
 func main() {
-	only := flag.String("only", "", "comma-separated subset: fig2,fig5,fig6,fig7,fig8,fig9,table1,fig10,fanfailure,scaling,rack,workloads,ablation,sleepstates,loadshapes,metrics,chaos")
-	seed := flag.Uint64("seed", experiment.Seed, "simulation seed")
-	csvDir := flag.String("csv", "", "directory to write per-figure CSV series into")
-	markdown := flag.Bool("markdown", false, "emit the full generated reproduction report as markdown and exit")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	only := fs.String("only", "", "comma-separated subset: "+strings.Join(names(table), ","))
+	seed := fs.Uint64("seed", experiment.Seed, "simulation seed")
+	csvDir := fs.String("csv", "", "directory to write per-figure CSV series into")
+	markdown := fs.Bool("markdown", false, "emit the full generated reproduction report as markdown and exit")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"worker goroutines stepping each cluster (results are identical for any value)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -workers %d: need at least one worker\n", *workers)
-		flag.Usage()
-		os.Exit(2)
+		return usageError{fmt.Errorf("-workers %d: need at least one worker", *workers)}
 	}
 	experiment.Workers = *workers
 
 	if *markdown {
 		all, err := report.Collect(*seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := all.Markdown(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
+		return all.Markdown(stdout)
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(k))] = true
-		}
+	picked, err := pick(*only)
+	if err != nil {
+		return err
 	}
-	run := func(name string) bool { return len(want) == 0 || want[name] }
-
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-
-	if run("fig2") {
-		r, err := experiment.Fig2(*seed)
+	a := &report.All{}
+	for _, e := range picked {
+		r, err := e.Run(a, *seed)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		fmt.Println(r)
-		writeSeries(*csvDir, "fig2.csv", map[string]*trace.Series{"temp": r.Temp})
-	}
-	if run("fig5") {
-		r, err := experiment.Fig5(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-		series := map[string]*trace.Series{}
-		for _, row := range r.Rows {
-			series[fmt.Sprintf("temp_pp%d", row.Pp)] = row.Temp
-			series[fmt.Sprintf("duty_pp%d", row.Pp)] = row.Duty
-		}
-		writeSeries(*csvDir, "fig5.csv", series)
-	}
-	if run("fig6") {
-		r, err := experiment.Fig6(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-		series := map[string]*trace.Series{}
-		for _, row := range r.Rows {
-			series["temp_"+row.Method] = row.Temp
-			series["duty_"+row.Method] = row.Duty
-		}
-		writeSeries(*csvDir, "fig6.csv", series)
-	}
-	if run("fig7") {
-		r, err := experiment.Fig7(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-		series := map[string]*trace.Series{}
-		for _, row := range r.Rows {
-			series[fmt.Sprintf("temp_cap%.0f", row.MaxDuty)] = row.Temp
-			series[fmt.Sprintf("duty_cap%.0f", row.MaxDuty)] = row.Duty
-		}
-		writeSeries(*csvDir, "fig7.csv", series)
-	}
-	if run("fig8") {
-		r, err := experiment.Fig8(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-		writeSeries(*csvDir, "fig8.csv", map[string]*trace.Series{
-			"temp": r.Temp, "freq": r.Freq,
-		})
-	}
-	if run("fig9") {
-		r, err := experiment.Fig9(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-		series := map[string]*trace.Series{}
-		for _, row := range r.Rows {
-			series["temp_"+row.Daemon] = row.Temp
-			series["freq_"+row.Daemon] = row.Freq
-		}
-		writeSeries(*csvDir, "fig9.csv", series)
-	}
-	if run("table1") {
-		r, err := experiment.Table1(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("fanfailure") {
-		r, err := experiment.FanFailure(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("rack") {
-		r, err := experiment.RackStudy(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("workloads") {
-		r, err := experiment.WorkloadStudy(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("ablation") {
-		r, err := experiment.Ablation(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("scaling") {
-		r, err := experiment.Scaling(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("fig10") {
-		r, err := experiment.Fig10(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-		series := map[string]*trace.Series{}
-		for _, row := range r.Rows {
-			series[fmt.Sprintf("temp_pp%d", row.Pp)] = row.Temp
-			series[fmt.Sprintf("freq_pp%d", row.Pp)] = row.Freq
-		}
-		writeSeries(*csvDir, "fig10.csv", series)
-	}
-	if run("sleepstates") {
-		r, err := experiment.SleepStates(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("loadshapes") {
-		r, err := experiment.LoadShapes(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("chaos") {
-		r, err := experiment.Chaos(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("metrics") {
-		samples, err := report.CollectMetrics(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("observability metrics (10-minute instrumented unified-control run):")
-		for _, s := range samples {
-			fmt.Printf("  %-45s %g\n", s.Name, s.Value)
+		fmt.Fprintln(stdout, r)
+		if series := figureSeries[e.Name]; series != nil && *csvDir != "" {
+			if err := writeSeries(stdout, *csvDir, e.Name+".csv", series(a)); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
-func writeSeries(dir, name string, series map[string]*trace.Series) {
-	if dir == "" {
-		return
+// pick returns the experiments named in only (comma-separated, any
+// case) in table order, or the whole table when only is empty.
+func pick(only string) ([]report.Experiment, error) {
+	if only == "" {
+		return table, nil
 	}
+	want := map[string]bool{}
+	for _, k := range strings.Split(only, ",") {
+		if k = strings.TrimSpace(strings.ToLower(k)); k != "" {
+			want[k] = true
+		}
+	}
+	var out []report.Experiment
+	for _, e := range table {
+		if want[e.Name] {
+			out = append(out, e)
+			delete(want, e.Name)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for k := range want {
+			unknown = append(unknown, k)
+		}
+		sort.Strings(unknown)
+		return nil, usageError{fmt.Errorf("-only: unknown experiment %s (valid: %s)",
+			strings.Join(unknown, ","), strings.Join(names(table), ","))}
+	}
+	return out, nil
+}
+
+func names(es []report.Experiment) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.Name
+	}
+	return out
+}
+
+func writeSeries(stdout io.Writer, dir, name string, series seriesMap) error {
 	rec := trace.NewRecorder()
 	// Record in sorted label order: the recorder's first-recorded order
 	// determines the CSV column order, which must not vary run to run.
@@ -244,18 +218,18 @@ func writeSeries(dir, name string, series map[string]*trace.Series) {
 			rec.Record(label, p.T, p.V)
 		}
 	}
-	f, err := os.Create(filepath.Join(dir, name))
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
 	if err := rec.WriteCSV(f); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
-	fmt.Printf("  wrote %s\n", filepath.Join(dir, name))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "  wrote %s\n", path)
+	return nil
 }

@@ -8,18 +8,20 @@
 //	thermctld [-pp 50] [-max-duty 50] [-duration 10m]
 //	          [-fan dynamic|static|constant|auto] [-dvfs none|tdvfs|cpuspeed]
 //	          [-sleep none|ctlarray] [-ipmi 127.0.0.1:9623] [-seed 1]
-//	          [-config thermctl.json] [-scenario run.json]
-//	          [-listen 127.0.0.1:9090] [-faults plan.json] [-trace run.tct]
+//	          [-scenario run.json] [-listen 127.0.0.1:9090]
+//	          [-faults plan.json] [-trace run.tct]
 //
-// A JSON config file (see internal/config) overrides the flag defaults:
+// A scenario file (-scenario) overrides the technique and tuning flags:
+// its control section selects the techniques and the tuning for this
+// daemon exactly as it does for clustersim and the experiment harness —
+// one document, three consumers. Tuning beyond -pp and -max-duty goes
+// in control.tuning (see internal/config):
 //
-//	{"pp": 25, "max_fan_duty": 60, "threshold_c": 55}
+//	{"control": {"fan": "dynamic", "dvfs": "tdvfs",
+//	  "tuning": {"pp": 25, "max_fan_duty": 60, "threshold_c": 55}}}
 //
-// A scenario file (-scenario) goes further: its control section selects
-// the techniques and the tuning for this daemon exactly as it does for
-// clustersim and the experiment harness — one document, three
-// consumers. The daemon runs one node, so the scenario's topology
-// fields (nodes, workers, program, chaos) are ignored here.
+// The daemon runs one node, so the scenario's topology fields (nodes,
+// workers, program, chaos) are ignored here.
 //
 // With -sleep ctlarray, the processor sleep-state actuator rides the
 // same thermal control array as the fan (a second binding on the
@@ -96,7 +98,6 @@ type options struct {
 	every    time.Duration
 	verbose  bool
 	pace     float64
-	cfgPath  string
 	scenario string
 	fan      string
 	dvfs     string
@@ -125,7 +126,6 @@ func main() {
 	flag.DurationVar(&o.every, "report", 15*time.Second, "reporting interval")
 	flag.BoolVar(&o.verbose, "verbose", false, "print the controller's internal status with each report")
 	flag.Float64Var(&o.pace, "pace", 0, "simulated seconds per wall second (0 = run flat out); use e.g. 10 when driving the BMC interactively with ipmitool")
-	flag.StringVar(&o.cfgPath, "config", "", "JSON configuration file; overrides -pp/-max-duty")
 	flag.StringVar(&o.scenario, "scenario", "", "JSON scenario file; its control section overrides the technique and tuning flags")
 	flag.StringVar(&o.faults, "faults", "", "JSON fault plan replayed against this node's devices (resilience drill)")
 	flag.StringVar(&o.trace, "trace", "", "record the node's series to this binary trace file (inspect with thermtrace)")
@@ -138,18 +138,11 @@ func main() {
 }
 
 // spec resolves the daemon's control specification from the flags and
-// the optional config / scenario files.
+// the optional scenario file.
 func spec(o options) (config.ControlSpec, error) {
 	cfg := config.Default()
 	cfg.Pp = o.pp
 	cfg.MaxFanDuty = o.maxDuty
-	if o.cfgPath != "" {
-		loaded, err := config.Load(o.cfgPath)
-		if err != nil {
-			return config.ControlSpec{}, err
-		}
-		cfg = loaded
-	}
 	if err := cfg.Validate(); err != nil {
 		return config.ControlSpec{}, err
 	}

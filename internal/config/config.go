@@ -1,21 +1,21 @@
-// Package config loads and validates daemon configuration for the
-// thermctl tools: the policy parameter, actuator caps, thresholds and
-// sampling rates an operator would set per machine class. The format is
-// JSON, the common denominator for fleet configuration management.
+// Package config loads and validates the JSON scenario every thermctl
+// tool runs from: the topology, workload, fault campaign and control
+// section. The control section's tuning (Config) carries the policy
+// parameter, actuator caps, thresholds and sampling rates an operator
+// would set per machine class. JSON is the common denominator for
+// fleet configuration management.
 package config
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"thermctl/internal/core"
 )
 
-// Config is the serialized daemon configuration. Zero-valued fields
-// take the documented defaults when Normalize is applied.
+// Config is the control tuning, serialized as a scenario's
+// control.tuning. Zero-valued fields take the documented defaults when
+// Normalize is applied.
 type Config struct {
 	// Pp is the control policy in [1, 100]. Default 50.
 	Pp int `json:"pp"`
@@ -94,31 +94,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: sample_ms %d outside [10, 60000]", c.SampleMS)
 	}
 	return nil
-}
-
-// Read parses, normalizes and validates a JSON configuration.
-func Read(r io.Reader) (Config, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var c Config
-	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("config: %w", err)
-	}
-	c.Normalize()
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
-}
-
-// Load reads a configuration file.
-func Load(path string) (Config, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Config{}, fmt.Errorf("config: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
 }
 
 // SamplePeriod returns the sampling period as a duration.

@@ -18,11 +18,19 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
+// Tuning reaches the tools only as a scenario's control.tuning, so the
+// read, load and bounds checks below go through ReadScenario and
+// LoadScenario; tuning wraps a tuning object in a minimal scenario.
+func tuning(fields string) string {
+	return `{"control": {"tuning": ` + fields + `}}`
+}
+
 func TestReadFillsDefaults(t *testing.T) {
-	c, err := Read(strings.NewReader(`{"pp": 25}`))
+	s, err := ReadScenario(strings.NewReader(tuning(`{"pp": 25}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := s.Control.Tuning
 	if c.Pp != 25 {
 		t.Errorf("pp = %d", c.Pp)
 	}
@@ -31,40 +39,42 @@ func TestReadFillsDefaults(t *testing.T) {
 	}
 }
 
-// TestReadRejectsEnableDVFS: enable_dvfs is not a config field (the
+// TestReadRejectsEnableDVFS: enable_dvfs is not a tuning field (the
 // scenario's control.dvfs selects the daemon), so strict decoding must
 // refuse it rather than let "false" look like tDVFS is off.
 func TestReadRejectsEnableDVFS(t *testing.T) {
-	_, err := Read(strings.NewReader(`{"enable_dvfs": false}`))
+	_, err := ReadScenario(strings.NewReader(tuning(`{"enable_dvfs": false}`)))
 	if err == nil || !strings.Contains(err.Error(), "enable_dvfs") {
 		t.Fatalf("enable_dvfs: error %v, want an unknown-field rejection naming it", err)
 	}
 }
 
 func TestReadRejectsUnknownFields(t *testing.T) {
-	if _, err := Read(strings.NewReader(`{"p": 50}`)); err == nil {
-		t.Error("unknown field accepted (typo protection)")
+	if _, err := ReadScenario(strings.NewReader(tuning(`{"p": 50}`))); err == nil {
+		t.Error("unknown tuning field accepted (typo protection)")
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader(`not json`)); err == nil {
+	if _, err := ReadScenario(strings.NewReader(`not json`)); err == nil {
 		t.Error("garbage accepted")
 	}
 }
 
 func TestValidateBounds(t *testing.T) {
-	cases := []string{
-		`{"pp": 101}`,
-		`{"max_fan_duty": 150}`,
-		`{"tmin_c": 60, "tmax_c": 50}`,
-		`{"threshold_c": 90}`,
-		`{"hysteresis_c": 50}`,
-		`{"sample_ms": 5}`,
+	// Each body breaks one bound; the error must name that field.
+	cases := [][2]string{
+		{`{"pp": 101}`, "pp"},
+		{`{"max_fan_duty": 150}`, "max_fan_duty"},
+		{`{"tmin_c": 60, "tmax_c": 50}`, "tmax_c"},
+		{`{"threshold_c": 90}`, "threshold_c"},
+		{`{"hysteresis_c": 50}`, "hysteresis_c"},
+		{`{"sample_ms": 5}`, "sample_ms"},
 	}
-	for _, body := range cases {
-		if _, err := Read(strings.NewReader(body)); err == nil {
-			t.Errorf("invalid config accepted: %s", body)
+	for _, c := range cases {
+		_, err := ReadScenario(strings.NewReader(tuning(c[0])))
+		if err == nil || !strings.Contains(err.Error(), c[1]) {
+			t.Errorf("tuning %s: error %v, want a bound error naming %s", c[0], err, c[1])
 		}
 	}
 }
@@ -72,18 +82,18 @@ func TestValidateBounds(t *testing.T) {
 func TestLoadFromFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "thermctl.json")
-	body := `{"pp": 75, "max_fan_duty": 60, "threshold_c": 55}`
+	body := tuning(`{"pp": 75, "max_fan_duty": 60, "threshold_c": 55}`)
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Load(path)
+	s, err := LoadScenario(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Pp != 75 || c.MaxFanDuty != 60 || c.ThresholdC != 55 {
+	if c := s.Control.Tuning; c.Pp != 75 || c.MaxFanDuty != 60 || c.ThresholdC != 55 {
 		t.Errorf("loaded: %+v", c)
 	}
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := LoadScenario(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
 }

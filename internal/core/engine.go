@@ -467,15 +467,6 @@ func (e *Engine) Attach(b *Binding, pre func(now time.Duration)) {
 	e.lanes = append(e.lanes, lane{b: b, pre: pre})
 }
 
-// Bindings returns the attached bindings in step order.
-func (e *Engine) Bindings() []*Binding {
-	out := make([]*Binding, len(e.lanes))
-	for i, l := range e.lanes {
-		out[i] = l.b
-	}
-	return out
-}
-
 // Errors sums the error counts of every attached binding. Safe to call
 // concurrently with the control loop.
 func (e *Engine) Errors() uint64 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"thermctl/internal/faults"
 	"thermctl/internal/ipmi"
 	"thermctl/internal/node"
 	"thermctl/internal/rng"
@@ -22,7 +23,7 @@ func TestFanControlSurvivesFlakyBus(t *testing.T) {
 	n.Settle(0)
 	// 20% of i2c transactions fail: duty writes and mode flips through
 	// the ADT7467 driver will intermittently error.
-	n.Bus.SetFaultInjection(0.20, rng.New(7))
+	n.Bus.AttachInjector(faults.Static(faults.State{I2CFaultRate: 0.20}), rng.New(7))
 
 	ctl, err := NewController(DefaultConfig(50),
 		SysfsTemp(n.FS, n.Hwmon.TempInput), // hwmon path: unaffected by the bus
@@ -106,12 +107,12 @@ func TestBMCPathSurvivesFlakyBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Bus.SetFaultInjection(1.0, rng.New(3)) // every transaction fails
+	n.Bus.AttachInjector(faults.Static(faults.State{I2CFaultRate: 1.0}), rng.New(3)) // every transaction fails
 	port := &IPMIFanPort{C: clientFor(n)}
 	if err := port.SetDutyPercent(50); err == nil {
 		t.Error("fan command succeeded over a dead bus")
 	}
-	n.Bus.SetFaultInjection(0, nil)
+	n.Bus.AttachInjector(nil, nil)
 	if err := port.SetDutyPercent(50); err != nil {
 		t.Errorf("fan command failed after bus recovered: %v", err)
 	}

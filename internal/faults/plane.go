@@ -91,9 +91,8 @@ func (i *Injector) set(s State) {
 	i.p.Store(&s)
 }
 
-// Static returns an injector pinned to a fixed state — the bridge for
-// legacy knobs (i2c.SetFaultInjection) and for unit tests that want a
-// fault "always on".
+// Static returns an injector pinned to a fixed state, for unit tests
+// that want a fault "always on" without a schedule.
 func Static(s State) *Injector {
 	i := &Injector{}
 	i.set(s)

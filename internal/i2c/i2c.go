@@ -75,22 +75,6 @@ func (b *Bus) Detach(addr uint8) {
 	delete(b.devices, addr)
 }
 
-// SetFaultInjection makes a fraction rate of transactions fail with
-// ErrBusFault, drawing from the given stream. rate 0 (or a nil stream)
-// disables injection.
-//
-// Deprecated: the knob is kept for existing tests only. It is a shim
-// over AttachInjector with a pinned faults.Static state; scheduled
-// campaigns should attach a faults.Plane injector instead.
-func (b *Bus) SetFaultInjection(rate float64, src *rng.Source) {
-	if rate <= 0 {
-		b.inj = nil
-	} else {
-		b.inj = faults.Static(faults.State{I2CFaultRate: rate})
-	}
-	b.injSrc = src
-}
-
 // AttachInjector subscribes the bus to a fault plane: transactions fail
 // with ErrBusFault at the injector's I2CFaultRate and NAK at its
 // I2CNAKRate, drawn from src (the bus's own stream — sharing it would

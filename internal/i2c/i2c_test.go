@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"thermctl/internal/faults"
 	"thermctl/internal/rng"
 )
 
@@ -109,11 +110,11 @@ func TestScanSorted(t *testing.T) {
 func TestFaultInjection(t *testing.T) {
 	b := NewBus()
 	_ = b.Attach(0x2E, NewRegisterFile())
-	b.SetFaultInjection(1.0, rng.New(1)) // every transaction fails
+	b.AttachInjector(faults.Static(faults.State{I2CFaultRate: 1.0}), rng.New(1)) // every transaction fails
 	if _, err := b.ReadByteData(0x2E, 0); !errors.Is(err, ErrBusFault) {
 		t.Errorf("err = %v, want ErrBusFault", err)
 	}
-	b.SetFaultInjection(0, nil)
+	b.AttachInjector(nil, nil)
 	if _, err := b.ReadByteData(0x2E, 0); err != nil {
 		t.Errorf("fault injection disabled but read failed: %v", err)
 	}
@@ -125,7 +126,7 @@ func TestFaultInjection(t *testing.T) {
 func TestPartialFaultRate(t *testing.T) {
 	b := NewBus()
 	_ = b.Attach(0x2E, NewRegisterFile())
-	b.SetFaultInjection(0.3, rng.New(2))
+	b.AttachInjector(faults.Static(faults.State{I2CFaultRate: 0.3}), rng.New(2))
 	fails := 0
 	for i := 0; i < 1000; i++ {
 		if _, err := b.ReadByteData(0x2E, 0); err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 
 	"thermctl/internal/config"
@@ -40,51 +41,65 @@ type All struct {
 	Metrics []metrics.Sample
 }
 
+// Experiment is one named step of the evaluation. Run executes it at
+// seed, stores the result in a and returns it in printable form.
+type Experiment struct {
+	Name string
+	Run  func(a *All, seed uint64) (fmt.Stringer, error)
+}
+
+// Experiments is the evaluation in Collect order: the paper's figures
+// and table, the extension studies, chaos and the metrics run.
+// cmd/experiments selects and prints from this table, and
+// bench/paper.go copies its order in paperSteps.
+var Experiments = []Experiment{
+	{"fig2", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Fig2)(experiment.Fig2(s)) }},
+	{"fig5", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Fig5)(experiment.Fig5(s)) }},
+	{"fig6", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Fig6)(experiment.Fig6(s)) }},
+	{"fig7", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Fig7)(experiment.Fig7(s)) }},
+	{"fig8", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Fig8)(experiment.Fig8(s)) }},
+	{"fig9", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Fig9)(experiment.Fig9(s)) }},
+	{"table1", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Table1)(experiment.Table1(s)) }},
+	{"fig10", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Fig10)(experiment.Fig10(s)) }},
+	{"fanfailure", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.FanFailure)(experiment.FanFailure(s)) }},
+	{"scaling", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Scaling)(experiment.Scaling(s)) }},
+	{"rack", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Rack)(experiment.RackStudy(s)) }},
+	{"workloads", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Workloads)(experiment.WorkloadStudy(s)) }},
+	{"chaos", func(a *All, s uint64) (fmt.Stringer, error) { return keep(&a.Chaos)(experiment.Chaos(s)) }},
+	{"metrics", func(a *All, s uint64) (_ fmt.Stringer, err error) {
+		a.Metrics, err = CollectMetrics(s)
+		return metricsText(a.Metrics), err
+	}},
+}
+
+// keep returns a function that stores a result in *dst and passes it
+// on in printable form.
+func keep[R fmt.Stringer](dst *R) func(R, error) (fmt.Stringer, error) {
+	return func(r R, err error) (fmt.Stringer, error) {
+		*dst = r
+		return r, err
+	}
+}
+
+// metricsText prints metrics samples one per line under a heading.
+type metricsText []metrics.Sample
+
+func (m metricsText) String() string {
+	var sb strings.Builder
+	sb.WriteString("observability metrics (10-minute instrumented unified-control run):")
+	for _, s := range m {
+		fmt.Fprintf(&sb, "\n  %-45s %g", s.Name, s.Value)
+	}
+	return sb.String()
+}
+
 // Collect runs the complete evaluation at the given seed.
 func Collect(seed uint64) (*All, error) {
 	a := &All{}
-	var err error
-	if a.Fig2, err = experiment.Fig2(seed); err != nil {
-		return nil, err
-	}
-	if a.Fig5, err = experiment.Fig5(seed); err != nil {
-		return nil, err
-	}
-	if a.Fig6, err = experiment.Fig6(seed); err != nil {
-		return nil, err
-	}
-	if a.Fig7, err = experiment.Fig7(seed); err != nil {
-		return nil, err
-	}
-	if a.Fig8, err = experiment.Fig8(seed); err != nil {
-		return nil, err
-	}
-	if a.Fig9, err = experiment.Fig9(seed); err != nil {
-		return nil, err
-	}
-	if a.Table1, err = experiment.Table1(seed); err != nil {
-		return nil, err
-	}
-	if a.Fig10, err = experiment.Fig10(seed); err != nil {
-		return nil, err
-	}
-	if a.FanFailure, err = experiment.FanFailure(seed); err != nil {
-		return nil, err
-	}
-	if a.Scaling, err = experiment.Scaling(seed); err != nil {
-		return nil, err
-	}
-	if a.Rack, err = experiment.RackStudy(seed); err != nil {
-		return nil, err
-	}
-	if a.Workloads, err = experiment.WorkloadStudy(seed); err != nil {
-		return nil, err
-	}
-	if a.Chaos, err = experiment.Chaos(seed); err != nil {
-		return nil, err
-	}
-	if a.Metrics, err = CollectMetrics(seed); err != nil {
-		return nil, err
+	for _, e := range Experiments {
+		if _, err := e.Run(a, seed); err != nil {
+			return nil, err
+		}
 	}
 	return a, nil
 }

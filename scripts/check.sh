@@ -55,6 +55,9 @@ echo "==> IPMI smoke (scripts/ipmismoke.sh: race-built thermctld driven by ipmit
 echo "==> chaos smoke (experiments -only chaos)"
 go run ./cmd/experiments -only chaos >/dev/null
 
+echo "==> report smoke (experiments -markdown -workers 2 matches docs/report.md)"
+go run ./cmd/experiments -markdown -workers 2 | diff -u docs/report.md -
+
 echo "==> campaign server smoke (scripts/serversmoke.sh)"
 TRACE="$(mktemp -u).tct" ./scripts/serversmoke.sh >/dev/null
 

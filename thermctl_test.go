@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"thermctl/internal/config"
+	"thermctl/internal/workload"
 )
 
 // The root-package tests exercise the public facade end to end, the way
@@ -160,5 +161,37 @@ func TestVersionAndSeed(t *testing.T) {
 	}
 	if ExperimentSeed == 0 {
 		t.Error("zero ExperimentSeed")
+	}
+}
+
+// TestSleepStateControl: the public sleep-state constructor builds a
+// standalone control array whose one binding drives the cstates
+// actuator, and that array walks the C-state table under a bursty load.
+func TestSleepStateControl(t *testing.T) {
+	n, err := NewNode("n4", 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Settle(0)
+	ctl, err := NewSleepStateControl(n, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ctl.Binding()
+	if b.Slots() != 1 || b.Actuator(0).Name() != "cstates" {
+		t.Fatalf("binding drives %d slots (first %q), want the cstates actuator alone",
+			b.Slots(), b.Actuator(0).Name())
+	}
+	// Full-power bursts alternating with near-idle halves.
+	n.SetGenerator(workload.Jitter{Low: 0.1, High: 1.0, Period: 4 * time.Second})
+	for i := 0; i < 2400; i++ {
+		n.Step(250 * time.Millisecond)
+		ctl.OnStep(n.Elapsed())
+	}
+	if ctl.Moves(0) == 0 {
+		t.Error("sleep-state array never moved under bursty load")
+	}
+	if _, err := NewSleepStateControl(n, 0); err == nil {
+		t.Error("Pp=0 accepted")
 	}
 }

@@ -12,6 +12,10 @@
 // generated report leaves out. -only picks a subset by name; an unknown
 // name is a usage error (exit 2) that lists the valid ones.
 //
+// -workers sets experiment.Workers: each experiment runs that many of
+// its independent runs at once and every cluster is stepped by that
+// many goroutines. Output is byte-identical for any value.
+//
 // With -csv, the temperature/duty/frequency time series behind each
 // figure are written as CSV files into the given directory, ready for
 // plotting.
@@ -94,37 +98,51 @@ var figureSeries = map[string]func(a *report.All) seriesMap{
 }
 
 // usageError is a mistake on the command line; main exits 2 on it, as
-// the flag package does.
-type usageError struct{ error }
+// the flag package does. printed marks a flag parse error, which the
+// flag set has already reported on stderr along with the usage.
+type usageError struct {
+	error
+	printed bool
+}
 
 func (e usageError) Unwrap() error { return e.error }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return
-		}
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		if errors.As(err, new(usageError)) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
+	os.Exit(exitStatus(run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
 }
 
-func run(args []string, stdout io.Writer) error {
+// exitStatus reports err on stderr, unless the flag set already has,
+// and returns the command's exit status: 0 on success or -h, 2 on a
+// usage error, 1 otherwise.
+func exitStatus(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	var ue usageError
+	usage := errors.As(err, &ue)
+	if !ue.printed {
+		fmt.Fprintln(stderr, "experiments:", err)
+	}
+	if usage {
+		return 2
+	}
+	return 1
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated subset: "+strings.Join(names(table), ","))
 	seed := fs.Uint64("seed", experiment.Seed, "simulation seed")
 	csvDir := fs.String("csv", "", "directory to write per-figure CSV series into")
 	markdown := fs.Bool("markdown", false, "emit the full generated reproduction report as markdown and exit")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"worker goroutines stepping each cluster (results are identical for any value)")
+		"worker goroutines running each experiment's independent runs and stepping each cluster (results are identical for any value)")
 	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+		return usageError{err, true}
 	}
 	if *workers < 1 {
-		return usageError{fmt.Errorf("-workers %d: need at least one worker", *workers)}
+		return usageError{error: fmt.Errorf("-workers %d: need at least one worker", *workers)}
 	}
 	experiment.Workers = *workers
 
@@ -186,7 +204,7 @@ func pick(only string) ([]report.Experiment, error) {
 			unknown = append(unknown, k)
 		}
 		sort.Strings(unknown)
-		return nil, usageError{fmt.Errorf("-only: unknown experiment %s (valid: %s)",
+		return nil, usageError{error: fmt.Errorf("-only: unknown experiment %s (valid: %s)",
 			strings.Join(unknown, ","), strings.Join(names(table), ","))}
 	}
 	return out, nil

@@ -10,7 +10,7 @@ import (
 )
 
 func TestUnknownOnlyNameListsValidNames(t *testing.T) {
-	err := run([]string{"-only", "nosuch"}, io.Discard)
+	err := run([]string{"-only", "nosuch"}, io.Discard, io.Discard)
 	if !errors.As(err, new(usageError)) {
 		t.Fatalf("-only nosuch: error %v, want a usage error", err)
 	}
@@ -49,7 +49,7 @@ func TestEveryTableNameIsAccepted(t *testing.T) {
 func TestOnlyFig2WritesCSV(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := run([]string{"-only", "fig2", "-csv", dir, "-workers", "1"}, &out); err != nil {
+	if err := run([]string{"-only", "fig2", "-csv", dir, "-workers", "1"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "fig2.csv")
@@ -62,5 +62,24 @@ func TestOnlyFig2WritesCSV(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Figure 2") || !strings.Contains(out.String(), "wrote "+path) {
 		t.Errorf("stdout does not report Figure 2 and the CSV:\n%s", out.String())
+	}
+}
+
+func TestUsageErrorReportedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // the error, which stderr must carry exactly once
+	}{
+		// The flag set prints this one itself, with the usage.
+		{[]string{"-nosuchflag"}, "flag provided but not defined: -nosuchflag\n"},
+		{[]string{"-workers", "0"}, "experiments: -workers 0: need at least one worker\n"},
+	} {
+		var stderr strings.Builder
+		if status := exitStatus(run(tc.args, io.Discard, &stderr), &stderr); status != 2 {
+			t.Errorf("%v: exit status %d, want 2", tc.args, status)
+		}
+		if n := strings.Count(stderr.String(), tc.want); n != 1 {
+			t.Errorf("%v: stderr carries %q %d times, want once:\n%s", tc.args, tc.want, n, stderr.String())
+		}
 	}
 }

@@ -1,0 +1,55 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"thermctl/internal/workload"
+)
+
+// TestPolicyRootsAllocationFree is the hot-path budget of the control
+// engine's roots: after warm-up, one decision of the ctlarray policy
+// (the dynamic fan controller's law), one of the threshold policy
+// (tDVFS's law), and one step of the hybrid's two-lane engine allocate
+// nothing.
+func TestPolicyRootsAllocationFree(t *testing.T) {
+	n, h := newHybridRig(t, 50, 30) // weak fan cap: tDVFS must engage
+	n.SetGenerator(workload.NewCPUBurn(nil))
+	runHybrid(n, h, 6*time.Minute) // warm-up: fill the windows
+	if !h.DVFS.Engaged() {
+		t.Fatal("tDVFS not engaged after warm-up; the engine step would skip the fan hold")
+	}
+	fan, dvfs := h.Fan.Binding(), h.DVFS.Binding()
+	ctl, ok := fan.Policy().(*CtlArrayPolicy)
+	if !ok {
+		t.Fatalf("fan policy is %T, want *CtlArrayPolicy", fan.Policy())
+	}
+	thr, ok := dvfs.Policy().(*ThresholdPolicy)
+	if !ok {
+		t.Fatalf("DVFS policy is %T, want *ThresholdPolicy", dvfs.Policy())
+	}
+	eng, win, now := h.Engine(), fan.Window(), n.Elapsed()
+	roots := []struct {
+		name string
+		fn   func()
+	}{
+		{"CtlArrayPolicy.Decide", func() { ctl.Decide(&fan.tx) }},
+		{"ThresholdPolicy.Decide", func() { thr.Decide(&dvfs.tx) }},
+		// One control round per call: sample until the fan window
+		// completes a round. Both lanes sample every 250 ms over a
+		// 4-entry level one, so each call runs both decisions; a
+		// per-sample call would hide one allocation per round in
+		// AllocsPerRun's integer average.
+		{"Engine.OnStep", func() {
+			for r := win.Rounds(); win.Rounds() == r; {
+				now += 250 * time.Millisecond
+				eng.OnStep(now)
+			}
+		}},
+	}
+	for _, r := range roots {
+		if allocs := testing.AllocsPerRun(200, r.fn); allocs != 0 {
+			t.Errorf("%s allocates %v per call, want 0", r.name, allocs)
+		}
+	}
+}

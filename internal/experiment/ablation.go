@@ -34,21 +34,18 @@ type AblationResult struct {
 // Ablation runs cpu-burn (warm-up + steady) followed by a jitter phase
 // under each window configuration.
 func Ablation(seed uint64) (*AblationResult, error) {
-	res := &AblationResult{}
-	for _, cfg := range []window.Config{
+	cfgs := []window.Config{
 		{L1Size: 2, L2Size: 5},
 		{L1Size: 4, L2Size: 5}, // the paper's choice
 		{L1Size: 8, L2Size: 5},
 		{L1Size: 4, L2Size: 2},
 		{L1Size: 4, L2Size: 10},
-	} {
-		row, err := ablationRun(seed, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	rows, err := sweep(len(cfgs), func(i int) (AblationRow, error) { return ablationRun(seed, cfgs[i]) })
+	if err != nil {
+		return nil, err
+	}
+	return &AblationResult{Rows: rows}, nil
 }
 
 func ablationRun(seed uint64, win window.Config) (AblationRow, error) {

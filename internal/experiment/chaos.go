@@ -120,16 +120,19 @@ func (t *chaosTracker) OnStep(now time.Duration) {
 // Chaos runs both scenarios and assembles the survival report.
 func Chaos(seed uint64) (*ChaosResult, error) {
 	res := &ChaosResult{Seed: seed}
-	d, err := chaosDropout(seed)
+	// Each run fills its own field of res.
+	_, err := sweep(2, func(i int) (struct{}, error) {
+		var err error
+		if i == 0 {
+			res.Dropout, err = chaosDropout(seed)
+		} else {
+			res.Campaign, err = chaosCampaign(seed)
+		}
+		return struct{}{}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Dropout = d
-	camp, err := chaosCampaign(seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Campaign = camp
 	return res, nil
 }
 

@@ -18,6 +18,8 @@ package experiment
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"thermctl/internal/cluster"
@@ -30,12 +32,52 @@ import (
 // of the harness reproduces identical numbers.
 const Seed = 20100131 // ICPP 2010 submission era
 
-// Workers is the worker-goroutine count applied to every cluster the
-// experiments build (see cluster.SetWorkers). It is configuration, set
-// once before any experiment runs (cmd/experiments wires its -workers
-// flag here); parallel stepping is byte-identical to serial, so the
-// value changes wall-clock time only, never a result.
+// Workers is how many CPUs the experiments use: an experiment runs up
+// to Workers of its independent runs concurrently (see sweep), and
+// every cluster they build is stepped by Workers goroutines (see
+// cluster.SetWorkers). It is configuration, set once before any
+// experiment runs (cmd/experiments wires its -workers flag here). Each
+// run builds its own seeded rig and parallel stepping is byte-identical
+// to serial, so the value changes wall-clock time only, never a result.
 var Workers = 1
+
+// sweep runs run(0), ..., run(n-1) on up to min(Workers, n) goroutines,
+// which claim indices in order from a shared cursor, and returns the
+// results in index order. If any run fails it returns the error of the
+// lowest failing index. At Workers == 1 every run happens on the
+// calling goroutine, in index order, stopping at the first error.
+func sweep[T any](n int, run func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	workers := min(Workers, n)
+	if workers <= 1 {
+		for i := range out {
+			var err error
+			if out[i], err = run(i); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				out[i], errs[i] = run(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
 // recorderSink records sample frames under the ClusterTraceSchema
 // series names ("n3_temp"). Its record method is the cluster.Sink.

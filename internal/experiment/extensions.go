@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,15 +42,15 @@ type FanFailureResult struct {
 // FanFailure runs cpu-burn on one node, seizes the fan at t=90 s, and
 // continues for ten more minutes under each configuration.
 func FanFailure(seed uint64) (*FanFailureResult, error) {
-	res := &FanFailureResult{FailAtS: 90}
-	for _, setup := range []string{"unprotected", "static-fan", "tDVFS"} {
-		row, err := fanFailureRun(seed, setup, res.FailAtS)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	const failAtS = 90
+	setups := []string{"unprotected", "static-fan", "tDVFS"}
+	rows, err := sweep(len(setups), func(i int) (FanFailureRow, error) {
+		return fanFailureRun(seed, setups[i], failAtS)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &FanFailureResult{FailAtS: failAtS, Rows: rows}, nil
 }
 
 func fanFailureRun(seed uint64, setup string, failAtS float64) (FanFailureRow, error) {
@@ -166,41 +167,49 @@ func Scaling(seed uint64) (*ScalingResult, error) {
 	prog := workload.Uniform("mini-BT", 120, workload.Iteration{
 		ComputeGC: 1.729, ComputeUtil: 1.0, MemSec: 0.175, CommSec: 0.175, CommUtil: 0.10,
 	})
-	res := &ScalingResult{}
-	for _, size := range []int{2, 4, 8, 16} {
-		rig, err := build(size, seed, "", control("dynamic", "tdvfs", 50, 30))
-		if err != nil {
-			return nil, err
-		}
-		c := rig.Cluster
-		run := c.RunProgram(prog, 0)
-		c.Close()
-
-		row := ScalingRow{
-			Nodes:  size,
-			ExecS:  run.ExecTime.Seconds(),
-			IdealS: prog.IdealSeconds(2.4),
-		}
-		row.OverheadPct = (row.ExecS - row.IdealS) / row.IdealS * 100
-		lo, hi := 1e9, -1e9
-		for _, n := range c.Nodes {
-			t := n.TrueDieC()
-			if t < lo {
-				lo = t
-			}
-			if t > hi {
-				hi = t
-			}
-		}
-		row.MaxTempC, row.TempSpreadC = hi, hi-lo
-		for _, nc := range rig.Nodes {
-			if _, ok := nc.TDVFS.TriggeredAt(); ok {
-				row.Triggers++
-			}
-		}
-		res.Rows = append(res.Rows, row)
+	// The 16-node run costs about as much as the other three together,
+	// so it starts first; the rows are reported by size.
+	sizes := []int{16, 2, 4, 8}
+	rows, err := sweep(len(sizes), func(i int) (ScalingRow, error) { return scalingRun(seed, prog, sizes[i]) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	slices.SortFunc(rows, func(a, b ScalingRow) int { return a.Nodes - b.Nodes })
+	return &ScalingResult{Rows: rows}, nil
+}
+
+func scalingRun(seed uint64, prog workload.Program, size int) (ScalingRow, error) {
+	rig, err := build(size, seed, "", control("dynamic", "tdvfs", 50, 30))
+	if err != nil {
+		return ScalingRow{}, err
+	}
+	c := rig.Cluster
+	defer c.Close()
+	run := c.RunProgram(prog, 0)
+
+	row := ScalingRow{
+		Nodes:  size,
+		ExecS:  run.ExecTime.Seconds(),
+		IdealS: prog.IdealSeconds(2.4),
+	}
+	row.OverheadPct = (row.ExecS - row.IdealS) / row.IdealS * 100
+	lo, hi := 1e9, -1e9
+	for _, n := range c.Nodes {
+		t := n.TrueDieC()
+		if t < lo {
+			lo = t
+		}
+		if t > hi {
+			hi = t
+		}
+	}
+	row.MaxTempC, row.TempSpreadC = hi, hi-lo
+	for _, nc := range rig.Nodes {
+		if _, ok := nc.TDVFS.TriggeredAt(); ok {
+			row.Triggers++
+		}
+	}
+	return row, nil
 }
 
 // String prints the scaling table.

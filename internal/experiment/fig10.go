@@ -30,15 +30,12 @@ type Fig10Result struct {
 
 // Fig10 runs the hybrid controller at each policy.
 func Fig10(seed uint64) (*Fig10Result, error) {
-	res := &Fig10Result{}
-	for _, pp := range []int{75, 50, 25} {
-		row, err := fig10Run(seed, pp)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	pps := []int{75, 50, 25}
+	rows, err := sweep(len(pps), func(i int) (Fig10Row, error) { return fig10Run(seed, pps[i]) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig10Result{Rows: rows}, nil
 }
 
 func fig10Run(seed uint64, pp int) (Fig10Row, error) {

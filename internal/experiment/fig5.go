@@ -30,15 +30,12 @@ type Fig5Result struct {
 // Fig5 runs cpu-burn for five minutes on one node under dynamic fan
 // control at each policy Pp ∈ {75, 50, 25}, as in the paper's §4.2.
 func Fig5(seed uint64) (*Fig5Result, error) {
-	res := &Fig5Result{}
-	for _, pp := range []int{75, 50, 25} {
-		row, err := fig5Run(seed, pp)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	pps := []int{75, 50, 25}
+	rows, err := sweep(len(pps), func(i int) (Fig5Row, error) { return fig5Run(seed, pps[i]) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig5Result{Rows: rows}, nil
 }
 
 func fig5Run(seed uint64, pp int) (Fig5Row, error) {

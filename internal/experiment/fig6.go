@@ -29,15 +29,12 @@ type Fig6Result struct {
 
 // Fig6 runs the three-way comparison.
 func Fig6(seed uint64) (*Fig6Result, error) {
-	res := &Fig6Result{}
-	for _, m := range []string{"dynamic", "static", "constant"} {
-		row, err := fig6Run(seed, m)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	methods := []string{"dynamic", "static", "constant"}
+	rows, err := sweep(len(methods), func(i int) (Fig6Row, error) { return fig6Run(seed, methods[i]) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig6Result{Rows: rows}, nil
 }
 
 func fig6Run(seed uint64, method string) (Fig6Row, error) {

@@ -26,28 +26,33 @@ type Fig7Result struct {
 
 // Fig7 runs BT.B.4 under each duty cap.
 func Fig7(seed uint64) (*Fig7Result, error) {
-	res := &Fig7Result{}
-	for _, cap := range []float64{25, 50, 75, 100} {
-		rig, err := build(4, seed, "bt", control("dynamic", "none", 50, cap))
-		if err != nil {
-			return nil, err
-		}
-		c := rig.Cluster
-		rec := newProbe(c, 250*time.Millisecond)
-		run := c.RunProgram(*rig.Program, 0)
-		c.Close()
-
-		temp := rec.Series("n0_temp")
-		duty := rec.Series("n0_duty")
-		res.Rows = append(res.Rows, Fig7Row{
-			MaxDuty: cap,
-			Temp:    temp,
-			Duty:    duty,
-			SteadyC: temp.MeanAfter(run.ExecTime / 2),
-			AvgDuty: duty.MeanAfter(run.ExecTime / 2),
-		})
+	caps := []float64{25, 50, 75, 100}
+	rows, err := sweep(len(caps), func(i int) (Fig7Row, error) { return fig7Run(seed, caps[i]) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig7Result{Rows: rows}, nil
+}
+
+func fig7Run(seed uint64, cap float64) (Fig7Row, error) {
+	rig, err := build(4, seed, "bt", control("dynamic", "none", 50, cap))
+	if err != nil {
+		return Fig7Row{}, err
+	}
+	c := rig.Cluster
+	defer c.Close()
+	rec := newProbe(c, 250*time.Millisecond)
+	run := c.RunProgram(*rig.Program, 0)
+
+	temp := rec.Series("n0_temp")
+	duty := rec.Series("n0_duty")
+	return Fig7Row{
+		MaxDuty: cap,
+		Temp:    temp,
+		Duty:    duty,
+		SteadyC: temp.MeanAfter(run.ExecTime / 2),
+		AvgDuty: duty.MeanAfter(run.ExecTime / 2),
+	}, nil
 }
 
 // Row returns the row with the given cap, or nil.

@@ -29,15 +29,12 @@ type Fig9Result struct {
 
 // Fig9 runs both daemons.
 func Fig9(seed uint64) (*Fig9Result, error) {
-	res := &Fig9Result{}
-	for _, daemon := range []string{"CPUSPEED", "tDVFS"} {
-		row, err := fig9Run(seed, daemon)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	daemons := []string{"CPUSPEED", "tDVFS"}
+	rows, err := sweep(len(daemons), func(i int) (Fig9Row, error) { return fig9Run(seed, daemons[i]) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig9Result{Rows: rows}, nil
 }
 
 func fig9Run(seed uint64, daemon string) (Fig9Row, error) {

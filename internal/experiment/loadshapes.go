@@ -158,16 +158,22 @@ func loadShapesCell(seed uint64, name string, spec workload.Spec, pp int) (LoadS
 // Pp ∈ {25, 50, 75} over the heterogeneous fleet.
 func LoadShapes(seed uint64) (*LoadShapesResult, error) {
 	res := &LoadShapesResult{Seed: seed, Pps: []int{25, 50, 75}}
-	for _, sh := range loadShapeSpecs() {
+	shapes := loadShapeSpecs()
+	for _, sh := range shapes {
 		res.Shapes = append(res.Shapes, sh.name)
-		for _, pp := range res.Pps {
-			row, err := loadShapesCell(seed, sh.name, sh.spec, pp)
-			if err != nil {
-				return nil, fmt.Errorf("loadshapes %s pp%d: %w", sh.name, pp, err)
-			}
-			res.Rows = append(res.Rows, row)
-		}
 	}
+	rows, err := sweep(len(shapes)*len(res.Pps), func(i int) (LoadShapesRow, error) {
+		sh, pp := shapes[i/len(res.Pps)], res.Pps[i%len(res.Pps)]
+		row, err := loadShapesCell(seed, sh.name, sh.spec, pp)
+		if err != nil {
+			return LoadShapesRow{}, fmt.Errorf("loadshapes %s pp%d: %w", sh.name, pp, err)
+		}
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = rows
 	return res, nil
 }
 

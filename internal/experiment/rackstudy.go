@@ -38,19 +38,11 @@ type RackStudyResult struct {
 // under (a) an equal fixed 45% duty everywhere and (b) the unified
 // controller per node.
 func RackStudy(seed uint64) (*RackStudyResult, error) {
-	res := &RackStudyResult{}
-	for _, unified := range []bool{false, true} {
-		rows, err := rackRun(seed, unified)
-		if err != nil {
-			return nil, err
-		}
-		if unified {
-			res.Unified = rows
-		} else {
-			res.Fixed = rows
-		}
+	runs, err := sweep(2, func(i int) ([]RackRow, error) { return rackRun(seed, i == 1) })
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &RackStudyResult{Fixed: runs[0], Unified: runs[1]}, nil
 }
 
 func rackRun(seed uint64, unified bool) ([]RackRow, error) {

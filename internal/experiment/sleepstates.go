@@ -96,7 +96,6 @@ func burstyProfile() workload.Generator {
 // SleepStates runs the study: a bursty communication-heavy profile and
 // a sustained cpu-burn, each with and without the C-state array.
 func SleepStates(seed uint64) (*SleepStatesResult, error) {
-	res := &SleepStatesResult{Seed: seed}
 	cells := []struct {
 		name  string
 		gen   workload.Generator
@@ -107,14 +106,13 @@ func SleepStates(seed uint64) (*SleepStatesResult, error) {
 		{"cpuburn", workload.Constant(0.95), false},
 		{"cpuburn", workload.Constant(0.95), true},
 	}
-	for _, cell := range cells {
-		row, err := sleepStatesRun(seed, cell.name, cell.gen, cell.sleep)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	rows, err := sweep(len(cells), func(i int) (SleepStatesRow, error) {
+		return sleepStatesRun(seed, cells[i].name, cells[i].gen, cells[i].sleep)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &SleepStatesResult{Seed: seed, Rows: rows}, nil
 }
 
 // row returns the cell for (workload, sleep), or a zero row.

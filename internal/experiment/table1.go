@@ -25,17 +25,14 @@ type Table1Result struct {
 // daemon {CPUSPEED, tDVFS} and fan capability {75, 50, 25}% maximum
 // duty, both coupled with dynamic fan control at Pp=50 as in §4.3.
 func Table1(seed uint64) (*Table1Result, error) {
-	res := &Table1Result{}
-	for _, daemon := range []string{"CPUSPEED", "tDVFS"} {
-		for _, cap := range []float64{75, 50, 25} {
-			cell, err := table1Run(seed, daemon, cap)
-			if err != nil {
-				return nil, err
-			}
-			res.Cells = append(res.Cells, cell)
-		}
+	daemons, caps := []string{"CPUSPEED", "tDVFS"}, []float64{75, 50, 25}
+	cells, err := sweep(len(daemons)*len(caps), func(i int) (Table1Cell, error) {
+		return table1Run(seed, daemons[i/len(caps)], caps[i%len(caps)])
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Table1Result{Cells: cells}, nil
 }
 
 func table1Run(seed uint64, daemon string, cap float64) (Table1Cell, error) {

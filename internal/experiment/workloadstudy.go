@@ -40,52 +40,62 @@ func WorkloadStudy(seed uint64) (*WorkloadStudyResult, error) {
 		workload.EPB4(), workload.BTB4(), workload.LUB4(),
 		workload.MGB4(), workload.CGB4(),
 	}
+	// Run 2k profiles program k at 2.4 GHz, run 2k+1 at 2.0 GHz.
+	freqs := [2]float64{2.4, 2.0}
+	runs, err := sweep(2*len(progs), func(i int) (workloadProfile, error) {
+		return workloadRun(seed, progs[i/2], freqs[i%2])
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &WorkloadStudyResult{}
-	for _, prog := range progs {
-		row := WorkloadRow{Name: prog.Name}
-		var err error
-		if row.ExecS, row.AvgPowerW, row.PeakC, err = workloadRun(seed, prog, 2.4); err != nil {
-			return nil, err
-		}
-		if row.Exec20S, _, _, err = workloadRun(seed, prog, 2.0); err != nil {
-			return nil, err
-		}
-		row.SlowdownPct = (row.Exec20S/row.ExecS - 1) * 100
-		res.Rows = append(res.Rows, row)
+	for i, prog := range progs {
+		at24, at20 := runs[2*i], runs[2*i+1]
+		res.Rows = append(res.Rows, WorkloadRow{
+			Name:        prog.Name,
+			ExecS:       at24.execS,
+			Exec20S:     at20.execS,
+			SlowdownPct: (at20.execS/at24.execS - 1) * 100,
+			AvgPowerW:   at24.avgW,
+			PeakC:       at24.peakC,
+		})
 	}
 	return res, nil
 }
 
+// workloadProfile is one workloadRun's outcome: the execution time, the
+// average wall power per node and the hottest sensor reading.
+type workloadProfile struct{ execS, avgW, peakC float64 }
+
 // workloadRun executes prog on 4 nodes with the fan pinned at 50% duty
-// and every CPU at freq GHz, returning the execution time, the average
-// wall power per node and the hottest sensor reading.
-func workloadRun(seed uint64, prog workload.Program, freq float64) (execS, avgW, peakC float64, err error) {
+// and every CPU at freq GHz.
+func workloadRun(seed uint64, prog workload.Program, freq float64) (workloadProfile, error) {
 	rig, err := build(4, seed, "", chipAuto)
 	if err != nil {
-		return 0, 0, 0, err
+		return workloadProfile{}, err
 	}
 	c := rig.Cluster
 	defer c.Close()
 	for _, n := range c.Nodes {
 		if err := n.FS.WriteInt(n.Hwmon.PWMEnable, 1); err != nil {
-			return 0, 0, 0, err
+			return workloadProfile{}, err
 		}
 		if err := n.FS.WriteInt(n.Hwmon.PWM, 128); err != nil { // ≈50%
-			return 0, 0, 0, err
+			return workloadProfile{}, err
 		}
 		if !n.CPU.SetFreqGHz(freq) {
-			return 0, 0, 0, fmt.Errorf("no %v GHz state", freq)
+			return workloadProfile{}, fmt.Errorf("no %v GHz state", freq)
 		}
 	}
 	rec := newProbe(c, time.Second)
 	run := c.RunProgram(prog, 0)
-	peakC = -1e9
+	p := workloadProfile{execS: run.ExecTime.Seconds(), avgW: meterAvgW(c), peakC: -1e9}
 	for i := range c.Nodes {
-		if s := rec.Series(fmt.Sprintf("n%d_temp", i)); s != nil && s.Max() > peakC {
-			peakC = s.Max()
+		if s := rec.Series(fmt.Sprintf("n%d_temp", i)); s != nil && s.Max() > p.peakC {
+			p.peakC = s.Max()
 		}
 	}
-	return run.ExecTime.Seconds(), meterAvgW(c), peakC, nil
+	return p, nil
 }
 
 // Row returns the named kernel's row, or nil.

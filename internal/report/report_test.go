@@ -70,45 +70,54 @@ func TestMarkdownDeterministic(t *testing.T) {
 }
 
 // TestReportGolden pins the committed docs/report.md to the live
-// evaluation: wiring or refactoring that moves any reported number
-// fails here. Run with -update to regenerate the file after a
+// evaluation at one and at two workers: wiring or refactoring that
+// moves any reported number fails here, and so does a parallel run
+// (concurrent experiment runs, parallel cluster steps) whose report
+// differs from the serial one. Under -race this also race-checks the
+// parallel runs. Run with -update to regenerate the file after a
 // deliberate change.
 func TestReportGolden(t *testing.T) {
-	all, err := Collect(experiment.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := all.Markdown(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if *update {
-		if err := os.WriteFile(goldenReport, []byte(got), 0o644); err != nil {
+	defer func(w int) { experiment.Workers = w }(experiment.Workers)
+	for _, workers := range []int{1, 2} {
+		experiment.Workers = workers
+		all, err := Collect(experiment.Seed)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(goldenReport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("%s differs from the live report at line %d:\n  live:      %s\n  committed: %s\n(rerun with -update after a deliberate change)",
-					goldenReport, i+1, gl[i], wl[i])
-			}
+		var sb strings.Builder
+		if err := all.Markdown(&sb); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("%s differs from the live report in length: %d vs %d lines", goldenReport, len(wl), len(gl))
+		got := sb.String()
+		if *update {
+			if err := os.WriteFile(goldenReport, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		want, err := os.ReadFile(goldenReport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("%s differs from the live report at Workers=%d, line %d:\n  live:      %s\n  committed: %s\n(rerun with -update after a deliberate change)",
+						goldenReport, workers, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("%s differs from the live report at Workers=%d in length: %d vs %d lines", goldenReport, workers, len(wl), len(gl))
+		}
 	}
 }
 
-// TestCollectReleasesWorkers checks that no pool helper outlives
-// Collect at Workers=4. The evaluation's clusters (1-16 nodes) are all
-// below the cluster's fan-out threshold and step inline, so this also
-// pins that they start none.
+// TestCollectReleasesWorkers checks that no goroutine outlives Collect
+// at Workers=4: an experiment's concurrent runs (experiment.sweep) are
+// joined before it returns, and every cluster's step pool is closed.
+// The evaluation's clusters (1-16 nodes) are all below the cluster's
+// fan-out threshold and step inline, so this also pins that they start
+// no pool helper.
 func TestCollectReleasesWorkers(t *testing.T) {
 	defer func(w int) { experiment.Workers = w }(experiment.Workers)
 	experiment.Workers = 4

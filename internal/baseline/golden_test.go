@@ -211,3 +211,40 @@ func TestGoldenCPUSpeed(t *testing.T) {
 	}
 	checkGolden(t, "cpuspeed", tr)
 }
+
+// pidScript is an open-loop load step: an idle plateau, a first-order
+// rise toward a hot plateau, and a late drop back to idle so the output
+// saturates at both rails.
+func pidScript(i int) float64 {
+	ripple := 0.6 * math.Sin(float64(i)/3)
+	switch {
+	case i < 40:
+		return 44 + ripple
+	case i < 150:
+		return 66 - 22*math.Exp(-float64(i-40)/30) + ripple
+	default:
+		return 45 + ripple
+	}
+}
+
+func TestGoldenPID(t *testing.T) {
+	tr := &trace{}
+	r := &scriptReader{
+		temp: pidScript,
+		fail: func(i int) bool { return (i >= 60 && i < 64) || i == 170 },
+	}
+	port := &traceFanPort{tr: tr,
+		fail: func(call int) bool { return (call >= 20 && call < 23) || call == 100 }}
+	p, err := baseline.NewPIDFan(baseline.DefaultPIDFanConfig(), r.read, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 250 ms period: samples land every 5th simulation step.
+	for step := 0; step < 1600; step++ {
+		p.OnStep(time.Duration(step) * stepDt)
+		if step%5 == 0 {
+			tr.addf("step=%04d errs=%d writes=%d", step, p.Errors(), p.Writes())
+		}
+	}
+	checkGolden(t, "pid", tr)
+}

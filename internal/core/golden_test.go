@@ -353,3 +353,63 @@ func TestGoldenHybrid(t *testing.T) {
 	}
 	checkGolden(t, "hybrid", tr)
 }
+
+// watchdogScript is the tach reading at sample i: healthy, a confirmed
+// seizure, a recovery, a brief stall that must not trip, and a second
+// seizure and recovery. 100 RPM is exactly the stall threshold.
+func watchdogScript(i int) float64 {
+	switch {
+	case i < 8:
+		return 2400
+	case i < 18:
+		return 0
+	case i < 20:
+		return 100
+	case i < 31:
+		return 2400
+	case i < 33:
+		return 80
+	case i < 40:
+		return 2400
+	case i < 46:
+		return 0
+	default:
+		return 2400
+	}
+}
+
+func TestGoldenWatchdog(t *testing.T) {
+	tr := &trace{}
+	r := &scriptReader{
+		temp: watchdogScript,
+		// Tach faults during the stall and during the recovery run.
+		fail: func(i int) bool { return i == 16 || i == 17 || i == 22 },
+	}
+	port := &traceFreqPort{
+		tr:    tr,
+		freqs: []int64{2400000, 2200000, 2000000, 1800000, 1600000},
+		cur:   2400000,
+		// The first declaration and the first recovery writes fail.
+		fail: func(call int) bool { return call == 0 || call == 2 },
+	}
+	act, err := core.NewDVFSActuator(port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := core.NewWatchdog(core.DefaultWatchdogConfig(), r.read, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1 s period: samples land every 20th simulation step.
+	for step := 0; step < 1300; step++ {
+		w.OnStep(time.Duration(step) * stepDt)
+		if step%20 == 0 {
+			tr.addf("step=%04d errs=%d emergency=%v events=%d",
+				step, w.Errors(), w.Emergency(), len(w.Events()))
+		}
+	}
+	for _, ev := range w.Events() {
+		tr.addf("event at=%s failure=%v", ev.At, ev.Failure)
+	}
+	checkGolden(t, "watchdog", tr)
+}

@@ -39,7 +39,7 @@ func main() {
 		}
 
 		var ctl interface{ OnStep(time.Duration) }
-		var wd *core.Watchdog
+		var wd *core.WatchdogPolicy
 		switch scheme {
 		case "tDVFS":
 			ctl, err = thermctl.NewTDVFS(n, 50)
@@ -55,8 +55,10 @@ func main() {
 				v, err := fanInput.ReadInt()
 				return float64(v), err
 			}
-			wd, err = core.NewWatchdog(core.DefaultWatchdogConfig(), rpm, act)
-			ctl = wd
+			var b *core.Binding
+			if b, err = core.NewWatchdog(core.DefaultWatchdogConfig(), rpm, act); err == nil {
+				ctl, wd = b, b.Policy().(*core.WatchdogPolicy)
+			}
 		default:
 			ctl = nopController{}
 		}

@@ -1,22 +1,24 @@
 // Package baseline implements the comparison controllers of the paper's
 // evaluation:
 //
-//   - StaticFan: the traditional static fan control of Figure 1 — PWM
-//     duty is a fixed linear map of the current temperature (PWMmin
-//     below Tmin, rising to the maximum at Tmax), with no history, no
-//     prediction and no policy parameter.
-//   - ConstantFan: a fixed duty cycle (the paper pins it at 75%), the
-//     maximum-cooling / maximum-fan-power reference.
-//   - CPUSpeed: the CPUSPEED daemon [33] — utilization-driven frequency
+//   - the static fan map: the traditional static fan control of
+//     Figure 1 — PWM duty is a fixed linear map of the current
+//     temperature (PWMmin below Tmin, rising to the maximum at Tmax),
+//     with no history, no prediction and no policy parameter.
+//   - the constant fan: a fixed duty cycle (the paper pins it at 75%),
+//     the maximum-cooling / maximum-fan-power reference.
+//   - CPUSPEED: the daemon of [33] — utilization-driven frequency
 //     scaling with no temperature input, reading /proc/stat like the
 //     real daemon. Its transition churn on phase-structured parallel
 //     applications is the foil for tDVFS in Table 1.
+//   - PID: a textbook temperature→duty loop, the "formal control"
+//     alternative of the related work, for the ablation benches.
 //
-// Since the control-plane unification each baseline is a policy hosted
-// on a core.Binding: the engine owns sampling cadence and error
-// accounting (the fail-safe escalation is disabled, preserving the
-// baselines' historical count-and-skip behaviour), and the policy is
-// only the decision law the paper compares against.
+// Each baseline is a policy hosted on a core.Binding, and each
+// constructor returns that binding: the engine owns sampling cadence
+// and error accounting (the fail-safe escalation is disabled,
+// preserving the baselines' historical count-and-skip behaviour), and
+// the policy is only the decision law the paper compares against.
 package baseline
 
 import (
@@ -54,26 +56,31 @@ func DefaultStaticFanConfig(maxDuty float64) StaticFanConfig {
 	}
 }
 
-// StaticFan is the traditional static fan controller.
-type StaticFan struct {
-	cfg StaticFanConfig
-	b   *core.Binding
+// Duty returns the static map's duty for temperature t — the Figure 1
+// line capped at MaxDuty.
+func (c StaticFanConfig) Duty(t float64) float64 {
+	d := adt7467.StaticCurve(t, c.TminC, c.TmaxC-c.TminC, c.MinDuty)
+	if d > c.MaxDuty {
+		d = c.MaxDuty
+	}
+	return d
 }
 
 // staticFanPolicy maps each sample through the Figure 1 line. The
 // static map is memoryless, so the policy is one expression.
-type staticFanPolicy struct{ s *StaticFan }
+type staticFanPolicy struct{ cfg StaticFanConfig }
 
 // Name implements core.Policy.
 func (p staticFanPolicy) Name() string { return "staticmap" }
 
 // Decide implements core.Policy.
 func (p staticFanPolicy) Decide(tx *core.Txn) {
-	tx.ApplyDuty(0, p.s.Duty(tx.Sample()))
+	tx.ApplyDuty(0, p.cfg.Duty(tx.Sample()))
 }
 
-// NewStaticFan builds the controller.
-func NewStaticFan(cfg StaticFanConfig, read core.TempReader, port core.FanPort) (*StaticFan, error) {
+// NewStaticFan builds the traditional static fan controller: a binding
+// that re-evaluates the map every SamplePeriod.
+func NewStaticFan(cfg StaticFanConfig, read core.TempReader, port core.FanPort) (*core.Binding, error) {
 	if read == nil || port == nil {
 		return nil, fmt.Errorf("baseline: static fan needs a reader and a port")
 	}
@@ -83,92 +90,50 @@ func NewStaticFan(cfg StaticFanConfig, read core.TempReader, port core.FanPort) 
 	if cfg.TmaxC <= cfg.TminC {
 		return nil, fmt.Errorf("baseline: Tmax must exceed Tmin")
 	}
-	s := &StaticFan{cfg: cfg}
-	b, err := core.NewBinding(core.BindingConfig{
-		Policy:       staticFanPolicy{s: s},
+	return core.NewBinding(core.BindingConfig{
+		Policy:       staticFanPolicy{cfg: cfg},
 		Read:         read,
 		SamplePeriod: cfg.SamplePeriod,
 		FailSafe:     core.FailSafeConfig{Disable: true},
 		Actuators:    []core.Actuator{&core.FanDutyActuator{Port: port}},
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.b = b
-	return s, nil
 }
 
-// Binding exposes the engine binding hosting this controller.
-func (s *StaticFan) Binding() *core.Binding { return s.b }
-
-// Duty returns the static map's duty for temperature t — the Figure 1
-// line capped at MaxDuty.
-func (s *StaticFan) Duty(t float64) float64 {
-	d := adt7467.StaticCurve(t, s.cfg.TminC, s.cfg.TmaxC-s.cfg.TminC, s.cfg.MinDuty)
-	if d > s.cfg.MaxDuty {
-		d = s.cfg.MaxDuty
-	}
-	return d
-}
-
-// Errors returns the failed read/actuation count. Safe to call
-// concurrently with the control loop.
-func (s *StaticFan) Errors() uint64 { return s.b.Errors() }
-
-// OnStep implements the cluster Controller interface.
-func (s *StaticFan) OnStep(now time.Duration) { s.b.OnStep(now) }
-
-// ConstantFan pins the fan at a fixed duty once and keeps it there.
-type ConstantFan struct {
-	Duty float64
-	b    *core.Binding
+// constantFanPolicy pins the duty once, retrying the write on every
+// step until it lands.
+type constantFanPolicy struct {
+	duty float64
 	done bool
 }
 
-// constantFanPolicy retries the single pin until the write lands; it
-// reads Duty live so the field stays adjustable until then.
-type constantFanPolicy struct{ c *ConstantFan }
-
 // Name implements core.Policy.
-func (p constantFanPolicy) Name() string { return "constant" }
+func (p *constantFanPolicy) Name() string { return "constant" }
 
 // Decide implements core.Policy.
-func (p constantFanPolicy) Decide(tx *core.Txn) {
-	if p.c.done {
+func (p *constantFanPolicy) Decide(tx *core.Txn) {
+	if p.done {
 		return
 	}
-	if tx.ApplyDuty(0, p.c.Duty) {
-		p.c.done = true
+	if tx.ApplyDuty(0, p.duty) {
+		p.done = true
 	}
 }
 
-// NewConstantFan builds the controller.
-func NewConstantFan(duty float64, port core.FanPort) *ConstantFan {
-	c := &ConstantFan{Duty: duty}
-	// The binding is windowless, readerless and ungated: the policy
-	// fires on every step until the pin lands. Construction cannot fail
-	// with a non-nil policy.
+// NewConstantFan builds the controller that pins the fan at a fixed
+// duty once and keeps it there. The binding is windowless, readerless
+// and ungated: the policy fires on every step until the pin lands.
+func NewConstantFan(duty float64, port core.FanPort) *core.Binding {
+	// Construction cannot fail with a non-nil policy.
 	b, err := core.NewBinding(core.BindingConfig{
-		Policy:    constantFanPolicy{c: c},
+		Policy:    &constantFanPolicy{duty: duty},
 		FailSafe:  core.FailSafeConfig{Disable: true},
 		Actuators: []core.Actuator{&core.FanDutyActuator{Port: port}},
 	})
 	if err != nil {
 		panic(err)
 	}
-	c.b = b
-	return c
+	return b
 }
-
-// Binding exposes the engine binding hosting this controller.
-func (c *ConstantFan) Binding() *core.Binding { return c.b }
-
-// Errors returns the failed actuation count. Safe to call concurrently
-// with the control loop.
-func (c *ConstantFan) Errors() uint64 { return c.b.Errors() }
-
-// OnStep implements the cluster Controller interface.
-func (c *ConstantFan) OnStep(now time.Duration) { c.b.OnStep(now) }
 
 // CPUSpeedConfig parameterizes the CPUSPEED daemon model.
 type CPUSpeedConfig struct {
@@ -198,14 +163,6 @@ func DefaultCPUSpeedConfig() CPUSpeedConfig {
 	}
 }
 
-// CPUSpeed is the utilization-driven DVFS daemon. It reads /proc/stat
-// through the virtual sysfs and drives cpufreq, exactly as the real
-// daemon does — no temperature input at all.
-type CPUSpeed struct {
-	b   *core.Binding
-	pol *cpuSpeedPolicy
-}
-
 // cpuSpeedPolicy holds the daemon's decision state. The binding has no
 // temperature reader — utilization is the only input — so the policy
 // gathers its own sample inside Decide and reports failures through
@@ -224,9 +181,11 @@ type cpuSpeedPolicy struct {
 // Name implements core.Policy.
 func (p *cpuSpeedPolicy) Name() string { return "cpuspeed" }
 
-// NewCPUSpeed builds the daemon over a node's file tree and frequency
-// port.
-func NewCPUSpeed(cfg CPUSpeedConfig, fs *hwmon.FS, freq core.FreqPort) (*CPUSpeed, error) {
+// NewCPUSpeed builds the utilization-driven DVFS daemon over a node's
+// file tree and frequency port. It reads /proc/stat through the
+// virtual sysfs and drives cpufreq, exactly as the real daemon does —
+// no temperature input at all.
+func NewCPUSpeed(cfg CPUSpeedConfig, fs *hwmon.FS, freq core.FreqPort) (*core.Binding, error) {
 	if fs == nil || freq == nil {
 		return nil, fmt.Errorf("baseline: cpuspeed needs a filesystem and a freq port")
 	}
@@ -237,24 +196,12 @@ func NewCPUSpeed(cfg CPUSpeedConfig, fs *hwmon.FS, freq core.FreqPort) (*CPUSpee
 	if err != nil {
 		return nil, fmt.Errorf("baseline: cpuspeed: %w", err)
 	}
-	pol := &cpuSpeedPolicy{cfg: cfg, stat: fs.Open("/proc/stat"), freq: freq, nmodes: len(freqs)}
-	b, err := core.NewBinding(core.BindingConfig{
-		Policy:       pol,
+	return core.NewBinding(core.BindingConfig{
+		Policy:       &cpuSpeedPolicy{cfg: cfg, stat: fs.Open("/proc/stat"), freq: freq, nmodes: len(freqs)},
 		SamplePeriod: cfg.Interval,
 		FailSafe:     core.FailSafeConfig{Disable: true},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &CPUSpeed{b: b, pol: pol}, nil
 }
-
-// Binding exposes the engine binding hosting this daemon.
-func (c *CPUSpeed) Binding() *core.Binding { return c.b }
-
-// Errors returns the failed read/actuation count. Safe to call
-// concurrently with the control loop.
-func (c *CPUSpeed) Errors() uint64 { return c.b.Errors() }
 
 // readProcStat parses the aggregate cpu line of /proc/stat into busy and
 // total jiffies.
@@ -328,6 +275,3 @@ func (p *cpuSpeedPolicy) apply(tx *core.Txn) {
 		tx.CountError()
 	}
 }
-
-// OnStep implements the cluster Controller interface.
-func (c *CPUSpeed) OnStep(now time.Duration) { c.b.OnStep(now) }

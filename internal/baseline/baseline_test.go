@@ -21,13 +21,7 @@ func newTestNode(t *testing.T) *node.Node {
 }
 
 func TestStaticFanDutyLine(t *testing.T) {
-	n := newTestNode(t)
-	s, err := NewStaticFan(DefaultStaticFanConfig(100),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.NewSysfsFanPort(n.FS, n.Hwmon))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := DefaultStaticFanConfig(100)
 	if d := s.Duty(30); d != 10 {
 		t.Errorf("Duty(30) = %v, want PWMmin 10", d)
 	}
@@ -40,14 +34,7 @@ func TestStaticFanDutyLine(t *testing.T) {
 }
 
 func TestStaticFanCap(t *testing.T) {
-	n := newTestNode(t)
-	s, err := NewStaticFan(DefaultStaticFanConfig(75),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.NewSysfsFanPort(n.FS, n.Hwmon))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := s.Duty(90); d != 75 {
+	if d := DefaultStaticFanConfig(75).Duty(90); d != 75 {
 		t.Errorf("capped Duty(90) = %v, want 75", d)
 	}
 }
@@ -85,7 +72,7 @@ func TestStaticFanFollowsTemperature(t *testing.T) {
 		s.OnStep(n.Elapsed())
 	}
 	// At the settled temperature the duty must match the line.
-	want := s.Duty(n.Sensor.Read())
+	want := DefaultStaticFanConfig(100).Duty(n.Sensor.Read())
 	if got := n.Fan.Duty(); math.Abs(got-want) > 3 {
 		t.Errorf("fan duty %v, static line says %v", got, want)
 	}

@@ -243,7 +243,7 @@ func TestGoldenPID(t *testing.T) {
 	for step := 0; step < 1600; step++ {
 		p.OnStep(time.Duration(step) * stepDt)
 		if step%5 == 0 {
-			tr.addf("step=%04d errs=%d writes=%d", step, p.Errors(), p.Writes())
+			tr.addf("step=%04d errs=%d writes=%d", step, p.Errors(), p.Moves(0))
 		}
 	}
 	checkGolden(t, "pid", tr)

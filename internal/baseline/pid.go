@@ -40,28 +40,26 @@ func DefaultPIDFanConfig() PIDFanConfig {
 	}
 }
 
-// PIDFan is a textbook PID temperature→duty loop: the "formal control"
-// alternative the paper's related work surveys (Lefurgy et al., Wang
-// et al.). It regulates to a fixed setpoint — there is no policy
-// parameter, no history window, and no notion of behaviour types. The
-// ablation benches compare it against the paper's controller on
-// settling, steady temperature and actuator churn.
-type PIDFan struct {
-	cfg  PIDFanConfig
-	read core.TempReader
-	port core.FanPort
+// pidPolicy is a textbook PID temperature→duty loop: the "formal
+// control" alternative the paper's related work surveys (Lefurgy et
+// al., Wang et al.). It regulates to a fixed setpoint — there is no
+// policy parameter, no history window, and no notion of behaviour
+// types. The ablation benches compare it against the paper's
+// controller on settling, steady temperature and actuator churn.
+type pidPolicy struct {
+	cfg PIDFanConfig
 
-	next     time.Duration
 	integ    float64
 	filtered float64
 	prevF    float64
 	primed   bool
-	errs     uint64
-	writes   uint64
 }
 
-// NewPIDFan builds the loop.
-func NewPIDFan(cfg PIDFanConfig, read core.TempReader, port core.FanPort) (*PIDFan, error) {
+// NewPIDFan builds the loop: a binding that samples every SamplePeriod
+// and writes one duty per sample. Its Errors count failed reads and
+// writes; Moves(0) counts the duty commands issued — the actuator
+// churn metric.
+func NewPIDFan(cfg PIDFanConfig, read core.TempReader, port core.FanPort) (*core.Binding, error) {
 	if read == nil || port == nil {
 		return nil, fmt.Errorf("baseline: pid needs a reader and a port")
 	}
@@ -71,27 +69,21 @@ func NewPIDFan(cfg PIDFanConfig, read core.TempReader, port core.FanPort) (*PIDF
 	if cfg.MaxDuty <= cfg.MinDuty {
 		return nil, fmt.Errorf("baseline: pid: empty duty range")
 	}
-	return &PIDFan{cfg: cfg, read: read, port: port, next: cfg.SamplePeriod}, nil
+	return core.NewBinding(core.BindingConfig{
+		Policy:       &pidPolicy{cfg: cfg},
+		Read:         read,
+		SamplePeriod: cfg.SamplePeriod,
+		FailSafe:     core.FailSafeConfig{Disable: true},
+		Actuators:    []core.Actuator{&core.FanDutyActuator{Port: port}},
+	})
 }
 
-// Errors returns the failed read/actuation count.
-func (p *PIDFan) Errors() uint64 { return p.errs }
+// Name implements core.Policy.
+func (p *pidPolicy) Name() string { return "pid" }
 
-// Writes returns the number of duty commands issued — the actuator
-// churn metric.
-func (p *PIDFan) Writes() uint64 { return p.writes }
-
-// OnStep implements the cluster Controller interface.
-func (p *PIDFan) OnStep(now time.Duration) {
-	if now < p.next {
-		return
-	}
-	p.next += p.cfg.SamplePeriod
-	t, err := p.read()
-	if err != nil {
-		p.errs++
-		return
-	}
+// Decide implements core.Policy: one PID update on the round's sample.
+func (p *pidPolicy) Decide(tx *core.Txn) {
+	t := tx.Sample()
 	dt := p.cfg.SamplePeriod.Seconds()
 
 	// Low-pass the measurement for the derivative path.
@@ -127,9 +119,5 @@ func (p *PIDFan) OnStep(now time.Duration) {
 		}
 		out = p.cfg.MinDuty
 	}
-	if err := p.port.SetDutyPercent(out); err != nil {
-		p.errs++
-		return
-	}
-	p.writes++
+	tx.ApplyDuty(0, out)
 }

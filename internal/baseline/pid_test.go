@@ -10,7 +10,7 @@ import (
 	"thermctl/internal/workload"
 )
 
-func pidRig(t *testing.T, cfg PIDFanConfig) (*node.Node, *PIDFan) {
+func pidRig(t *testing.T, cfg PIDFanConfig) (*node.Node, *core.Binding) {
 	t.Helper()
 	n := newTestNode(t)
 	n.Settle(0)
@@ -55,6 +55,31 @@ func TestPIDRegulatesToSetpoint(t *testing.T) {
 	}
 	if p.Errors() != 0 {
 		t.Errorf("errors: %d", p.Errors())
+	}
+}
+
+// TestPIDDecideAllocationFree is the PID baseline's hot-path budget:
+// once warm, one sample period of its binding — one temperature read, one
+// PID decision and one duty write — allocates nothing.
+func TestPIDDecideAllocationFree(t *testing.T) {
+	n, p := pidRig(t, DefaultPIDFanConfig())
+	n.SetGenerator(workload.NewCPUBurn(nil))
+	dt := 250 * time.Millisecond
+	for i := 0; i < 400; i++ {
+		n.Step(dt)
+		p.OnStep(n.Elapsed())
+	}
+	now := n.Elapsed()
+	moves := p.Moves(0)
+	decide := func() {
+		now += DefaultPIDFanConfig().SamplePeriod
+		p.OnStep(now)
+	}
+	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
+		t.Errorf("one PID decision allocates %v, want 0", allocs)
+	}
+	if p.Moves(0) == moves {
+		t.Error("no duty written during the measured decisions")
 	}
 }
 

@@ -2,19 +2,28 @@ package config
 
 import (
 	"testing"
+	"time"
 
+	"thermctl/internal/cluster"
+	"thermctl/internal/core/window"
 	"thermctl/internal/workload"
 )
 
 // TestControlledStepAllocationFree is the hot-path budget for every
-// controller stack BuildNode wires: after warm-up, one Cluster.Step —
-// node physics plus the node-local control phase — allocates nothing.
+// controller stack BuildNode wires: after warm-up, one control round
+// of Cluster.Steps — node physics plus the node-local control phase —
+// allocates nothing. Each measured call runs a whole history-window
+// round (L1Size samples at the tuning's sample period: 4 × 250 ms, 20
+// steps at cluster.DefaultDt), so an allocation made once per round
+// cannot hide in AllocsPerRun's integer mean over single steps.
 //
 // DVFS "cpuspeed" is left out on purpose: the CPUSPEED daemon reads
 // /proc/stat as kernel-formatted text every round and parses it, one
 // allocation per round under a documented //thermlint:allow hotalloc,
 // just as the real daemon reads the file.
 func TestControlledStepAllocationFree(t *testing.T) {
+	tune := Default()
+	roundSteps := int(time.Duration(window.Default().L1Size) * tune.SamplePeriod() / cluster.DefaultDt)
 	for _, fan := range []string{"dynamic", "static", "constant", "auto"} {
 		for _, dvfs := range []string{"none", "tdvfs"} {
 			for _, sleep := range []string{"none", "ctlarray"} {
@@ -41,8 +50,13 @@ func TestControlledStepAllocationFree(t *testing.T) {
 					for i := 0; i < 400; i++ { // warm-up: fill the history windows
 						c.Step()
 					}
-					if allocs := testing.AllocsPerRun(400, c.Step); allocs != 0 {
-						t.Errorf("Cluster.Step allocates %v per step, want 0", allocs)
+					round := func() {
+						for i := 0; i < roundSteps; i++ {
+							c.Step()
+						}
+					}
+					if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+						t.Errorf("one control round (%d steps) allocates %v, want 0", roundSteps, allocs)
 					}
 				})
 			}

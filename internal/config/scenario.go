@@ -370,11 +370,11 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 			return nil, err
 		}
 		out.Controllers = append(out.Controllers, s)
-		out.Lanes = append(out.Lanes, Lane{"fan", s.Binding()})
+		out.Lanes = append(out.Lanes, Lane{"fan", s})
 	case "constant":
 		cf := baseline.NewConstantFan(tune.MaxFanDuty, fanPort())
 		out.Controllers = append(out.Controllers, cf)
-		out.Lanes = append(out.Lanes, Lane{"fan", cf.Binding()})
+		out.Lanes = append(out.Lanes, Lane{"fan", cf})
 	case "auto":
 		// chip firmware curve; nothing to attach
 	}
@@ -411,7 +411,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 			return nil, err
 		}
 		out.Controllers = append(out.Controllers, csd)
-		out.Lanes = append(out.Lanes, Lane{"dvfs", csd.Binding()})
+		out.Lanes = append(out.Lanes, Lane{"dvfs", csd})
 	case "none":
 	}
 	if fanCtl != nil {

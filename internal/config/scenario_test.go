@@ -154,6 +154,8 @@ func TestBuildNodeLanes(t *testing.T) {
 					case *core.Hybrid:
 						stepped[c.Fan.Binding()] = true
 						stepped[c.DVFS.Binding()] = true
+					case *core.Binding:
+						stepped[c] = true
 					case interface{ Binding() *core.Binding }:
 						stepped[c.Binding()] = true
 					default:

@@ -10,8 +10,10 @@ import (
 // TestPolicyRootsAllocationFree is the hot-path budget of the control
 // engine's roots: after warm-up, one decision of the ctlarray policy
 // (the dynamic fan controller's law), one of the threshold policy
-// (tDVFS's law), and one step of the hybrid's two-lane engine allocate
-// nothing.
+// (tDVFS's law), one of the tach watchdog, and one step of the
+// hybrid's two-lane engine allocate nothing. (The PID baseline's
+// decision is checked in internal/baseline, which imports this
+// package.)
 func TestPolicyRootsAllocationFree(t *testing.T) {
 	n, h := newHybridRig(t, 50, 30) // weak fan cap: tDVFS must engage
 	n.SetGenerator(workload.NewCPUBurn(nil))
@@ -29,12 +31,27 @@ func TestPolicyRootsAllocationFree(t *testing.T) {
 		t.Fatalf("DVFS policy is %T, want *ThresholdPolicy", dvfs.Policy())
 	}
 	eng, win, now := h.Engine(), fan.Window(), n.Elapsed()
+	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tach := n.FS.Open(n.Hwmon.FanInput)
+	wdb, err := NewWatchdog(DefaultWatchdogConfig(), func() (float64, error) {
+		v, err := tach.ReadInt()
+		return float64(v), err
+	}, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wdb.OnStep(now) // one tach sample: a healthy fan, so Decide makes no transition
+	wd := wdb.Policy().(*WatchdogPolicy)
 	roots := []struct {
 		name string
 		fn   func()
 	}{
 		{"CtlArrayPolicy.Decide", func() { ctl.Decide(&fan.tx) }},
 		{"ThresholdPolicy.Decide", func() { thr.Decide(&dvfs.tx) }},
+		{"WatchdogPolicy.Decide", func() { wd.Decide(&wdb.tx) }},
 		// One control round per call: sample until the fan window
 		// completes a round. Both lanes sample every 250 ms over a
 		// 4-entry level one, so each call runs both decisions; a

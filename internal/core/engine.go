@@ -17,10 +17,13 @@ import (
 // actuators — and the engine makes that literal: sampling cadence,
 // fail-safe escalation, retry bookkeeping, error counting and the
 // generic metrics hooks live here exactly once, while the decision law
-// is a pluggable Policy. The dynamic fan controller, the tDVFS daemon,
-// the baseline controllers and the hybrid coordinator are all thin
-// facades over Binding/Engine (see controller.go, tdvfs.go, hybrid.go
-// and internal/baseline).
+// is a pluggable Policy. Every controller is a policy on a Binding: the
+// dynamic fan array and tDVFS (wrapped by the Controller and TDVFS
+// types, see controller.go and tdvfs.go), the tach watchdog
+// (watchdog.go), and the baselines of internal/baseline — static map,
+// constant duty, CPUSPEED and PID — whose constructors return the
+// binding itself. The hybrid coordinator is an Engine of two bindings
+// (hybrid.go).
 
 // Policy is the pluggable decision layer of the control engine: the
 // strategy that turns the binding's window/sample state into actuator
@@ -72,11 +75,12 @@ type DutyApplier interface {
 }
 
 // FanDutyActuator adapts a FanPort as a single-mode actuator with a
-// continuous duty command: Apply(0) pins Pinned percent (the constant
-// baseline), ApplyDuty commands an arbitrary duty (the static map).
+// continuous duty command: ApplyDuty commands an arbitrary duty (the
+// static map, the constant pin, the PID output). Its one mode is also
+// the fail-safe target, so Apply commands full duty — the most
+// effective setting, as the Actuator ordering contract requires.
 type FanDutyActuator struct {
-	Port   FanPort
-	Pinned float64
+	Port FanPort
 }
 
 // Name implements Actuator.
@@ -86,7 +90,7 @@ func (f *FanDutyActuator) Name() string { return "fan" }
 func (f *FanDutyActuator) NumModes() int { return 1 }
 
 // Apply implements Actuator.
-func (f *FanDutyActuator) Apply(int) error { return f.Port.SetDutyPercent(f.Pinned) }
+func (f *FanDutyActuator) Apply(int) error { return f.Port.SetDutyPercent(100) }
 
 // Current implements Actuator.
 func (f *FanDutyActuator) Current() (int, error) { return 0, nil }

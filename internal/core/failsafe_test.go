@@ -235,3 +235,41 @@ func TestFailSafeDisable(t *testing.T) {
 		t.Errorf("Errors = %d, want 100", c.Errors())
 	}
 }
+
+// dutyPolicy commands a fixed duty through Txn.ApplyDuty, like the
+// static-map and PID baselines.
+type dutyPolicy struct{ pct float64 }
+
+func (p dutyPolicy) Name() string   { return "duty" }
+func (p dutyPolicy) Decide(tx *Txn) { tx.ApplyDuty(0, p.pct) }
+
+// A FanDutyActuator's one mode is the fail-safe target, so a binding
+// that keeps the fail-safe enabled must escalate the fan to full duty,
+// not to 0%.
+func TestFanDutyActuatorFailSafeEscalatesToFullDuty(t *testing.T) {
+	period := 250 * time.Millisecond
+	port := &fakeFanPort{}
+	goodSamples := 4
+	b, err := NewBinding(BindingConfig{
+		Policy:       dutyPolicy{pct: 30},
+		Read:         failAfter(goodSamples, 50),
+		SamplePeriod: period,
+		Actuators:    []Actuator{&FanDutyActuator{Port: port}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	esc := DefaultFailSafeConfig().EscalateErrors
+	for i := 1; i <= goodSamples+esc; i++ {
+		b.OnStep(time.Duration(i) * period)
+		if i == goodSamples && port.duty != 30 {
+			t.Fatalf("duty = %v%% before the failure, want the policy's 30", port.duty)
+		}
+	}
+	if !b.FailSafe() {
+		t.Fatal("fail-safe not engaged after the escalation threshold")
+	}
+	if port.duty != 100 {
+		t.Errorf("fan duty = %v%% under fail-safe, want 100", port.duty)
+	}
+}

@@ -396,16 +396,17 @@ func TestGoldenWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := core.NewWatchdog(core.DefaultWatchdogConfig(), r.read, act)
+	b, err := core.NewWatchdog(core.DefaultWatchdogConfig(), r.read, act)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := b.Policy().(*core.WatchdogPolicy)
 	// 1 s period: samples land every 20th simulation step.
 	for step := 0; step < 1300; step++ {
-		w.OnStep(time.Duration(step) * stepDt)
+		b.OnStep(time.Duration(step) * stepDt)
 		if step%20 == 0 {
 			tr.addf("step=%04d errs=%d emergency=%v events=%d",
-				step, w.Errors(), w.Emergency(), len(w.Events()))
+				step, b.Errors(), w.Emergency(), len(w.Events()))
 		}
 	}
 	for _, ev := range w.Events() {

@@ -2,7 +2,8 @@ package core
 
 import "thermctl/internal/metrics"
 
-// This file wires the controller facades to the metrics layer.
+// This file wires the controller facades and the watchdog binding to
+// the metrics layer.
 // Registration happens here, at wiring time — never inside
 // OnStep-reachable code (the metricsafe analyzer enforces that) — and
 // the handles themselves are nil-safe, so an uninstrumented controller
@@ -78,29 +79,28 @@ func (h *Hybrid) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Labe
 		"simulation steps with the fan floor held while tDVFS was engaged", labels...)
 }
 
-// watchdogMetrics bundles the fan-failure watchdog's instruments.
+// watchdogMetrics bundles the fan-failure watchdog policy's
+// instruments; its error counter lives on the binding.
 type watchdogMetrics struct {
 	// failures counts declared fan failures (watchdog firings).
 	failures *metrics.Counter
 	// recoveries counts ended emergencies.
 	recoveries *metrics.Counter
-	// errors counts failed tach reads or actuations.
-	errors *metrics.Counter
 	// emergency is 1 while a fan failure is declared.
 	emergency *metrics.Gauge
 }
 
-// InstrumentMetrics registers the watchdog's instruments on reg with
-// the given constant labels and attaches them. Wiring-time only.
-func (w *Watchdog) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label) {
-	w.mt = watchdogMetrics{
-		failures: reg.NewCounter("thermctl_watchdog_failures_total",
-			"declared fan failures", labels...),
-		recoveries: reg.NewCounter("thermctl_watchdog_recoveries_total",
-			"fan-failure emergencies ended by recovery", labels...),
-		errors: reg.NewCounter("thermctl_watchdog_errors_total",
-			"failed tachometer reads or frequency writes", labels...),
-		emergency: reg.NewGauge("thermctl_watchdog_emergency",
-			"1 while a fan failure is declared", labels...),
-	}
+// InstrumentWatchdog registers the tach watchdog's instruments on reg
+// with the given constant labels and attaches them to b, a binding
+// built by NewWatchdog. Wiring-time only.
+func InstrumentWatchdog(b *Binding, reg *metrics.Registry, labels ...metrics.Label) {
+	w := b.pol.(*WatchdogPolicy)
+	w.mt.failures = reg.NewCounter("thermctl_watchdog_failures_total",
+		"declared fan failures", labels...)
+	w.mt.recoveries = reg.NewCounter("thermctl_watchdog_recoveries_total",
+		"fan-failure emergencies ended by recovery", labels...)
+	b.mt.errors = reg.NewCounter("thermctl_watchdog_errors_total",
+		"failed tachometer reads or frequency writes", labels...)
+	w.mt.emergency = reg.NewGauge("thermctl_watchdog_emergency",
+		"1 while a fan failure is declared", labels...)
 }

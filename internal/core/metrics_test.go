@@ -57,9 +57,9 @@ func TestHybridInstrumentMetrics(t *testing.T) {
 }
 
 func TestWatchdogInstrumentMetrics(t *testing.T) {
-	n, w := newWatchdogRig(t)
+	n, b, _ := newWatchdogRig(t)
 	reg := metrics.NewRegistry()
-	w.InstrumentMetrics(reg)
+	InstrumentWatchdog(b, reg)
 	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	if err := port.SetDutyPercent(50); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestWatchdogInstrumentMetrics(t *testing.T) {
 		deadline := n.Elapsed() + d
 		for n.Elapsed() < deadline {
 			n.Step(dt)
-			w.OnStep(n.Elapsed())
+			b.OnStep(n.Elapsed())
 		}
 	}
 

@@ -26,7 +26,8 @@ import (
 	"thermctl/internal/ipmi"
 )
 
-// TempReader returns one temperature sample in °C.
+// TempReader returns one temperature sample in °C. The tach watchdog
+// reads fan speed in RPM through the same type.
 type TempReader func() (float64, error)
 
 // SysfsTemp reads an hwmon temp*_input attribute (millidegrees) —

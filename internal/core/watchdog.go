@@ -32,45 +32,45 @@ func DefaultWatchdogConfig() WatchdogConfig {
 	}
 }
 
-// RPMReader supplies the fan speed (e.g. the hwmon fan1_input file or
-// an IPMI fan sensor).
-type RPMReader func() (float64, error)
-
 // WatchdogEvent records one state change.
 type WatchdogEvent struct {
 	At      time.Duration
 	Failure bool // true = failure declared, false = recovery
 }
 
-// Watchdog detects a seized CPU fan from its tachometer and responds
-// in-band *immediately* — it forces the most effective DVFS mode the
-// moment the rotor is confirmed stopped, instead of waiting for the die
-// to heat through a temperature threshold. This is the fault-driven
-// counterpart of tDVFS (the paper's related work, Choi et al., pairs
-// DVFS with fan failure exactly this way): on a dead fan, every second
-// at full power costs ~1 °C, so reacting to the cause beats reacting to
-// the symptom. When the fan recovers, the nominal frequency is
-// restored.
-type Watchdog struct {
-	cfg  WatchdogConfig
-	rpm  RPMReader
-	act  *DVFSActuator
-	next time.Duration
+// WatchdogPolicy detects a seized CPU fan from its tachometer and
+// responds in-band *immediately* — it forces the most effective DVFS
+// mode the moment the rotor is confirmed stopped, instead of waiting
+// for the die to heat through a temperature threshold. This is the
+// fault-driven counterpart of tDVFS (the paper's related work, Choi et
+// al., pairs DVFS with fan failure exactly this way): on a dead fan,
+// every second at full power costs ~1 °C, so reacting to the cause
+// beats reacting to the symptom. When the fan recovers, the nominal
+// frequency is restored.
+//
+// It runs on a Binding whose reader is the tach (see NewWatchdog):
+// each sample is one fan speed in RPM.
+type WatchdogPolicy struct {
+	cfg WatchdogConfig
+	// floor is the DVFS actuator's most effective (lowest frequency)
+	// mode.
+	floor int
 
 	stalled   int
 	healthy   int
 	emergency bool
 	events    []WatchdogEvent
-	errs      uint64
 
-	// mt holds the optional metric handles (see InstrumentMetrics in
+	// mt holds the optional metric handles (see InstrumentWatchdog in
 	// metrics.go); every handle is nil-safe.
 	mt watchdogMetrics
 }
 
-// NewWatchdog builds the watchdog over a tach reader and the DVFS
-// actuator it commands during an emergency.
-func NewWatchdog(cfg WatchdogConfig, rpm RPMReader, act *DVFSActuator) (*Watchdog, error) {
+// NewWatchdog builds the watchdog: a binding that polls the tach
+// reader rpm (e.g. the hwmon fan1_input file or an IPMI fan sensor)
+// every SamplePeriod and commands the DVFS actuator during an
+// emergency. Its policy is a *WatchdogPolicy.
+func NewWatchdog(cfg WatchdogConfig, rpm TempReader, act *DVFSActuator) (*Binding, error) {
 	if rpm == nil || act == nil {
 		return nil, fmt.Errorf("core: watchdog needs a tach reader and an actuator")
 	}
@@ -83,33 +83,32 @@ func NewWatchdog(cfg WatchdogConfig, rpm RPMReader, act *DVFSActuator) (*Watchdo
 	if cfg.RecoverSamples <= 0 {
 		cfg.RecoverSamples = 5
 	}
-	return &Watchdog{cfg: cfg, rpm: rpm, act: act, next: cfg.SamplePeriod}, nil
+	return NewBinding(BindingConfig{
+		Policy:       &WatchdogPolicy{cfg: cfg, floor: act.NumModes() - 1},
+		Read:         rpm,
+		SamplePeriod: cfg.SamplePeriod,
+		FailSafe:     FailSafeConfig{Disable: true},
+		Actuators:    []Actuator{act},
+	})
 }
 
+// Name implements Policy.
+func (w *WatchdogPolicy) Name() string { return "watchdog" }
+
 // Emergency reports whether a fan failure is currently declared.
-func (w *Watchdog) Emergency() bool { return w.emergency }
+func (w *WatchdogPolicy) Emergency() bool { return w.emergency }
 
 // Events returns the state-change log.
-func (w *Watchdog) Events() []WatchdogEvent {
+func (w *WatchdogPolicy) Events() []WatchdogEvent {
 	return append([]WatchdogEvent(nil), w.events...)
 }
 
-// Errors returns the failed-read count.
-func (w *Watchdog) Errors() uint64 { return w.errs }
-
-// OnStep implements the cluster Controller interface.
-func (w *Watchdog) OnStep(now time.Duration) {
-	if now < w.next {
-		return
-	}
-	w.next += w.cfg.SamplePeriod
-	rpm, err := w.rpm()
-	if err != nil {
-		w.errs++
-		w.mt.errors.Inc()
-		return
-	}
-	if rpm <= w.cfg.StallRPM {
+// Decide implements Policy: count the tach sample as stalled or
+// healthy and make the declaration or recovery transition it confirms.
+// A failed write leaves the state unchanged, so the next sample
+// retries it.
+func (w *WatchdogPolicy) Decide(tx *Txn) {
+	if tx.Sample() <= w.cfg.StallRPM {
 		w.stalled++
 		w.healthy = 0
 	} else {
@@ -121,26 +120,22 @@ func (w *Watchdog) OnStep(now time.Duration) {
 	case !w.emergency && w.stalled >= w.cfg.StallSamples:
 		// Confirmed seizure: drop to the most effective (lowest
 		// frequency) mode right now.
-		if err := w.act.Apply(w.act.NumModes() - 1); err != nil {
-			w.errs++
-			w.mt.errors.Inc()
+		if !tx.Apply(0, w.floor) {
 			return
 		}
 		w.emergency = true
 		w.mt.failures.Inc()
 		w.mt.emergency.SetBool(true)
 		//thermlint:allow hotalloc -- seizure confirmations are rare transitions; the event log is the audit trail
-		w.events = append(w.events, WatchdogEvent{At: now, Failure: true})
+		w.events = append(w.events, WatchdogEvent{At: tx.Now(), Failure: true})
 	case w.emergency && w.healthy >= w.cfg.RecoverSamples:
-		if err := w.act.Apply(0); err != nil {
-			w.errs++
-			w.mt.errors.Inc()
+		if !tx.Apply(0, 0) {
 			return
 		}
 		w.emergency = false
 		w.mt.recoveries.Inc()
 		w.mt.emergency.SetBool(false)
 		//thermlint:allow hotalloc -- recoveries are rare transitions; the event log is the audit trail
-		w.events = append(w.events, WatchdogEvent{At: now, Failure: false})
+		w.events = append(w.events, WatchdogEvent{At: tx.Now(), Failure: false})
 	}
 }

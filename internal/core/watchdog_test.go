@@ -12,7 +12,7 @@ import (
 	"thermctl/internal/workload"
 )
 
-func newWatchdogRig(t *testing.T) (*node.Node, *Watchdog) {
+func newWatchdogRig(t *testing.T) (*node.Node, *Binding, *WatchdogPolicy) {
 	t.Helper()
 	n, err := node.New(node.DefaultConfig("wd", 121))
 	if err != nil {
@@ -28,11 +28,11 @@ func newWatchdogRig(t *testing.T) (*node.Node, *Watchdog) {
 		v, err := fanInput.ReadInt()
 		return float64(v), err
 	}
-	w, err := NewWatchdog(DefaultWatchdogConfig(), rpm, act)
+	b, err := NewWatchdog(DefaultWatchdogConfig(), rpm, act)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, w
+	return n, b, b.Policy().(*WatchdogPolicy)
 }
 
 func TestWatchdogValidation(t *testing.T) {
@@ -48,7 +48,7 @@ func TestWatchdogValidation(t *testing.T) {
 }
 
 func TestWatchdogDeclaresFailureAndDownclocks(t *testing.T) {
-	n, w := newWatchdogRig(t)
+	n, b, w := newWatchdogRig(t)
 	// Fan running: pin it at 50% through sysfs.
 	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	if err := port.SetDutyPercent(50); err != nil {
@@ -59,7 +59,7 @@ func TestWatchdogDeclaresFailureAndDownclocks(t *testing.T) {
 	run := func(steps int) {
 		for i := 0; i < steps; i++ {
 			n.Step(dt)
-			w.OnStep(n.Elapsed())
+			b.OnStep(n.Elapsed())
 		}
 	}
 	run(40) // 10 s healthy
@@ -87,7 +87,7 @@ func TestWatchdogDeclaresFailureAndDownclocks(t *testing.T) {
 }
 
 func TestWatchdogRecovers(t *testing.T) {
-	n, w := newWatchdogRig(t)
+	n, b, w := newWatchdogRig(t)
 	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	_ = port.SetDutyPercent(50)
 	n.SetGenerator(workload.NewCPUBurn(nil))
@@ -95,7 +95,7 @@ func TestWatchdogRecovers(t *testing.T) {
 	run := func(steps int) {
 		for i := 0; i < steps; i++ {
 			n.Step(dt)
-			w.OnStep(n.Elapsed())
+			b.OnStep(n.Elapsed())
 		}
 	}
 	run(20)
@@ -119,14 +119,14 @@ func TestWatchdogRecovers(t *testing.T) {
 }
 
 func TestWatchdogIgnoresBriefStall(t *testing.T) {
-	n, w := newWatchdogRig(t)
+	n, b, w := newWatchdogRig(t)
 	port := NewSysfsFanPort(n.FS, n.Hwmon)
 	_ = port.SetDutyPercent(50)
 	dt := 250 * time.Millisecond
 	run := func(steps int) {
 		for i := 0; i < steps; i++ {
 			n.Step(dt)
-			w.OnStep(n.Elapsed())
+			b.OnStep(n.Elapsed())
 		}
 	}
 	run(20)
@@ -201,7 +201,7 @@ func TestWatchdogBeatsThermalResponse(t *testing.T) {
 // fails with the driver's error instead of reading as a 0 RPM tach, so
 // the watchdog counts read errors and never declares a stall.
 func TestWatchdogCountsNAKAsReadError(t *testing.T) {
-	n, w := newWatchdogRig(t)
+	n, b, w := newWatchdogRig(t)
 	if err := NewSysfsFanPort(n.FS, n.Hwmon).SetDutyPercent(50); err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +221,9 @@ func TestWatchdogCountsNAKAsReadError(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		n.Step(dt)
 		plane.OnStep(n.Elapsed())
-		w.OnStep(n.Elapsed())
+		b.OnStep(n.Elapsed())
 	}
-	if w.Errors() == 0 {
+	if b.Errors() == 0 {
 		t.Error("watchdog counted no read errors during the NAK burst")
 	}
 	if w.Emergency() || len(w.Events()) != 0 {

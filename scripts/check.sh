@@ -37,6 +37,8 @@ go test -race ./...
 echo "==> device microbenchmarks (one iteration each, so they cannot rot)"
 go test -run '^$' -bench '^Benchmark(NodeStep|ChipStepAuto|FanStep|ThermalStep|ControlRound)$' -benchtime 1x \
 	./internal/node ./internal/adt7467 ./internal/fan ./internal/thermal ./internal/core >/dev/null
+# The PID ablation (~5 ms) is the only caller of the PID baseline.
+go test -run '^$' -bench '^BenchmarkAblateVsPID$' -benchtime 1x . >/dev/null
 
 echo "==> scenario gallery (examples/*.json load + build, extends chains included)"
 go test ./internal/config -run 'TestScenarioGallery|TestGalleryExtendsChains' -count=1
@@ -45,6 +47,9 @@ echo "==> single-node gallery smoke (clustersim -scenario)"
 for s in examples/single-node-fan.json examples/weak-fan-tdvfs.json; do
 	go run ./cmd/clustersim -scenario "$s" -for 120s >/dev/null
 done
+
+echo "==> fan-failure example (output matches examples/fan-failure/output.txt)"
+go run ./examples/fan-failure | diff -u examples/fan-failure/output.txt -
 
 echo "==> thermctld fault-drill smoke (thermctld -faults)"
 go run ./cmd/thermctld -duration 2m -faults examples/faults/thermctld-drill.json >/dev/null

@@ -194,30 +194,39 @@ func (c *Chip) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label)
 // reflected into RegPWM1Duty so the host can read back what the fan is
 // doing, as on real silicon.
 //
-// A cycle converts the sensor once, and the auto curve and the limit
-// comparator both act on that one reading. On a node the sensor is
-// tick-keyed, so this is the same value two conversions in one cycle
-// would return. A sensor without a tick source draws one noise value
-// per cycle.
+// A cycle converts the sensor once. In automatic mode the auto curve
+// and the limit comparator both act on that one reading. In manual
+// mode only the comparator uses it, so the cycle asks the sensor
+// whether the reading is outside the limits (sensor.Outside), which
+// skips drawing the noise whenever the noise cannot change the answer.
+// A sensor without a tick source draws one noise value per cycle.
 func (c *Chip) Step(time.Duration) {
+	lo := float64(int8(c.rf.Get(RegR1LowLimit)))
+	hi := float64(int8(c.rf.Get(RegR1HighLimit)))
 	// A failed conversion (sensor dropout fault) freezes the monitoring
 	// cycle: the chip holds the last commanded duty and the last alarm
 	// condition rather than acting on garbage.
-	t, err := c.temp.ReadChecked()
-	if err == nil && !c.manual() {
-		tmin := float64(int8(c.rf.Get(RegTmin1)))
-		trange := float64(c.rf.Get(RegPWM1Trange))
-		minDuty := regToDuty(c.rf.Get(RegPWM1MinDuty))
-		c.fan.SetDuty(StaticCurve(t, tmin, trange, minDuty))
+	var out bool
+	var err error
+	if c.manual() {
+		out, err = c.temp.Outside(lo, hi)
+	} else {
+		var t float64
+		t, err = c.temp.ReadChecked()
+		if err == nil {
+			tmin := float64(int8(c.rf.Get(RegTmin1)))
+			trange := float64(c.rf.Get(RegPWM1Trange))
+			minDuty := regToDuty(c.rf.Get(RegPWM1MinDuty))
+			c.fan.SetDuty(StaticCurve(t, tmin, trange, minDuty))
+			out = t < lo || t > hi
+		}
 	}
 	c.rf.Set(RegPWM1Duty, dutyToReg(c.fan.Duty()))
 
 	// Limit monitoring: latch the out-of-limits bit.
 	if err == nil {
-		lo := float64(int8(c.rf.Get(RegR1LowLimit)))
-		hi := float64(int8(c.rf.Get(RegR1HighLimit)))
-		c.alarmCond = t < lo || t > hi
-		if c.alarmCond {
+		c.alarmCond = out
+		if out {
 			c.alarmLatched = true
 		}
 	}

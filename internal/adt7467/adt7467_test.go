@@ -367,3 +367,24 @@ func BenchmarkChipStepAuto(b *testing.B) {
 		tick++
 	}
 }
+
+// BenchmarkChipStepManual prices one manual-mode monitoring cycle as a
+// node under host fan control pays it: the same noisy, tick-advancing
+// sensor as BenchmarkChipStepAuto, with the reading well inside the
+// default limits, so the comparator decides without drawing the noise.
+func BenchmarkChipStepManual(b *testing.B) {
+	src := sensor.SourceFunc(func() float64 { return 55 })
+	sens := sensor.New(sensor.Default(), src, rng.New(1))
+	var tick uint64
+	sens.SetTickSource(func() uint64 { return tick })
+	f := fan.New(fan.Default(), 10)
+	chip := NewChip(sens, f)
+	if err := chip.WriteReg(RegPWM1Config, BehaviourManual); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chip.Step(50 * time.Millisecond)
+		tick++
+	}
+}

@@ -71,13 +71,23 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
+// normFloor is the smallest u1 Norm feeds to the logarithm.
+const normFloor = 1e-300
+
+// NormMax bounds the magnitude of every Norm value: Box-Muller's radius
+// sqrt(-2·ln u1) is largest at Norm's clamp of u1, and the cosine
+// factor is at most 1 (≈ 37.2). Floating-point rounding is monotone, so
+// the computed |Norm()| never exceeds the computed NormMax. Consumers
+// use it to decide a comparison without drawing.
+var NormMax = math.Sqrt(-2 * math.Log(normFloor))
+
 // Norm returns a normally distributed value with mean 0 and standard
-// deviation 1, via the Box-Muller transform.
+// deviation 1, via the Box-Muller transform. |Norm()| ≤ NormMax.
 func (s *Source) Norm() float64 {
 	// Avoid log(0) by nudging u1 away from zero.
 	u1 := s.Float64()
-	if u1 < 1e-300 {
-		u1 = 1e-300
+	if u1 < normFloor {
+		u1 = normFloor
 	}
 	u2 := s.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)

@@ -122,6 +122,24 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+func TestNormMaxBoundsClampedDraw(t *testing.T) {
+	if NormMax < 37.1 || NormMax > 37.2 {
+		t.Errorf("NormMax = %v, want sqrt(-2·ln 1e-300) ≈ 37.17", NormMax)
+	}
+	// SplitMix64's finalizer maps 0 to 0, so the state one increment
+	// short of wrapping yields u1 = 0: the draw Norm clamps.
+	s := &Source{state: 0 - 0x9e3779b97f4a7c15 + 1<<64}
+	if v := s.Norm(); math.Abs(v) > NormMax || math.Abs(v) < 1 {
+		t.Errorf("clamped draw = %v, want 1 ≤ |v| ≤ NormMax", v)
+	}
+	s = New(21)
+	for i := 0; i < 100000; i++ {
+		if v := s.Norm(); math.Abs(v) > NormMax {
+			t.Fatalf("draw %d = %v exceeds NormMax %v", i, v, NormMax)
+		}
+	}
+}
+
 func TestNormRangeClamps(t *testing.T) {
 	s := New(17)
 	for i := 0; i < 10000; i++ {

@@ -60,6 +60,11 @@ func Default() Config {
 // within one tick return identical values, so attaching an extra
 // observer can never perturb a simulation. Without a tick source each
 // Read is its own conversion, which is convenient for unit tests.
+//
+// Because tick-keyed noise is a pure function of the tick, a consumer
+// that only compares the reading against limits (Outside) need not
+// draw it: the sensor records the conversion's noise-free value and
+// tick, and computes the sample only when something reads it back.
 type Sensor struct {
 	cfg       Config
 	src       Source
@@ -70,9 +75,15 @@ type Sensor struct {
 	// inj, when attached, drives stuck/dropout/spike fault episodes.
 	inj *faults.Injector
 	// lastGood holds the most recent successful sample; stuck episodes
-	// and unchecked reads during dropout replay it.
+	// and unchecked reads during dropout replay it (through good).
 	lastGood float64
 	haveGood bool
+	// deferred marks that the most recent successful sample is the
+	// conversion of deferRaw (source + offset + spike) at deferTick,
+	// not yet computed into lastGood.
+	deferred  bool
+	deferRaw  float64
+	deferTick uint64
 }
 
 // New returns a sensor reading src with cfg's error model, drawing noise
@@ -104,7 +115,7 @@ func (s *Sensor) Read() float64 {
 	v, err := s.ReadChecked()
 	if err != nil {
 		if s.haveGood {
-			return s.lastGood
+			return s.good()
 		}
 		return 0
 	}
@@ -121,30 +132,96 @@ func (s *Sensor) ReadChecked() (float64, error) {
 	if st.SensorDropout {
 		return 0, ErrDropout
 	}
-	if st.SensorStuck {
-		if s.haveGood {
-			return s.lastGood, nil
+	if st.SensorStuck && s.haveGood {
+		return s.good(), nil
+	}
+	return s.convert(s.src.Temperature() + s.cfg.Offset + st.SensorSpikeC), nil
+}
+
+// Outside reports whether one sample lies outside [lo, hi], i.e.
+// v < lo || v > hi for the v that ReadChecked would return, with the
+// same fault behaviour: ErrDropout during a dropout, and the last good
+// sample during a stuck episode.
+//
+// Noise and quantization move a sample at most NoiseStd·NormMax +
+// Quantum from its noise-free value (source + offset + spike). When
+// that value lies farther than this bound from both limits, the noise
+// cannot change the answer, and Outside decides it without drawing.
+// The conversion still happens as far as every other reader can tell:
+// the sensor keeps its noise-free value and tick, and the first read
+// that needs the last good sample computes it, bit-identical to the
+// eager conversion. Nothing is reused across conversions; Read and
+// ReadChecked always convert. Without a tick source Outside always
+// converts, since a deferred draw would reorder the noise stream.
+func (s *Sensor) Outside(lo, hi float64) (bool, error) {
+	st := s.inj.State()
+	if st.SensorDropout {
+		return false, ErrDropout
+	}
+	if st.SensorStuck && s.haveGood {
+		v := s.good()
+		return v < lo || v > hi, nil
+	}
+	raw := s.src.Temperature() + s.cfg.Offset + st.SensorSpikeC
+	if s.tick != nil {
+		// The slack covers the rounding of the noise, sum and
+		// quantization steps, far below a micro-degree at physical
+		// temperatures.
+		m := s.cfg.Quantum + 1e-9*(1+math.Abs(raw))
+		if s.noise != nil && s.cfg.NoiseStd > 0 {
+			m += s.cfg.NoiseStd * rng.NormMax
+		}
+		in, out := raw-m > lo && raw+m < hi, raw+m < lo || raw-m > hi
+		if in || out {
+			s.deferred, s.deferRaw, s.deferTick, s.haveGood = true, raw, s.tick(), true
+			return out, nil
 		}
 	}
-	t := s.src.Temperature() + s.cfg.Offset + st.SensorSpikeC
-	if s.noise != nil && s.cfg.NoiseStd > 0 {
-		t += s.cfg.NoiseStd * s.drawNoise()
+	v := s.convert(raw)
+	return v < lo || v > hi, nil
+}
+
+// good returns the last good sample, computing a deferred conversion
+// first. Callers check haveGood.
+func (s *Sensor) good() float64 {
+	if s.deferred {
+		s.lastGood, s.deferred = s.convertAt(s.deferRaw, s.deferTick), false
 	}
+	return s.lastGood
+}
+
+// convert converts the noise-free value raw now and records the sample
+// as the last good one: with the current tick's noise, or the noise
+// stream's next value without a tick source.
+func (s *Sensor) convert(raw float64) float64 {
+	var t float64
+	switch {
+	case s.tick != nil:
+		t = s.convertAt(raw, s.tick())
+	case s.noise != nil && s.cfg.NoiseStd > 0:
+		t = s.quantize(raw + s.cfg.NoiseStd*s.noise.Norm())
+	default:
+		t = s.quantize(raw)
+	}
+	s.lastGood, s.haveGood, s.deferred = t, true, false
+	return t
+}
+
+// convertAt converts the noise-free value raw with the noise of the
+// given tick.
+func (s *Sensor) convertAt(raw float64, tick uint64) float64 {
+	if s.noise != nil && s.cfg.NoiseStd > 0 {
+		src := rng.At(s.noiseBase ^ (tick * 0x9e3779b97f4a7c15))
+		raw += s.cfg.NoiseStd * src.Norm()
+	}
+	return s.quantize(raw)
+}
+
+func (s *Sensor) quantize(t float64) float64 {
 	if s.cfg.Quantum > 0 {
 		t = math.Round(t/s.cfg.Quantum) * s.cfg.Quantum
 	}
-	s.lastGood, s.haveGood = t, true
-	return t, nil
-}
-
-// drawNoise returns a standard-normal value: tick-keyed when a tick
-// source is installed, stream-sequential otherwise.
-func (s *Sensor) drawNoise() float64 {
-	if s.tick == nil {
-		return s.noise.Norm()
-	}
-	src := rng.At(s.noiseBase ^ (s.tick() * 0x9e3779b97f4a7c15))
-	return src.Norm()
+	return t
 }
 
 // Millidegrees returns one sample in millidegrees Celsius, the unit used

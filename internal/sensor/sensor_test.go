@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"thermctl/internal/faults"
 	"thermctl/internal/rng"
 )
 
@@ -128,5 +129,110 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 		if a.Read() != b.Read() {
 			t.Fatal("sensor reads with identical seeds diverged")
 		}
+	}
+}
+
+// TestOutsideAgreesWithEagerComparison sweeps the true temperature
+// across both limits in steps finer than the quantum, over many ticks,
+// and checks Outside against the comparison on an eager twin that
+// converts in full: same answer every cycle, and a bit-identical last
+// good sample. The limits sit on, just off and between quantum grid
+// points, so quantization alone can carry a reading across one; the
+// low-noise sensor is where only the quantum term of the bound
+// protects the answer, the default one where the noise term does.
+func TestOutsideAgreesWithEagerComparison(t *testing.T) {
+	cfgs := []Config{
+		Default(),
+		{Quantum: 0.25, NoiseStd: 0.001},
+		{Quantum: 0.25, NoiseStd: 0.15, Offset: 0.3},
+	}
+	for ci, cfg := range cfgs {
+		for _, ticked := range []bool{true, false} {
+			for _, off := range []float64{0, 0.01, 0.1, 0.125, 0.24} {
+				lo, hi := 40+off, 50-off
+				temp := 0.0
+				src := SourceFunc(func() float64 { return temp })
+				s := New(cfg, src, rng.New(uint64(ci+1)))
+				e := New(cfg, src, rng.New(uint64(ci+1)))
+				var tick uint64
+				if ticked {
+					s.SetTickSource(func() uint64 { return tick })
+					e.SetTickSource(func() uint64 { return tick })
+				}
+				deferred := 0
+				for temp = lo - 7; temp <= hi+7; temp += cfg.Quantum / 37 {
+					for k := 0; k < 8; k++ {
+						got, err := s.Outside(lo, hi)
+						v, eerr := e.ReadChecked()
+						if err != nil || eerr != nil {
+							t.Fatalf("unexpected errors %v / %v", err, eerr)
+						}
+						if want := v < lo || v > hi; got != want {
+							t.Fatalf("cfg %d ticked=%v limits [%v, %v] temp %v tick %d: Outside = %v, eager reading %v says %v",
+								ci, ticked, lo, hi, temp, tick, got, v, want)
+						}
+						if s.deferred {
+							deferred++
+						}
+						if tick%3 == 0 {
+							if g := s.good(); math.Float64bits(g) != math.Float64bits(e.lastGood) {
+								t.Fatalf("cfg %d ticked=%v temp %v tick %d: last good %v, eager %v",
+									ci, ticked, temp, tick, g, e.lastGood)
+							}
+						}
+						tick++
+					}
+				}
+				if ticked && deferred == 0 {
+					t.Errorf("cfg %d: Outside never deferred a conversion", ci)
+				}
+			}
+		}
+	}
+}
+
+// TestOutsideFaultsMatchReadChecked runs Outside and an eager twin
+// through dropout and stuck episodes that follow deferred conversions.
+// During a stuck episode both limits sit on the eager twin's last good
+// sample, so only a bit-identical replay of it reads as inside.
+func TestOutsideFaultsMatchReadChecked(t *testing.T) {
+	temp := 45.0
+	src := SourceFunc(func() float64 { return temp })
+	s := New(Default(), src, rng.New(3))
+	e := New(Default(), src, rng.New(3))
+	var tick uint64
+	s.SetTickSource(func() uint64 { return tick })
+	e.SetTickSource(func() uint64 { return tick })
+	states := []faults.State{{}, {SensorDropout: true}, {}, {SensorStuck: true},
+		{SensorStuck: true, SensorSpikeC: 60}, {SensorSpikeC: 40}, {}, {SensorDropout: true}}
+	for i, st := range states {
+		inj := faults.Static(st)
+		s.AttachInjector(inj)
+		e.AttachInjector(inj)
+		lo, hi := 0.0, 81.0
+		if st.SensorStuck {
+			lo, hi = e.lastGood, e.lastGood
+		}
+		temp += 0.37
+		got, err := s.Outside(lo, hi)
+		v, eerr := e.ReadChecked()
+		if err != eerr {
+			t.Fatalf("state %d %+v: Outside error %v, ReadChecked error %v", i, st, err, eerr)
+		}
+		if st.SensorDropout && err != ErrDropout {
+			t.Fatalf("state %d: Outside during a dropout returned %v, want ErrDropout", i, err)
+		}
+		if eerr == nil {
+			if want := v < lo || v > hi; got != want {
+				t.Fatalf("state %d %+v: Outside = %v, eager reading %v says %v", i, st, got, v, want)
+			}
+		}
+		// A dropout-time Read replays the last good sample, deferred or not.
+		if st.SensorDropout {
+			if g, w := s.Read(), e.Read(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("state %d: Read during dropout = %v, eager %v", i, g, w)
+			}
+		}
+		tick++
 	}
 }

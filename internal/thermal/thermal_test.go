@@ -2,9 +2,11 @@ package thermal
 
 import (
 	"math"
+	"sort"
 	"testing"
-	"testing/quick"
 	"time"
+
+	"thermctl/internal/rng"
 )
 
 func TestNewStartsAtAmbient(t *testing.T) {
@@ -15,15 +17,139 @@ func TestNewStartsAtAmbient(t *testing.T) {
 }
 
 func TestRsaMonotoneDecreasingInAirflow(t *testing.T) {
+	// A grid eight times finer than the table's knots, plus the ulps
+	// around the Pow/table seam, with no slack.
 	n := New(Default())
-	if err := quick.Check(func(a, b uint8) bool {
-		fa, fb := float64(a)/255, float64(b)/255
-		if fa > fb {
-			fa, fb = fb, fa
+	var as []float64
+	for i := 0; i <= 8*convKnots; i++ {
+		as = append(as, float64(i)/(8*convKnots))
+	}
+	seam := convSeam
+	for i := 0; i < 64; i++ {
+		seam = math.Nextafter(seam, 0)
+	}
+	for i := 0; i < 128; i++ {
+		as = append(as, seam)
+		seam = math.Nextafter(seam, 1)
+	}
+	for i := 0; i < 2*convKnots; i++ {
+		as = append(as, float64(i)/(2*convKnots)*convSeam)
+	}
+	sort.Float64s(as)
+	prev := n.RsaKPerW(as[0])
+	for _, a := range as[1:] {
+		r := n.RsaKPerW(a)
+		if r > prev {
+			t.Fatalf("Rsa(%v) = %v rises above %v at the previous airflow", a, r, prev)
 		}
-		return n.RsaKPerW(fa) >= n.RsaKPerW(fb)-1e-12
-	}, nil); err != nil {
-		t.Error(err)
+		prev = r
+	}
+}
+
+func TestRsaNonFiniteAirflow(t *testing.T) {
+	n := New(Default())
+	if got, want := n.RsaKPerW(math.NaN()), n.RsaKPerW(0); got != want {
+		t.Errorf("Rsa(NaN) = %v, want still air %v", got, want)
+	}
+	if got, want := n.RsaKPerW(math.Inf(-1)), n.RsaKPerW(0); got != want {
+		t.Errorf("Rsa(-Inf) = %v, want still air %v", got, want)
+	}
+	if got, want := n.RsaKPerW(math.Inf(1)), n.RsaKPerW(1); got != want {
+		t.Errorf("Rsa(+Inf) = %v, want full airflow %v", got, want)
+	}
+	n.Step(time.Second, 60, math.NaN())
+	if math.IsNaN(n.DieC()) || math.IsNaN(n.SinkC()) {
+		t.Errorf("a NaN airflow poisoned the state: die=%v sink=%v", n.DieC(), n.SinkC())
+	}
+}
+
+func TestPow08WithinBoundOfPow(t *testing.T) {
+	check := func(a float64) {
+		t.Helper()
+		want := math.Pow(a, 0.8)
+		if got := pow08(a); math.Abs(got-want) > 1e-6*want {
+			t.Fatalf("pow08(%v) = %v, math.Pow = %v: off by %.3g of the value",
+				a, got, want, math.Abs(got-want)/want)
+		}
+	}
+	for i := 0; i <= convKnots; i++ {
+		check(float64(i) / convKnots)
+		if i < convKnots {
+			check((float64(i) + 0.5) / convKnots)
+		}
+	}
+	for _, a := range []float64{0, 1, convSeam, math.Nextafter(convSeam, 0), math.Nextafter(convSeam, 1)} {
+		check(a)
+	}
+	// Exact at the knots the table holds.
+	for i := int(convSeam * convKnots); i <= convKnots; i++ {
+		a := float64(i) / convKnots
+		if pow08(a) != math.Pow(a, 0.8) {
+			t.Fatalf("pow08(%v) = %v, want math.Pow's %v at a knot", a, pow08(a), math.Pow(a, 0.8))
+		}
+	}
+}
+
+// randomSteps returns a seeded sequence of (dt, power, airflow) steps:
+// power up to pmax, airflow anywhere in [0, 1] with still air and the
+// Pow region below the seam well represented.
+func randomSteps(seed uint64, count int, pmax float64) (dts []time.Duration, ps, as []float64) {
+	r := rng.New(seed)
+	for i := 0; i < count; i++ {
+		dts = append(dts, []time.Duration{50 * time.Millisecond, 250 * time.Millisecond, time.Second}[r.Intn(3)])
+		ps = append(ps, pmax*r.Float64())
+		var a float64
+		switch r.Intn(10) {
+		case 0:
+			a = 0
+		case 1:
+			a = convSeam * r.Float64()
+		default:
+			a = r.Float64()
+		}
+		as = append(as, a)
+	}
+	return dts, ps, as
+}
+
+func TestStepMatchesPowReference(t *testing.T) {
+	cfg := Default()
+	ref := func(a float64) float64 {
+		return 1 / (cfg.ConvH0 + cfg.ConvH1*math.Pow(a, cfg.ConvExp))
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		dts, ps, as := randomSteps(seed, 10000, 120)
+		k, r := New(cfg), New(cfg)
+		var worst float64
+		for i := range dts {
+			k.Step(dts[i], ps[i], as[i])
+			r.integrate(dts[i], ps[i], ref(as[i]))
+			worst = math.Max(worst, math.Abs(k.DieC()-r.DieC()))
+		}
+		t.Logf("seed %d: max |Δdie| %.3g °C", seed, worst)
+		if worst > 1e-5 {
+			t.Errorf("seed %d: tabulated kernel's die strays %.3g °C from the math.Pow reference", seed, worst)
+		}
+	}
+}
+
+func TestTemperatureBoundedByStillAirSteadyState(t *testing.T) {
+	const pmax = 120
+	cfg := Default()
+	n := New(cfg)
+	top := cfg.AmbientC + pmax*(n.RsaKPerW(0)+cfg.RjsKPerW)
+	for seed := uint64(1); seed <= 4; seed++ {
+		dts, ps, as := randomSteps(seed, 10000, pmax)
+		n := New(cfg)
+		for i := range dts {
+			n.Step(dts[i], ps[i], as[i])
+			for _, v := range []float64{n.DieC(), n.SinkC()} {
+				if v < cfg.AmbientC || v > top {
+					t.Fatalf("seed %d step %d: die %v / sink %v outside [%v, %v]",
+						seed, i, n.DieC(), n.SinkC(), cfg.AmbientC, top)
+				}
+			}
+		}
 	}
 }
 
@@ -144,10 +270,13 @@ func TestEnergyConservationAtEquilibrium(t *testing.T) {
 	}
 }
 
+// BenchmarkThermalStep sweeps the airflow across the default fan's
+// range, 0.08 at 0% duty to 1 at 100%, so the convection law never
+// sees the same airflow twice in a row.
 func BenchmarkThermalStep(b *testing.B) {
 	n := New(Default())
 	n.Settle(50, 0.5)
 	for i := 0; i < b.N; i++ {
-		n.Step(250*time.Millisecond, 50, 0.5)
+		n.Step(250*time.Millisecond, 50, 0.08+0.92*float64(i%101)/100)
 	}
 }

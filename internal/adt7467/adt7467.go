@@ -96,7 +96,18 @@ type Chip struct {
 // the paper's platform defaults: automatic mode with Tmin=38 °C,
 // Trange≈44 °C (Tmax 82 °C) and 10% minimum duty.
 func NewChip(temp *sensor.Sensor, f *fan.Fan) *Chip {
-	c := &Chip{rf: i2c.NewRegisterFile(), temp: temp, fan: f}
+	c := new(Chip)
+	NewChipAt(c, new(i2c.RegisterFile), temp, f)
+	return c
+}
+
+// NewChipAt is NewChip building the chip in place at c, with its
+// register map at rf; both are overwritten. The register hooks close
+// over c, so a chip must not be copied after it is built: a caller
+// laying chips out in its own storage (node.Block) builds them there.
+func NewChipAt(c *Chip, rf *i2c.RegisterFile, temp *sensor.Sensor, f *fan.Fan) {
+	*rf = *i2c.NewRegisterFile()
+	*c = Chip{rf: rf, temp: temp, fan: f}
 	c.rf.Set(RegDeviceID, DeviceID)
 	c.rf.Set(RegCompanyID, CompanyID)
 	c.rf.MarkReadOnly(RegDeviceID)
@@ -149,7 +160,6 @@ func NewChip(temp *sensor.Sensor, f *fan.Fan) *Chip {
 			c.fan.SetDuty(regToDuty(v))
 		}
 	})
-	return c
 }
 
 func (c *Chip) manual() bool {

@@ -38,10 +38,8 @@ import (
 
 	"thermctl/internal/metrics"
 	"thermctl/internal/node"
-	"thermctl/internal/power"
 	"thermctl/internal/rng"
 	"thermctl/internal/simclock"
-	"thermctl/internal/thermal"
 	"thermctl/internal/workload"
 )
 
@@ -139,24 +137,20 @@ func New(n int, dt time.Duration, seed uint64) (*Cluster, error) {
 // NewFromConfigs builds a cluster from per-node configurations — the
 // constructor for heterogeneous fleets, where node groups differ in
 // CPU frequency table, fan curve or thermal mass (config.Scenario's
-// "groups" block lands here). Any ThermalState/Meter pointers in the
-// configs are overridden: the hot per-node state is laid out
-// struct-of-arrays, with the thermal integrator states and power-meter
-// accumulators of all nodes in two contiguous slices, so the parallel
-// sweep walks dense memory instead of chasing per-node heap islands.
-// The node API is unchanged — each node's Thermal/Meter point into its
-// slot.
+// "groups" block lands here). Any Block pointers in the configs are
+// overridden: the cluster allocates one contiguous []node.Block, so the
+// node step sweep walks the blocks in order instead of chasing
+// per-node heap islands. The node API is unchanged — each node's
+// devices live in its block.
 func NewFromConfigs(cfgs []node.Config, dt time.Duration) (*Cluster, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
-	therm := make([]thermal.State, len(cfgs))
-	meters := make([]power.Meter, len(cfgs))
+	blocks := make([]node.Block, len(cfgs))
 	nodes := make([]*node.Node, 0, len(cfgs))
 	for i := range cfgs {
 		cfg := cfgs[i]
-		cfg.ThermalState = &therm[i]
-		cfg.Meter = &meters[i]
+		cfg.Block = &blocks[i]
 		nd, err := node.New(cfg)
 		if err != nil {
 			return nil, err

@@ -75,7 +75,8 @@ type Fan struct {
 }
 
 // New returns a fan with the given configuration, initially commanded to
-// dutyPercent and already spun up to the corresponding steady speed.
+// dutyPercent and already spun up to the corresponding steady speed. A
+// NaN duty leaves the fan stopped at duty 0.
 func New(cfg Config, dutyPercent float64) *Fan {
 	f := &Fan{cfg: cfg}
 	f.SetDuty(dutyPercent)
@@ -84,9 +85,20 @@ func New(cfg Config, dutyPercent float64) *Fan {
 }
 
 // SetDuty commands a new PWM duty cycle in percent. Values are clamped
-// to [0, 100].
+// to [0, 100]. A NaN command is no command: the fan holds its last
+// duty, as the ADT7467 holds its cycle on a failed conversion, rather
+// than letting NaN into the rotor state for good.
 func (f *Fan) SetDuty(dutyPercent float64) {
-	clamped := math.Min(100, math.Max(0, dutyPercent))
+	if math.IsNaN(dutyPercent) {
+		return
+	}
+	clamped := dutyPercent
+	if clamped <= 0 {
+		clamped = 0 // also turns -0 into 0
+	}
+	if clamped > 100 {
+		clamped = 100
+	}
 	if clamped != f.duty {
 		f.dutyTransitions.Inc()
 	}

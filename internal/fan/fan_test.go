@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"thermctl/internal/metrics"
 )
 
 func TestSetDutyClamps(t *testing.T) {
@@ -16,6 +18,46 @@ func TestSetDutyClamps(t *testing.T) {
 	f.SetDuty(-5)
 	if f.Duty() != 0 {
 		t.Errorf("Duty after SetDuty(-5) = %v, want 0", f.Duty())
+	}
+	f.SetDuty(math.Copysign(0, -1))
+	if math.Signbit(f.Duty()) {
+		t.Errorf("Duty after SetDuty(-0) = %v, want +0", f.Duty())
+	}
+}
+
+func TestSetDutyNaNHoldsLastDuty(t *testing.T) {
+	f := New(Default(), 40)
+	f.InstrumentMetrics(metrics.NewRegistry())
+	for i := 0; i < 20; i++ {
+		f.Step(50 * time.Millisecond)
+	}
+	duty, rpm := f.Duty(), f.RPM()
+	f.SetDuty(math.NaN())
+	f.Step(50 * time.Millisecond)
+	if f.Duty() != duty || f.RPM() != rpm {
+		t.Fatalf("after SetDuty(NaN) and Step: duty %v rpm %v, want %v and %v", f.Duty(), f.RPM(), duty, rpm)
+	}
+	if n := f.dutyTransitions.Value(); n != 0 {
+		t.Errorf("SetDuty(NaN) counted %d duty transitions, want 0", n)
+	}
+	f.SetDuty(60)
+	for i := 0; i < 200; i++ {
+		f.Step(50 * time.Millisecond)
+	}
+	want := New(Default(), 60).RPM()
+	if got := f.RPM(); math.IsNaN(got) || math.Abs(got-want) > 1 {
+		t.Errorf("RPM after SetDuty(60) = %v, want about %v", got, want)
+	}
+	for _, v := range []float64{f.Airflow(), f.Power(), f.TachRPM()} {
+		if math.IsNaN(v) {
+			t.Errorf("NaN in airflow/power/tach after recovery: %v %v %v", f.Airflow(), f.Power(), f.TachRPM())
+		}
+	}
+
+	g := New(Default(), math.NaN())
+	g.Step(50 * time.Millisecond)
+	if g.Duty() != 0 || g.RPM() != 0 || math.IsNaN(g.Power()) {
+		t.Errorf("New(cfg, NaN): duty %v rpm %v power %v, want a stopped, finite fan", g.Duty(), g.RPM(), g.Power())
 	}
 }
 

@@ -70,16 +70,12 @@ type Config struct {
 	ProtectC float64
 	// ProtectHystC is the release hysteresis (default 5 degC).
 	ProtectHystC float64
-	// ThermalState, when non-nil, is caller-provided backing storage
-	// for this node's thermal integrator state. The cluster passes a
-	// slot of one contiguous slice covering all its nodes
-	// (struct-of-arrays) so the hot step sweep walks dense memory; nil
-	// lets the node own its state. Reset to ambient by New.
-	ThermalState *thermal.State
-	// Meter, when non-nil, is the node's power accumulator, likewise a
-	// cluster-provided contiguous slot. Nil allocates a private meter.
-	// Reset by New.
-	Meter *power.Meter
+	// Block, when non-nil, is caller-provided storage for the node and
+	// every device its step touches; nil lets New allocate one. The
+	// cluster passes an element of one contiguous []Block covering all
+	// its nodes, so the step sweep walks dense memory. New overwrites
+	// the block.
+	Block *Block
 }
 
 // DefaultConfig returns the paper's node: Athlon64 4000+, 4300 RPM fan,
@@ -97,6 +93,25 @@ func DefaultConfig(name string, seed uint64) Config {
 		ProtectC:     70,
 		ProtectHystC: 5,
 	}
+}
+
+// Block holds by value one node and every device struct its Step
+// touches: the CPU, fan, RC network, sensor, ADT7467 chip and its
+// register map, cpufreq scaler and power meter. A node's hot state then
+// sits in one contiguous allocation, apart from the cold sysfs, bus and
+// BMC objects built around it; a cluster lays its blocks out as one
+// slice, in step order. The fields are reached only through the Node's
+// pointers. A Block must not be copied once New has built a node in it.
+type Block struct {
+	node    Node
+	cpu     cpu.CPU
+	fan     fan.Fan
+	thermal thermal.Network
+	sensor  sensor.Sensor
+	chip    adt7467.Chip
+	scaler  cpufreq.SimScaler
+	meter   power.Meter
+	regs    i2c.RegisterFile
 }
 
 // Node is one assembled server. It and every device it wires are owned
@@ -172,19 +187,25 @@ func New(cfg Config) (*Node, error) {
 	cfg.Thermal.AmbientC += cfg.AmbientOffsetC
 
 	seedSrc := rng.New(cfg.Seed)
-	meter := cfg.Meter
-	if meter == nil {
-		meter = &power.Meter{}
+	b := cfg.Block
+	if b == nil {
+		b = new(Block)
 	}
-	meter.Reset()
-	n := &Node{
-		Name:    cfg.Name,
-		CPU:     cpu.New(cfg.CPU),
-		Fan:     fan.New(cfg.Fan, cfg.InitialDuty),
-		Thermal: thermal.NewAt(cfg.Thermal, cfg.ThermalState),
-		Meter:   meter,
+	// None of these constructors keeps a pointer to its result, so
+	// each copies into the block before any pointer to it escapes.
+	*b = Block{
+		cpu:     *cpu.New(cfg.CPU),
+		fan:     *fan.New(cfg.Fan, cfg.InitialDuty),
+		thermal: *thermal.New(cfg.Thermal),
 	}
-	n.Sensor = sensor.New(cfg.Sensor, sensor.SourceFunc(n.Thermal.DieC), seedSrc.Split())
+	n := &b.node
+	n.Name = cfg.Name
+	n.CPU = &b.cpu
+	n.Fan = &b.fan
+	n.Thermal = &b.thermal
+	n.Meter = &b.meter
+	b.sensor = *sensor.New(cfg.Sensor, sensor.SourceFunc(n.Thermal.DieC), seedSrc.Split())
+	n.Sensor = &b.sensor
 	// Noise is keyed to the step counter: every consumer of the sensor
 	// (hwmon, ADT7467, BMC, probes) sees the same conversion within a
 	// step, so adding observers never perturbs a run.
@@ -192,7 +213,9 @@ func New(cfg Config) (*Node, error) {
 
 	// i2c bus with the fan controller.
 	n.Bus = i2c.NewBus()
-	n.Chip = adt7467.NewChip(n.Sensor, n.Fan)
+	// The chip's register hooks close over it: it is built in place.
+	adt7467.NewChipAt(&b.chip, &b.regs, n.Sensor, n.Fan)
+	n.Chip = &b.chip
 	if err := n.Bus.Attach(adt7467.DefaultAddr, n.Chip); err != nil {
 		return nil, fmt.Errorf("node %s: %w", cfg.Name, err)
 	}
@@ -205,7 +228,8 @@ func New(cfg Config) (*Node, error) {
 	// In-band: virtual sysfs with hwmon and cpufreq attribute files.
 	n.FS = hwmon.NewFS()
 	n.Hwmon = hwmon.MountADT7467(n.FS, 0, drv, n.Sensor, n.Fan)
-	n.Scaler = cpufreq.NewSimScaler(n.CPU)
+	b.scaler = *cpufreq.NewSimScaler(n.CPU)
+	n.Scaler = &b.scaler
 	n.Cpufreq = cpufreq.Mount(n.FS, 0, n.Scaler)
 	n.ACPI = acpi.Mount(n.FS, 0, n.CPU)
 	n.CStates = cstates.Mount(n.FS, 0, n.CPU)

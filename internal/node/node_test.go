@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"thermctl/internal/faults"
 	"thermctl/internal/hwmon"
 	"thermctl/internal/ipmi"
 	"thermctl/internal/workload"
@@ -144,6 +145,68 @@ func TestOutOfBandFanThroughBMC(t *testing.T) {
 	v, err := n.FS.ReadInt(n.Hwmon.PWMEnable)
 	if err != nil || v != hwmon.PWMEnableManual {
 		t.Errorf("pwm1_enable after OOB switch = %d, %v", v, err)
+	}
+}
+
+// TestBlockHoldsTheDevices builds a node into a caller's Block and
+// checks that every device pointer lands inside it, and that the
+// indirect paths — a sysfs pwm1 write, the chip's alarm latch read over
+// the bus, the BMC's CPU-temperature sensor — act on those same
+// devices, not on copies left behind by a constructor.
+func TestBlockHoldsTheDevices(t *testing.T) {
+	b := new(Block)
+	cfg := DefaultConfig("block", 42)
+	cfg.Block = b
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Node", n, &b.node},
+		{"CPU", n.CPU, &b.cpu},
+		{"Fan", n.Fan, &b.fan},
+		{"Thermal", n.Thermal, &b.thermal},
+		{"Sensor", n.Sensor, &b.sensor},
+		{"Chip", n.Chip, &b.chip},
+		{"Scaler", n.Scaler, &b.scaler},
+		{"Meter", n.Meter, &b.meter},
+	} {
+		if p.got != p.want {
+			t.Errorf("%s is not the block's", p.name)
+		}
+	}
+
+	if err := n.FS.WriteInt(n.Hwmon.PWMEnable, hwmon.PWMEnableManual); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.FS.WriteInt(n.Hwmon.PWM, 204); err != nil {
+		t.Fatal(err)
+	}
+	if d := b.fan.Duty(); math.Abs(d-80) > 0.5 {
+		t.Errorf("block fan duty %v after a pwm1 write of 204, want 80", d)
+	}
+
+	// The die idles near 30 °C: a 10 °C high limit trips the block
+	// chip's comparator, and the status register must report its latch.
+	if err := n.Drv.SetTempLimits(0, 10); err != nil {
+		t.Fatal(err)
+	}
+	b.chip.Step(0)
+	if alarm, err := n.Drv.TempAlarm(); err != nil || !alarm {
+		t.Errorf("TempAlarm after the block chip latched = %v, %v; want true", alarm, err)
+	}
+
+	b.sensor.AttachInjector(faults.Static(faults.State{SensorSpikeC: 30}))
+	c := ipmi.NewClient(ipmi.Local{H: n.BMC})
+	temp, err := c.ReadSensor(SensorCPUTemp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := n.TrueDieC() + 30; math.Abs(temp-want) > 1 {
+		t.Errorf("BMC CPU temp %v, want the block sensor's spiked %v", temp, want)
 	}
 }
 

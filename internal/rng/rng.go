@@ -84,14 +84,92 @@ var NormMax = math.Sqrt(-2 * math.Log(normFloor))
 // Norm returns a normally distributed value with mean 0 and standard
 // deviation 1, via the Box-Muller transform. |Norm()| ≤ NormMax.
 func (s *Source) Norm() float64 {
-	// Avoid log(0) by nudging u1 away from zero.
 	u1 := s.Float64()
+	u2 := s.Float64()
+	return boxMuller(u1, u2)
+}
+
+// boxMuller maps two uniform values in [0, 1) to one normal value.
+func boxMuller(u1, u2 float64) float64 {
+	// Avoid log(0) by nudging u1 away from zero.
 	if u1 < normFloor {
 		u1 = normFloor
 	}
-	u2 := s.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return normRadiusAt(u1) * normCosAt(u2)
 }
+
+func normRadiusAt(u1 float64) float64 { return math.Sqrt(-2 * math.Log(u1)) }
+
+func normCosAt(u2 float64) float64 { return math.Cos(2 * math.Pi * u2) }
+
+// normBinBits sets the resolution of NormBounds: u1 and u2 each fall
+// into one of normBins equal bins, found from their top normBinBits
+// bits. normBins is even, so every u2 bin lies in one monotone half of
+// the cosine.
+const (
+	normBinBits = 10
+	normBins    = 1 << normBinBits
+)
+
+// normSlack widens every NormBounds bracket. The bracket's edges are
+// products of table values computed exactly as Norm computes the draw
+// at the bin edges; inside a bin, Norm's Log and Cos may round a few
+// ulps past their values at the edges (at most about 1e-14 on a draw
+// bounded by NormMax), and the slack absorbs that.
+const normSlack = 0x1p-40
+
+// normRadius[i] is Norm's radius sqrt(-2·ln u1) at u1 = i/normBins, and
+// normCos[j] its cosine factor cos(2π·u2) at u2 = j/normBins, each
+// computed by the same functions as Norm. normRadius[0] (u1 = 0) is
+// unbounded and never read. Immutable after initialisation.
+var normRadius, normCos = func() (r, c [normBins + 1]float64) {
+	for i := 0; i <= normBins; i++ {
+		r[i] = normRadiusAt(float64(i) / normBins)
+		c[i] = normCosAt(float64(i) / normBins)
+	}
+	return r, c
+}()
+
+// NormBounds consumes exactly the two stream values Norm would and
+// returns an interval [lo, hi] that contains the value Norm would have
+// returned, without evaluating Box–Muller: the radius falls as u1 rises
+// and the cosine is monotone within each u2 bin, so the product is
+// bounded by the table values at the corners of the (u1, u2) bin
+// (widened by normSlack for rounding). The interval is about
+// 0.007 wide on average. In the lowest u1 bin the radius has no bound
+// (and Norm clamps u1 there); NormBounds then returns
+// [-NormMax, NormMax] and ok = false, and a caller that needs the value
+// draws it with Norm from a copy of the stream taken before the call.
+func (s *Source) NormBounds() (lo, hi float64, ok bool) {
+	x1 := s.Uint64()
+	x2 := s.Uint64()
+	return normBounds(x1, x2)
+}
+
+// normBounds is NormBounds for the stream values x1 and x2, whose top
+// 53 bits are Norm's u1 and u2 and whose top normBinBits bits are
+// their bins.
+func normBounds(x1, x2 uint64) (lo, hi float64, ok bool) {
+	i := x1 >> (64 - normBinBits)
+	j := x2 >> (64 - normBinBits)
+	if i == 0 {
+		return -NormMax, NormMax, false
+	}
+	// Index arithmetic instead of branches, which would mispredict on
+	// random draws: h is 0 in the falling half of the cosine and 1 in
+	// the rising half, and r·c, being bilinear, takes its extremes over
+	// the bin at corners, where with r ≥ 0 a negative cosine pairs with
+	// the larger radius normRadius[i] for the low end and the smaller
+	// normRadius[i+1] for the high end, and a positive one the reverse.
+	h := j >> (normBinBits - 1)
+	clo, chi := normCos[j+1-h], normCos[j+h]
+	lo = clo * normRadius[i+1-signBit(clo)]
+	hi = chi * normRadius[i+signBit(chi)]
+	return lo - normSlack, hi + normSlack, true
+}
+
+// signBit returns 1 for a negative x (and -0), 0 otherwise.
+func signBit(x float64) uint64 { return math.Float64bits(x) >> 63 }
 
 // NormRange returns a normal value with the given mean and standard
 // deviation, clamped to [lo, hi]. Clamping (rather than redrawing) keeps

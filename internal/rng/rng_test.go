@@ -140,6 +140,72 @@ func TestNormMaxBoundsClampedDraw(t *testing.T) {
 	}
 }
 
+// TestNormBoundsBracketNorm checks NormBounds against Norm on the same
+// stream state over 10⁷ seeded draws: the bracket contains the draw,
+// both leave the stream at the same position, and ok is false only in
+// the lowest u1 bin.
+func TestNormBoundsBracketNorm(t *testing.T) {
+	const n = 10_000_000
+	s := New(20100913)
+	var width float64
+	notOK := 0
+	for k := 0; k < n; k++ {
+		eager := *s
+		lo, hi, ok := s.NormBounds()
+		v := eager.Norm()
+		if !(lo <= v && v <= hi) {
+			t.Fatalf("draw %d: Norm() = %v outside NormBounds [%v, %v]", k, v, lo, hi)
+		}
+		if eager != *s {
+			t.Fatalf("draw %d: NormBounds left the stream at %#x, Norm at %#x", k, s.state, eager.state)
+		}
+		if ok {
+			width += hi - lo
+		} else {
+			notOK++
+		}
+	}
+	// One u1 bin in normBins has no bracket; the rest are narrow.
+	if frac := float64(notOK) / n; frac > 2.0/normBins {
+		t.Errorf("ok = false on %.4f%% of draws, want about %.4f%%", 100*frac, 100.0/normBins)
+	}
+	if mean := width / float64(n-notOK); mean > 0.02 {
+		t.Errorf("mean bracket width %v, want below 0.02", mean)
+	}
+}
+
+// TestNormBoundsAtBinEdges checks the bracket on hand-picked draws: u2
+// at and beside the bin edges around 0, ¼, ½ and ¾ of the cosine's
+// period (where its slope changes sign or it crosses zero), crossed
+// with u1 at and beside the edges of the top and bottom bins.
+func TestNormBoundsAtBinEdges(t *testing.T) {
+	const binW = 1 << (64 - normBinBits) // stream values per bin
+	const ulp = 1 << 11                  // one step of u1 or u2
+	edges := func(bins ...uint64) []uint64 {
+		var xs []uint64
+		for _, b := range bins {
+			start := b * binW
+			xs = append(xs, start, start+ulp, start+binW-ulp, start+binW-1)
+		}
+		return xs
+	}
+	q := uint64(normBins / 4)
+	x2s := edges(0, 1, q-1, q, q+1, 2*q-1, 2*q, 2*q+1, 3*q-1, 3*q, 3*q+1, normBins-1)
+	x1s := edges(0, 1, 2, 3, normBins/2, normBins-2, normBins-1)
+	for _, x1 := range x1s {
+		for _, x2 := range x2s {
+			v := boxMuller(float64(x1>>11)/(1<<53), float64(x2>>11)/(1<<53))
+			lo, hi, ok := normBounds(x1, x2)
+			if !(lo <= v && v <= hi) {
+				t.Errorf("x1 %#x x2 %#x: Norm %v outside [%v, %v]", x1, x2, v, lo, hi)
+			}
+			if bottom := x1 < binW; ok == bottom {
+				t.Errorf("x1 %#x: ok = %v, want %v", x1, ok, !bottom)
+			}
+		}
+	}
+}
+
 func TestNormRangeClamps(t *testing.T) {
 	s := New(17)
 	for i := 0; i < 10000; i++ {
@@ -199,6 +265,13 @@ func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		s.Uint64()
+	}
+}
+
+func BenchmarkNormBounds(b *testing.B) {
+	s := New(1)
+	for i := 0; i < b.N; i++ {
+		s.NormBounds()
 	}
 }
 

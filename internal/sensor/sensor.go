@@ -65,8 +65,15 @@ func Default() Config {
 // that only compares the reading against limits (Outside) need not
 // draw it: the sensor records the conversion's noise-free value and
 // tick, and computes the sample only when something reads it back.
+//
+// A conversion rounds the noisy value to the quantum, so it usually
+// needs only a bracket on the noise, not the noise itself: when both
+// ends of rng.NormBounds's interval round to the same quantum step, so
+// does the draw, and the sensor skips the Box–Muller math (see
+// quantizeNoisy).
 type Sensor struct {
 	cfg       Config
+	invQ      float64 // 1/Quantum, for the bracketed rounding
 	src       Source
 	noise     *rng.Source
 	noiseBase uint64
@@ -90,6 +97,9 @@ type Sensor struct {
 // from the given stream. A nil stream disables noise.
 func New(cfg Config, src Source, noise *rng.Source) *Sensor {
 	s := &Sensor{cfg: cfg, src: src, noise: noise}
+	if cfg.Quantum > 0 {
+		s.invQ = 1 / cfg.Quantum
+	}
 	if noise != nil {
 		s.noiseBase = noise.Uint64()
 	}
@@ -199,7 +209,7 @@ func (s *Sensor) convert(raw float64) float64 {
 	case s.tick != nil:
 		t = s.convertAt(raw, s.tick())
 	case s.noise != nil && s.cfg.NoiseStd > 0:
-		t = s.quantize(raw + s.cfg.NoiseStd*s.noise.Norm())
+		t = s.quantizeNoisy(raw, s.noise)
 	default:
 		t = s.quantize(raw)
 	}
@@ -212,9 +222,39 @@ func (s *Sensor) convert(raw float64) float64 {
 func (s *Sensor) convertAt(raw float64, tick uint64) float64 {
 	if s.noise != nil && s.cfg.NoiseStd > 0 {
 		src := rng.At(s.noiseBase ^ (tick * 0x9e3779b97f4a7c15))
-		raw += s.cfg.NoiseStd * src.Norm()
+		return s.quantizeNoisy(raw, &src)
 	}
 	return s.quantize(raw)
+}
+
+// quantizeNoisy returns quantize(raw + NoiseStd·src.Norm()), bit for
+// bit, and advances src by the two values Norm consumes. It runs Norm,
+// on a copy of src, only when the bracket cannot decide the quantum
+// step.
+//
+// rng.NormBounds brackets the draw, and x ↦ round((raw + std·x)/Q) is
+// monotone in x (IEEE multiplication, addition and division and
+// math.Round all are), so when both ends of the bracket round to the
+// same step k, so does the draw. The ends are computed with 1/Q and
+// floor(·+½) rather than /Q and math.Round, and widened by the slack m
+// that Outside uses; m is at least 1e5 times the rounding those swaps
+// can introduce, so the two ends agreeing puts the eager quotient
+// strictly inside (k-½, k+½) and math.Round returns k, whose product
+// with Q is the eager sample. k = 0 draws anyway, because math.Round
+// keeps the sign of a negative quotient and -0·Q is not 0·Q; so do a
+// NaN or infinite raw, whose ends never agree.
+func (s *Sensor) quantizeNoisy(raw float64, src *rng.Source) float64 {
+	std := s.cfg.NoiseStd
+	eager := *src
+	lo, hi, ok := src.NormBounds()
+	if ok && s.cfg.Quantum > 0 {
+		m := 1e-9 * (1 + math.Abs(raw))
+		k := math.Floor((raw+std*lo-m)*s.invQ + 0.5)
+		if k != 0 && k == math.Floor((raw+std*hi+m)*s.invQ+0.5) {
+			return k * s.cfg.Quantum
+		}
+	}
+	return s.quantize(raw + std*eager.Norm())
 }
 
 func (s *Sensor) quantize(t float64) float64 {

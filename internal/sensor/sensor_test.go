@@ -236,3 +236,91 @@ func TestOutsideFaultsMatchReadChecked(t *testing.T) {
 		tick++
 	}
 }
+
+// eagerConvertAt is the conversion without the bracket: quantize(raw +
+// NoiseStd·Norm) with the tick's noise stream.
+func eagerConvertAt(s *Sensor, raw float64, tick uint64) float64 {
+	if s.noise != nil && s.cfg.NoiseStd > 0 {
+		src := rng.At(s.noiseBase ^ (tick * 0x9e3779b97f4a7c15))
+		raw += s.cfg.NoiseStd * src.Norm()
+	}
+	return s.quantize(raw)
+}
+
+// TestBracketedConversionMatchesEager requires the bracketed conversion
+// to be bit-identical to the eager one: raw swept in steps below a
+// hundredth of the quantum across many quantum boundaries (around 0 °C,
+// where the eager sample can be -0, below zero and at die
+// temperatures), plus NaN, ±Inf and huge values, over many ticks, for
+// quanta whose reciprocal is exact and inexact, no quantum and no
+// noise. Without a tick source the noise stream must advance by
+// exactly one Norm's worth of values per conversion, whether the
+// bracket decided it or not.
+func TestBracketedConversionMatchesEager(t *testing.T) {
+	cfgs := []Config{
+		Default(),
+		{Quantum: 0.25, NoiseStd: 0.001},
+		{Quantum: 0.1, NoiseStd: 0.15},
+		{Quantum: 1, NoiseStd: 1.5},
+		{Quantum: 0.0625, NoiseStd: 0.15},
+		{Quantum: 0, NoiseStd: 0.15},
+		{Quantum: 0.25, NoiseStd: 0},
+	}
+	var raws []float64
+	for _, sw := range []struct{ from, to, div float64 }{
+		{-0.2, 0.2, 137}, {-60, -52, 101}, {38, 46, 103},
+	} {
+		for r := sw.from; r <= sw.to; r += 0.25 / sw.div {
+			raws = append(raws, r)
+		}
+	}
+	raws = append(raws, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300)
+	negZero := 0
+	for ci, cfg := range cfgs {
+		s := New(cfg, SourceFunc(func() float64 { return 0 }), rng.New(uint64(ci+7)))
+		var tick uint64
+		for _, raw := range raws {
+			for k := 0; k < 6; k++ {
+				want := eagerConvertAt(s, raw, tick)
+				if got := s.convertAt(raw, tick); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("cfg %+v raw %v tick %d: bracketed %v (%#x), eager %v (%#x)",
+						cfg, raw, tick, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				if want == 0 && math.Signbit(want) {
+					negZero++
+				}
+				tick += 7919
+			}
+			eager := *s.noise
+			var want float64
+			if cfg.NoiseStd > 0 {
+				want = s.quantize(raw + cfg.NoiseStd*eager.Norm())
+			} else {
+				want = s.quantize(raw)
+			}
+			if got := s.convert(raw); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cfg %+v raw %v without a tick source: bracketed %v, eager %v", cfg, raw, got, want)
+			}
+			if s.noise.Uint64() != eager.Uint64() {
+				t.Fatalf("cfg %+v raw %v: the noise stream advanced differently from Norm", cfg, raw)
+			}
+		}
+	}
+	if negZero == 0 {
+		t.Error("no eager sample was -0: the sweep misses the sign-of-zero case")
+	}
+}
+
+func BenchmarkSensorConvert(b *testing.B) {
+	var tick uint64
+	s := New(Default(), SourceFunc(func() float64 { return 45.3 }), rng.New(1))
+	s.SetTickSource(func() uint64 { return tick })
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += s.Read()
+		tick++
+	}
+	sinkC = sum
+}
+
+var sinkC float64

@@ -65,47 +65,20 @@ func Default() Config {
 	}
 }
 
-// State is the mutable integrator state of one network: the two node
-// temperatures, °C. It is split from Network so a fleet owner can lay
-// many networks' states out as one contiguous slice (struct-of-arrays)
-// while each Network keeps its configuration and methods — see NewAt.
-// All access goes through the owning Network.
-type State struct {
-	DieC  float64
-	SinkC float64
-}
-
-// Network is one instance of the two-node RC model. Its integrator
-// state lives behind st: either the embedded own field (New) or an
-// external slot supplied by the caller (NewAt).
+// Network is one instance of the two-node RC model: its configuration
+// and its integrator state, the two node temperatures in °C, held by
+// value so that a fleet owner can lay whole networks out contiguously
+// (node.Block).
 type Network struct {
-	cfg Config
-	st  *State
-	own State
+	cfg   Config
+	dieC  float64
+	sinkC float64
 }
 
 // New returns a network equilibrated to zero power: both nodes start at
 // ambient. Callers typically Settle() it against idle power first.
 func New(cfg Config) *Network {
-	n := &Network{cfg: cfg}
-	n.st = &n.own
-	n.st.DieC = cfg.AmbientC
-	n.st.SinkC = cfg.AmbientC
-	return n
-}
-
-// NewAt is New with caller-provided backing storage for the integrator
-// state: the cluster allocates one contiguous []State for all nodes so
-// the parallel step sweep walks dense memory instead of chasing
-// per-node heap islands. st is reset to ambient. A nil st falls back to
-// New.
-func NewAt(cfg Config, st *State) *Network {
-	if st == nil {
-		return New(cfg)
-	}
-	st.DieC = cfg.AmbientC
-	st.SinkC = cfg.AmbientC
-	return &Network{cfg: cfg, st: st}
+	return &Network{cfg: cfg, dieC: cfg.AmbientC, sinkC: cfg.AmbientC}
 }
 
 // convKnots is the number of table intervals over [0, 1]; a power of
@@ -185,10 +158,10 @@ func (n *Network) integrate(dt time.Duration, powerW, rsa float64) {
 		if h > maxH {
 			h = maxH
 		}
-		qJS := (n.st.DieC - n.st.SinkC) / n.cfg.RjsKPerW
-		qSA := (n.st.SinkC - n.cfg.AmbientC) / rsa
-		n.st.DieC += h * (powerW - qJS) / n.cfg.CdieJPerK
-		n.st.SinkC += h * (qJS - qSA) / n.cfg.CsinkJPerK
+		qJS := (n.dieC - n.sinkC) / n.cfg.RjsKPerW
+		qSA := (n.sinkC - n.cfg.AmbientC) / rsa
+		n.dieC += h * (powerW - qJS) / n.cfg.CdieJPerK
+		n.sinkC += h * (qJS - qSA) / n.cfg.CsinkJPerK
 		remaining -= h
 	}
 }
@@ -197,15 +170,15 @@ func (n *Network) integrate(dt time.Duration, powerW, rsa float64) {
 // airflow, used to initialize simulations at thermal equilibrium.
 func (n *Network) Settle(powerW, airflow float64) {
 	rsa := n.RsaKPerW(airflow)
-	n.st.SinkC = n.cfg.AmbientC + powerW*rsa
-	n.st.DieC = n.st.SinkC + powerW*n.cfg.RjsKPerW
+	n.sinkC = n.cfg.AmbientC + powerW*rsa
+	n.dieC = n.sinkC + powerW*n.cfg.RjsKPerW
 }
 
 // DieC returns the die temperature, °C — what the on-die sensor measures.
-func (n *Network) DieC() float64 { return n.st.DieC }
+func (n *Network) DieC() float64 { return n.dieC }
 
 // SinkC returns the heatsink temperature, °C.
-func (n *Network) SinkC() float64 { return n.st.SinkC }
+func (n *Network) SinkC() float64 { return n.sinkC }
 
 // AmbientC returns the inlet air temperature.
 func (n *Network) AmbientC() float64 { return n.cfg.AmbientC }

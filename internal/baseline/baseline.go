@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"thermctl/internal/adt7467"
 	"thermctl/internal/core"
@@ -211,26 +212,52 @@ func (p *cpuSpeedPolicy) readProcStat() (busy, total float64, err error) {
 		return 0, 0, err
 	}
 	line, _, _ := strings.Cut(body, "\n")
-	//thermlint:allow hotalloc -- /proc/stat is a text interface; CPUSPEED is the in-band baseline and parses it per interval by design
-	fields := strings.Fields(line)
-	if len(fields) < 5 || fields[0] != "cpu" {
-		return 0, 0, fmt.Errorf("baseline: malformed /proc/stat %q", line)
-	}
-	var vals []float64
-	for _, f := range fields[1:] {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("baseline: bad jiffy count %q", f)
+	return parseProcStat(line)
+}
+
+// parseProcStat sums the jiffy counts of an aggregate "cpu" line in one
+// scan, without splitting it: each count is added as it is parsed, in
+// line order, so the sums are bit-identical to summing a parsed slice.
+// Fields split on white space as strings.Fields does. The line needs
+// the "cpu" label and at least four counts (user nice system idle ...);
+// idle, the fourth, is not busy. A short or mislabeled line is
+// malformed even when one of its counts is also unparsable.
+func parseProcStat(line string) (busy, total float64, err error) {
+	n := 0
+	label, bad := "", ""
+	for rest := line; ; n++ {
+		rest = strings.TrimLeftFunc(rest, unicode.IsSpace)
+		if rest == "" {
+			break
 		}
-		//thermlint:allow hotalloc -- bounded by /proc/stat field count; in-band text parse by design
-		vals = append(vals, v)
-	}
-	// user nice system idle iowait irq softirq: idle is field 4.
-	for i, v := range vals {
+		end := strings.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		f := rest[:end]
+		rest = rest[end:]
+		if n == 0 {
+			label = f
+			continue
+		}
+		v, perr := strconv.ParseFloat(f, 64)
+		if perr != nil {
+			if bad == "" {
+				bad = f
+			}
+			continue
+		}
 		total += v
-		if i != 3 {
+		// user nice system idle iowait irq softirq: idle is count 4.
+		if n != 4 {
 			busy += v
 		}
+	}
+	if n < 5 || label != "cpu" {
+		return 0, 0, fmt.Errorf("baseline: malformed /proc/stat %q", line)
+	}
+	if bad != "" {
+		return 0, 0, fmt.Errorf("baseline: bad jiffy count %q", bad)
 	}
 	return busy, total, nil
 }

@@ -1,7 +1,10 @@
 package baseline
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -221,5 +224,79 @@ func BenchmarkCPUSpeedOnStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.Step(dt)
 		cs.OnStep(n.Elapsed())
+	}
+}
+
+// fieldsProcStat is the slice-building parse parseProcStat replaced:
+// the reference its sums and errors must match exactly.
+func fieldsProcStat(line string) (busy, total float64, err error) {
+	fields := strings.Fields(line)
+	if len(fields) < 5 || fields[0] != "cpu" {
+		return 0, 0, fmt.Errorf("baseline: malformed /proc/stat %q", line)
+	}
+	var vals []float64
+	for _, f := range fields[1:] {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			return 0, 0, fmt.Errorf("baseline: bad jiffy count %q", f)
+		}
+		vals = append(vals, v)
+	}
+	for i, v := range vals {
+		total += v
+		if i != 3 {
+			busy += v
+		}
+	}
+	return busy, total, nil
+}
+
+func TestParseProcStat(t *testing.T) {
+	for _, tc := range []struct {
+		line    string
+		wantErr string
+	}{
+		{"cpu  4705 150 1120 16250 520 0 7", ""},
+		{"cpu 0.1 0.2 0.30000000000000004 1e3", ""},
+		// Extra fields (steal, guest, guest_nice) are summed too.
+		{"cpu 4705 150 1120 16250 520 0 7 3 0 0", ""},
+		{"\tcpu\t1.5  2.25\v3\f4 \r5  ", ""},
+		{"cpu 1 2 3 4 5", ""},
+		{"", "malformed"},
+		{"cpu", "malformed"},
+		{"cpu 1 2 3", "malformed"},
+		{"cpu0 1 2 3 4 5", "malformed"},
+		{"intr 1 2 3 4 5", "malformed"},
+		// A short line is malformed even with a non-numeric count.
+		{"cpu 1 x 3", "malformed"},
+		{"cpu 1 2 x 4 5", "bad jiffy count \"x\""},
+		{"cpu 1 2 3 4 5 y z", "bad jiffy count \"y\""},
+		{"cpu 1 2 3 0x1p-2 5", ""},
+	} {
+		busy, total, err := parseProcStat(tc.line)
+		rb, rt, rerr := fieldsProcStat(tc.line)
+		if tc.wantErr == "" {
+			if err != nil || rerr != nil {
+				t.Errorf("%q: err %v (reference %v), want nil", tc.line, err, rerr)
+				continue
+			}
+			if math.Float64bits(busy) != math.Float64bits(rb) || math.Float64bits(total) != math.Float64bits(rt) {
+				t.Errorf("%q: busy, total = %v, %v; reference %v, %v", tc.line, busy, total, rb, rt)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%q: err %v, want one containing %q", tc.line, err, tc.wantErr)
+		}
+		if rerr == nil || err.Error() != rerr.Error() {
+			t.Errorf("%q: err %v, reference %v", tc.line, err, rerr)
+		}
+	}
+}
+
+func TestParseProcStatAllocationFree(t *testing.T) {
+	line := "cpu  4705 150 1120 16250 520 0 7 3 0 0"
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = parseProcStat(line) }); n != 0 {
+		t.Fatalf("parseProcStat allocates %v times per call, want 0", n)
 	}
 }

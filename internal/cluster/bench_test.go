@@ -185,11 +185,14 @@ func BenchmarkClusterStepWorkload(b *testing.B) {
 // BenchmarkClusterStep: the same cluster step with every node under the
 // paper's full unified controller (dynamic fan + tDVFS coupled by the
 // hybrid), all of it running through the core engine's
-// binding/policy pipeline in the serial phase. The delta against
-// BenchmarkClusterStep at a matching shape is the whole cost of
-// software thermal control — sysfs sampling, window updates and policy
-// decisions on every fourth step (SamplePeriod 250ms over DefaultDt
-// 50ms), not just engine dispatch. The engine pipeline is
+// binding/policy pipeline in the node-local control sweep of the
+// parallel phase. The delta against BenchmarkClusterStep at a matching
+// shape is the whole cost of software thermal control — sysfs
+// sampling, window updates and policy decisions on every fifth step
+// (SamplePeriod 250ms over DefaultDt 50ms), not just engine dispatch.
+// The four idle steps in between dispatch no control sweep at all: the
+// hybrids report their next round through NextDue, and the cluster
+// skips the sweep until one is due. The engine pipeline is
 // allocation-free (0 allocs/op, same as the bare step: the per-round
 // Txn is hosted in the binding, temp_input reads take hwmon's
 // IntReader path, and the step job closure is built at wiring time —

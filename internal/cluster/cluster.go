@@ -34,6 +34,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"thermctl/internal/metrics"
@@ -56,6 +57,17 @@ type Controller interface {
 	OnStep(now time.Duration)
 }
 
+// Scheduled is an optional Controller extension for node-local
+// controllers that act on a schedule of their own. NextDue reports the
+// earliest simulation time at which the controller's next OnStep can
+// do anything: a call at any earlier time must be a no-op, so the
+// cluster may skip it. 0 means due every step. Contract: NextDue may
+// move only inside OnStep — the cluster folds it after each call and
+// trusts it until the controller next runs.
+type Scheduled interface {
+	NextDue() time.Duration
+}
+
 // ControllerFunc adapts a function to Controller.
 type ControllerFunc func(now time.Duration)
 
@@ -75,10 +87,20 @@ type Cluster struct {
 	// (probes and the fault plane first, rack statistics last) executes
 	// in exactly the order it was attached, as it did when all
 	// controllers shared one serial list.
-	pre     []Controller
-	locals  [][]Controller
-	post    []Controller
-	nLocals int
+	pre    []Controller
+	locals [][]localCtl
+	post   []Controller
+
+	// Due-time rule for the node-local phase: the control sweep is
+	// dispatched only on steps with now >= ctlDue (never while no
+	// node-local controller is attached), and inside it each
+	// controller runs only from its own NextDue on. Each node's local
+	// job folds its controllers' NextDue into localDue[i] inside the
+	// sweep; the serial phase takes the minimum afterwards.
+	// AddNodeController lowers ctlDue to the new controller's NextDue
+	// (0 for one without), so it runs on the first step it is due.
+	localDue []time.Duration
+	ctlDue   time.Duration
 
 	// WaitUtil is the utilization of a process blocked at a barrier: an
 	// MPI rank in a blocking wait is near idle but not at zero.
@@ -115,6 +137,19 @@ type Cluster struct {
 	// stop, when set, aborts RunProgram/RunGenerator at the next round
 	// boundary (see SetStop).
 	stop <-chan struct{}
+}
+
+// never is a due time no step reaches: that of a node without
+// node-local controllers, and ctlDue's until one is attached.
+const never = time.Duration(math.MaxInt64)
+
+// localCtl is one node-local controller with its Scheduled view,
+// resolved once at attachment (nil: due every step), and the NextDue
+// it last reported: at attachment, then after each call.
+type localCtl struct {
+	ctl   Controller
+	sched Scheduled
+	due   time.Duration
 }
 
 // New builds a cluster of n default nodes stepping at dt. Node i is
@@ -171,6 +206,7 @@ func NewWithNodes(nodes []*node.Node, dt time.Duration) (*Cluster, error) {
 		Nodes:      nodes,
 		WaitUtil:   0.06,
 		workers:    1,
+		ctlDue:     never,
 		progStates: make([]procState, len(nodes)),
 	}
 	// The per-round jobs are built once here: a closure literal in
@@ -179,9 +215,19 @@ func NewWithNodes(nodes []*node.Node, dt time.Duration) (*Cluster, error) {
 	// dispatch.
 	c.stepJob = func(i int) { c.Nodes[i].Step(c.stepDt) }
 	c.localJob = func(i int) {
-		for _, ctl := range c.locals[i] {
-			ctl.OnStep(c.ctlNow)
+		due := never
+		ls := c.locals[i]
+		for k := range ls {
+			l := &ls[k]
+			if c.ctlNow >= l.due {
+				l.ctl.OnStep(c.ctlNow)
+				if l.sched != nil {
+					l.due = l.sched.NextDue()
+				}
+			}
+			due = min(due, l.due)
 		}
+		c.localDue[i] = due
 	}
 	c.progJob = func(i int) { c.advanceProc(c.Nodes[i], &c.progStates[i], c.prog, c.progDt) }
 	return c, nil
@@ -193,7 +239,7 @@ func NewWithNodes(nodes []*node.Node, dt time.Duration) (*Cluster, error) {
 // for anything that observes or actuates more than one node (rack
 // coupling, fleet statistics, the fault plane).
 func (c *Cluster) AddController(ctl Controller) {
-	if c.nLocals == 0 {
+	if c.locals == nil {
 		c.pre = append(c.pre, ctl)
 		return
 	}
@@ -208,15 +254,26 @@ func (c *Cluster) AddController(ctl Controller) {
 // attachment order is preserved. It must not touch any other node or
 // shared mutable state — that is what keeps traces byte-identical
 // across worker counts. Panics if i is out of range.
+//
+// A controller that implements Scheduled is called only on steps at or
+// after its NextDue; any other controller is due every step. The local
+// sweep is not dispatched on steps where no node-local controller is
+// due; a controller attached between steps runs on the first step it
+// is due, the next one for a controller without NextDue.
 func (c *Cluster) AddNodeController(i int, ctl Controller) {
 	if i < 0 || i >= len(c.Nodes) {
 		panic(fmt.Sprintf("cluster: AddNodeController index %d out of range [0,%d)", i, len(c.Nodes)))
 	}
 	if c.locals == nil {
-		c.locals = make([][]Controller, len(c.Nodes))
+		c.locals = make([][]localCtl, len(c.Nodes))
+		c.localDue = make([]time.Duration, len(c.Nodes))
 	}
-	c.locals[i] = append(c.locals[i], ctl)
-	c.nLocals++
+	l := localCtl{ctl: ctl}
+	if sched, ok := ctl.(Scheduled); ok {
+		l.sched, l.due = sched, sched.NextDue()
+	}
+	c.locals[i] = append(c.locals[i], l)
+	c.ctlDue = min(c.ctlDue, l.due)
 }
 
 // SetStop arms an external cancellation signal: once stop is closed,
@@ -250,16 +307,20 @@ func (c *Cluster) Settle(util float64) {
 // tickControllers runs the control half of a step: advance the clock,
 // then the hierarchical controller phases — cluster-level pre
 // controllers serially, node-local controllers sharded across the
-// workers, cluster-level post controllers serially.
+// workers when any is due, cluster-level post controllers serially.
 func (c *Cluster) tickControllers() {
 	c.Clock.Step()
 	now := c.Clock.Now()
 	for _, ctl := range c.pre {
 		ctl.OnStep(now)
 	}
-	if c.nLocals > 0 {
+	if now >= c.ctlDue {
 		c.ctlNow = now
 		c.advanceNodes(c.localJob)
+		c.ctlDue = never
+		for _, due := range c.localDue {
+			c.ctlDue = min(c.ctlDue, due)
+		}
 	}
 	for _, ctl := range c.post {
 		ctl.OnStep(now)

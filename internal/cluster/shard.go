@@ -361,8 +361,9 @@ func (p *shardPool) close() {
 // stream) shared across nodes would be stepped concurrently; give each
 // node its own instance instead — RunGenerators takes one generator
 // per node, and workload.Spec.Build derives per-node instances from a
-// family seed. The same locality contract applies to controllers
-// attached with AddNodeController.
+// family seed. A workload.Shared memo may be shared: its state changes
+// only in its OnStep, which runs in a serial phase. The same locality
+// contract applies to controllers attached with AddNodeController.
 func (c *Cluster) SetWorkers(w int) {
 	procs := runtime.GOMAXPROCS(0)
 	if w <= 0 {

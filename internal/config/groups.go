@@ -216,7 +216,15 @@ func (s *Scenario) HasWorkload() bool {
 // the pre-plane contract). Node i's generator derives from
 // rng.Mix(Mix(seed, workloadSalt), i) regardless of grouping, so
 // regrouping a fleet never reseeds its demand.
-func (s *Scenario) buildGenerators() ([]workload.Generator, error) {
+//
+// A time-only spec (workload.Spec.TimeOnly) is one curve for every
+// node that uses it, so its nodes share one generator behind a
+// workload.Shared memo — one per distinct *Spec: per group, or one for
+// the scenario-level spec — returned in shared for Build to attach as
+// cluster controllers. The node seed does not enter a time-only
+// generator, so the shared one is the one node-by-node building would
+// give each of them.
+func (s *Scenario) buildGenerators() (gens []workload.Generator, shared []*workload.Shared, err error) {
 	specFor := make([]*workload.Spec, s.Nodes)
 	any := false
 	if len(s.Groups) == 0 {
@@ -240,10 +248,11 @@ func (s *Scenario) buildGenerators() ([]workload.Generator, error) {
 		}
 	}
 	if !any {
-		return nil, nil
+		return nil, nil, nil
 	}
 	family := rng.Mix(s.Seed, workloadSalt)
-	gens := make([]workload.Generator, s.Nodes)
+	memo := map[*workload.Spec]*workload.Shared{}
+	gens = make([]workload.Generator, s.Nodes)
 	for n := 0; n < s.Nodes; n++ {
 		spec := specFor[n]
 		if spec == nil {
@@ -253,11 +262,21 @@ func (s *Scenario) buildGenerators() ([]workload.Generator, error) {
 			gens[n] = workload.Constant(0)
 			continue
 		}
+		if m, ok := memo[spec]; ok {
+			gens[n] = m
+			continue
+		}
 		g, err := spec.Build(family, n)
 		if err != nil {
-			return nil, fmt.Errorf("config: node %d workload: %w", n, err)
+			return nil, nil, fmt.Errorf("config: node %d workload: %w", n, err)
+		}
+		if spec.TimeOnly() {
+			m := workload.NewShared(g)
+			memo[spec] = m
+			shared = append(shared, m)
+			g = m
 		}
 		gens[n] = g
 	}
-	return gens, nil
+	return gens, shared, nil
 }

@@ -461,8 +461,9 @@ type Rig struct {
 	Nodes []*NodeControl
 	// Generators holds the per-node workload instances built from the
 	// scenario's workload plane, index-aligned with Cluster.Nodes (nil
-	// when the scenario runs a program or declares no workload). Run
-	// with Cluster.RunGenerators.
+	// when the scenario runs a program or declares no workload). Nodes
+	// on one time-only spec share a workload.Shared memo, attached to
+	// Cluster as a controller. Run with Cluster.RunGenerators.
 	Generators []workload.Generator
 	// Groups locates each declared node group inside Cluster.Nodes
 	// (nil for ungrouped scenarios).
@@ -495,11 +496,16 @@ func (s Scenario) Build() (*Rig, error) {
 		return nil, err
 	}
 	if rig.Program == nil {
-		gens, err := s.buildGenerators()
+		gens, shared, err := s.buildGenerators()
 		if err != nil {
 			return nil, err
 		}
 		rig.Generators = gens
+		// Each shared demand memo refreshes in the serial phase, once
+		// per step, for the nodes to read in the next parallel one.
+		for _, m := range shared {
+			c.AddController(m)
+		}
 	}
 	c.Settle(0)
 	rig.Cluster = c

@@ -237,6 +237,9 @@ func (s Status) String() string {
 // engaged.
 func (c *Controller) SetHoldFloor(hold bool) { c.pol.SetHoldFloor(hold) }
 
+// NextDue forwards the binding's; implements cluster.Scheduled.
+func (c *Controller) NextDue() time.Duration { return c.b.NextDue() }
+
 // OnStep samples and, on each completed window round, updates every
 // actuator through the hosted ctlarray policy. Call it once per
 // simulation step with the current time. Sampling cadence, fail-safe

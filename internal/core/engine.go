@@ -239,6 +239,23 @@ func (b *Binding) Actuator(i int) Actuator { return b.slots[i].act }
 // Slots returns the number of bound actuators.
 func (b *Binding) Slots() int { return len(b.slots) }
 
+// NextDue reports the earliest time at which OnStep acts: the next
+// sample time when the binding is gated by a sampling period, 0 (due
+// every step) when it is not. It moves only inside OnStep. Implements
+// cluster.Scheduled, so the cluster skips the node-local sweep on
+// steps where every binding would return at its period gate.
+func (b *Binding) NextDue() time.Duration {
+	if b.period > 0 {
+		return b.next
+	}
+	return 0
+}
+
+// due reports whether OnStep at now passes the sampling gate.
+func (b *Binding) due(now time.Duration) bool {
+	return b.period <= 0 || now >= b.next
+}
+
 // OnStep runs the engine pipeline once: gate on the sampling cadence,
 // read, maintain the fail-safe state machine, feed the history window,
 // and hand completed rounds to the policy. Implements the cluster
@@ -251,10 +268,10 @@ func (b *Binding) Slots() int { return len(b.slots) }
 // releases after RecoverSamples consecutive clean samples, after which
 // the window has fresh data and normal control resumes.
 func (b *Binding) OnStep(now time.Duration) {
+	if !b.due(now) {
+		return
+	}
 	if b.period > 0 {
-		if now < b.next {
-			return
-		}
 		b.next += b.period
 	}
 	b.tx = Txn{b: b, now: now, sample: math.NaN()}
@@ -447,7 +464,7 @@ func (tx *Txn) CountError() {
 }
 
 // lane is one binding inside an engine, with an optional coordination
-// hook that runs just before the binding's step.
+// hook that runs just before each of the binding's rounds.
 type lane struct {
 	b   *Binding
 	pre func(now time.Duration)
@@ -455,7 +472,7 @@ type lane struct {
 
 // Engine steps an ordered set of bindings as one control plane. The
 // hybrid coordinator is an engine of two lanes — the threshold (tDVFS)
-// binding first, then the ctlarray (fan) binding with a pre-step hook
+// binding first, then the ctlarray (fan) binding with a pre-round hook
 // that holds the fan floor while the in-band knob is engaged. Any
 // number of lanes compose the same way; ordering is attachment order.
 type Engine struct {
@@ -465,8 +482,10 @@ type Engine struct {
 // NewEngine returns an empty engine.
 func NewEngine() *Engine { return &Engine{} }
 
-// Attach appends a binding, with an optional pre-step coordination
-// hook (nil for none). Wiring time only.
+// Attach appends a binding, with an optional pre-round coordination
+// hook (nil for none). The hook runs only on steps where the binding
+// is due (see Binding.NextDue), just before the binding's OnStep.
+// Wiring time only.
 func (e *Engine) Attach(b *Binding, pre func(now time.Duration)) {
 	e.lanes = append(e.lanes, lane{b: b, pre: pre})
 }
@@ -481,10 +500,23 @@ func (e *Engine) Errors() uint64 {
 	return n
 }
 
-// OnStep steps every lane in order. Implements the cluster Controller
-// interface.
+// NextDue is the earliest NextDue over the lanes; an empty engine is
+// never due. Implements cluster.Scheduled.
+func (e *Engine) NextDue() time.Duration {
+	due := time.Duration(math.MaxInt64)
+	for _, l := range e.lanes {
+		due = min(due, l.b.NextDue())
+	}
+	return due
+}
+
+// OnStep steps every due lane in order, running its pre-round hook
+// first. Implements the cluster Controller interface.
 func (e *Engine) OnStep(now time.Duration) {
 	for _, l := range e.lanes {
+		if !l.b.due(now) {
+			continue
+		}
 		if l.pre != nil {
 			l.pre(now)
 		}

@@ -24,9 +24,11 @@ import (
 //
 // Since the control-plane unification the coordination is expressed as
 // an Engine of two lanes — the tDVFS binding first, then the fan
-// binding behind a pre-step hook that transfers the engagement state —
+// binding behind a pre-round hook that transfers the engagement state —
 // so "coupled controllers" is ordering plus one hook, not a bespoke
-// loop.
+// loop. The hook runs only on fan rounds: engagement changes only at
+// tDVFS rounds, and the fan policy reads the floor only when it
+// decides.
 type Hybrid struct {
 	// Fan is the dynamic fan controller (out-of-band knob).
 	Fan *Controller
@@ -35,9 +37,9 @@ type Hybrid struct {
 
 	eng *Engine
 
-	// holdSteps is the optional nil-safe coordination counter (see
-	// InstrumentMetrics in metrics.go).
-	holdSteps *metrics.Counter
+	// holdRounds is the optional nil-safe coordination counter (see
+	// InstrumentMetrics in metrics.go): fan rounds with the floor held.
+	holdRounds *metrics.Counter
 }
 
 // NewHybrid couples the two controllers.
@@ -47,7 +49,7 @@ func NewHybrid(fan *Controller, dvfs *TDVFS) *Hybrid {
 	h.eng.Attach(fan.Binding(), func(time.Duration) {
 		engaged := dvfs.Engaged()
 		if engaged {
-			h.holdSteps.Inc()
+			h.holdRounds.Inc()
 		}
 		fan.SetHoldFloor(engaged)
 	})
@@ -56,6 +58,9 @@ func NewHybrid(fan *Controller, dvfs *TDVFS) *Hybrid {
 
 // Engine exposes the two-lane engine hosting the coupled controllers.
 func (h *Hybrid) Engine() *Engine { return h.eng }
+
+// NextDue forwards the engine's; implements cluster.Scheduled.
+func (h *Hybrid) NextDue() time.Duration { return h.eng.NextDue() }
 
 // OnStep implements the cluster Controller interface: the DVFS daemon
 // decides first, then the fan controller runs with its floor held if

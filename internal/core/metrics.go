@@ -75,8 +75,8 @@ func (d *TDVFS) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label
 func (h *Hybrid) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	h.Fan.InstrumentMetrics(reg, labels...)
 	h.DVFS.InstrumentMetrics(reg, labels...)
-	h.holdSteps = reg.NewCounter("thermctl_hybrid_hold_steps_total",
-		"simulation steps with the fan floor held while tDVFS was engaged", labels...)
+	h.holdRounds = reg.NewCounter("thermctl_hybrid_hold_rounds_total",
+		"control rounds with the fan floor held while tDVFS was engaged", labels...)
 }
 
 // watchdogMetrics bundles the fan-failure watchdog policy's

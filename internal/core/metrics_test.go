@@ -42,8 +42,8 @@ func TestHybridInstrumentMetrics(t *testing.T) {
 		if got := snapValue(t, reg, "thermctl_tdvfs_engaged"); got != 1 {
 			t.Errorf("engaged gauge = %v while DVFS engaged", got)
 		}
-		if got := snapValue(t, reg, "thermctl_hybrid_hold_steps_total"); got == 0 {
-			t.Error("hold-steps counter is zero while DVFS engaged")
+		if got := snapValue(t, reg, "thermctl_hybrid_hold_rounds_total"); got == 0 {
+			t.Error("hold-rounds counter is zero while DVFS engaged")
 		}
 		if got := snapValue(t, reg, "thermctl_controller_hold_floor"); got != 1 {
 			t.Errorf("hold-floor gauge = %v while DVFS engaged", got)

@@ -181,6 +181,9 @@ func (d *TDVFS) CurrentMode() int { return d.pol.CurrentMode() }
 // nominal frequency.
 func (d *TDVFS) Engaged() bool { return d.pol.Engaged() }
 
+// NextDue forwards the binding's; implements cluster.Scheduled.
+func (d *TDVFS) NextDue() time.Duration { return d.b.NextDue() }
+
 // OnStep samples and decides through the hosted threshold policy.
 // Implements the cluster Controller interface. Sampling cadence,
 // fail-safe degradation and error accounting are the engine's (see

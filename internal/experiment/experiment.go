@@ -25,7 +25,6 @@ import (
 	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/trace"
-	"thermctl/internal/tracefile"
 )
 
 // Seed is the default seed used by all experiments; fixed so every run
@@ -79,27 +78,31 @@ func sweep[T any](n int, run func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// recorderSink records sample frames under the ClusterTraceSchema
-// series names ("n3_temp"). Its record method is the cluster.Sink.
-type recorderSink struct {
-	rec   *trace.Recorder
-	names []tracefile.SeriesDef
-}
+// recorderSink records sample frames into one series per frame value,
+// registered under the ClusterTraceSchema names ("n3_temp") in frame
+// order. Its record method is the cluster.Sink; it appends directly,
+// as the only writer of a recorder private to its run.
+type recorderSink []*trace.Series
 
 func (s recorderSink) record(now time.Duration, frame []float64) {
 	for i, v := range frame {
-		s.rec.Record(s.names[i].Name, now, v)
+		s[i].Add(now, v)
 	}
 }
 
 // newProbe attaches an in-memory recorder to the cluster sampler,
 // sampling every interval. every is positive at every call site.
 func newProbe(c *cluster.Cluster, every time.Duration) *trace.Recorder {
-	s := recorderSink{trace.NewRecorder(), config.ClusterTraceSchema(len(c.Nodes))}
+	rec := trace.NewRecorder()
+	names := config.ClusterTraceSchema(len(c.Nodes))
+	s := make(recorderSink, len(names))
+	for i, def := range names {
+		s[i] = rec.Track(def.Name)
+	}
 	if err := c.Sample(every, s.record); err != nil {
 		panic(err)
 	}
-	return s.rec
+	return rec
 }
 
 // control is one experiment run's per-node technique set: fan and dvfs

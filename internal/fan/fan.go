@@ -58,6 +58,9 @@ type Fan struct {
 	rpm    float64 // current (lagged) speed
 	failed bool
 
+	// tau is cfg.TimeConst in seconds, converted once in New.
+	tau float64
+
 	// lagDt and lag memoize the rotor's per-step lag factor
 	// 1-exp(-lagDt/TimeConst): a cluster steps at one fixed dt, so Step
 	// recomputes the exponential only when dt changes. The zero value is
@@ -78,7 +81,7 @@ type Fan struct {
 // dutyPercent and already spun up to the corresponding steady speed. A
 // NaN duty leaves the fan stopped at duty 0.
 func New(cfg Config, dutyPercent float64) *Fan {
-	f := &Fan{cfg: cfg}
+	f := &Fan{cfg: cfg, tau: cfg.TimeConst.Seconds()}
 	f.SetDuty(dutyPercent)
 	f.rpm = f.targetRPM()
 	return f
@@ -157,13 +160,12 @@ func (f *Fan) targetRPM() float64 {
 // Step advances the rotor dynamics by dt.
 func (f *Fan) Step(dt time.Duration) {
 	target := f.targetRPM()
-	tau := f.cfg.TimeConst.Seconds()
-	if tau <= 0 {
+	if f.tau <= 0 {
 		f.rpm = target
 		return
 	}
 	if dt != f.lagDt {
-		f.lagDt, f.lag = dt, 1-math.Exp(-dt.Seconds()/tau)
+		f.lagDt, f.lag = dt, 1-math.Exp(-dt.Seconds()/f.tau)
 	}
 	f.rpm += f.lag * (target - f.rpm)
 }

@@ -189,6 +189,22 @@ func NewRecorder() *Recorder {
 func (r *Recorder) Record(name string, t time.Duration, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.track(name).Add(t, v)
+}
+
+// Track returns the named series, creating it (in first-recorded
+// order, as Record would) if it does not exist yet. A producer that
+// appends to a fixed set of series registers them once with Track and
+// then calls Series.Add directly, skipping Record's lock and lookup per
+// value; it must then be the recorder's only writer while it appends.
+func (r *Recorder) Track(name string) *Series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.track(name)
+}
+
+// track is Track under r.mu.
+func (r *Recorder) track(name string) *Series {
 	s, ok := r.series[name]
 	if !ok {
 		//thermlint:allow hotalloc -- first-use only: a series is created once per name, then reused
@@ -197,7 +213,7 @@ func (r *Recorder) Record(name string, t time.Duration, v float64) {
 		//thermlint:allow hotalloc -- first-use only: grows once per distinct series name
 		r.order = append(r.order, name)
 	}
-	s.Add(t, v)
+	return s
 }
 
 // Series returns the named series, or nil if never recorded.

@@ -234,3 +234,20 @@ func TestWriteCSV(t *testing.T) {
 		t.Errorf("row 1 = %q (missing b value should be empty)", lines[2])
 	}
 }
+
+func TestTrackSharesSeriesAndOrderWithRecord(t *testing.T) {
+	rec := NewRecorder()
+	a := rec.Track("a")
+	rec.Record("b", 0, 1)
+	if rec.Track("a") != a {
+		t.Fatal("Track created a second series for one name")
+	}
+	a.Add(time.Second, 2)
+	rec.Record("a", 2*time.Second, 3)
+	if got := rec.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("names = %v, want [a b] (first-tracked order)", got)
+	}
+	if s := rec.Series("a"); s != a || s.Len() != 2 || s.Points[1].V != 3 {
+		t.Fatalf("series a = %+v, want the tracked series holding both samples", s)
+	}
+}

@@ -275,6 +275,25 @@ func (s *Spec) build(nodeSeed uint64) Generator {
 	return Constant(0)
 }
 
+// TimeOnly reports whether the spec's generator is a pure function of
+// simulated time, the same for every node: true for every kind but
+// the per-node seeded ones (random, cpuburn), and for a sequence built
+// only from time-only segments. Such a spec's nodes may share one
+// generator, evaluated once per step through a Shared memo.
+func (s *Spec) TimeOnly() bool {
+	switch s.Kind {
+	case KindRandom, KindCPUBurn:
+		return false
+	case KindSequence:
+		for i := range s.Segments {
+			if !s.Segments[i].Spec.TimeOnly() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // String names the spec for logs and reports.
 func (s *Spec) String() string {
 	if s == nil {

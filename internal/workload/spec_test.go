@@ -213,3 +213,31 @@ func TestSpecFig2MatchesProfile(t *testing.T) {
 		}
 	}
 }
+
+func TestSpecTimeOnly(t *testing.T) {
+	seg := func(kind string) SegmentSpec { return SegmentSpec{Spec: Spec{Kind: kind}, ForMS: 1000} }
+	for _, tc := range []struct {
+		spec Spec
+		want bool
+	}{
+		{Spec{Kind: KindConstant}, true},
+		{Spec{Kind: KindStep}, true},
+		{Spec{Kind: KindRamp}, true},
+		{Spec{Kind: KindJitter}, true},
+		{Spec{Kind: KindTrace}, true},
+		{Spec{Kind: KindSteps}, true},
+		{Spec{Kind: KindDiurnal}, true},
+		{Spec{Kind: KindFlashCrowd}, true},
+		{Spec{Kind: KindFig2}, true},
+		{Spec{Kind: KindRandom}, false},
+		{Spec{Kind: KindCPUBurn}, false},
+		{Spec{Kind: KindSequence, Segments: []SegmentSpec{seg(KindStep), seg(KindDiurnal)}}, true},
+		{Spec{Kind: KindSequence, Segments: []SegmentSpec{seg(KindStep), seg(KindRandom)}}, false},
+		{Spec{Kind: KindSequence, Segments: []SegmentSpec{seg(KindConstant),
+			{Spec: Spec{Kind: KindSequence, Segments: []SegmentSpec{seg(KindCPUBurn)}}}}}, false},
+	} {
+		if got := tc.spec.TimeOnly(); got != tc.want {
+			t.Errorf("%s %v: TimeOnly = %v, want %v", tc.spec.Kind, tc.spec.Segments, got, tc.want)
+		}
+	}
+}

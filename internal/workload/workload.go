@@ -181,6 +181,40 @@ func (s Sequence) Utilization(t time.Duration) float64 {
 	return 0
 }
 
+// Shared memoizes one time-only generator for every node that shares
+// it: OnStep stores g's value at the step's time, once, and
+// Utilization returns it to each node asking for that time. Any other
+// time falls through to g, so the memo is exact on every path (a node
+// stepped outside its cluster, a generator run on another cluster) and
+// never relies on nodes stepping in lock-step. g must be a pure
+// function of time (see Spec.TimeOnly). OnStep runs in a cluster's
+// serial phase and Utilization in its parallel one, so the memo is
+// never written while nodes read it.
+type Shared struct {
+	g Generator
+	t time.Duration
+	v float64
+}
+
+// NewShared wraps g, storing its value at t = 0.
+func NewShared(g Generator) *Shared {
+	s := &Shared{g: g}
+	s.OnStep(0)
+	return s
+}
+
+// OnStep stores g's value at now, the time every node asks for on the
+// next step. Implements the cluster Controller interface.
+func (s *Shared) OnStep(now time.Duration) { s.t, s.v = now, s.g.Utilization(now) }
+
+// Utilization implements Generator.
+func (s *Shared) Utilization(t time.Duration) float64 {
+	if t == s.t {
+		return s.v
+	}
+	return s.g.Utilization(t)
+}
+
 // Fig2Profile builds the thermal workload of the paper's Figure 2: a
 // sudden load onset, a period of jitter, then a gradual climb — the
 // three behaviour types on one timeline.

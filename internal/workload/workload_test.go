@@ -315,3 +315,54 @@ func TestUniform(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// countingGen is a time-only generator that counts its evaluations.
+type countingGen struct {
+	g     Generator
+	calls int
+}
+
+func (c *countingGen) Utilization(t time.Duration) float64 {
+	c.calls++
+	return c.g.Utilization(t)
+}
+
+func TestSharedEvaluatesOncePerStep(t *testing.T) {
+	d := Diurnal{Base: 0.5, Amplitude: 0.4, Period: 7 * time.Second, Phase: time.Second}
+	g := &countingGen{g: d}
+	s := NewShared(g)
+	if g.calls != 1 {
+		t.Fatalf("NewShared evaluated %d times, want once (t = 0)", g.calls)
+	}
+	for step := 0; step < 40; step++ {
+		now := time.Duration(step) * 50 * time.Millisecond
+		if step > 0 {
+			s.OnStep(now)
+		}
+		calls := g.calls
+		for node := 0; node < 16; node++ {
+			if got, want := s.Utilization(now), d.Utilization(now); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("t=%v: memo %v, generator %v", now, got, want)
+			}
+		}
+		if g.calls != calls {
+			t.Fatalf("t=%v: %d evaluations for 16 reads of the stored time, want 0", now, g.calls-calls)
+		}
+	}
+}
+
+func TestSharedFallsBackOffItsStoredTime(t *testing.T) {
+	d := Diurnal{Base: 0.5, Amplitude: 0.4, Period: 7 * time.Second}
+	g := &countingGen{g: d}
+	s := NewShared(g)
+	s.OnStep(2 * time.Second)
+	for _, at := range []time.Duration{0, time.Second, 2*time.Second - 1, 2*time.Second + 1, time.Hour} {
+		calls := g.calls
+		if got, want := s.Utilization(at), d.Utilization(at); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("t=%v: memo %v, generator %v", at, got, want)
+		}
+		if g.calls != calls+1 {
+			t.Fatalf("t=%v: memo did not ask the generator for a time it did not store", at)
+		}
+	}
+}

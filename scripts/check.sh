@@ -39,6 +39,9 @@ go test -run '^$' -bench '^Benchmark(NodeStep|ChipStepAuto|ChipStepManual|FanSte
 	./internal/node ./internal/adt7467 ./internal/fan ./internal/thermal ./internal/sensor ./internal/core >/dev/null
 # The PID ablation (~5 ms) is the only caller of the PID baseline.
 go test -run '^$' -bench '^BenchmarkAblateVsPID$' -benchtime 1x . >/dev/null
+# EngineStep steps controlled clusters through idle and control steps,
+# the node-local sweep's due-time path.
+go test -run '^$' -bench '^BenchmarkEngineStep$' -benchtime 1x ./internal/cluster >/dev/null
 
 echo "==> scenario gallery (examples/*.json load + build, extends chains included)"
 go test ./internal/config -run 'TestScenarioGallery|TestGalleryExtendsChains' -count=1

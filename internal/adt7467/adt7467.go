@@ -72,6 +72,10 @@ const TachConstant = 5400000
 
 // Chip is the device model. It reads die temperature through a sensor,
 // drives a fan, and exposes the datasheet register map on the i2c bus.
+// As on the real part, RegPWM1Duty reads back the duty being driven at
+// the moment of the read, in either mode. A write to it moves the fan
+// at once in manual mode and has no effect in automatic mode, where the
+// next read returns the curve's duty again.
 // It is owned by the stepping goroutine; not safe for concurrent use:
 // the monitoring cycle (Step) and the bus transactions (ReadReg and
 // WriteReg, reached through the host's and the BMC's driver handles on
@@ -154,6 +158,10 @@ func NewChipAt(c *Chip, rf *i2c.RegisterFile, temp *sensor.Sensor, f *fan.Fan) {
 	c.rf.OnRead(RegTach1Low, func() uint8 { return uint8(c.tachCounts()) })
 	c.rf.OnRead(RegTach1High, func() uint8 { return uint8(c.tachCounts() >> 8) })
 
+	// The duty register reads back the duty being driven, encoded
+	// when read: a manual write has already moved the fan, and
+	// dutyToReg(regToDuty(v)) == v, so it reads back exactly.
+	c.rf.OnRead(RegPWM1Duty, func() uint8 { return dutyToReg(c.fan.Duty()) })
 	// Manual duty writes take effect immediately.
 	c.rf.OnWrite(RegPWM1Duty, func(v uint8) {
 		if c.manual() {
@@ -200,9 +208,7 @@ func (c *Chip) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label)
 
 // Step runs one monitoring cycle. In automatic mode the chip re-evaluates
 // the static temperature→duty map and drives the fan; in manual mode the
-// fan keeps the host-commanded duty. The current duty is always
-// reflected into RegPWM1Duty so the host can read back what the fan is
-// doing, as on real silicon.
+// fan keeps the host-commanded duty.
 //
 // A cycle converts the sensor once. In automatic mode the auto curve
 // and the limit comparator both act on that one reading. In manual
@@ -231,7 +237,6 @@ func (c *Chip) Step(time.Duration) {
 			out = t < lo || t > hi
 		}
 	}
-	c.rf.Set(RegPWM1Duty, dutyToReg(c.fan.Duty()))
 
 	// Limit monitoring: latch the out-of-limits bit.
 	if err == nil {

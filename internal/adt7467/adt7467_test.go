@@ -388,3 +388,120 @@ func BenchmarkChipStepManual(b *testing.B) {
 		tick++
 	}
 }
+
+// TestDutyRegisterReadsDrivenDuty checks that 0x30 reads back the duty
+// the fan is driven at whenever it is read, in both modes and between
+// monitoring cycles, not only after one.
+func TestDutyRegisterReadsDrivenDuty(t *testing.T) {
+	set, f, chip, _ := rig(t)
+	read := func() uint8 {
+		t.Helper()
+		v, err := chip.ReadReg(RegPWM1Duty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if got, want := read(), dutyToReg(f.Duty()); got != want {
+		t.Errorf("before the first cycle: 0x30 = %#x, want %#x", got, want)
+	}
+	for _, c := range []float64{30, 47.5, 60, 90} {
+		set(c)
+		chip.Step(time.Second)
+		if got, want := read(), dutyToReg(f.Duty()); got != want {
+			t.Errorf("auto at %v °C: 0x30 = %#x, want %#x", c, got, want)
+		}
+	}
+	for _, manual := range []bool{false, true} {
+		mode := uint8(BehaviourRemote1)
+		if manual {
+			mode = BehaviourManual
+		}
+		if err := chip.WriteReg(RegPWM1Config, mode); err != nil {
+			t.Fatal(err)
+		}
+		// The fan commanded between cycles by another path.
+		f.SetDuty(33)
+		if got, want := read(), dutyToReg(33); got != want {
+			t.Errorf("manual=%v between cycles: 0x30 = %#x, want %#x", manual, got, want)
+		}
+	}
+}
+
+// TestManualDutyWriteReadsBackExactly writes every register value in
+// manual mode and reads it straight back, with no cycle in between.
+func TestManualDutyWriteReadsBackExactly(t *testing.T) {
+	_, f, chip, _ := rig(t)
+	if err := chip.WriteReg(RegPWM1Config, BehaviourManual); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 256; v++ {
+		if err := chip.WriteReg(RegPWM1Duty, uint8(v)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := chip.ReadReg(RegPWM1Duty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != uint8(v) || f.Duty() != regToDuty(uint8(v)) {
+			t.Fatalf("wrote %#x: reads back %#x, fan at %v%%", v, got, f.Duty())
+		}
+	}
+}
+
+// TestAutoDutyWriteDoesNotStick writes 0x30 in automatic mode: the fan
+// keeps the curve's duty and the register reads that duty, not the
+// written value.
+func TestAutoDutyWriteDoesNotStick(t *testing.T) {
+	set, f, chip, _ := rig(t)
+	set(30)
+	chip.Step(time.Second)
+	duty := f.Duty()
+	if err := chip.WriteReg(RegPWM1Duty, 0xE6); err != nil {
+		t.Fatal(err)
+	}
+	got, err := chip.ReadReg(RegPWM1Duty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != dutyToReg(duty) || f.Duty() != duty {
+		t.Errorf("auto-mode write of 0xe6: 0x30 = %#x, fan at %v%%; want %#x at %v%%", got, f.Duty(), dutyToReg(duty), duty)
+	}
+}
+
+// TestCurveAndLimitWritesActNextCycle programs the auto curve and the
+// limits over the bus and checks that the next cycle's duty and limit
+// violation are exactly what decoding the registers gives.
+func TestCurveAndLimitWritesActNextCycle(t *testing.T) {
+	set, f, chip, _ := rig(t)
+	cases := []struct{ tmin, trange, minDuty, lo, hi uint8 }{
+		{38, 44, dutyToReg(10), 0, 81},
+		{45, 30, 0x33, 10, 60},
+		{0xF0, 100, 0, 0xEC, 30}, // Tmin -16 °C, low limit -20 °C
+		{60, 0, 0xFF, 50, 55},    // zero Trange: a step at Tmin
+		{20, 255, 0x80, 0x80, 0x7F},
+	}
+	temps := []float64{-25, 0, 25.5, 45, 59.9, 60, 72.25, 100}
+	for _, tc := range cases {
+		for reg, v := range map[uint8]uint8{
+			RegTmin1: tc.tmin, RegPWM1Trange: tc.trange, RegPWM1MinDuty: tc.minDuty,
+			RegR1LowLimit: tc.lo, RegR1HighLimit: tc.hi,
+		} {
+			if err := chip.WriteReg(reg, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo, hi := float64(int8(tc.lo)), float64(int8(tc.hi))
+		for _, c := range temps {
+			set(c)
+			chip.Step(time.Second)
+			want := StaticCurve(c, float64(int8(tc.tmin)), float64(tc.trange), regToDuty(tc.minDuty))
+			if math.Float64bits(f.Duty()) != math.Float64bits(want) {
+				t.Errorf("%+v at %v °C: duty %v, want %v", tc, c, f.Duty(), want)
+			}
+			if wantOut := c < lo || c > hi; chip.alarmCond != wantOut {
+				t.Errorf("%+v at %v °C: limit violation %v, want %v", tc, c, chip.alarmCond, wantOut)
+			}
+		}
+	}
+}

@@ -147,9 +147,10 @@ func BenchmarkClusterStepTrace(b *testing.B) {
 // random demand redrawn once per simulated second) instead of one
 // shared Constant. Generator evaluation happens inside node.Step in the
 // sharded phase, so this measures exactly what the per-node workload
-// plane adds to the hot path: one rng.Mix + SplitMix64 draw per
-// node-step, no allocation (Utilization is a hotalloc root; Random
-// keys a throwaway stream via rng.At instead of holding state). The
+// plane adds to the hot path: one rng.Mix + SplitMix64 draw per node
+// per simulated second, a memo hit on the other steps, no allocation
+// (Utilization is a hotalloc root; Random keys a throwaway stream via
+// rng.At, and Spec.Build's per-node memo holds only the last draw). The
 // acceptance bar — enforced by `benchjson -within ClusterStep
 // ClusterStepWorkload -tolerance 10` in scripts/bench.sh — is within
 // 10% of the bare step.

@@ -61,10 +61,14 @@ type Fan struct {
 	// tau is cfg.TimeConst in seconds, converted once in New.
 	tau float64
 
-	// lagDt and lag memoize the rotor's per-step lag factor
-	// 1-exp(-lagDt/TimeConst): a cluster steps at one fixed dt, so Step
-	// recomputes the exponential only when dt changes. The zero value is
-	// consistent (dt 0 lags by exactly 0).
+	// lagDt and lag memoize the rotor's lag factor 1-exp(-dt/TimeConst)
+	// for the cluster's step, and oddDt and oddLag (below, off the fast
+	// path) for the last other dt. A cluster steps at one fixed dt, but
+	// its SPMD executor splits a step at each program phase boundary
+	// into slices of other lengths. A miss replaces only the odd entry,
+	// and a hit on it swaps the two, so the entry kept is the last dt
+	// used twice: the cluster's step survives any run of slices. The
+	// zero values are consistent (dt 0 lags by exactly 0).
 	lagDt time.Duration
 	lag   float64
 
@@ -75,6 +79,9 @@ type Fan struct {
 	// dutyTransitions is the optional nil-safe metric counting commanded
 	// duty changes (see InstrumentMetrics).
 	dutyTransitions *metrics.Counter
+
+	oddDt  time.Duration
+	oddLag float64
 }
 
 // New returns a fan with the given configuration, initially commanded to
@@ -164,10 +171,23 @@ func (f *Fan) Step(dt time.Duration) {
 		f.rpm = target
 		return
 	}
+	lag := f.lag
 	if dt != f.lagDt {
-		f.lagDt, f.lag = dt, 1-math.Exp(-dt.Seconds()/f.tau)
+		lag = f.lagFor(dt)
 	}
-	f.rpm += f.lag * (target - f.rpm)
+	f.rpm += lag * (target - f.rpm)
+}
+
+// lagFor returns the lag factor for a dt other than the kept step's:
+// the odd entry's, swapped in as the kept one, or on a miss a fresh
+// value stored in the odd entry only.
+func (f *Fan) lagFor(dt time.Duration) float64 {
+	if dt != f.oddDt {
+		f.oddDt, f.oddLag = dt, 1-math.Exp(-dt.Seconds()/f.tau)
+		return f.oddLag
+	}
+	f.lagDt, f.lag, f.oddDt, f.oddLag = f.oddDt, f.oddLag, f.lagDt, f.lag
+	return f.lag
 }
 
 // RPM returns the true current rotational speed.

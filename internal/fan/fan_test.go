@@ -178,13 +178,16 @@ func TestStringMentionsDutyAndRPM(t *testing.T) {
 }
 
 func TestStepMatchesClosedForm(t *testing.T) {
-	// Node.Settle steps the rotor at 1 s and a cluster at 50 ms; the
-	// memoized lag factor must give the closed form bit for bit across
-	// every switch between them, at dt 0 and with no rotor lag.
+	// Node.Settle steps the rotor at 1 s, a cluster at 50 ms, and the
+	// SPMD executor in slices of a 50 ms step; the memoized lag factors
+	// must give the closed form bit for bit across every switch between
+	// them, at dt 0 and with no rotor lag.
 	var dts []time.Duration
 	for i := 0; i < 3; i++ {
 		dts = append(dts, time.Second, time.Second, 50*time.Millisecond, 0, 50*time.Millisecond,
-			50*time.Millisecond, time.Second, 0, 0, 250*time.Millisecond, 50*time.Millisecond)
+			50*time.Millisecond, time.Second, 0, 0, 250*time.Millisecond, 50*time.Millisecond,
+			20*time.Millisecond, 30*time.Millisecond, 50*time.Millisecond, 25*time.Millisecond,
+			25*time.Millisecond, 50*time.Millisecond, 50*time.Millisecond)
 	}
 	for _, tc := range []time.Duration{Default().TimeConst, 0} {
 		cfg := Default()
@@ -204,6 +207,19 @@ func TestStepMatchesClosedForm(t *testing.T) {
 				t.Fatalf("TimeConst %v step %d (dt %v): RPM %v, closed form %v", tc, i, dt, f.RPM(), rpm)
 			}
 		}
+	}
+}
+
+func TestLagMemoKeepsStepAcrossSlices(t *testing.T) {
+	// A phase boundary splits a 50 ms step into two odd slices; the
+	// next full step must still find its lag factor memoized.
+	step := 50 * time.Millisecond
+	f := New(Default(), 10)
+	for _, dt := range []time.Duration{time.Second, time.Second, step, step, 20 * time.Millisecond, 30 * time.Millisecond} {
+		f.Step(dt)
+	}
+	if f.lagDt != step {
+		t.Errorf("after 50 ms / 20 ms / 30 ms the kept step is %v, want %v", f.lagDt, step)
 	}
 }
 

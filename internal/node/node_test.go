@@ -392,6 +392,29 @@ func BenchmarkNodeStep(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeStepFleetAuto prices one node step in the fleet-auto
+// shape: the chip's auto curve driving the fan, under uniform random
+// demand redrawn once per simulated second and built through
+// workload.Spec as a scenario builds it, so the generator is the
+// per-node memo of its held value.
+func BenchmarkNodeStepFleetAuto(b *testing.B) {
+	n, err := New(DefaultConfig("bench", 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := workload.Spec{Kind: workload.KindRandom, Dist: "uniform", Min: 0.1, Max: 1, HoldMS: 1000}
+	g, err := spec.Build(1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n.SetGenerator(g)
+	n.Settle(0.5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Step(stepDt)
+	}
+}
+
 func TestStepAllocationFree(t *testing.T) {
 	for _, manual := range []bool{false, true} {
 		n, err := New(DefaultConfig("alloc", 1))

@@ -859,3 +859,31 @@ func TestStreamFailSafeEdgesFollowLanes(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamProbeSkipsEncodeWithoutSubscriber checks that a job no
+// stream client watches encodes no record: with no subscriber a sample
+// allocates nothing (json.Marshal would), and once one subscribes the
+// next sample reaches it.
+func TestStreamProbeSkipsEncodeWithoutSubscriber(t *testing.T) {
+	rig, err := config.Scenario{Nodes: 2, Program: "bt", Workers: 1}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Cluster.Close()
+	h := newHub(nil)
+	p := newStreamProbe(rig, h, nil)
+	frame := make([]float64, 2*cluster.FrameWidth)
+	if allocs := testing.AllocsPerRun(100, func() { p.sample(time.Second, frame) }); allocs != 0 {
+		t.Errorf("sample with no subscriber allocates %v times, want 0 (no encode)", allocs)
+	}
+	ch := h.subscribe()
+	p.sample(2*time.Second, frame)
+	select {
+	case ev := <-ch:
+		if ev.kind != "sample" {
+			t.Errorf("subscriber got a %q record, want sample", ev.kind)
+		}
+	default:
+		t.Error("subscriber got no record")
+	}
+}

@@ -71,6 +71,13 @@ func (h *hub) unsubscribe(ch chan event) {
 	delete(h.subs, ch)
 }
 
+// subscribed reports whether any subscriber would receive a publish.
+func (h *hub) subscribed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.subs) > 0
+}
+
 // publish fans one event out without blocking: full subscribers drop
 // the record.
 func (h *hub) publish(ev event) {
@@ -222,8 +229,12 @@ func (p *streamProbe) sample(now time.Duration, frame []float64) {
 	}
 }
 
-// emit marshals and publishes one event.
+// emit marshals and publishes one event. A record no subscriber would
+// receive is not encoded: most jobs are never streamed.
 func (p *streamProbe) emit(kind string, payload any) {
+	if !p.hub.subscribed() {
+		return
+	}
 	data, err := json.Marshal(payload)
 	if err != nil {
 		p.encodeErrs.Inc()

@@ -253,6 +253,72 @@ func TestAppendZeroAllocs(t *testing.T) {
 	}
 }
 
+// stalledWriter holds every Write until release is closed, so sealed
+// chunks pile up behind a flusher that cannot drain them.
+type stalledWriter struct {
+	release chan struct{}
+	buf     *bytes.Buffer
+}
+
+func (s stalledWriter) Write(p []byte) (int, error) {
+	<-s.release
+	return s.buf.Write(p)
+}
+
+func TestChunkBuffersAllocatedOnDemand(t *testing.T) {
+	// A trace shorter than one chunk allocates one chunk buffer, not
+	// Options.Buffers of them.
+	w, err := NewWriter(io.Discard, testSchema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		w.Append(i%3, time.Duration(i)*time.Millisecond, float64(i))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.chunks != 1 {
+		t.Errorf("short trace allocated %d chunk buffers, want 1", w.chunks)
+	}
+
+	// Behind a stalled destination the count stops at the bound and
+	// Append waits for the flusher instead; nothing is lost.
+	var buf bytes.Buffer
+	w, err = NewWriter(&buf, testSchema, &Options{ChunkBytes: 64, Buffers: 3, NoCompress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := stalledWriter{release: make(chan struct{}), buf: &buf}
+	w.dst = sw
+	const count = 1000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < count; i++ {
+			w.Append(i%3, time.Duration(i)*time.Millisecond, float64(i))
+		}
+	}()
+	// Give the appender time to run into the bound; an unbounded writer
+	// would allocate a buffer for each of the ~90 chunks meanwhile.
+	time.Sleep(20 * time.Millisecond)
+	close(sw.release)
+	<-done
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.chunks > 3 {
+		t.Errorf("stalled flusher: %d chunk buffers allocated, bound 3", w.chunks)
+	}
+	r, err := NewBytesReader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns, _ := r.Counts(); ns != count {
+		t.Errorf("read back %d samples, want %d", ns, count)
+	}
+}
+
 func TestWriterStickyErrors(t *testing.T) {
 	w, err := NewWriter(io.Discard, testSchema, nil)
 	if err != nil {

@@ -85,6 +85,10 @@ type Writer struct {
 	free      chan *chunk
 	work      chan *chunk
 	done      chan struct{}
+	// chunks counts the chunk buffers allocated so far, at most
+	// Options.Buffers (cap(free)): a buffer is allocated only when none
+	// is free, so a trace shorter than one chunk costs one.
+	chunks int
 
 	// Appender-side encode state, reset at every chunk boundary so each
 	// chunk decodes independently of its predecessors.
@@ -155,10 +159,7 @@ func NewWriter(dst io.Writer, schema []SeriesDef, opt *Options) (*Writer, error)
 		dst:       dst,
 		off:       int64(len(hdr)),
 	}
-	for i := 0; i < o.Buffers; i++ {
-		w.free <- &chunk{buf: make([]byte, 0, o.ChunkBytes+maxRecordLen)}
-	}
-	w.cur = <-w.free
+	w.cur = w.next()
 	if w.compress {
 		// BestSpeed: the delta+varint payload leaves little entropy
 		// for higher levels to find, and the flusher competes with
@@ -265,13 +266,30 @@ func (w *Writer) ensure(kind byte, need int) {
 func (w *Writer) seal() {
 	//thermlint:allow onstepblock -- bounded-buffer backpressure by design: blocks only when the flusher is Buffers chunks behind
 	w.work <- w.cur
-	//thermlint:allow onstepblock -- paired with the send above; the flusher recycles every chunk it drains
-	w.cur = <-w.free
+	w.cur = w.next()
 	// Every chunk decodes from a clean slate: per-series previous
 	// value bits reset so random access never needs a prior chunk.
 	for i := range w.prevBits {
 		w.prevBits[i] = 0
 	}
+}
+
+// next returns a free chunk buffer, allocating one while fewer than
+// Options.Buffers exist, and otherwise waiting for the flusher to
+// recycle one.
+func (w *Writer) next() *chunk {
+	select {
+	case c := <-w.free:
+		return c
+	default:
+	}
+	if w.chunks < cap(w.free) {
+		w.chunks++
+		//thermlint:allow hotalloc -- at most Options.Buffers chunk buffers per writer, each then recycled
+		return &chunk{buf: make([]byte, 0, w.sealBytes+maxRecordLen)}
+	}
+	//thermlint:allow onstepblock -- paired with seal's send; the flusher recycles every chunk it drains
+	return <-w.free
 }
 
 // flusher drains sealed chunks: CRC, optional compression, write.

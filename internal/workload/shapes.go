@@ -4,7 +4,8 @@
 // of them are *pure functions of simulated time*: a generator never
 // carries mutable state, so one instance may be shared across nodes
 // (though the declarative workload plane builds one per node anyway,
-// each with its own seed — see Spec.Build) and evaluation inside the
+// each with its own seed, and wraps Random in a per-node memo of its
+// held value — see Spec.Build and held) and evaluation inside the
 // cluster's sharded step phase is byte-identical for every worker
 // count. They are also allocation-free: Utilization runs inside
 // node.Step, a thermlint hotalloc root.
@@ -99,6 +100,43 @@ func (r Random) Utilization(t time.Duration) float64 {
 		v = hi
 	}
 	return clamp01(v)
+}
+
+// held is one node's Random with its current slot's value cached: a
+// node asks for demand every step, and the value changes once per
+// Hold. [from, until) is the cached slot's interval, computed as
+// Random computes the slot: t <= 0 falls in slot 0, so slot 0 starts
+// at -∞, and with Hold <= 0 the one slot never ends. A time outside
+// the interval, earlier ones included, redraws through Random, so
+// every call returns exactly Random's value. The zero interval is
+// empty: the first call draws. Unlike Random, a held generator is
+// stateful and belongs to one node (Spec.Build makes one per node).
+type held struct {
+	from, until time.Duration
+	v           float64
+	r           Random
+}
+
+// Utilization implements Generator.
+func (h *held) Utilization(t time.Duration) float64 {
+	if h.from <= t && t < h.until {
+		return h.v
+	}
+	h.v = h.r.Utilization(t)
+	h.from, h.until = math.MinInt64, math.MaxInt64
+	if hold := h.r.Hold; hold > 0 {
+		var start time.Duration
+		if t > 0 {
+			start = t / hold * hold
+		}
+		if start > 0 {
+			h.from = start
+		}
+		if start <= math.MaxInt64-hold {
+			h.until = start + hold
+		}
+	}
+	return h.v
 }
 
 // Steps replays the tsload stepped-load idiom (`steps 10 12 14 16 …`):

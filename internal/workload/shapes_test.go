@@ -234,3 +234,60 @@ func TestRampExactlyAtStart(t *testing.T) {
 		t.Errorf("degenerate ramp just past Start = %v, want To", got)
 	}
 }
+
+// TestHeldMatchesRandom checks the per-node memo against the pure
+// generator it wraps, bit for bit, on every path: each side of a slot
+// boundary, slot 0 reached from t <= 0, a non-dividing and a
+// non-positive Hold, times near the ends of the Duration range, and
+// calls that go back in time.
+func TestHeldMatchesRandom(t *testing.T) {
+	const ns = time.Nanosecond
+	for _, dist := range []RandomDist{DistUniform, DistExponential, DistHeavyTail} {
+		for _, hold := range []time.Duration{time.Second, 333 * time.Millisecond, 0, -time.Second} {
+			r := Random{Seed: 11, Hold: hold, Dist: dist, Lo: 0.05, Hi: 0.95, Mean: 0.3, Alpha: 1.5}
+			step := hold
+			if step <= 0 {
+				step = time.Second
+			}
+			var ts []time.Duration
+			for _, k := range []time.Duration{0, 1, 2, 3, 7, 1000} {
+				ts = append(ts, k*step-ns, k*step, k*step+ns)
+			}
+			ts = append(ts, 0, -ns, -step, math.MinInt64, math.MaxInt64-ns, math.MaxInt64)
+			// Forward, then backward, then interleaved.
+			seq := append([]time.Duration(nil), ts...)
+			for i := len(ts) - 1; i >= 0; i-- {
+				seq = append(seq, ts[i])
+			}
+			for i := range ts {
+				seq = append(seq, ts[i], ts[len(ts)-1-i])
+			}
+			h := &held{r: r}
+			for _, at := range seq {
+				got, want := h.Utilization(at), r.Utilization(at)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("dist %d hold %v: held(%v) = %v, Random = %v", dist, hold, at, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSpecRandomIsHeld checks that Spec.Build hands each node the memo,
+// not the bare generator: the step path pays a hit, not a draw.
+func TestSpecRandomIsHeld(t *testing.T) {
+	g, err := (&Spec{Kind: KindRandom, Dist: "exponential"}).Build(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, ok := g.(*held)
+	if !ok {
+		t.Fatalf("Build returned %T, want *held", g)
+	}
+	for i := 0; i < 100; i++ {
+		at := time.Duration(i) * 50 * time.Millisecond
+		if got, want := h.Utilization(at), h.r.Utilization(at); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("at %v: %v, want %v", at, got, want)
+		}
+	}
+}

@@ -250,7 +250,7 @@ func (s *Spec) build(nodeSeed uint64) Generator {
 		default:
 			r.Dist = DistUniform
 		}
-		return r
+		return &held{r: r}
 	case KindSteps:
 		return Steps{Levels: s.Levels, Hold: ms(s.HoldMS), Loop: s.Loop}
 	case KindDiurnal:

@@ -35,7 +35,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> device microbenchmarks (one iteration each, so they cannot rot)"
-go test -run '^$' -bench '^Benchmark(NodeStep|ChipStepAuto|ChipStepManual|FanStep|ThermalStep|SensorConvert|ControlRound)$' -benchtime 1x \
+go test -run '^$' -bench '^Benchmark(NodeStep|NodeStepFleetAuto|ChipStepAuto|ChipStepManual|FanStep|ThermalStep|SensorConvert|ControlRound)$' -benchtime 1x \
 	./internal/node ./internal/adt7467 ./internal/fan ./internal/thermal ./internal/sensor ./internal/core >/dev/null
 # The PID ablation (~5 ms) is the only caller of the PID baseline.
 go test -run '^$' -bench '^BenchmarkAblateVsPID$' -benchtime 1x . >/dev/null

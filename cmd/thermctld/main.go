@@ -106,9 +106,13 @@ type options struct {
 	trace    string
 
 	// stop, when non-nil, ends the run early from another goroutine.
+	//
+	//thermlint:allow deadcode -- test seam: the daemon tests stop a run early through it
 	stop <-chan struct{}
 	// onListen, when non-nil, receives the bound metrics address once
 	// the HTTP server is up (tests listen on :0 and need the port).
+	//
+	//thermlint:allow deadcode -- test seam: the daemon tests learn the bound address through it
 	onListen func(addr string)
 }
 

@@ -57,6 +57,7 @@ import (
 
 	"thermctl/internal/lint"
 	"thermctl/internal/lint/actuatorerr"
+	"thermctl/internal/lint/deadcode"
 	"thermctl/internal/lint/determinism"
 	"thermctl/internal/lint/errswallow"
 	"thermctl/internal/lint/hotalloc"
@@ -70,6 +71,7 @@ import (
 
 var allAnalyzers = []*lint.Analyzer{
 	actuatorerr.Analyzer,
+	deadcode.Analyzer,
 	determinism.Analyzer,
 	errswallow.Analyzer,
 	hotalloc.Analyzer,

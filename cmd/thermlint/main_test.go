@@ -26,11 +26,22 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // hotModule is a minimal module with one genuine, fixable hotalloc
-// finding: a constant fmt.Sprintf in a Step-reachable method.
+// finding: a constant fmt.Sprintf in a Step-reachable method. Its main
+// reaches every declaration, so deadcode has nothing to report.
 func hotModule(t *testing.T) string {
 	t.Helper()
 	return writeModule(t, map[string]string{
 		"go.mod": "module m\n\ngo 1.21\n",
+		"main.go": `package main
+
+import "m/ctl"
+
+func main() {
+	c := new(ctl.C)
+	c.Step(1)
+	println(c.Describe())
+}
+`,
 		"ctl/ctl.go": `package ctl
 
 import "fmt"

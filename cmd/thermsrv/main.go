@@ -66,9 +66,13 @@ type options struct {
 
 	// stop, when non-nil, triggers shutdown from another goroutine the
 	// way a signal would.
+	//
+	//thermlint:allow deadcode -- test seam: the server command tests stop a run through it
 	stop <-chan struct{}
 	// onListen, when non-nil, receives the bound address once the HTTP
 	// server is up (tests listen on :0 and need the port).
+	//
+	//thermlint:allow deadcode -- test seam: the server command tests learn the bound address through it
 	onListen func(addr string)
 }
 

@@ -95,6 +95,8 @@ type Actuator struct {
 
 // NewActuator returns an actuator driving the mounted throttling file,
 // opened once here.
+//
+//thermlint:allow deadcode -- the paper's third unified technique (ACPI throttling); TestUnifiedControllerOverThreeTechniques drives it until a control spec names it
 func NewActuator(fs *hwmon.FS, p Paths) *Actuator {
 	return &Actuator{throttling: fs.Open(p.Throttling)}
 }
@@ -126,16 +128,9 @@ func (a *Actuator) Apply(m int) error {
 	return a.throttling.Write(tstateStrings[m])
 }
 
-// Current implements core.Actuator.
-func (a *Actuator) Current() (int, error) {
-	body, err := a.throttling.Read()
-	if err != nil {
-		return 0, err
-	}
-	return ParseActive(body)
-}
-
 // ParseActive extracts the active T-state from a throttling file body.
+//
+//thermlint:allow deadcode -- oracle: the ACPI tests and FuzzAttrWrite decode the throttling file with it
 func ParseActive(body string) (int, error) {
 	for _, line := range strings.Split(body, "\n") {
 		line = strings.TrimSpace(line)

@@ -96,17 +96,10 @@ type Chip struct {
 	regWrites *metrics.Counter
 }
 
-// NewChip wires a chip to its temperature sensor and fan, initialized to
-// the paper's platform defaults: automatic mode with Tmin=38 °C,
-// Trange≈44 °C (Tmax 82 °C) and 10% minimum duty.
-func NewChip(temp *sensor.Sensor, f *fan.Fan) *Chip {
-	c := new(Chip)
-	NewChipAt(c, new(i2c.RegisterFile), temp, f)
-	return c
-}
-
-// NewChipAt is NewChip building the chip in place at c, with its
-// register map at rf; both are overwritten. The register hooks close
+// NewChipAt wires a chip to its temperature sensor and fan, built in
+// place at c with its register map at rf (both are overwritten), and
+// initialized to the paper's platform defaults: automatic mode with
+// Tmin=38 °C, Trange≈44 °C (Tmax 82 °C) and 10% minimum duty. The register hooks close
 // over c, so a chip must not be copied after it is built: a caller
 // laying chips out in its own storage (node.Block) builds them there.
 func NewChipAt(c *Chip, rf *i2c.RegisterFile, temp *sensor.Sensor, f *fan.Fan) {
@@ -338,17 +331,6 @@ func (d *Driver) Duty() (float64, error) {
 	return regToDuty(v), nil
 }
 
-// TempC reads the remote-1 temperature in whole °C.
-//
-//thermlint:unit °C
-func (d *Driver) TempC() (float64, error) {
-	v, err := d.bus.ReadByteData(d.addr, RegRemote1Temp)
-	if err != nil {
-		return 0, err
-	}
-	return float64(int8(v)), nil
-}
-
 // FanRPM reads TACH1 and converts counts to RPM. A stalled fan reads 0.
 func (d *Driver) FanRPM() (float64, error) {
 	counts, err := d.bus.ReadWordData(d.addr, RegTach1Low)
@@ -401,19 +383,4 @@ func (d *Driver) TempAlarm() (bool, error) {
 		return false, err
 	}
 	return v&IntR1T != 0, nil
-}
-
-// ConfigureAuto programs the automatic-mode curve: Tmin, Trange and the
-// minimum duty, then enables automatic mode.
-func (d *Driver) ConfigureAuto(tminC, trangeC, minDutyPercent float64) error {
-	if err := d.bus.WriteByteData(d.addr, RegTmin1, uint8(int8(math.Round(tminC)))); err != nil {
-		return err
-	}
-	if err := d.bus.WriteByteData(d.addr, RegPWM1Trange, uint8(math.Round(trangeC))); err != nil {
-		return err
-	}
-	if err := d.bus.WriteByteData(d.addr, RegPWM1MinDuty, dutyToReg(minDutyPercent)); err != nil {
-		return err
-	}
-	return d.SetManual(false)
 }

@@ -20,7 +20,7 @@ func rig(t *testing.T) (set func(float64), f *fan.Fan, chip *Chip, drv *Driver) 
 	src := sensor.SourceFunc(func() float64 { return temp })
 	sens := sensor.New(sensor.Config{}, src, nil) // noiseless for exact assertions
 	f = fan.New(fan.Default(), 10)
-	chip = NewChip(sens, f)
+	chip = newChip(sens, f)
 	bus := i2c.NewBus()
 	if err := bus.Attach(DefaultAddr, chip); err != nil {
 		t.Fatal(err)
@@ -46,16 +46,16 @@ func TestProbeVerifiesIDs(t *testing.T) {
 func TestTempReadback(t *testing.T) {
 	set, _, _, drv := rig(t)
 	set(51.4)
-	got, err := drv.TempC()
+	got, err := drv.bus.ReadByteData(drv.addr, RegRemote1Temp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 51 {
-		t.Errorf("TempC = %v, want 51 (whole-degree register)", got)
+		t.Errorf("remote-1 temp = %v, want 51 (whole-degree register)", got)
 	}
 	set(-10)
-	if got, _ := drv.TempC(); got != -10 {
-		t.Errorf("negative TempC = %v, want -10 (two's complement)", got)
+	if got, _ := drv.bus.ReadByteData(drv.addr, RegRemote1Temp); int8(got) != -10 {
+		t.Errorf("negative remote-1 temp = %v, want -10 (two's complement)", int8(got))
 	}
 }
 
@@ -155,9 +155,17 @@ func TestStalledFanReadsZero(t *testing.T) {
 	}
 }
 
-func TestConfigureAuto(t *testing.T) {
+func TestAutoCurveRegisters(t *testing.T) {
 	set, f, chip, drv := rig(t)
-	if err := drv.ConfigureAuto(45, 30, 20); err != nil {
+	// Tmin 45 °C, Trange 30 °C, minimum duty 20%, then automatic mode.
+	for _, w := range []struct{ reg, v uint8 }{
+		{RegTmin1, 45}, {RegPWM1Trange, 30}, {RegPWM1MinDuty, dutyToReg(20)},
+	} {
+		if err := drv.bus.WriteByteData(drv.addr, w.reg, w.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := drv.SetManual(false); err != nil {
 		t.Fatal(err)
 	}
 	set(44)
@@ -279,7 +287,7 @@ func TestStepConvertsOncePerCycle(t *testing.T) {
 	temp, calls := 60.0, 0
 	src := sensor.SourceFunc(func() float64 { calls++; return temp })
 	f := fan.New(fan.Default(), 10)
-	chip := NewChip(sensor.New(sensor.Config{}, src, nil), f)
+	chip := newChip(sensor.New(sensor.Config{}, src, nil), f)
 	bus := i2c.NewBus()
 	if err := bus.Attach(DefaultAddr, chip); err != nil {
 		t.Fatal(err)
@@ -360,7 +368,7 @@ func BenchmarkChipStepAuto(b *testing.B) {
 	var tick uint64
 	sens.SetTickSource(func() uint64 { return tick })
 	f := fan.New(fan.Default(), 10)
-	chip := NewChip(sens, f)
+	chip := newChip(sens, f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chip.Step(50 * time.Millisecond)
@@ -378,7 +386,7 @@ func BenchmarkChipStepManual(b *testing.B) {
 	var tick uint64
 	sens.SetTickSource(func() uint64 { return tick })
 	f := fan.New(fan.Default(), 10)
-	chip := NewChip(sens, f)
+	chip := newChip(sens, f)
 	if err := chip.WriteReg(RegPWM1Config, BehaviourManual); err != nil {
 		b.Fatal(err)
 	}
@@ -504,4 +512,11 @@ func TestCurveAndLimitWritesActNextCycle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// newChip builds a chip with its own register map.
+func newChip(temp *sensor.Sensor, f *fan.Fan) *Chip {
+	c := new(Chip)
+	NewChipAt(c, new(i2c.RegisterFile), temp, f)
+	return c
 }

@@ -71,9 +71,6 @@ func (c StaticFanConfig) Duty(t float64) float64 {
 // static map is memoryless, so the policy is one expression.
 type staticFanPolicy struct{ cfg StaticFanConfig }
 
-// Name implements core.Policy.
-func (p staticFanPolicy) Name() string { return "staticmap" }
-
 // Decide implements core.Policy.
 func (p staticFanPolicy) Decide(tx *core.Txn) {
 	tx.ApplyDuty(0, p.cfg.Duty(tx.Sample()))
@@ -106,9 +103,6 @@ type constantFanPolicy struct {
 	duty float64
 	done bool
 }
-
-// Name implements core.Policy.
-func (p *constantFanPolicy) Name() string { return "constant" }
 
 // Decide implements core.Policy.
 func (p *constantFanPolicy) Decide(tx *core.Txn) {
@@ -178,9 +172,6 @@ type cpuSpeedPolicy struct {
 	mode                int
 	nmodes              int
 }
-
-// Name implements core.Policy.
-func (p *cpuSpeedPolicy) Name() string { return "cpuspeed" }
 
 // NewCPUSpeed builds the utilization-driven DVFS daemon over a node's
 // file tree and frequency port. It reads /proc/stat through the

@@ -27,6 +27,8 @@ type PIDFanConfig struct {
 // DefaultPIDFanConfig returns a competently tuned loop for this
 // plant: setpoint 50 °C, gains picked for modest overshoot on a
 // cpu-burn load step.
+//
+//thermlint:allow deadcode -- the PID baseline: BenchmarkAblateVsPID and the pid.tct golden pin it
 func DefaultPIDFanConfig() PIDFanConfig {
 	return PIDFanConfig{
 		SetpointC:      50,
@@ -59,6 +61,8 @@ type pidPolicy struct {
 // and writes one duty per sample. Its Errors count failed reads and
 // writes; Moves(0) counts the duty commands issued — the actuator
 // churn metric.
+//
+//thermlint:allow deadcode -- the PID baseline: BenchmarkAblateVsPID and the pid.tct golden pin it
 func NewPIDFan(cfg PIDFanConfig, read core.TempReader, port core.FanPort) (*core.Binding, error) {
 	if read == nil || port == nil {
 		return nil, fmt.Errorf("baseline: pid needs a reader and a port")
@@ -77,9 +81,6 @@ func NewPIDFan(cfg PIDFanConfig, read core.TempReader, port core.FanPort) (*core
 		Actuators:    []core.Actuator{&core.FanDutyActuator{Port: port}},
 	})
 }
-
-// Name implements core.Policy.
-func (p *pidPolicy) Name() string { return "pid" }
 
 // Decide implements core.Policy: one PID update on the round's sample.
 func (p *pidPolicy) Decide(tx *core.Txn) {

@@ -413,8 +413,6 @@ type procState struct {
 
 // RunResult summarizes one program execution.
 type RunResult struct {
-	// Program is the executed program's name.
-	Program string
 	// ExecTime is the wall (simulated) time from start to the last
 	// process finishing.
 	ExecTime time.Duration
@@ -443,12 +441,12 @@ var ErrNoPStateTable = errors.New(
 // table on node 0 — see RunResult.Err and ErrNoPStateTable).
 func (c *Cluster) RunProgram(prog workload.Program, maxTime time.Duration) RunResult {
 	if len(prog.Iters) == 0 || len(c.Nodes) == 0 {
-		return RunResult{Program: prog.Name}
+		return RunResult{}
 	}
 	if maxTime <= 0 {
 		tab := c.Nodes[0].CPU.Table()
 		if len(tab) == 0 {
-			return RunResult{Program: prog.Name, Err: ErrNoPStateTable}
+			return RunResult{Err: ErrNoPStateTable}
 		}
 		slowest := tab[len(tab)-1].FreqGHz
 		maxTime = time.Duration(10 * prog.IdealSeconds(slowest) * float64(time.Second))
@@ -476,13 +474,13 @@ func (c *Cluster) RunProgram(prog workload.Program, maxTime time.Duration) RunRe
 			}
 		}
 		if allDone {
-			return RunResult{Program: prog.Name, ExecTime: c.Clock.Now() - start}
+			return RunResult{ExecTime: c.Clock.Now() - start}
 		}
 		if c.Clock.Now()-start >= maxTime {
-			return RunResult{Program: prog.Name, ExecTime: c.Clock.Now() - start, TimedOut: true}
+			return RunResult{ExecTime: c.Clock.Now() - start, TimedOut: true}
 		}
 		if c.stopRequested() {
-			return RunResult{Program: prog.Name, ExecTime: c.Clock.Now() - start, Canceled: true}
+			return RunResult{ExecTime: c.Clock.Now() - start, Canceled: true}
 		}
 
 		// Parallel phase: each process advances against its own node

@@ -52,7 +52,7 @@ func TestBarrierWaitUtilizationApplied(t *testing.T) {
 	c.RunProgram(prog, 0)
 	// Node 0 computes 2 s then waits ~2.8 s per iteration at util 0.06:
 	// its mean utilization lands near (2·1 + 2.8·0.06)/4.8 ≈ 0.45.
-	avgBusy := c.Nodes[0].Meter.CPUEnergyJ() / c.Nodes[0].Meter.Elapsed().Seconds()
+	avgBusy := cpuAverageW(c.Nodes[0])
 	// Busy at 2.4 GHz would be ≈62 W; half-idle must be well below.
 	if avgBusy > 48 {
 		t.Errorf("fast node average CPU power %.1f W — barrier wait not near-idle", avgBusy)

@@ -5,8 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"thermctl/internal/node"
+	"thermctl/internal/power"
 	"thermctl/internal/workload"
 )
+
+// cpuAverageW is n's mean CPU power over its metered time: the mean
+// wall power less the fan's share and the platform base.
+func cpuAverageW(n *node.Node) float64 {
+	m := n.Meter
+	return m.AverageW()*(1-m.FanEnergyJ()/m.EnergyJ()) - power.DefaultBaseW
+}
 
 func newCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
@@ -134,7 +143,7 @@ func TestRunProgramFastNodeIdlesAtBarrier(t *testing.T) {
 	// CPU energy should be clearly below node 1's per unit time? Node 1
 	// runs at 1.0 GHz (lower power). Compare instead against a balanced
 	// run: node 0's average utilization must be well below 1.
-	cpuEnergyShare := c.Nodes[0].Meter.CPUEnergyJ() / c.Nodes[0].Meter.Elapsed().Seconds()
+	cpuEnergyShare := cpuAverageW(c.Nodes[0])
 	// Busy at 2.4 GHz would be ≈60 W; half-idle should be well below.
 	if cpuEnergyShare > 45 {
 		t.Errorf("fast node average CPU power %.1f W, want <45 (idling at barrier)", cpuEnergyShare)

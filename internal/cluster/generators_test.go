@@ -43,7 +43,7 @@ func TestRunGeneratorsByteIdenticalAcrossWorkers(t *testing.T) {
 		}
 		var out []float64
 		for _, n := range c.Nodes {
-			out = append(out, n.TrueDieC(), n.Sensor.Read(), n.Meter.CPUEnergyJ())
+			out = append(out, n.TrueDieC(), n.Sensor.Read(), n.Meter.EnergyJ())
 		}
 		return out
 	}
@@ -71,7 +71,7 @@ func TestRunGeneratorsNodesIndependent(t *testing.T) {
 	if res := c.RunGenerators(perNodeGens(2, 3), 30*time.Second); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if c.Nodes[0].Meter.CPUEnergyJ() == c.Nodes[1].Meter.CPUEnergyJ() {
+	if c.Nodes[0].Meter.EnergyJ() == c.Nodes[1].Meter.EnergyJ() {
 		t.Error("two nodes burned bit-identical energy; generator streams look shared")
 	}
 }

@@ -100,15 +100,15 @@ func hybridClusterTrace(t *testing.T, nodes, workers, want int) []string {
 		for i, n := range c.Nodes {
 			lines = append(lines, fmt.Sprintf("step=%04d node=%s temp=%.6f duty=%.6f ghz=%.6f fan[idx=%d moves=%d errs=%d fs=%v] dvfs[mode=%d errs=%d fs=%v]",
 				s, n.Name, n.Sensor.Read(), n.Fan.Duty(), n.CPU.FreqGHz(),
-				fans[i].Index(0), fans[i].Moves(0), fans[i].Errors(), fans[i].FailSafe(),
-				dvfss[i].CurrentMode(), dvfss[i].Errors(), dvfss[i].FailSafe()))
+				fans[i].Policy().Index(0), fans[i].Moves(0), fans[i].Binding().Errors(), fans[i].Binding().FailSafe(),
+				dvfss[i].Binding().Policy().(*core.ThresholdPolicy).CurrentMode(), dvfss[i].Binding().Errors(), dvfss[i].Binding().FailSafe()))
 		}
 	}
 	for i := range fans {
 		for _, ev := range fans[i].FailSafeEvents() {
 			lines = append(lines, fmt.Sprintf("event node=%d fan at=%s engaged=%v", i, ev.At, ev.Engaged))
 		}
-		for _, ev := range dvfss[i].FailSafeEvents() {
+		for _, ev := range dvfss[i].Binding().FailSafeEvents() {
 			lines = append(lines, fmt.Sprintf("event node=%d dvfs at=%s engaged=%v", i, ev.At, ev.Engaged))
 		}
 	}

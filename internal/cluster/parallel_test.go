@@ -66,7 +66,7 @@ func signature(t *testing.T, workers int) []byte {
 			bits(n.Fan.Duty())
 			bits(n.CPU.FreqGHz())
 			bits(n.Power().Total())
-			bits(n.Meter.CPUEnergyJ())
+			bits(n.Meter.EnergyJ())
 		}
 		sig = append(sig, '\n')
 	})
@@ -84,7 +84,7 @@ func signature(t *testing.T, workers int) []byte {
 		ComputeGC: 1.1, ComputeUtil: 1, MemSec: 0.05, CommSec: 0.06, CommUtil: 0.1,
 	})
 	res := c.RunProgram(prog, 0)
-	sig = fmt.Appendf(sig, "result %s %d %v\n", res.Program, res.ExecTime, res.TimedOut)
+	sig = fmt.Appendf(sig, "result %d %v\n", res.ExecTime, res.TimedOut)
 	return sig
 }
 
@@ -125,7 +125,7 @@ func TestParallelRunGeneratorMatchesSerial(t *testing.T) {
 		c.RunGenerator(workload.Step{Before: 0.1, After: 1, At: 2 * time.Second}, 6*time.Second)
 		var out []float64
 		for _, n := range c.Nodes {
-			out = append(out, n.TrueDieC(), n.Sensor.Read(), n.Meter.CPUEnergyJ())
+			out = append(out, n.TrueDieC(), n.Sensor.Read(), n.Meter.EnergyJ())
 		}
 		return out
 	}

@@ -19,14 +19,14 @@ func TestDefaultValidates(t *testing.T) {
 }
 
 // Tuning reaches the tools only as a scenario's control.tuning, so the
-// read, load and bounds checks below go through ReadScenario and
+// read, load and bounds checks below go through ReadScenarioDir and
 // LoadScenario; tuning wraps a tuning object in a minimal scenario.
 func tuning(fields string) string {
 	return `{"control": {"tuning": ` + fields + `}}`
 }
 
 func TestReadFillsDefaults(t *testing.T) {
-	s, err := ReadScenario(strings.NewReader(tuning(`{"pp": 25}`)))
+	s, err := ReadScenarioDir(strings.NewReader(tuning(`{"pp": 25}`)), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,20 +43,20 @@ func TestReadFillsDefaults(t *testing.T) {
 // scenario's control.dvfs selects the daemon), so strict decoding must
 // refuse it rather than let "false" look like tDVFS is off.
 func TestReadRejectsEnableDVFS(t *testing.T) {
-	_, err := ReadScenario(strings.NewReader(tuning(`{"enable_dvfs": false}`)))
+	_, err := ReadScenarioDir(strings.NewReader(tuning(`{"enable_dvfs": false}`)), "")
 	if err == nil || !strings.Contains(err.Error(), "enable_dvfs") {
 		t.Fatalf("enable_dvfs: error %v, want an unknown-field rejection naming it", err)
 	}
 }
 
 func TestReadRejectsUnknownFields(t *testing.T) {
-	if _, err := ReadScenario(strings.NewReader(tuning(`{"p": 50}`))); err == nil {
+	if _, err := ReadScenarioDir(strings.NewReader(tuning(`{"p": 50}`)), ""); err == nil {
 		t.Error("unknown tuning field accepted (typo protection)")
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := ReadScenario(strings.NewReader(`not json`)); err == nil {
+	if _, err := ReadScenarioDir(strings.NewReader(`not json`), ""); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -72,7 +72,7 @@ func TestValidateBounds(t *testing.T) {
 		{`{"sample_ms": 5}`, "sample_ms"},
 	}
 	for _, c := range cases {
-		_, err := ReadScenario(strings.NewReader(tuning(c[0])))
+		_, err := ReadScenarioDir(strings.NewReader(tuning(c[0])), "")
 		if err == nil || !strings.Contains(err.Error(), c[1]) {
 			t.Errorf("tuning %s: error %v, want a bound error naming %s", c[0], err, c[1])
 		}

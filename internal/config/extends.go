@@ -17,8 +17,8 @@ package config
 // (LoadScenario) or an explicitly configured scenario directory
 // (ReadScenarioDir; the campaign server's -scenarios flag). They must
 // be bare relative paths without ".." — a scenario is data, and data
-// must not read files outside its own library. ReadScenario, which has
-// no directory, refuses extends outright.
+// must not read files outside its own library. ReadScenarioDir with no
+// directory refuses extends outright.
 
 import (
 	"bytes"
@@ -37,7 +37,7 @@ const maxExtendsDepth = 8
 
 // ReadScenarioDir parses, composes, normalizes and validates a JSON
 // scenario, resolving "extends" references against dir. An empty dir
-// refuses extends (ReadScenario's behavior).
+// refuses extends.
 func ReadScenarioDir(r io.Reader, dir string) (Scenario, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {

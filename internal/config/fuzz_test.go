@@ -78,7 +78,7 @@ func FuzzReadScenario(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted scenario fails marshal: %v", err)
 		}
-		again, err := ReadScenario(bytes.NewReader(out))
+		again, err := ReadScenarioDir(bytes.NewReader(out), "")
 		if err != nil {
 			t.Fatalf("re-marshaled scenario rejected: %v\n%s", err, out)
 		}

@@ -11,7 +11,6 @@ package config
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -227,13 +226,6 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("config: chaos seed %d: chaos needs a software controller to exercise", s.Chaos.Seed)
 	}
 	return s.Control.Tuning.Validate()
-}
-
-// ReadScenario parses, normalizes and validates a JSON scenario. With
-// no scenario directory to resolve against, "extends" is refused; use
-// ReadScenarioDir or LoadScenario for composed scenarios.
-func ReadScenario(r io.Reader) (Scenario, error) {
-	return ReadScenarioDir(r, "")
 }
 
 // LoadScenario reads a scenario file, resolving any "extends" chain

@@ -24,7 +24,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 		"chaos": {"seed": 9},
 		"metrics": {"enabled": true, "labels": {"rack": "r1"}}
 	}`
-	s, err := ReadScenario(strings.NewReader(in))
+	s, err := ReadScenarioDir(strings.NewReader(in), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 }
 
 func TestScenarioRejectsUnknownFields(t *testing.T) {
-	if _, err := ReadScenario(strings.NewReader(`{"nodez": 4}`)); err == nil {
+	if _, err := ReadScenarioDir(strings.NewReader(`{"nodez": 4}`), ""); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 }
@@ -374,7 +374,7 @@ func TestScenarioBuildDeterministic(t *testing.T) {
 		}
 		res := rig.Cluster.RunProgram(*rig.Program, 0)
 		n := rig.Cluster.Nodes[0]
-		return res.ExecTime.Seconds(), n.Meter.AverageW(), rig.Nodes[0].Hybrid.Engine().Errors()
+		return res.ExecTime.Seconds(), n.Meter.AverageW(), rig.Nodes[0].Hybrid.Fan.Binding().Errors() + rig.Nodes[0].Hybrid.DVFS.Binding().Errors()
 	}
 	t1, w1, e1 := run()
 	t2, w2, e2 := run()

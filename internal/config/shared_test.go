@@ -60,7 +60,7 @@ func stateBits(rig *Rig) []uint64 {
 			math.Float64bits(n.Sensor.Read()),
 			math.Float64bits(n.Fan.Duty()),
 			math.Float64bits(n.CPU.FreqGHz()),
-			math.Float64bits(n.Meter.CPUEnergyJ()),
+			math.Float64bits(n.Meter.EnergyJ()),
 			math.Float64bits(n.Utilization()))
 	}
 	return out

@@ -79,8 +79,12 @@ func TestTraceProbeRoundTrip(t *testing.T) {
 	if err := r.Incomplete(); err != nil {
 		t.Fatalf("Incomplete: %v", err)
 	}
-	got, err := r.ReadRecorder(tracefile.Window{})
-	if err != nil {
+	got := trace.NewRecorder()
+	schema := r.Schema()
+	if err := r.Samples(tracefile.Window{}, func(s tracefile.Sample) error {
+		got.Record(schema[s.Series].Name, s.T, s.V)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	wantNames := want.Names()

@@ -35,7 +35,7 @@ func TestWorkloadByteIdenticalAcrossWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4) // exercise the real pool even on a 1-CPU host
 	defer runtime.GOMAXPROCS(prev)
 	run := func(workers int) []uint64 {
-		s, err := ReadScenario(strings.NewReader(groupedScenario))
+		s, err := ReadScenarioDir(strings.NewReader(groupedScenario), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestWorkloadByteIdenticalAcrossWorkers(t *testing.T) {
 				math.Float64bits(n.Sensor.Read()),
 				math.Float64bits(n.Fan.Duty()),
 				math.Float64bits(n.CPU.FreqGHz()),
-				math.Float64bits(n.Meter.CPUEnergyJ()))
+				math.Float64bits(n.Meter.EnergyJ()))
 		}
 		return sig
 	}
@@ -82,7 +82,7 @@ func TestWorkloadByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestGroupedScenarioBuildsHeterogeneousFleet(t *testing.T) {
-	s, err := ReadScenario(strings.NewReader(groupedScenario))
+	s, err := ReadScenarioDir(strings.NewReader(groupedScenario), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestGroupedScenarioBuildsHeterogeneousFleet(t *testing.T) {
 }
 
 func TestGroupWorkloadOverridesScenarioWorkload(t *testing.T) {
-	s, err := ReadScenario(strings.NewReader(groupedScenario))
+	s, err := ReadScenarioDir(strings.NewReader(groupedScenario), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestGroupWorkloadOverridesScenarioWorkload(t *testing.T) {
 
 func TestScenarioWorkloadProgramExclusive(t *testing.T) {
 	in := `{"program": "bt", "workload": {"kind": "constant", "util": 0.5}, "control": {}}`
-	if _, err := ReadScenario(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+	if _, err := ReadScenarioDir(strings.NewReader(in), ""); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("program+workload accepted: %v", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestScenarioGroupValidation(t *testing.T) {
 		{"bad workload", `{"workload": {"kind": "jitter"}, "control": {}}`, "period"},
 	}
 	for _, c := range cases {
-		_, err := ReadScenario(strings.NewReader(c.in))
+		_, err := ReadScenarioDir(strings.NewReader(c.in), "")
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -170,12 +170,12 @@ func TestUngroupedScenarioUnchanged(t *testing.T) {
 	// A grouped scenario with default hardware builds the exact same
 	// fleet as the equivalent flat one: grouping is bookkeeping, not
 	// reseeding.
-	flat, err := ReadScenario(strings.NewReader(`{"nodes": 4, "seed": 3, "control": {}}`))
+	flat, err := ReadScenarioDir(strings.NewReader(`{"nodes": 4, "seed": 3, "control": {}}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := ReadScenario(strings.NewReader(
-		`{"seed": 3, "groups": [{"name": "a", "nodes": 1}, {"name": "b", "nodes": 3}], "control": {}}`))
+	grouped, err := ReadScenarioDir(strings.NewReader(
+		`{"seed": 3, "groups": [{"name": "a", "nodes": 1}, {"name": "b", "nodes": 3}], "control": {}}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +204,13 @@ func TestUngroupedScenarioUnchanged(t *testing.T) {
 func TestRegroupingKeepsWorkloadStreams(t *testing.T) {
 	// Node i's demand derives from the global node index, not its
 	// group, so re-partitioning a fleet never reseeds its workload.
-	one, err := ReadScenario(strings.NewReader(
-		`{"seed": 5, "workload": {"kind": "random", "hold_ms": 1000}, "groups": [{"name": "a", "nodes": 4}], "control": {}}`))
+	one, err := ReadScenarioDir(strings.NewReader(
+		`{"seed": 5, "workload": {"kind": "random", "hold_ms": 1000}, "groups": [{"name": "a", "nodes": 4}], "control": {}}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := ReadScenario(strings.NewReader(
-		`{"seed": 5, "workload": {"kind": "random", "hold_ms": 1000}, "groups": [{"name": "a", "nodes": 2}, {"name": "b", "nodes": 2}], "control": {}}`))
+	two, err := ReadScenarioDir(strings.NewReader(
+		`{"seed": 5, "workload": {"kind": "random", "hold_ms": 1000}, "groups": [{"name": "a", "nodes": 2}, {"name": "b", "nodes": 2}], "control": {}}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,13 +321,13 @@ func TestExtendsChainAndErrors(t *testing.T) {
 		t.Error("missing base accepted")
 	}
 
-	// ReadScenario has no directory: extends is refused, flat documents
+	// Without a directory, extends is refused; flat documents
 	// still parse.
-	if _, err := ReadScenario(strings.NewReader(`{"extends": "a.json"}`)); err == nil || !strings.Contains(err.Error(), "directory") {
+	if _, err := ReadScenarioDir(strings.NewReader(`{"extends": "a.json"}`), ""); err == nil || !strings.Contains(err.Error(), "directory") {
 		t.Errorf("directoryless extends: %v", err)
 	}
-	if _, err := ReadScenario(strings.NewReader(`{"nodes": 2, "control": {}}`)); err != nil {
-		t.Errorf("flat document through ReadScenario: %v", err)
+	if _, err := ReadScenarioDir(strings.NewReader(`{"nodes": 2, "control": {}}`), ""); err != nil {
+		t.Errorf("flat document without a directory: %v", err)
 	}
 
 	// Unknown fields are still rejected after composition, and large
@@ -350,8 +350,8 @@ func TestExtendsChainAndErrors(t *testing.T) {
 func TestWorkloadSeedFamilyDistinctFromNodeNoise(t *testing.T) {
 	// The workload plane salts its seed family: a node's demand stream
 	// must not be derived from the same value as its sensor noise.
-	s, err := ReadScenario(strings.NewReader(
-		`{"nodes": 2, "seed": 77, "workload": {"kind": "cpuburn"}, "control": {}}`))
+	s, err := ReadScenarioDir(strings.NewReader(
+		`{"nodes": 2, "seed": 77, "workload": {"kind": "cpuburn"}, "control": {}}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}

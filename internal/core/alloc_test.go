@@ -30,7 +30,7 @@ func TestPolicyRootsAllocationFree(t *testing.T) {
 	if !ok {
 		t.Fatalf("DVFS policy is %T, want *ThresholdPolicy", dvfs.Policy())
 	}
-	eng, win, now := h.Engine(), fan.Window(), n.Elapsed()
+	eng, now := h.eng, n.Elapsed()
 	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
@@ -52,13 +52,13 @@ func TestPolicyRootsAllocationFree(t *testing.T) {
 		{"CtlArrayPolicy.Decide", func() { ctl.Decide(&fan.tx) }},
 		{"ThresholdPolicy.Decide", func() { thr.Decide(&dvfs.tx) }},
 		{"WatchdogPolicy.Decide", func() { wd.Decide(&wdb.tx) }},
-		// One control round per call: sample until the fan window
-		// completes a round. Both lanes sample every 250 ms over a
-		// 4-entry level one, so each call runs both decisions; a
-		// per-sample call would hide one allocation per round in
-		// AllocsPerRun's integer average.
+		// One control round per call: both lanes sample every 250 ms
+		// over a 4-entry level one, so four samples complete one round
+		// and each call runs both decisions; a per-sample call would
+		// hide one allocation per round in AllocsPerRun's integer
+		// average.
 		{"Engine.OnStep", func() {
-			for r := win.Rounds(); win.Rounds() == r; {
+			for i := 0; i < 4; i++ {
 				now += 250 * time.Millisecond
 				eng.OnStep(now)
 			}

@@ -87,12 +87,11 @@ type Controller struct {
 	pol *CtlArrayPolicy
 }
 
-// ActuatorBinding attaches an actuator with an explicit array bound N;
-// N = 0 picks a default (NumModes for rich mode sets, 2×NumModes for
-// sparse ones, so index arithmetic has resolution).
+// ActuatorBinding attaches an actuator to a controller. Its array has
+// NumModes cells for rich mode sets and 2×NumModes for sparse ones (under
+// ten modes), so index arithmetic has resolution.
 type ActuatorBinding struct {
 	Actuator Actuator
-	N        int
 }
 
 // NewController builds a controller over the given actuators.
@@ -137,26 +136,11 @@ func (c *Controller) Binding() *Binding { return c.b }
 // Policy exposes the hosted ctlarray policy.
 func (c *Controller) Policy() *CtlArrayPolicy { return c.pol }
 
-// Window exposes the controller's history window (read-only use:
-// classification, diagnostics).
-func (c *Controller) Window() *window.Window { return c.b.Window() }
-
-// Errors returns the count of failed sensor reads or actuations. Safe
-// to call concurrently with the control loop.
-func (c *Controller) Errors() uint64 { return c.b.Errors() }
-
-// FailSafe reports whether the fail-safe escalation is currently
-// holding every actuator at its most effective mode.
-func (c *Controller) FailSafe() bool { return c.b.FailSafe() }
-
 // FailSafeEvents returns a copy of the escalation/recovery event log.
 func (c *Controller) FailSafeEvents() []FailSafeEvent { return c.b.FailSafeEvents() }
 
 // Moves returns the number of mode changes applied to actuator i.
 func (c *Controller) Moves(i int) uint64 { return c.b.Moves(i) }
-
-// Index returns the current control-array index of actuator i.
-func (c *Controller) Index(i int) int { return c.pol.Index(i) }
 
 // ActuatorStatus is one actuator's view in a Status snapshot.
 type ActuatorStatus struct {

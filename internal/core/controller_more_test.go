@@ -33,13 +33,13 @@ func TestAntiWindupBoundsLead(t *testing.T) {
 	period := 250 * time.Millisecond
 	for i := 1; i <= 200; i++ {
 		c.OnStep(time.Duration(i) * period)
-		avg := c.Window().Avg()
+		avg := c.Binding().Window().Avg()
 		if math.IsNaN(avg) {
 			continue
 		}
 		center := coef * (avg - 38)
-		if lead := float64(c.Index(0)) - center; lead > coef*7+1 {
-			t.Fatalf("index %d leads anchor %0.f by %.1f cells (> band)", c.Index(0), center, lead)
+		if lead := float64(c.Policy().Index(0)) - center; lead > coef*7+1 {
+			t.Fatalf("index %d leads anchor %0.f by %.1f cells (> band)", c.Policy().Index(0), center, lead)
 		}
 	}
 }
@@ -69,8 +69,8 @@ func TestReactivityFloorPullsIndexUp(t *testing.T) {
 	}
 	coef := 99.0 / 44.0
 	center := coef * (68 - 38)
-	if float64(c.Index(0)) < center-coef*7-1 {
-		t.Errorf("index %d lags the hot anchor %.0f beyond the band", c.Index(0), center)
+	if float64(c.Policy().Index(0)) < center-coef*7-1 {
+		t.Errorf("index %d lags the hot anchor %.0f beyond the band", c.Policy().Index(0), center)
 	}
 }
 
@@ -85,12 +85,17 @@ func TestCustomWindowConfigHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	period := 250 * time.Millisecond
+	win := c.Binding().Window()
 	for i := 1; i <= 8; i++ {
+		// 8-entry level-one window: the first round completes on the
+		// eighth sample.
+		if i == 8 && !math.IsNaN(win.Avg()) {
+			t.Fatalf("a round completed after %d samples of an 8-entry window", i-1)
+		}
 		c.OnStep(time.Duration(i) * period)
 	}
-	// 8-entry level-one window: exactly one round completed.
-	if c.Window().Rounds() != 1 {
-		t.Errorf("rounds = %d with an 8-entry window after 8 samples", c.Window().Rounds())
+	if win.Avg() != 45 {
+		t.Errorf("round average = %v after 8 samples, want 45", win.Avg())
 	}
 }
 
@@ -103,7 +108,7 @@ func TestMovesCountsPerActuator(t *testing.T) {
 	fan := &fakeActuator{modes: 100}
 	dvfs := &fakeActuator{modes: 5}
 	c, err := NewController(DefaultConfig(50), s.read,
-		ActuatorBinding{Actuator: fan}, ActuatorBinding{Actuator: dvfs, N: 10})
+		ActuatorBinding{Actuator: fan}, ActuatorBinding{Actuator: dvfs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestAnchorOnFirstRound(t *testing.T) {
 		t.Fatalf("applied %v, want one anchor application", fa.applied)
 	}
 	// At 60 °C with Tmin 38, Tmax 82, N=100: index ≈ 2.25·22 ≈ 50.
-	if idx := c.Index(0); idx < 45 || idx < 1 || idx > 55 {
+	if idx := c.Policy().Index(0); idx < 45 || idx < 1 || idx > 55 {
 		t.Errorf("anchor index = %d, want ≈50", idx)
 	}
 }
@@ -208,7 +208,7 @@ func TestMultipleActuatorsShareOneWindow(t *testing.T) {
 	fan := &fakeActuator{modes: 100}
 	dvfs := &fakeActuator{modes: 5}
 	c, err := NewController(DefaultConfig(50), s.read,
-		ActuatorBinding{Actuator: fan}, ActuatorBinding{Actuator: dvfs, N: 10})
+		ActuatorBinding{Actuator: fan}, ActuatorBinding{Actuator: dvfs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +250,14 @@ func TestSensorErrorCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(c, 7)
-	if c.Errors() != 7 {
-		t.Errorf("Errors = %d, want 7", c.Errors())
+	if c.Binding().Errors() != 7 {
+		t.Errorf("Errors = %d, want 7", c.Binding().Errors())
 	}
 	if len(fa.applied) != 0 {
 		t.Error("actuator moved before the escalation threshold")
 	}
 	c.OnStep(8 * 250 * time.Millisecond)
-	if !c.FailSafe() {
+	if !c.Binding().FailSafe() {
 		t.Error("8 consecutive failed reads did not engage the fail-safe")
 	}
 	if len(fa.applied) != 1 || fa.applied[0] != fa.modes-1 {
@@ -272,7 +272,7 @@ func TestActuatorErrorCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(c, 4)
-	if c.Errors() == 0 {
+	if c.Binding().Errors() == 0 {
 		t.Error("failed Apply not counted")
 	}
 }
@@ -328,8 +328,8 @@ func TestEndToEndFanControlOnNode(t *testing.T) {
 	if finalTemp > 58 {
 		t.Errorf("controlled temperature %v °C, want < 58", finalTemp)
 	}
-	if ctl.Errors() != 0 {
-		t.Errorf("controller errors: %d", ctl.Errors())
+	if ctl.Binding().Errors() != 0 {
+		t.Errorf("controller errors: %d", ctl.Binding().Errors())
 	}
 }
 

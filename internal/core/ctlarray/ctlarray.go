@@ -32,8 +32,6 @@ const (
 // Array is one filled thermal control array.
 type Array struct {
 	cells []int
-	modes int
-	pp    int
 }
 
 // Fill computes the array cells for n cells over m physical modes at
@@ -79,17 +77,11 @@ func New(nCells, nModes, pp int) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Array{cells: cells, modes: nModes, pp: pp}, nil
+	return &Array{cells: cells}, nil
 }
 
 // Len returns N, the number of cells.
 func (a *Array) Len() int { return len(a.cells) }
-
-// Modes returns M, the number of physical modes.
-func (a *Array) Modes() int { return a.modes }
-
-// Pp returns the policy parameter the array was filled with.
-func (a *Array) Pp() int { return a.pp }
 
 // Mode returns the physical mode stored at cell index i (0-based),
 // clamping i into [0, N-1] — the controller's index arithmetic may
@@ -113,19 +105,4 @@ func (a *Array) Clamp(i int) int {
 		return len(a.cells) - 1
 	}
 	return i
-}
-
-// Cells returns a copy of the raw cell values.
-func (a *Array) Cells() []int { return append([]int(nil), a.cells...) }
-
-// FirstIndexOf returns the lowest cell index whose mode is >= mode,
-// used to re-anchor the controller's index after an external actor
-// moved the device. It returns N-1 if no cell reaches mode.
-func (a *Array) FirstIndexOf(mode int) int {
-	for i, v := range a.cells {
-		if v >= mode {
-			return i
-		}
-	}
-	return len(a.cells) - 1
 }

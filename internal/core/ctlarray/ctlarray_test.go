@@ -178,29 +178,8 @@ func TestModeClampsIndex(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	a, _ := New(10, 5, 25)
-	if a.Len() != 10 || a.Modes() != 5 || a.Pp() != 25 {
-		t.Errorf("accessors: %d %d %d", a.Len(), a.Modes(), a.Pp())
-	}
-	c := a.Cells()
-	c[0] = 99
-	if a.Mode(0) == 99 {
-		t.Error("Cells returned internal storage")
-	}
-}
-
-func TestFirstIndexOf(t *testing.T) {
-	a, _ := New(10, 5, 50) // cells 0,1,2,3,4,4,4,4,4,4
-	if got := a.FirstIndexOf(0); got != 0 {
-		t.Errorf("FirstIndexOf(0) = %d", got)
-	}
-	if got := a.FirstIndexOf(3); got != 3 {
-		t.Errorf("FirstIndexOf(3) = %d", got)
-	}
-	if got := a.FirstIndexOf(4); got != 4 {
-		t.Errorf("FirstIndexOf(4) = %d", got)
-	}
-	if got := a.FirstIndexOf(99); got != 9 {
-		t.Errorf("FirstIndexOf(99) = %d, want N-1", got)
+	if a.Len() != 10 || a.Mode(a.Len()-1) != 4 {
+		t.Errorf("accessors: Len %d, top mode %d; want 10, 4", a.Len(), a.Mode(a.Len()-1))
 	}
 }
 

@@ -36,8 +36,6 @@ import (
 // FailSafeApplyPolicy or ReleasePolicy to observe the engine's
 // fail-safe edges.
 type Policy interface {
-	// Name identifies the policy in logs and scenario specs.
-	Name() string
 	// Decide runs one control decision against tx.
 	Decide(tx *Txn)
 }
@@ -91,9 +89,6 @@ func (f *FanDutyActuator) NumModes() int { return 1 }
 
 // Apply implements Actuator.
 func (f *FanDutyActuator) Apply(int) error { return f.Port.SetDutyPercent(100) }
-
-// Current implements Actuator.
-func (f *FanDutyActuator) Current() (int, error) { return 0, nil }
 
 // ApplyDuty implements DutyApplier.
 func (f *FanDutyActuator) ApplyDuty(pct float64) error { return f.Port.SetDutyPercent(pct) }
@@ -488,16 +483,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Wiring time only.
 func (e *Engine) Attach(b *Binding, pre func(now time.Duration)) {
 	e.lanes = append(e.lanes, lane{b: b, pre: pre})
-}
-
-// Errors sums the error counts of every attached binding. Safe to call
-// concurrently with the control loop.
-func (e *Engine) Errors() uint64 {
-	var n uint64
-	for _, l := range e.lanes {
-		n += l.b.Errors()
-	}
-	return n
 }
 
 // NextDue is the earliest NextDue over the lanes; an empty engine is

@@ -81,9 +81,6 @@ func (ra *RetryActuator) Apply(m int) error {
 	return err
 }
 
-// Current implements Actuator.
-func (ra *RetryActuator) Current() (int, error) { return ra.Inner.Current() }
-
 // RetryFreqPort wraps a FreqPort so SetKHz runs under a faults.Retrier —
 // the DVFS counterpart of RetryActuator, for wiring points that build a
 // concrete DVFSActuator (NewTDVFS takes one, not the Actuator
@@ -106,6 +103,3 @@ func (rp *RetryFreqPort) SetKHz(f int64) error {
 	}
 	return err
 }
-
-// CurrentKHz implements FreqPort.
-func (rp *RetryFreqPort) CurrentKHz() (int64, error) { return rp.Port.CurrentKHz() }

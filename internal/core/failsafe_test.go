@@ -50,11 +50,11 @@ func TestFailSafePermanentReadFailureDrivesFanToMax(t *testing.T) {
 	}
 	esc := DefaultFailSafeConfig().EscalateErrors
 	drive2(goodSamples, esc-1)
-	if c.FailSafe() {
+	if c.Binding().FailSafe() {
 		t.Fatal("fail-safe engaged before the escalation threshold")
 	}
 	drive2(goodSamples+esc-1, 1)
-	if !c.FailSafe() {
+	if !c.Binding().FailSafe() {
 		t.Fatal("fail-safe not engaged after the escalation threshold")
 	}
 	if port.duty != 100 {
@@ -71,7 +71,7 @@ func TestFailSafePermanentReadFailureDrivesFanToMax(t *testing.T) {
 	// The escalation must hold: many more failed samples later the fan is
 	// still pinned at max.
 	drive2(goodSamples+esc, 200)
-	if port.duty != 100 || !c.FailSafe() {
+	if port.duty != 100 || !c.Binding().FailSafe() {
 		t.Errorf("fail-safe released under a still-dead sensor (duty=%v)", port.duty)
 	}
 }
@@ -107,7 +107,7 @@ func TestFailSafeRecovery(t *testing.T) {
 	if ev[1].At != wantRelease {
 		t.Errorf("released at %v, want %v", ev[1].At, wantRelease)
 	}
-	if c.FailSafe() {
+	if c.Binding().FailSafe() {
 		t.Error("fail-safe still engaged after recovery")
 	}
 	if port.duty >= 100 {
@@ -175,10 +175,10 @@ func TestErrorsConcurrentWithOnStep(t *testing.T) {
 	}()
 	var last uint64
 	for i := 0; i < 2000; i++ {
-		last = c.Errors()
+		last = c.Binding().Errors()
 	}
 	wg.Wait()
-	if got := c.Errors(); got != 2000 {
+	if got := c.Binding().Errors(); got != 2000 {
 		t.Errorf("Errors = %d after 2000 failed samples, want 2000", got)
 	}
 	_ = last
@@ -193,7 +193,7 @@ func TestTDVFSFailSafeDrivesFrequencyFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveTDVFS(d, 40, nil)
-	if d.FailSafe() || d.Engaged() {
+	if d.Binding().FailSafe() || d.Engaged() {
 		t.Fatal("fail-safe engaged while the sensor was healthy")
 	}
 	period := 250 * time.Millisecond
@@ -201,19 +201,19 @@ func TestTDVFSFailSafeDrivesFrequencyFloor(t *testing.T) {
 	for i := 41; i <= 40+esc; i++ {
 		d.OnStep(time.Duration(i) * period)
 	}
-	if !d.FailSafe() {
+	if !d.Binding().FailSafe() {
 		t.Fatal("fail-safe not engaged after the escalation threshold")
 	}
 	if !d.Engaged() {
 		t.Error("Engaged() false under fail-safe; hybrid fan floor would drop")
 	}
-	if want := act.NumModes() - 1; d.CurrentMode() != want {
-		t.Errorf("CurrentMode = %d under fail-safe, want floor %d", d.CurrentMode(), want)
+	if want := act.NumModes() - 1; d.pol.CurrentMode() != want {
+		t.Errorf("CurrentMode = %d under fail-safe, want floor %d", d.pol.CurrentMode(), want)
 	}
 	if got, want := n.CPU.FreqGHz(), 1.0; got != want {
 		t.Errorf("CPU at %v GHz under fail-safe, want floor %v", got, want)
 	}
-	ev := d.FailSafeEvents()
+	ev := d.Binding().FailSafeEvents()
 	if len(ev) != 1 || !ev[0].Engaged {
 		t.Fatalf("events = %+v, want single escalation", ev)
 	}
@@ -228,11 +228,11 @@ func TestFailSafeDisable(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(c, 100)
-	if c.FailSafe() || len(fa.applied) != 0 {
+	if c.Binding().FailSafe() || len(fa.applied) != 0 {
 		t.Errorf("disabled fail-safe still escalated (applied=%v)", fa.applied)
 	}
-	if c.Errors() != 100 {
-		t.Errorf("Errors = %d, want 100", c.Errors())
+	if c.Binding().Errors() != 100 {
+		t.Errorf("Errors = %d, want 100", c.Binding().Errors())
 	}
 }
 

@@ -37,7 +37,7 @@ func TestFanControlSurvivesFlakyBus(t *testing.T) {
 		n.Step(dt)
 		ctl.OnStep(n.Elapsed())
 	}
-	if ctl.Errors() == 0 {
+	if ctl.Binding().Errors() == 0 {
 		t.Error("no errors counted despite 20% bus fault rate")
 	}
 	// Control must still have worked through the successful writes.
@@ -82,7 +82,7 @@ func TestTDVFSSurvivesSensorDropouts(t *testing.T) {
 	for s := 1; s <= 600; s++ {
 		d.OnStep(time.Duration(s) * period)
 	}
-	if d.Errors() == 0 {
+	if d.Binding().Errors() == 0 {
 		t.Error("no read errors counted")
 	}
 	if d.Downscales() == 0 {

@@ -188,9 +188,9 @@ func hybridScript(i int) float64 {
 }
 
 func fanState(tr *trace, step int, c *core.Controller, slots int) {
-	line := fmt.Sprintf("step=%04d errs=%d fs=%v", step, c.Errors(), c.FailSafe())
+	line := fmt.Sprintf("step=%04d errs=%d fs=%v", step, c.Binding().Errors(), c.Binding().FailSafe())
 	for i := 0; i < slots; i++ {
-		line += fmt.Sprintf(" idx%d=%d moves%d=%d", i, c.Index(i), i, c.Moves(i))
+		line += fmt.Sprintf(" idx%d=%d moves%d=%d", i, c.Policy().Index(i), i, c.Moves(i))
 	}
 	tr.lines = append(tr.lines, line)
 }
@@ -260,7 +260,7 @@ func TestGoldenFanMultiActuator(t *testing.T) {
 	acpi := &traceActuator{name: "acpi", modes: 8, tr: tr}
 	c, err := core.NewController(core.DefaultConfig(60), r.read,
 		core.ActuatorBinding{Actuator: fan},
-		core.ActuatorBinding{Actuator: dvfs, N: 10},
+		core.ActuatorBinding{Actuator: dvfs},
 		core.ActuatorBinding{Actuator: acpi})
 	if err != nil {
 		t.Fatal(err)
@@ -301,15 +301,15 @@ func TestGoldenTDVFS(t *testing.T) {
 		d.OnStep(time.Duration(step) * stepDt)
 		if step%5 == 0 {
 			tr.addf("step=%04d errs=%d fs=%v mode=%d downs=%d ups=%d engaged=%v",
-				step, d.Errors(), d.FailSafe(), d.CurrentMode(),
+				step, d.Binding().Errors(), d.Binding().FailSafe(), d.Binding().Policy().(*core.ThresholdPolicy).CurrentMode(),
 				d.Downscales(), d.Upscales(), d.Engaged())
 		}
 	}
-	for _, ev := range d.FailSafeEvents() {
+	for _, ev := range d.Binding().FailSafeEvents() {
 		tr.addf("event at=%s engaged=%v", ev.At, ev.Engaged)
 	}
 	at, ok := d.TriggeredAt()
-	tr.addf("final triggered=%v at=%s mode=%d", ok, at, d.CurrentMode())
+	tr.addf("final triggered=%v at=%s mode=%d", ok, at, d.Binding().Policy().(*core.ThresholdPolicy).CurrentMode())
 	checkGolden(t, "tdvfs", tr)
 }
 
@@ -343,12 +343,12 @@ func TestGoldenHybrid(t *testing.T) {
 		h.OnStep(time.Duration(step) * stepDt)
 		if step%5 == 0 {
 			tr.addf("step=%04d fan[errs=%d fs=%v idx=%d moves=%d] dvfs[errs=%d fs=%v mode=%d engaged=%v]",
-				step, fan.Errors(), fan.FailSafe(), fan.Index(0), fan.Moves(0),
-				dvfs.Errors(), dvfs.FailSafe(), dvfs.CurrentMode(), dvfs.Engaged())
+				step, fan.Binding().Errors(), fan.Binding().FailSafe(), fan.Policy().Index(0), fan.Moves(0),
+				dvfs.Binding().Errors(), dvfs.Binding().FailSafe(), dvfs.Binding().Policy().(*core.ThresholdPolicy).CurrentMode(), dvfs.Engaged())
 		}
 	}
 	fanEvents(tr, fan)
-	for _, ev := range dvfs.FailSafeEvents() {
+	for _, ev := range dvfs.Binding().FailSafeEvents() {
 		tr.addf("event dvfs at=%s engaged=%v", ev.At, ev.Engaged)
 	}
 	checkGolden(t, "hybrid", tr)

@@ -56,9 +56,6 @@ func NewHybrid(fan *Controller, dvfs *TDVFS) *Hybrid {
 	return h
 }
 
-// Engine exposes the two-lane engine hosting the coupled controllers.
-func (h *Hybrid) Engine() *Engine { return h.eng }
-
 // NextDue forwards the engine's; implements cluster.Scheduled.
 func (h *Hybrid) NextDue() time.Duration { return h.eng.NextDue() }
 

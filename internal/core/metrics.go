@@ -78,29 +78,3 @@ func (h *Hybrid) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Labe
 	h.holdRounds = reg.NewCounter("thermctl_hybrid_hold_rounds_total",
 		"control rounds with the fan floor held while tDVFS was engaged", labels...)
 }
-
-// watchdogMetrics bundles the fan-failure watchdog policy's
-// instruments; its error counter lives on the binding.
-type watchdogMetrics struct {
-	// failures counts declared fan failures (watchdog firings).
-	failures *metrics.Counter
-	// recoveries counts ended emergencies.
-	recoveries *metrics.Counter
-	// emergency is 1 while a fan failure is declared.
-	emergency *metrics.Gauge
-}
-
-// InstrumentWatchdog registers the tach watchdog's instruments on reg
-// with the given constant labels and attaches them to b, a binding
-// built by NewWatchdog. Wiring-time only.
-func InstrumentWatchdog(b *Binding, reg *metrics.Registry, labels ...metrics.Label) {
-	w := b.pol.(*WatchdogPolicy)
-	w.mt.failures = reg.NewCounter("thermctl_watchdog_failures_total",
-		"declared fan failures", labels...)
-	w.mt.recoveries = reg.NewCounter("thermctl_watchdog_recoveries_total",
-		"fan-failure emergencies ended by recovery", labels...)
-	b.mt.errors = reg.NewCounter("thermctl_watchdog_errors_total",
-		"failed tachometer reads or frequency writes", labels...)
-	w.mt.emergency = reg.NewGauge("thermctl_watchdog_emergency",
-		"1 while a fan failure is declared", labels...)
-}

@@ -55,42 +55,3 @@ func TestHybridInstrumentMetrics(t *testing.T) {
 			snapValue(t, reg, "thermctl_controller_mode_transitions_total"), moves)
 	}
 }
-
-func TestWatchdogInstrumentMetrics(t *testing.T) {
-	n, b, _ := newWatchdogRig(t)
-	reg := metrics.NewRegistry()
-	InstrumentWatchdog(b, reg)
-	port := NewSysfsFanPort(n.FS, n.Hwmon)
-	if err := port.SetDutyPercent(50); err != nil {
-		t.Fatal(err)
-	}
-	dt := 250 * time.Millisecond
-	run := func(d time.Duration) {
-		deadline := n.Elapsed() + d
-		for n.Elapsed() < deadline {
-			n.Step(dt)
-			b.OnStep(n.Elapsed())
-		}
-	}
-
-	run(10 * time.Second)
-	if got := snapValue(t, reg, "thermctl_watchdog_failures_total"); got != 0 {
-		t.Fatalf("failures counter = %v before any failure", got)
-	}
-	n.Fan.SetFailed(true)
-	run(15 * time.Second)
-	if got := snapValue(t, reg, "thermctl_watchdog_failures_total"); got != 1 {
-		t.Errorf("failures counter = %v after seized rotor, want 1", got)
-	}
-	if got := snapValue(t, reg, "thermctl_watchdog_emergency"); got != 1 {
-		t.Errorf("emergency gauge = %v during failure, want 1", got)
-	}
-	n.Fan.SetFailed(false)
-	run(20 * time.Second)
-	if got := snapValue(t, reg, "thermctl_watchdog_recoveries_total"); got != 1 {
-		t.Errorf("recoveries counter = %v after recovery, want 1", got)
-	}
-	if got := snapValue(t, reg, "thermctl_watchdog_emergency"); got != 0 {
-		t.Errorf("emergency gauge = %v after recovery, want 0", got)
-	}
-}

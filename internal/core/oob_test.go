@@ -27,7 +27,7 @@ func runFanControlOver(t *testing.T, seed uint64, oob bool) (finalTempC, finalDu
 	var port FanPort
 	if oob {
 		client := ipmi.NewClient(ipmi.Local{H: n.BMC})
-		read = IPMITemp(client, node.SensorCPUTemp)
+		read = ipmiTemp(client, node.SensorCPUTemp)
 		port = &IPMIFanPort{C: client}
 	} else {
 		read = SysfsTemp(n.FS, n.Hwmon.TempInput)
@@ -44,7 +44,7 @@ func runFanControlOver(t *testing.T, seed uint64, oob bool) (finalTempC, finalDu
 		n.Step(dt)
 		ctl.OnStep(n.Elapsed())
 	}
-	return n.TrueDieC(), n.Fan.Duty(), ctl.Errors()
+	return n.TrueDieC(), n.Fan.Duty(), ctl.Binding().Errors()
 }
 
 func TestOutOfBandPathWorks(t *testing.T) {
@@ -109,7 +109,7 @@ func TestOutOfBandOverTCP(t *testing.T) {
 	client := ipmi.NewClient(conn)
 
 	ctl, err := NewController(DefaultConfig(50),
-		IPMITemp(client, node.SensorCPUTemp),
+		ipmiTemp(client, node.SensorCPUTemp),
 		ActuatorBinding{Actuator: NewFanActuator(&IPMIFanPort{C: client}, 100)})
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +125,8 @@ func TestOutOfBandOverTCP(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.Errors() != 0 {
-		t.Fatalf("controller errors over TCP: %d", ctl.Errors())
+	if ctl.Binding().Errors() != 0 {
+		t.Fatalf("controller errors over TCP: %d", ctl.Binding().Errors())
 	}
 	if n.Fan.Duty() < 15 {
 		t.Errorf("TCP-controlled fan at %.1f%%", n.Fan.Duty())

@@ -16,9 +16,7 @@ import (
 // ordered mode set, the same policy drives DVFS, ACPI throttling and
 // processor sleep states (cstates.Actuator) unchanged.
 type CtlArrayPolicy struct {
-	pp       int
 	tminC    float64
-	tmaxC    float64
 	maxLeadC float64
 	l2Size   int
 
@@ -59,20 +57,15 @@ type ctlSlot struct {
 // it); this constructor only rejects array-fill failures.
 func NewCtlArrayPolicy(cfg Config, bindings ...ActuatorBinding) (*CtlArrayPolicy, error) {
 	p := &CtlArrayPolicy{
-		pp:       cfg.Pp,
 		tminC:    cfg.TminC,
-		tmaxC:    cfg.TmaxC,
 		maxLeadC: cfg.MaxLeadC,
 		l2Size:   cfg.Window.L2Size,
 	}
 	for _, b := range bindings {
 		m := b.Actuator.NumModes()
-		n := b.N
-		if n == 0 {
-			n = m
-			if n < 10 {
-				n = 2 * m
-			}
+		n := m
+		if n < 10 {
+			n = 2 * m
 		}
 		arr, err := ctlarray.New(n, m, cfg.Pp)
 		if err != nil {
@@ -85,12 +78,6 @@ func NewCtlArrayPolicy(cfg Config, bindings ...ActuatorBinding) (*CtlArrayPolicy
 	}
 	return p, nil
 }
-
-// Name implements Policy.
-func (p *CtlArrayPolicy) Name() string { return "ctlarray" }
-
-// Pp returns the policy parameter.
-func (p *CtlArrayPolicy) Pp() int { return p.pp }
 
 // Index returns the current control-array index of actuator i.
 func (p *CtlArrayPolicy) Index(i int) int { return p.slots[i].idx }

@@ -62,11 +62,10 @@ func NewThresholdPolicy(cfg TDVFSConfig, numModes int) (*ThresholdPolicy, error)
 	}, nil
 }
 
-// Name implements Policy.
-func (p *ThresholdPolicy) Name() string { return "threshold" }
-
 // CurrentMode returns the physical mode currently applied (0 is
 // nominal).
+//
+//thermlint:allow deadcode -- oracle: the tDVFS, hybrid and cluster goldens record the applied mode
 func (p *ThresholdPolicy) CurrentMode() int { return p.curMode }
 
 // Engaged reports whether the policy is holding its knob below the

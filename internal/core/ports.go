@@ -44,15 +44,9 @@ func SysfsTemp(fs *hwmon.FS, path string) TempReader {
 	}
 }
 
-// IPMITemp reads a BMC sensor — the out-of-band path.
-func IPMITemp(c *ipmi.Client, sensorNum uint8) TempReader {
-	return func() (float64, error) { return c.ReadSensor(sensorNum) }
-}
-
 // FanPort commands a fan's PWM duty in percent.
 type FanPort interface {
 	SetDutyPercent(p float64) error
-	DutyPercent() (float64, error)
 }
 
 // SysfsFanPort drives pwm1 through the virtual sysfs (in-band). It
@@ -81,17 +75,6 @@ func (p *SysfsFanPort) SetDutyPercent(d float64) error {
 	return p.pwm.WriteInt(dutyToPWMReg(d))
 }
 
-// DutyPercent implements FanPort.
-//
-//thermlint:unit percent
-func (p *SysfsFanPort) DutyPercent() (float64, error) {
-	v, err := p.pwm.ReadInt()
-	if err != nil {
-		return 0, err
-	}
-	return float64(v) * 100 / 255, nil
-}
-
 // dutyToPWMReg converts a duty percentage to the hwmon pwm1 register
 // count, clamped to the register's 0..255 range.
 //
@@ -110,6 +93,7 @@ func dutyToPWMReg(d float64) int64 {
 // IPMIFanPort drives the fan through the BMC (out-of-band). It switches
 // the BMC to manual fan mode on first use.
 type IPMIFanPort struct {
+	//thermlint:allow deadcode -- the paper's out-of-band fan path: the oob and fault tests drive a controller through the BMC; no control spec selects it yet
 	C *ipmi.Client
 
 	armed bool
@@ -126,19 +110,15 @@ func (p *IPMIFanPort) SetDutyPercent(d float64) error {
 	return p.C.SetFanDuty(d)
 }
 
-// DutyPercent implements FanPort.
-func (p *IPMIFanPort) DutyPercent() (float64, error) { return p.C.FanDuty() }
-
 // FreqPort commands a CPU frequency in kHz.
 type FreqPort interface {
 	AvailableKHz() ([]int64, error)
 	SetKHz(f int64) error
-	CurrentKHz() (int64, error)
 }
 
 // SysfsFreqPort drives cpufreq through the virtual sysfs.
 type SysfsFreqPort struct {
-	availAttr, setSpeed, curFreq *hwmon.Attr
+	availAttr, setSpeed *hwmon.Attr
 
 	// avail caches the parsed frequency table: the set of available
 	// frequencies of a CPU is static, and policies may ask for it on
@@ -147,12 +127,11 @@ type SysfsFreqPort struct {
 }
 
 // NewSysfsFreqPort opens the policy's scaling_available_frequencies,
-// scaling_setspeed and scaling_cur_freq attributes.
+// and scaling_setspeed attributes.
 func NewSysfsFreqPort(fs *hwmon.FS, paths cpufreq.Paths) *SysfsFreqPort {
 	return &SysfsFreqPort{
 		availAttr: fs.Open(paths.AvailableFreqs),
 		setSpeed:  fs.Open(paths.SetSpeed),
-		curFreq:   fs.Open(paths.CurFreq),
 	}
 }
 
@@ -184,13 +163,6 @@ func (p *SysfsFreqPort) SetKHz(f int64) error {
 	return p.setSpeed.WriteInt(f)
 }
 
-// CurrentKHz implements FreqPort.
-//
-//thermlint:unit kHz
-func (p *SysfsFreqPort) CurrentKHz() (int64, error) {
-	return p.curFreq.ReadInt()
-}
-
 // Actuator is one thermal control technique unified under the control
 // array: physical modes 0..NumModes()-1 in ascending order of
 // temperature-control effectiveness.
@@ -201,8 +173,6 @@ type Actuator interface {
 	NumModes() int
 	// Apply actuates physical mode m (clamped by the caller).
 	Apply(m int) error
-	// Current returns the mode closest to the device's present state.
-	Current() (int, error)
 }
 
 // FanActuator discretizes a fan's continuous duty range into modes, as
@@ -246,25 +216,6 @@ func (f *FanActuator) DutyForMode(m int) float64 {
 // Apply implements Actuator.
 func (f *FanActuator) Apply(m int) error {
 	return f.Port.SetDutyPercent(f.DutyForMode(m))
-}
-
-// Current implements Actuator.
-func (f *FanActuator) Current() (int, error) {
-	d, err := f.Port.DutyPercent()
-	if err != nil {
-		return 0, err
-	}
-	if f.Modes <= 1 || f.MaxDuty <= f.MinDuty {
-		return 0, nil
-	}
-	m := int(math.Round((d - f.MinDuty) / (f.MaxDuty - f.MinDuty) * float64(f.Modes-1)))
-	if m < 0 {
-		m = 0
-	}
-	if m >= f.Modes {
-		m = f.Modes - 1
-	}
-	return m, nil
 }
 
 // DVFSActuator exposes the P-state table as modes: mode 0 is the
@@ -311,29 +262,4 @@ func (d *DVFSActuator) FreqForMode(m int) int64 {
 // Apply implements Actuator.
 func (d *DVFSActuator) Apply(m int) error {
 	return d.Port.SetKHz(d.FreqForMode(m))
-}
-
-// Current implements Actuator.
-func (d *DVFSActuator) Current() (int, error) {
-	cur, err := d.Port.CurrentKHz()
-	if err != nil {
-		return 0, err
-	}
-	for i, f := range d.freqs {
-		if f == cur {
-			return i, nil
-		}
-	}
-	// Unknown frequency: report the nearest mode.
-	best, bestDiff := 0, int64(math.MaxInt64)
-	for i, f := range d.freqs {
-		diff := f - cur
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff < bestDiff {
-			best, bestDiff = i, diff
-		}
-	}
-	return best, nil
 }

@@ -111,10 +111,8 @@ func (cfg TDVFSConfig) withDefaults() TDVFSConfig {
 // ThresholdPolicy — kept for its stable constructor and observability
 // surface.
 type TDVFS struct {
-	cfg TDVFSConfig
 	b   *Binding
 	pol *ThresholdPolicy
-	act *DVFSActuator
 }
 
 // NewTDVFS builds the daemon over a DVFS actuator.
@@ -142,15 +140,12 @@ func NewTDVFS(cfg TDVFSConfig, read TempReader, act *DVFSActuator) (*TDVFS, erro
 	if err != nil {
 		return nil, err
 	}
-	return &TDVFS{cfg: cfg, b: b, pol: pol, act: act}, nil
+	return &TDVFS{b: b, pol: pol}, nil
 }
 
 // Binding exposes the engine binding hosting this daemon, for
 // composition into an Engine (the hybrid coordinator does this).
 func (d *TDVFS) Binding() *Binding { return d.b }
-
-// Policy exposes the hosted threshold policy.
-func (d *TDVFS) Policy() *ThresholdPolicy { return d.pol }
 
 // Downscales returns the number of scale-down decisions taken.
 func (d *TDVFS) Downscales() uint64 { return d.pol.Downscales() }
@@ -158,24 +153,9 @@ func (d *TDVFS) Downscales() uint64 { return d.pol.Downscales() }
 // Upscales returns the number of restore decisions taken.
 func (d *TDVFS) Upscales() uint64 { return d.pol.Upscales() }
 
-// Errors returns the count of failed reads or actuations. Safe to call
-// concurrently with the control loop.
-func (d *TDVFS) Errors() uint64 { return d.b.Errors() }
-
-// FailSafe reports whether the fail-safe escalation is currently
-// holding the CPU at its frequency floor.
-func (d *TDVFS) FailSafe() bool { return d.b.FailSafe() }
-
-// FailSafeEvents returns a copy of the escalation/recovery event log.
-func (d *TDVFS) FailSafeEvents() []FailSafeEvent { return d.b.FailSafeEvents() }
-
 // TriggeredAt returns when the first scale-down happened and whether
 // one happened at all — the coordination observable of Figure 10.
 func (d *TDVFS) TriggeredAt() (time.Duration, bool) { return d.pol.TriggeredAt() }
-
-// CurrentMode returns the physical mode currently applied (0 is the
-// nominal frequency).
-func (d *TDVFS) CurrentMode() int { return d.pol.CurrentMode() }
 
 // Engaged reports whether the daemon is holding the CPU below its
 // nominal frequency.

@@ -249,8 +249,8 @@ func TestTDVFSExtremePolicyJumpsToLowestDirectly(t *testing.T) {
 	if !d.Engaged() {
 		t.Error("daemon not Engaged after scaling")
 	}
-	if d.CurrentMode() != 4 {
-		t.Errorf("CurrentMode = %d, want 4", d.CurrentMode())
+	if d.pol.CurrentMode() != 4 {
+		t.Errorf("CurrentMode = %d, want 4", d.pol.CurrentMode())
 	}
 }
 

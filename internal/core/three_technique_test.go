@@ -30,8 +30,8 @@ func TestUnifiedControllerOverThreeTechniques(t *testing.T) {
 
 	ctl, err := NewController(DefaultConfig(50), read,
 		ActuatorBinding{Actuator: fanAct},
-		ActuatorBinding{Actuator: dvfsAct, N: 10},
-		ActuatorBinding{Actuator: throttleAct, N: 16},
+		ActuatorBinding{Actuator: dvfsAct},
+		ActuatorBinding{Actuator: throttleAct},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestUnifiedControllerOverThreeTechniques(t *testing.T) {
 	if n.Fan.Duty() < 20 {
 		t.Errorf("fan did not engage: %.1f%%", n.Fan.Duty())
 	}
-	if ctl.Errors() != 0 {
-		t.Errorf("controller errors: %d", ctl.Errors())
+	if ctl.Binding().Errors() != 0 {
+		t.Errorf("controller errors: %d", ctl.Binding().Errors())
 	}
 	// The controller drove the temperature toward balance: well below
 	// the uncontrolled ≈62 °C of cpu-burn at boot duty.
@@ -72,7 +72,7 @@ func TestThrottleOnlyCooling(t *testing.T) {
 
 	ctl, err := NewController(DefaultConfig(25),
 		SysfsTemp(n.FS, n.Hwmon.TempInput),
-		ActuatorBinding{Actuator: acpi.NewActuator(n.FS, n.ACPI), N: 16})
+		ActuatorBinding{Actuator: acpi.NewActuator(n.FS, n.ACPI)})
 	if err != nil {
 		t.Fatal(err)
 	}

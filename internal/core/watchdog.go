@@ -34,7 +34,8 @@ func DefaultWatchdogConfig() WatchdogConfig {
 
 // WatchdogEvent records one state change.
 type WatchdogEvent struct {
-	At      time.Duration
+	At time.Duration
+	//thermlint:allow deadcode -- oracle: the watchdog golden records each edge's direction
 	Failure bool // true = failure declared, false = recovery
 }
 
@@ -60,10 +61,6 @@ type WatchdogPolicy struct {
 	healthy   int
 	emergency bool
 	events    []WatchdogEvent
-
-	// mt holds the optional metric handles (see InstrumentWatchdog in
-	// metrics.go); every handle is nil-safe.
-	mt watchdogMetrics
 }
 
 // NewWatchdog builds the watchdog: a binding that polls the tach
@@ -92,10 +89,9 @@ func NewWatchdog(cfg WatchdogConfig, rpm TempReader, act *DVFSActuator) (*Bindin
 	})
 }
 
-// Name implements Policy.
-func (w *WatchdogPolicy) Name() string { return "watchdog" }
-
 // Emergency reports whether a fan failure is currently declared.
+//
+//thermlint:allow deadcode -- oracle: the watchdog golden records the emergency flag
 func (w *WatchdogPolicy) Emergency() bool { return w.emergency }
 
 // Events returns the state-change log.
@@ -124,8 +120,6 @@ func (w *WatchdogPolicy) Decide(tx *Txn) {
 			return
 		}
 		w.emergency = true
-		w.mt.failures.Inc()
-		w.mt.emergency.SetBool(true)
 		//thermlint:allow hotalloc -- seizure confirmations are rare transitions; the event log is the audit trail
 		w.events = append(w.events, WatchdogEvent{At: tx.Now(), Failure: true})
 	case w.emergency && w.healthy >= w.cfg.RecoverSamples:
@@ -133,8 +127,6 @@ func (w *WatchdogPolicy) Decide(tx *Txn) {
 			return
 		}
 		w.emergency = false
-		w.mt.recoveries.Inc()
-		w.mt.emergency.SetBool(false)
 		//thermlint:allow hotalloc -- recoveries are rare transitions; the event log is the audit trail
 		w.events = append(w.events, WatchdogEvent{At: tx.Now(), Failure: false})
 	}

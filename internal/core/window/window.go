@@ -107,9 +107,6 @@ func (w *Window) Add(sample float64) bool {
 	return true
 }
 
-// Rounds returns the number of completed level-one rounds.
-func (w *Window) Rounds() int { return w.rounds }
-
 // DeltaL1 returns Δt_L1 from the last completed round: the second-half
 // sum minus the first-half sum of the level-one array. Zero before the
 // first round.
@@ -136,9 +133,6 @@ func (w *Window) Avg() float64 {
 	}
 	return w.l2[len(w.l2)-1]
 }
-
-// L2 returns a copy of the level-two FIFO, front (oldest) first.
-func (w *Window) L2() []float64 { return append([]float64(nil), w.l2...) }
 
 // AllL2Above reports whether the FIFO is full and every entry exceeds
 // t — the paper's "average temperature is consistently above threshold"
@@ -168,37 +162,6 @@ func (w *Window) AllL2Below(t float64) bool {
 		}
 	}
 	return true
-}
-
-// PredictNext forecasts the next round's average temperature using the
-// paper's assumption that "temperature will change with the same rate
-// for the next round of sampling": the last round's average plus the
-// short-horizon rate when one is visible, falling back to the
-// long-horizon rate for gradual drift. Δt_L1 is a difference of
-// half-sums: L1Size/2 samples each, whose centres sit L1Size/2 samples
-// apart, so Δt_L1 = rate_per_sample·L1Size²/4 and the per-round rate is
-// 4·Δt_L1/L1Size (for the paper's 4-entry window, exactly Δt_L1).
-// Δt_L2 spans L2Size−1 rounds. It returns NaN before the first round
-// completes.
-func (w *Window) PredictNext() float64 {
-	if len(w.l2) == 0 {
-		return math.NaN()
-	}
-	rate := 4 * w.deltaL1 / float64(w.cfg.L1Size)
-	if rate == 0 && len(w.l2) >= 2 {
-		rate = w.DeltaL2() / float64(len(w.l2)-1)
-	}
-	return w.Avg() + rate
-}
-
-// Reset clears both levels.
-func (w *Window) Reset() {
-	w.l1n = 0
-	w.l2 = w.l2[:0]
-	w.rounds = 0
-	w.deltaL1 = 0
-	w.prevDeltaL1 = 0
-	w.lastRange = 0
 }
 
 // Behavior is a thermal behaviour type from the paper's §3.1 taxonomy.

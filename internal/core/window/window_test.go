@@ -29,8 +29,8 @@ func TestRoundCompletion(t *testing.T) {
 	if !w.Add(40) {
 		t.Fatal("round not complete after 4 samples")
 	}
-	if w.Rounds() != 1 {
-		t.Errorf("Rounds = %d", w.Rounds())
+	if w.Avg() != 40 {
+		t.Errorf("Avg after one round = %v, want 40", w.Avg())
 	}
 }
 
@@ -107,17 +107,6 @@ func TestAvgBeforeFirstRound(t *testing.T) {
 	}
 }
 
-func TestL2Copy(t *testing.T) {
-	w := New(Config{L1Size: 2, L2Size: 3})
-	w.Add(40)
-	w.Add(40)
-	got := w.L2()
-	got[0] = 999
-	if w.L2()[0] == 999 {
-		t.Error("L2 returned internal storage")
-	}
-}
-
 func TestAllL2AboveBelow(t *testing.T) {
 	w := New(Config{L1Size: 2, L2Size: 2})
 	w.Add(55)
@@ -142,17 +131,6 @@ func TestAllL2AboveBelow(t *testing.T) {
 	w.Add(44)
 	if !w.AllL2Below(51) {
 		t.Error("AllL2Below false with entries 45, 44 < 51")
-	}
-}
-
-func TestReset(t *testing.T) {
-	w := New(Default())
-	for i := 0; i < 8; i++ {
-		w.Add(float64(40 + i))
-	}
-	w.Reset()
-	if w.Rounds() != 0 || w.DeltaL1() != 0 || w.DeltaL2() != 0 || w.L2Full() {
-		t.Error("Reset did not clear state")
 	}
 }
 
@@ -201,97 +179,6 @@ func TestClassifySteady(t *testing.T) {
 	}
 	if got := w.Classify(DefaultClassify()); got != Steady {
 		t.Errorf("Classify = %v, want steady", got)
-	}
-}
-
-func TestPredictNextBeforeFirstRound(t *testing.T) {
-	w := New(Default())
-	if !math.IsNaN(w.PredictNext()) {
-		t.Error("prediction before any round should be NaN")
-	}
-}
-
-func TestPredictNextLinearRamp(t *testing.T) {
-	// Perfectly linear +0.5 °C per sample: the next round's average is
-	// exactly the last average plus 2 °C (4 samples ahead).
-	w := New(Default())
-	v := 40.0
-	var predicted float64
-	for r := 0; r < 3; r++ {
-		for i := 0; i < 4; i++ {
-			w.Add(v)
-			v += 0.5
-		}
-		if r == 1 {
-			predicted = w.PredictNext()
-		}
-	}
-	actual := w.Avg() // third round's average
-	if math.Abs(predicted-actual) > 1e-9 {
-		t.Errorf("linear ramp: predicted %v, actual next average %v", predicted, actual)
-	}
-}
-
-func TestPredictNextFlat(t *testing.T) {
-	w := New(Default())
-	for i := 0; i < 8; i++ {
-		w.Add(45)
-	}
-	if got := w.PredictNext(); got != 45 {
-		t.Errorf("flat prediction = %v, want 45", got)
-	}
-}
-
-func TestPredictNextFallsBackToL2(t *testing.T) {
-	// A drift too slow for Δt_L1 (constant within each round, +0.4 °C
-	// between rounds) must still be predicted via the level-two rate.
-	w := New(Default())
-	base := 40.0
-	for r := 0; r < 5; r++ {
-		for i := 0; i < 4; i++ {
-			w.Add(base)
-		}
-		base += 0.4
-	}
-	got := w.PredictNext()
-	want := w.Avg() + 0.4
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("L2 fallback prediction = %v, want %v", got, want)
-	}
-}
-
-// TestPredictionBeatsPersistenceOnTrends quantifies the paper's
-// prediction claim on a realistic trajectory: an exponential approach
-// to equilibrium (what a thermal RC step looks like). The window
-// forecast must have lower error than the naive "next = current"
-// persistence forecast.
-func TestPredictionBeatsPersistenceOnTrends(t *testing.T) {
-	w := New(Default())
-	temp := func(tSec float64) float64 { // 40 → 60 °C, tau 30 s
-		return 60 - 20*math.Exp(-tSec/30)
-	}
-	var predErr, persistErr float64
-	var n int
-	var lastPred, lastAvg float64
-	have := false
-	for s := 0; s < 480; s++ { // 120 s at 4 Hz
-		if w.Add(temp(float64(s) * 0.25)) {
-			if have {
-				predErr += math.Abs(w.Avg() - lastPred)
-				persistErr += math.Abs(w.Avg() - lastAvg)
-				n++
-			}
-			lastPred = w.PredictNext()
-			lastAvg = w.Avg()
-			have = true
-		}
-	}
-	if n < 100 {
-		t.Fatalf("only %d comparisons", n)
-	}
-	if predErr >= persistErr {
-		t.Errorf("window forecast MAE %.4f not below persistence MAE %.4f",
-			predErr/float64(n), persistErr/float64(n))
 	}
 }
 

@@ -143,6 +143,8 @@ func (c *CPU) SetIdleFactor(f float64) {
 }
 
 // IdleFactor returns the current idle-residual multiplier.
+//
+//thermlint:allow deadcode -- oracle: the C-state tests compare the gated idle-power factor
 func (c *CPU) IdleFactor() float64 {
 	return c.idleFactor
 }
@@ -211,11 +213,6 @@ func (c *CPU) FreqGHz() float64 {
 	return c.cfg.Table[c.pstate].FreqGHz
 }
 
-// Voltage returns the current core voltage.
-func (c *CPU) Voltage() float64 {
-	return c.cfg.Table[c.pstate].Voltage
-}
-
 // Transitions returns the number of P-state changes so far. The paper
 // reports this for reliability: each transition stresses the voltage
 // regulator, and tDVFS's headline win in Table 1 is a ~98% reduction.
@@ -237,6 +234,8 @@ func (c *CPU) SetUtilization(u float64) {
 
 // Utilization returns the utilization used by the last power/work
 // computation.
+//
+//thermlint:allow deadcode -- oracle: the cpu tests and the shared-demand bit-identity test compare it
 func (c *CPU) Utilization() float64 {
 	return c.util
 }
@@ -277,6 +276,8 @@ func (c *CPU) Step(dt time.Duration) float64 {
 }
 
 // Work returns the total retired work in giga-cycles.
+//
+//thermlint:allow deadcode -- oracle: the cpu, shard and three-technique tests check the work retired
 func (c *CPU) Work() float64 {
 	return c.workGC
 }

@@ -108,7 +108,6 @@ func ghzToKHz(g float64) int64 { return int64(g*1e6 + 0.5) }
 
 // Paths bundles the sysfs attribute paths of one CPU's cpufreq policy.
 type Paths struct {
-	Dir              string
 	AvailableFreqs   string
 	CurFreq          string
 	SetSpeed         string
@@ -125,7 +124,6 @@ type Paths struct {
 func Mount(fs *hwmon.FS, idx int, s Scaler) Paths {
 	dir := fmt.Sprintf("/sys/devices/system/cpu/cpu%d/cpufreq", idx)
 	p := Paths{
-		Dir:              dir,
 		AvailableFreqs:   dir + "/scaling_available_frequencies",
 		CurFreq:          dir + "/scaling_cur_freq",
 		SetSpeed:         dir + "/scaling_setspeed",

@@ -16,7 +16,6 @@ package cstates
 
 import (
 	"fmt"
-	"time"
 
 	"thermctl/internal/cpu"
 	"thermctl/internal/hwmon"
@@ -24,24 +23,18 @@ import (
 
 // State describes one C-state.
 type State struct {
-	// Name is the conventional label.
-	Name string
 	// IdleFactor is the idle-residual power multiplier the state
 	// grants (1 = no gating).
 	IdleFactor float64
-	// ExitLatency is the wake cost. At this simulator's step sizes it
-	// is informational; a real governor weighs it against expected
-	// idle-period length.
-	ExitLatency time.Duration
 }
 
 // table is built once; Table is called from the actuation path, which
 // must not allocate per call.
 var table = []State{
-	{Name: "C0", IdleFactor: 1.00, ExitLatency: 0},
-	{Name: "C1", IdleFactor: 0.70, ExitLatency: 2 * time.Microsecond},
-	{Name: "C2", IdleFactor: 0.45, ExitLatency: 50 * time.Microsecond},
-	{Name: "C3", IdleFactor: 0.25, ExitLatency: 500 * time.Microsecond},
+	{IdleFactor: 1.00}, // C0
+	{IdleFactor: 0.70}, // C1
+	{IdleFactor: 0.45}, // C2
+	{IdleFactor: 0.25}, // C3
 }
 
 // Table returns the modelled states, shallow to deep: C0 (no idle
@@ -63,7 +56,7 @@ func Mount(fs *hwmon.FS, idx int, c *cpu.CPU) Paths {
 	table := Table()
 	current := 0
 	fs.Register(p.MaxState, hwmon.IntFile{
-		Min: 0, Max: int64(len(table) - 1),
+		Max: int64(len(table) - 1),
 		Get: func() int64 { return int64(current) },
 		Set: func(v int64) error {
 			current = int(v)
@@ -102,13 +95,4 @@ func (a *Actuator) Apply(m int) error {
 		m = n - 1
 	}
 	return a.maxState.WriteInt(int64(m))
-}
-
-// Current implements core.Actuator.
-func (a *Actuator) Current() (int, error) {
-	v, err := a.maxState.ReadInt()
-	if err != nil {
-		return 0, err
-	}
-	return int(v), nil
 }

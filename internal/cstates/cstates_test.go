@@ -20,15 +20,12 @@ func rig() (*hwmon.FS, *cpu.CPU, Paths) {
 
 func TestTableShallowToDeep(t *testing.T) {
 	tab := Table()
-	if len(tab) != 4 || tab[0].Name != "C0" || tab[3].Name != "C3" {
-		t.Fatalf("table: %+v", tab)
+	if len(tab) != 4 || tab[0].IdleFactor != 1 {
+		t.Fatalf("table: %+v, want C0 (no gating) to C3", tab)
 	}
 	for i := 1; i < len(tab); i++ {
 		if tab[i].IdleFactor >= tab[i-1].IdleFactor {
-			t.Errorf("idle factor not decreasing at %s", tab[i].Name)
-		}
-		if tab[i].ExitLatency <= tab[i-1].ExitLatency {
-			t.Errorf("exit latency not increasing at %s", tab[i].Name)
+			t.Errorf("idle factor not decreasing at C%d", i)
 		}
 	}
 }
@@ -49,8 +46,8 @@ func TestMountAppliesIdleFactor(t *testing.T) {
 	}
 }
 
-// TestActuatorAllocationFree: Apply and Current sit on the control
-// round's actuation path and allocate nothing after warm-up.
+// TestActuatorAllocationFree: Apply sits on the control round's
+// actuation path and allocates nothing after warm-up.
 func TestActuatorAllocationFree(t *testing.T) {
 	fs, _, p := rig()
 	a := NewActuator(fs, p)
@@ -61,18 +58,9 @@ func TestActuatorAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	current := func() {
-		if _, err := a.Current(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	apply()
-	current()
 	if allocs := testing.AllocsPerRun(200, apply); allocs != 0 {
 		t.Errorf("Apply allocates %v per call, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, current); allocs != 0 {
-		t.Errorf("Current allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -106,9 +94,8 @@ func TestActuatorRoundTrip(t *testing.T) {
 		if err := a.Apply(m); err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.Current()
-		if err != nil || got != m {
-			t.Errorf("Apply(%d) -> %d, %v", m, got, err)
+		if got, err := a.maxState.ReadInt(); err != nil || got != int64(m) {
+			t.Errorf("Apply(%d) -> max_cstate %d, %v", m, got, err)
 		}
 	}
 	if err := a.Apply(99); err != nil {
@@ -124,9 +111,6 @@ func TestActuatorErrorsOnMissingFile(t *testing.T) {
 	a := NewActuator(fs, Paths{MaxState: "/sys/devices/system/cpu/cpu0/cpuidle/max_state"})
 	if err := a.Apply(1); err == nil {
 		t.Error("Apply on an unmounted cpuidle file succeeded")
-	}
-	if _, err := a.Current(); err == nil {
-		t.Error("Current on an unmounted cpuidle file succeeded")
 	}
 }
 
@@ -166,12 +150,9 @@ func TestActuatorErrorsPropagateFaults(t *testing.T) {
 	if err := a.Apply(3); err == nil {
 		t.Error("Apply during the fault episode succeeded")
 	}
-	if _, err := a.Current(); err == nil {
-		t.Error("Current during the fault episode succeeded")
-	}
 	healthy = true
-	if got, err := a.Current(); err != nil || got != 2 {
-		t.Errorf("after recovery Current = %d, %v; want the pre-fault state 2", got, err)
+	if got, err := a.maxState.ReadInt(); err != nil || got != 2 {
+		t.Errorf("after recovery max_cstate = %d, %v; want the pre-fault state 2", got, err)
 	}
 }
 
@@ -190,7 +171,7 @@ func TestFailSafeDrivesDeepestState(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		ctl.OnStep(time.Duration(i) * 250 * time.Millisecond)
 	}
-	if !ctl.FailSafe() {
+	if !ctl.Binding().FailSafe() {
 		t.Fatal("fail-safe never engaged under a dead sensor")
 	}
 	if v, _ := fs.ReadInt(p.MaxState); v != 3 {

@@ -90,6 +90,8 @@ func ablationRun(seed uint64, win window.Config) (AblationRow, error) {
 }
 
 // Row returns the row for the given window sizes, or nil.
+//
+//thermlint:allow deadcode -- oracle: the root benchmarks and experiment tests read results through it
 func (r *AblationResult) Row(l1, l2 int) *AblationRow {
 	for i := range r.Rows {
 		if r.Rows[i].L1Size == l1 && r.Rows[i].L2Size == l2 {

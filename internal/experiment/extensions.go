@@ -26,7 +26,6 @@ type FanFailureRow struct {
 	ProtectedS   float64 // time under hardware clamp
 	PeakC        float64
 	FinalFreqGHz float64
-	AvgPowerW    float64
 	TDVFSRescues uint64 // tDVFS downscales after the failure
 }
 
@@ -108,7 +107,6 @@ func fanFailureRun(seed uint64, setup string, failAtS float64) (FanFailureRow, e
 		ProtectedS:   n.ProtectedTime().Seconds(),
 		PeakC:        peak.Max(),
 		FinalFreqGHz: n.CPU.FreqGHz(),
-		AvgPowerW:    n.Meter.AverageW(),
 	}
 	if dvfs != nil {
 		row.TDVFSRescues = dvfs.Downscales() - downsBefore
@@ -117,6 +115,8 @@ func fanFailureRun(seed uint64, setup string, failAtS float64) (FanFailureRow, e
 }
 
 // Row returns the named configuration's row, or nil.
+//
+//thermlint:allow deadcode -- oracle: the root benchmarks and experiment tests read results through it
 func (r *FanFailureResult) Row(config string) *FanFailureRow {
 	for i := range r.Rows {
 		if r.Rows[i].Config == config {

@@ -60,7 +60,7 @@ func Fig2(seed uint64) (*Fig2Result, error) {
 	win := window.New(window.Default())
 	cls := window.DefaultClassify()
 
-	res := &Fig2Result{Temp: &trace.Series{Name: "temp"}}
+	res := &Fig2Result{Temp: &trace.Series{}}
 	dt := 250 * time.Millisecond
 	total := 300 * time.Second
 	for n.Elapsed() < total {

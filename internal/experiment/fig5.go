@@ -52,8 +52,8 @@ func fig5Run(seed uint64, pp int) (Fig5Row, error) {
 
 	row := Fig5Row{
 		Pp:   pp,
-		Temp: &trace.Series{Name: fmt.Sprintf("temp_pp%d", pp)},
-		Duty: &trace.Series{Name: fmt.Sprintf("duty_pp%d", pp)},
+		Temp: &trace.Series{},
+		Duty: &trace.Series{},
 	}
 	// Three instances of cpu-burn, i.e. sustained full load with
 	// scheduler noise.

@@ -18,7 +18,6 @@ type Fig6Row struct {
 	PeakC      float64
 	StabilizeS float64 // seconds until temperature settles into ±0.75 °C of final
 	FanEnergyJ float64 // fan electrical energy — the cost of constant control
-	ExecS      float64
 }
 
 // Fig6Result compares dynamic, traditional-static and constant fan
@@ -57,7 +56,6 @@ func fig6Run(seed uint64, method string) (Fig6Row, error) {
 		SteadyC:    temp.MeanAfter(run.ExecTime / 2),
 		PeakC:      temp.Max(),
 		StabilizeS: temp.StabilizationTime(0.75).Seconds(),
-		ExecS:      run.ExecTime.Seconds(),
 	}
 	var fanJ float64
 	for _, n := range c.Nodes {

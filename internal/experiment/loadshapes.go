@@ -192,6 +192,8 @@ func (r *LoadShapesResult) row(shape string, pp int) LoadShapesRow {
 // hotter than the performance-leaning one (Pp 75), and the hot-inlet
 // group is never cooler than the standard group under the same policy —
 // the +6 °C inlet offset must show through every demand shape.
+//
+//thermlint:allow deadcode -- oracle: TestLoadShapes asserts the paper's policy ordering with it
 func (r *LoadShapesResult) CheckPolicyOrdering() error {
 	const slackC = 0.5 // simulation noise tolerance
 	for _, shape := range r.Shapes {

@@ -19,11 +19,9 @@ import (
 // noise, but the time average robustly shows which slot's fan worked
 // harder.
 type RackRow struct {
-	Slot    int
 	InletC  float64
 	DieC    float64
 	FanDuty float64
-	FreqGHz float64
 }
 
 // RackStudyResult contrasts a fixed equal fan speed against per-node
@@ -93,11 +91,9 @@ func rackRun(seed uint64, unified bool) ([]RackRow, error) {
 	rows := make([]RackRow, len(nodes))
 	for i, n := range nodes {
 		rows[i] = RackRow{
-			Slot:    i,
 			InletC:  r.InletC(i),
 			DieC:    n.TrueDieC(),
 			FanDuty: duty.sum[i] / duty.n,
-			FreqGHz: n.CPU.FreqGHz(),
 		}
 	}
 	return rows, nil

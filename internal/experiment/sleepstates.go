@@ -135,6 +135,8 @@ func (r *SleepStatesResult) SavingsW(workload string) float64 {
 // C-state knob saves real power on the bursty profile and markedly
 // less under cpu-burn, while the array engaged (left C0) on the bursty
 // run and never overheated either way.
+//
+//thermlint:allow deadcode -- oracle: TestSleepStates asserts the idle asymmetry with it
 func (r *SleepStatesResult) CheckIdleAsymmetry() error {
 	burstSave, burnSave := r.SavingsW("bursty"), r.SavingsW("cpuburn")
 	if burstSave <= 0 {

@@ -11,9 +11,8 @@ import (
 // WorkloadRow is one kernel's thermal/power profile.
 type WorkloadRow struct {
 	Name string
-	// ExecS and Exec20S are execution times at 2.4 and 2.0 GHz.
-	ExecS   float64
-	Exec20S float64
+	// ExecS is the execution time at 2.4 GHz.
+	ExecS float64
 	// SlowdownPct is the 2.0 GHz slowdown — the in-band technique's
 	// price on this kernel.
 	SlowdownPct float64
@@ -54,7 +53,6 @@ func WorkloadStudy(seed uint64) (*WorkloadStudyResult, error) {
 		res.Rows = append(res.Rows, WorkloadRow{
 			Name:        prog.Name,
 			ExecS:       at24.execS,
-			Exec20S:     at20.execS,
 			SlowdownPct: (at20.execS/at24.execS - 1) * 100,
 			AvgPowerW:   at24.avgW,
 			PeakC:       at24.peakC,
@@ -99,6 +97,8 @@ func workloadRun(seed uint64, prog workload.Program, freq float64) (workloadProf
 }
 
 // Row returns the named kernel's row, or nil.
+//
+//thermlint:allow deadcode -- oracle: the root benchmarks and experiment tests read results through it
 func (r *WorkloadStudyResult) Row(name string) *WorkloadRow {
 	for i := range r.Rows {
 		if r.Rows[i].Name == name {

@@ -137,11 +137,6 @@ func (f *Fan) SetFailed(failed bool) {
 	f.failed = failed
 }
 
-// Failed reports whether the fan is failed.
-func (f *Fan) Failed() bool {
-	return f.failed
-}
-
 // AttachInjector subscribes the fan to a fault plane: a FanStalled state
 // seizes the rotor like SetFailed, and FanDegrade caps the reached speed
 // at that fraction of the commanded target (worn bearings). Wiring time
@@ -191,6 +186,8 @@ func (f *Fan) lagFor(dt time.Duration) float64 {
 }
 
 // RPM returns the true current rotational speed.
+//
+//thermlint:allow deadcode -- oracle: the auto-cluster golden and the fan tests record rotor speed
 func (f *Fan) RPM() float64 {
 	return f.rpm
 }

@@ -85,11 +85,6 @@ func (k Kind) Valid() bool {
 // needsRate reports whether the kind is probabilistic (Rate required).
 func (k Kind) needsRate() bool { return k == I2CFault || k == I2CNAK }
 
-// needsParam reports whether the kind carries a magnitude in Param.
-func (k Kind) needsParam() bool {
-	return k == SensorSpike || k == IPMILatency || k == FanDegrade
-}
-
 // Dur is a time.Duration that marshals to JSON as a human-readable string
 // ("30s", "1m15s") and unmarshals from either that form or a bare number
 // of seconds.

@@ -93,6 +93,8 @@ func (i *Injector) set(s State) {
 
 // Static returns an injector pinned to a fixed state, for unit tests
 // that want a fault "always on" without a schedule.
+//
+//thermlint:allow deadcode -- cross-package test helper: device tests pin a fault state with it
 func Static(s State) *Injector {
 	i := &Injector{}
 	i.set(s)

@@ -59,19 +59,6 @@ func NewRetrier(pol RetryPolicy, src *rng.Source, sleep func(time.Duration)) *Re
 	return &Retrier{pol: pol, sleep: sleep, src: src}
 }
 
-// Do runs op until it succeeds, the attempt cap is hit, or the backoff
-// budget is exhausted. The returned error wraps op's last error.
-//
-// Do allocates a closure per call; hot-path wrappers (RetryActuator and
-// friends) drive Begin/Next directly instead.
-func (r *Retrier) Do(op func() error) error {
-	var err error
-	for a := r.Begin(); a.Next(&err); {
-		err = op()
-	}
-	return err
-}
-
 // Attempt is the state of one closure-free retry loop, driven by the
 // caller:
 //

@@ -12,7 +12,7 @@ import (
 func TestRetrierSucceedsAfterFailures(t *testing.T) {
 	r := NewRetrier(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}, rng.New(1), nil)
 	calls := 0
-	err := r.Do(func() error {
+	err := do(r, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("flaky")
@@ -31,7 +31,7 @@ func TestRetrierGivesUpAndWrapsError(t *testing.T) {
 	sentinel := errors.New("dead")
 	r := NewRetrier(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}, rng.New(1), nil)
 	calls := 0
-	err := r.Do(func() error { calls++; return sentinel })
+	err := do(r, func() error { calls++; return sentinel })
 	if calls != 4 {
 		t.Fatalf("want 4 calls, got %d", calls)
 	}
@@ -52,7 +52,7 @@ func TestRetrierBudgetBoundsBackoff(t *testing.T) {
 	}
 	r := NewRetrier(pol, nil, nil)
 	calls := 0
-	err := r.Do(func() error { calls++; return errors.New("dead") })
+	err := do(r, func() error { calls++; return errors.New("dead") })
 	if err == nil {
 		t.Fatal("budget never exhausted")
 	}
@@ -91,7 +91,7 @@ func TestRetrierSleepsBetweenAttempts(t *testing.T) {
 	var slept []time.Duration
 	r := NewRetrier(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
 		nil, func(d time.Duration) { slept = append(slept, d) })
-	_ = r.Do(func() error { return errors.New("dead") })
+	_ = do(r, func() error { return errors.New("dead") })
 	if len(slept) != 2 {
 		t.Fatalf("want 2 sleeps, got %v", slept)
 	}
@@ -104,8 +104,8 @@ func TestRetrierMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := NewRetrier(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}, rng.New(3), nil)
 	r.InstrumentMetrics(reg)
-	_ = r.Do(func() error { return errors.New("dead") })
-	if err := r.Do(func() error { return nil }); err != nil {
+	_ = do(r, func() error { return errors.New("dead") })
+	if err := do(r, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.attempts.Value(); got != 3 {
@@ -117,4 +117,14 @@ func TestRetrierMetrics(t *testing.T) {
 	if got := r.giveups.Value(); got != 1 {
 		t.Fatalf("giveups=%d want 1", got)
 	}
+}
+
+// do drives op through r's Begin/Next loop, as the actuation wrappers
+// do, until it succeeds or r gives up.
+func do(r *Retrier, op func() error) error {
+	var err error
+	for a := r.Begin(); a.Next(&err); {
+		err = op()
+	}
+	return err
 }

@@ -14,7 +14,7 @@ import (
 func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 func seriesFrom(vals []float64) *trace.Series {
-	s := &trace.Series{Name: "temp"}
+	s := &trace.Series{}
 	for i, v := range vals {
 		s.Add(sec(float64(i)), v)
 	}
@@ -122,7 +122,7 @@ func TestEndToEndFindsTheHotPhase(t *testing.T) {
 	}
 	n.Settle(0.05)
 	n.SetGenerator(workload.Fig2Profile())
-	temp := &trace.Series{Name: "temp"}
+	temp := &trace.Series{}
 	dt := 250 * time.Millisecond
 	for n.Elapsed() < 300*time.Second {
 		n.Step(dt)

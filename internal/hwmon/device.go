@@ -11,15 +11,12 @@ import (
 
 // PWM enable values, following the Linux hwmon ABI for pwm[1-*]_enable.
 const (
-	PWMEnableFullSpeed = 0 // no control: fan at full speed
-	PWMEnableManual    = 1 // manual: userspace writes pwm1
-	PWMEnableAuto      = 2 // automatic: chip's static curve
+	PWMEnableManual = 1 // manual: userspace writes pwm1
+	PWMEnableAuto   = 2 // automatic: chip's static curve
 )
 
 // Chip bundles the attribute paths of one mounted hwmon chip.
 type Chip struct {
-	// Dir is the chip directory, e.g. /sys/class/hwmon/hwmon0.
-	Dir string
 	// TempInput is temp1_input (millidegrees C).
 	TempInput string
 	// TempMax is temp1_max (millidegrees C): the chip's high limit.
@@ -51,7 +48,6 @@ type Chip struct {
 func MountADT7467(fs *FS, idx int, drv *adt7467.Driver, sens *sensor.Sensor, f *fan.Fan) Chip {
 	dir := fmt.Sprintf("/sys/class/hwmon/hwmon%d", idx)
 	c := Chip{
-		Dir:          dir,
 		TempInput:    dir + "/temp1_input",
 		TempMax:      dir + "/temp1_max",
 		TempMaxAlarm: dir + "/temp1_max_alarm",

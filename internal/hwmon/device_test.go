@@ -2,6 +2,7 @@ package hwmon
 
 import (
 	"errors"
+	"path"
 	"testing"
 	"time"
 
@@ -17,7 +18,8 @@ func mountRig(t *testing.T) (*FS, Chip, func(float64), *fan.Fan, *adt7467.Chip) 
 	src := sensor.SourceFunc(func() float64 { return temp })
 	sens := sensor.New(sensor.Config{}, src, nil)
 	f := fan.New(fan.Default(), 10)
-	chipDev := adt7467.NewChip(sens, f)
+	chipDev := new(adt7467.Chip)
+	adt7467.NewChipAt(chipDev, new(i2c.RegisterFile), sens, f)
 	bus := i2c.NewBus()
 	if err := bus.Attach(adt7467.DefaultAddr, chipDev); err != nil {
 		t.Fatal(err)
@@ -45,7 +47,7 @@ func TestTempInputMillidegrees(t *testing.T) {
 
 func TestName(t *testing.T) {
 	fs, c, _, _, _ := mountRig(t)
-	name, err := fs.ReadFile(c.Dir + "/name")
+	name, err := fs.ReadFile(path.Dir(c.PWM) + "/name")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestIntFileBounds(t *testing.T) {
 	var stored int64
 	fs := NewFS()
 	fs.Register("/pwm", IntFile{
-		Min: 0, Max: 255,
+		Max: 255,
 		Get: func() int64 { return stored },
 		Set: func(v int64) error { stored = v; return nil },
 	})
@@ -170,18 +170,6 @@ func TestListDoesNotLeakSiblingPrefix(t *testing.T) {
 	}
 }
 
-func TestUnregister(t *testing.T) {
-	fs := NewFS()
-	fs.Register("/a/f", StaticFile("x"))
-	fs.Unregister("/a/f")
-	if _, err := fs.ReadFile("/a/f"); !errors.Is(err, ErrNotExist) {
-		t.Error("unregistered file still readable")
-	}
-	if !fs.Exists("/a") {
-		t.Error("directory removed with its last file")
-	}
-}
-
 func TestPathCleaning(t *testing.T) {
 	fs := NewFS()
 	fs.Register("sys//class/../class/hwmon/f", StaticFile("x"))
@@ -190,19 +178,6 @@ func TestPathCleaning(t *testing.T) {
 	}
 	if _, err := fs.ReadFile("/sys/class/hwmon/../hwmon/f"); err != nil {
 		t.Errorf("read with dirty path failed: %v", err)
-	}
-}
-
-func TestExists(t *testing.T) {
-	fs := NewFS()
-	fs.Register("/a/b/c", StaticFile("x"))
-	for _, p := range []string{"/", "/a", "/a/b", "/a/b/c"} {
-		if !fs.Exists(p) {
-			t.Errorf("Exists(%q) = false", p)
-		}
-	}
-	if fs.Exists("/a/b/c/d") {
-		t.Error("Exists of nonexistent path = true")
 	}
 }
 

@@ -52,15 +52,6 @@ func TestAttachRejectsDuplicateAnd8Bit(t *testing.T) {
 	}
 }
 
-func TestDetach(t *testing.T) {
-	b := NewBus()
-	_ = b.Attach(0x2E, NewRegisterFile())
-	b.Detach(0x2E)
-	if _, err := b.ReadByteData(0x2E, 0); !errors.Is(err, ErrNACK) {
-		t.Error("detached device still acknowledges")
-	}
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	b := NewBus()
 	_ = b.Attach(0x2E, NewRegisterFile())
@@ -87,23 +78,6 @@ func TestReadWordLittleEndian(t *testing.T) {
 	}
 	if w != 0x1234 {
 		t.Errorf("word = %#x, want 0x1234", w)
-	}
-}
-
-func TestScanSorted(t *testing.T) {
-	b := NewBus()
-	for _, a := range []uint8{0x4C, 0x2E, 0x77} {
-		_ = b.Attach(a, NewRegisterFile())
-	}
-	got := b.Scan()
-	want := []uint8{0x2E, 0x4C, 0x77}
-	if len(got) != 3 {
-		t.Fatalf("Scan = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Scan[%d] = %#x, want %#x", i, got[i], want[i])
-		}
 	}
 }
 

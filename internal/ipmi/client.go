@@ -14,21 +14,6 @@ type Client struct {
 // NewClient returns a client over t.
 func NewClient(t Transport) *Client { return &Client{T: t} }
 
-// DeviceID returns the BMC's device ID and firmware major version.
-func (c *Client) DeviceID() (id, fwMajor byte, err error) {
-	resp, err := c.T.Send(Request{NetFn: NetFnApp, Cmd: CmdGetDeviceID})
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := resp.Err(); err != nil {
-		return 0, 0, err
-	}
-	if len(resp.Data) < 2 {
-		return 0, 0, fmt.Errorf("ipmi: short device ID response")
-	}
-	return resp.Data[0], resp.Data[1], nil
-}
-
 // SensorInfo describes one repository entry as reported over the wire.
 type SensorInfo struct {
 	Number uint8

@@ -17,6 +17,8 @@ var ErrTimeout = errors.New("ipmi: request timed out")
 // each request through the Sleep hook. Sleep may be nil (simulation:
 // latency windows are then drop-free and delay-free — only the timeout
 // fault has effect), or time.Sleep in a live daemon.
+//
+//thermlint:allow deadcode -- the out-of-band fault path: the IPMI fault tests wrap a transport with it
 type FaultTransport struct {
 	T     Transport
 	Inj   *faults.Injector
@@ -39,6 +41,8 @@ func (ft *FaultTransport) Send(req Request) (Response, error) {
 // bounded attempts with jittered backoff — before surfacing the error.
 // IPMI commands in this repo are idempotent (sensor reads, absolute
 // duty writes), so re-sending is safe.
+//
+//thermlint:allow deadcode -- the out-of-band retry path: the IPMI fault tests wrap a transport with it
 type RetryTransport struct {
 	T Transport
 	R *faults.Retrier

@@ -37,7 +37,7 @@ func TestTimeoutOnSilentServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.SetTimeout(100 * time.Millisecond)
+	cl.timeout = 100 * time.Millisecond
 
 	start := time.Now()
 	_, err = cl.Send(Request{NetFn: NetFnApp, Cmd: CmdGetDeviceID})

@@ -103,6 +103,8 @@ type Handler interface {
 
 // Local is an in-process transport: requests go straight to the handler.
 // It models the host-side /dev/ipmi0 system interface (KCS).
+//
+//thermlint:allow deadcode -- the in-process transport the out-of-band tests reach a BMC through
 type Local struct{ H Handler }
 
 // Send implements Transport.

@@ -21,7 +21,8 @@ func newBMCRig(t *testing.T) (*BMC, func(float64), *fan.Fan) {
 	src := sensor.SourceFunc(func() float64 { return temp })
 	sens := sensor.New(sensor.Config{}, src, nil)
 	f := fan.New(fan.Default(), 10)
-	chip := adt7467.NewChip(sens, f)
+	chip := new(adt7467.Chip)
+	adt7467.NewChipAt(chip, new(i2c.RegisterFile), sens, f)
 	bus := i2c.NewBus()
 	if err := bus.Attach(adt7467.DefaultAddr, chip); err != nil {
 		t.Fatal(err)
@@ -85,12 +86,15 @@ func TestDecodeShortFrames(t *testing.T) {
 func TestGetDeviceID(t *testing.T) {
 	b, _, _ := newBMCRig(t)
 	c := NewClient(Local{H: b})
-	id, fw, err := c.DeviceID()
+	resp, err := c.T.Send(Request{NetFn: NetFnApp, Cmd: CmdGetDeviceID})
+	if err == nil {
+		err = resp.Err()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 0x20 || fw != 0x01 {
-		t.Errorf("DeviceID = %#x/%#x", id, fw)
+	if len(resp.Data) < 2 || resp.Data[0] != 0x20 || resp.Data[1] != 0x01 {
+		t.Errorf("device ID response = % x, want 20 01 ...", resp.Data)
 	}
 }
 

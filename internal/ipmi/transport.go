@@ -137,21 +137,13 @@ type TCPClient struct {
 }
 
 // Dial connects to an ipmi Server at addr. The client starts with
-// DefaultTimeout as its per-request deadline; see SetTimeout.
+// DefaultTimeout as its per-request deadline.
 func Dial(addr string) (*TCPClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ipmi: dial: %w", err)
 	}
 	return &TCPClient{conn: conn, timeout: DefaultTimeout}, nil
-}
-
-// SetTimeout changes the per-request deadline. Zero or negative disables
-// it (requests may block forever — the pre-deadline behaviour).
-func (c *TCPClient) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
 }
 
 // Send implements Transport. The whole request — write plus response

@@ -5,7 +5,7 @@
 // every RunProgram method (the SPMD execution loop), and the decision
 // transaction's Txn.Apply* actuation funnel.
 //
-// The graph resolves three call shapes:
+// The graph resolves three call shapes and one reference shape:
 //
 //   - direct calls to package functions and methods (static edges);
 //   - interface-method calls, resolved against every concrete type
@@ -15,7 +15,12 @@
 //     Actuator.Apply → FanPort.SetDutyPercent across packages;
 //   - calls inside `go` statements, kept as asynchronous edges that
 //     reachability skips: a spawned goroutine is not part of the
-//     synchronous round.
+//     synchronous round;
+//   - a function or method used as a value rather than called (a method
+//     value, a func passed as a callback or stored in a field), kept as
+//     a reference edge. Hot reachability skips it too: taking a func
+//     value does not run it. Liveness (the deadcode analyzer) follows
+//     it, since the value may be called anywhere.
 //
 // Analyzers consume the graph through For (the per-program cache) and
 // HotDecls (this package's hot-reachable declarations, with the call
@@ -43,19 +48,18 @@ type Node struct {
 	Out []Edge
 }
 
-// Edge is one resolved call.
+// Edge is one resolved call or function-value reference. A call
+// through an interface yields one edge per concrete implementation.
 type Edge struct {
-	// Site is the call expression.
-	Site *ast.CallExpr
 	// Callee is the resolved target.
 	Callee *Node
-	// Dynamic marks an interface-method call resolved to a concrete
-	// implementation.
-	Dynamic bool
 	// Go marks a call launched in a goroutine (directly, or the body of
 	// a `go func(){...}()` literal). Asynchronous: hot reachability does
 	// not traverse it.
 	Go bool
+	// Ref marks a function or method used as a value, not called here.
+	// Hot reachability does not traverse it.
+	Ref bool
 }
 
 // Hot records why a function is hot: the root it is reachable from and
@@ -77,9 +81,10 @@ func (h *Hot) Via() string {
 
 // Graph is the program-wide call graph.
 type Graph struct {
-	Prog  *lint.Program
 	nodes map[*types.Func]*Node
 	roots []*Node
+	// concrete is the type universe interface calls fan out over.
+	concrete []*types.Named
 
 	hotOnce sync.Once
 	hot     map[*types.Func]*Hot
@@ -106,10 +111,6 @@ func For(prog *lint.Program) *Graph {
 // Node returns the graph node for fn, or nil if fn has no declared body
 // in the program.
 func (g *Graph) Node(fn *types.Func) *Node { return g.nodes[fn] }
-
-// Roots returns the hot roots in deterministic (package, position)
-// order.
-func (g *Graph) Roots() []*Node { return g.roots }
 
 // IsRoot reports whether fn is one of the hot roots: a method named
 // Step, OnStep, Decide or RunProgram (the SPMD execution loop is as hot
@@ -178,7 +179,7 @@ func (g *Graph) HotReach() map[*types.Func]*Hot {
 			queue = queue[1:]
 			h := hot[n.Fn]
 			for _, e := range n.Out {
-				if e.Go {
+				if e.Go || e.Ref {
 					continue
 				}
 				if _, ok := hot[e.Callee.Fn]; ok {
@@ -198,7 +199,6 @@ func (g *Graph) HotReach() map[*types.Func]*Hot {
 
 // HotDecl is one hot-reachable declaration of the analyzed package.
 type HotDecl struct {
-	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Hot  *Hot
 }
@@ -216,7 +216,7 @@ func HotDecls(pass *lint.Pass) []HotDecl {
 		if n == nil || n.Pkg.Types != pass.Pkg {
 			continue
 		}
-		out = append(out, HotDecl{Fn: fn, Decl: n.Decl, Hot: h})
+		out = append(out, HotDecl{Decl: n.Decl, Hot: h})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
 	return out
@@ -225,7 +225,7 @@ func HotDecls(pass *lint.Pass) []HotDecl {
 // build constructs the graph: index declarations, collect the concrete
 // type universe, then resolve every call site.
 func build(prog *lint.Program) *Graph {
-	g := &Graph{Prog: prog, nodes: map[*types.Func]*Node{}}
+	g := &Graph{nodes: map[*types.Func]*Node{}}
 
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
@@ -265,9 +265,9 @@ func build(prog *lint.Program) *Graph {
 		}
 	}
 
+	g.concrete = concrete
 	for _, n := range g.nodes {
-		b := &edgeBuilder{g: g, n: n, concrete: concrete}
-		b.scan(n.Decl.Body, false)
+		n.Out = g.Edges(n.Pkg, n.Decl.Body)
 	}
 	// Map iteration above is fine (each node's edges depend only on its
 	// own body), but the stored edge order within a node is source
@@ -288,11 +288,23 @@ func build(prog *lint.Program) *Graph {
 	return g
 }
 
-// edgeBuilder walks one function body resolving call edges.
+// Edges resolves the call and reference edges of any syntax of pkg: a
+// function body, or a package-level declaration such as a variable's
+// initializer (whose function references run or escape at init).
+func (g *Graph) Edges(pkg *lint.Package, root ast.Node) []Edge {
+	b := &edgeBuilder{g: g, info: pkg.Info, called: map[*ast.Ident]bool{}}
+	b.scan(root, false)
+	return b.out
+}
+
+// edgeBuilder walks one syntax tree resolving call edges.
 type edgeBuilder struct {
-	g        *Graph
-	n        *Node
-	concrete []*types.Named
+	g    *Graph
+	info *types.Info
+	out  []Edge
+	// called holds the callee identifiers of resolved calls, so the
+	// reference pass does not count them again.
+	called map[*ast.Ident]bool
 }
 
 // scan visits n, marking calls found under a `go` statement as
@@ -307,6 +319,10 @@ func (b *edgeBuilder) scan(root ast.Node, inGo bool) {
 			return false
 		case *ast.CallExpr:
 			b.resolve(n, inGo)
+		case *ast.Ident:
+			if !b.called[n] {
+				b.reference(n, inGo)
+			}
 		}
 		return true
 	})
@@ -314,38 +330,50 @@ func (b *edgeBuilder) scan(root ast.Node, inGo bool) {
 
 // resolve adds the edge(s) for one call expression.
 func (b *edgeBuilder) resolve(call *ast.CallExpr, inGo bool) {
-	info := b.n.Pkg.Info
+	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			b.addStatic(call, fn, inGo)
-		}
+		id = fun
 	case *ast.SelectorExpr:
-		fn, ok := info.Uses[fun.Sel].(*types.Func)
-		if !ok {
-			return
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if ok && sig.Recv() != nil {
-			if iface, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-				b.addDynamic(call, fn, iface, inGo)
-				return
-			}
-		}
-		b.addStatic(call, fn, inGo)
+		id = fun.Sel
+	default:
+		return
+	}
+	if fn, ok := b.info.Uses[id].(*types.Func); ok {
+		b.called[id] = true
+		b.add(Edge{Go: inGo}, fn)
 	}
 }
 
-func (b *edgeBuilder) addStatic(call *ast.CallExpr, fn *types.Func, inGo bool) {
+// reference adds the edge(s) for a function or method named but not
+// called: the identifier of a method value, a method expression, or a
+// function passed or stored as a value.
+func (b *edgeBuilder) reference(id *ast.Ident, inGo bool) {
+	if fn, ok := b.info.Uses[id].(*types.Func); ok {
+		b.add(Edge{Go: inGo, Ref: true}, fn)
+	}
+}
+
+// add resolves e's callee to fn's declaration, or, for an interface
+// method, to every implementation.
+func (b *edgeBuilder) add(e Edge, fn *types.Func) {
+	fn = fn.Origin()
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		if iface, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
+			b.addDynamic(e, fn, iface)
+			return
+		}
+	}
 	if callee, ok := b.g.nodes[fn]; ok {
-		b.n.Out = append(b.n.Out, Edge{Site: call, Callee: callee, Go: inGo})
+		e.Callee = callee
+		b.out = append(b.out, e)
 	}
 }
 
 // addDynamic fans an interface-method call out to every concrete
 // implementation declared in the program.
-func (b *edgeBuilder) addDynamic(call *ast.CallExpr, m *types.Func, iface *types.Interface, inGo bool) {
-	for _, named := range b.concrete {
+func (b *edgeBuilder) addDynamic(e Edge, m *types.Func, iface *types.Interface) {
+	for _, named := range b.g.concrete {
 		impl := implements(named, iface)
 		if impl == nil {
 			continue
@@ -356,7 +384,8 @@ func (b *edgeBuilder) addDynamic(call *ast.CallExpr, m *types.Func, iface *types
 			continue
 		}
 		if callee, ok := b.g.nodes[target]; ok {
-			b.n.Out = append(b.n.Out, Edge{Site: call, Callee: callee, Dynamic: true, Go: inGo})
+			e.Callee = callee
+			b.out = append(b.out, e)
 		}
 	}
 }

@@ -205,7 +205,6 @@ func (w *walker) constFormatFix(call *ast.CallExpr, fn *types.Func) (lint.Sugges
 		return lint.SuggestedFix{}, false
 	}
 	return lint.SuggestedFix{
-		Message: "replace the constant format call with the string literal",
 		Edits: []lint.TextEdit{{
 			Pos:     call.Pos(),
 			End:     call.End(),

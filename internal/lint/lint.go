@@ -99,8 +99,7 @@ type TextEdit struct {
 // SuggestedFix is one automatic remediation for a diagnostic: a set of
 // textual edits applied together.
 type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
+	Edits []TextEdit
 }
 
 // Edit is a resolved TextEdit: byte offsets into a named file.
@@ -112,8 +111,7 @@ type Edit struct {
 
 // Fix is a resolved SuggestedFix, carried on the Diagnostic.
 type Fix struct {
-	Message string
-	Edits   []Edit
+	Edits []Edit
 }
 
 // Diagnostic is one finding.
@@ -142,7 +140,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // are resolved to byte offsets immediately, so appliers need only the
 // diagnostics.
 func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	rf := Fix{Message: fix.Message}
+	var rf Fix
 	for _, e := range fix.Edits {
 		start := p.Fset.Position(e.Pos)
 		end := p.Fset.Position(e.End)
@@ -287,12 +285,36 @@ func onlyCommentOnLine(pkg *Package, c *ast.Comment) bool {
 	return true
 }
 
+// Allowed returns a predicate reporting whether a well-formed allow
+// directive in pkg suppresses the named analyzer at a position. An
+// analyzer whose findings propagate (a kept dead function keeps its
+// callees alive) asks it to tell a deliberate survivor from the rest.
+func Allowed(pkg *Package, analyzer string) func(token.Position) bool {
+	_, allowed := allowTable(parseDirectives(pkg))
+	return func(pos token.Position) bool {
+		m := allowed[pos.Filename][pos.Line]
+		return m[analyzer] || m[allowAll]
+	}
+}
+
 // applyDirectives filters diags through the allow directives and
 // appends a "directive" diagnostic for each malformed one.
 func applyDirectives(pkg *Package, diags []Diagnostic) []Diagnostic {
-	dirs := parseDirectives(pkg)
-	// allowed[file][line][analyzer]
-	allowed := map[string]map[int]map[string]bool{}
+	out, allowed := allowTable(parseDirectives(pkg))
+	for _, dg := range diags {
+		if m := allowed[dg.Pos.Filename]; m != nil && (m[dg.Pos.Line][dg.Analyzer] || m[dg.Pos.Line][allowAll]) {
+			continue
+		}
+		out = append(out, dg)
+	}
+	return out
+}
+
+// allowTable indexes the well-formed directives as
+// allowed[file][line][analyzer] and returns a "directive" diagnostic
+// for each malformed one.
+func allowTable(dirs []directive) (out []Diagnostic, allowed map[string]map[int]map[string]bool) {
+	allowed = map[string]map[int]map[string]bool{}
 	add := func(file string, line int, names map[string]bool) {
 		if allowed[file] == nil {
 			allowed[file] = map[int]map[string]bool{}
@@ -304,7 +326,6 @@ func applyDirectives(pkg *Package, diags []Diagnostic) []Diagnostic {
 			allowed[file][line][n] = true
 		}
 	}
-	var out []Diagnostic
 	for _, d := range dirs {
 		if !d.hasReason {
 			out = append(out, Diagnostic{
@@ -324,13 +345,7 @@ func applyDirectives(pkg *Package, diags []Diagnostic) []Diagnostic {
 			add(d.pos.Filename, line+1, d.analyzers)
 		}
 	}
-	for _, dg := range diags {
-		if m := allowed[dg.Pos.Filename]; m != nil && (m[dg.Pos.Line][dg.Analyzer] || m[dg.Pos.Line][allowAll]) {
-			continue
-		}
-		out = append(out, dg)
-	}
-	return out
+	return out, allowed
 }
 
 // allowAll is the internal marker for a bare allow directive. The "*"

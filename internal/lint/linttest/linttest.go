@@ -30,6 +30,8 @@ type want struct {
 // Run loads the single package in dir (which must import only the
 // standard library), runs the analyzer over it, and reports
 // mismatches between diagnostics and want comments through t.
+//
+//thermlint:allow deadcode -- cross-package test helper: every analyzer's testdata runs through it
 func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	t.Helper()
 	runDiags(t, dir, a)
@@ -39,6 +41,8 @@ func Run(t *testing.T, dir string, a *lint.Analyzer) {
 // and compares each fixed file against its committed golden twin
 // (<file>.golden in the same directory). This is the `-fix` round-trip
 // test: the goldens are what thermlint -fix would leave on disk.
+//
+//thermlint:allow deadcode -- cross-package test helper: the -fix round trip of hotalloc's testdata runs through it
 func RunFix(t *testing.T, dir string, a *lint.Analyzer) {
 	t.Helper()
 	diags := runDiags(t, dir, a)

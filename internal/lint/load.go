@@ -17,9 +17,7 @@ import (
 // Package is one parsed and type-checked package ready for analysis.
 type Package struct {
 	// Path is the import path ("thermctl/internal/fan").
-	Path string
-	// Dir is the directory holding the sources.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -156,7 +154,6 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 	}
 	return &Package{
 		Path:  path,
-		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,

@@ -177,14 +177,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if h == nil {
-		return
-	}
-	h.Observe(d.Seconds())
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

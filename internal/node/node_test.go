@@ -95,8 +95,8 @@ func TestPowerMeterAccumulates(t *testing.T) {
 	if avg < 95 || avg > 125 {
 		t.Errorf("busy node average power = %.1f W, want 95..125 (paper's loaded node ≈100)", avg)
 	}
-	if n.Meter.Elapsed() != 100*time.Second {
-		t.Errorf("metered %v, want 100 s", n.Meter.Elapsed())
+	if metered := n.Meter.EnergyJ() / avg; math.Abs(metered-100) > 1e-9 {
+		t.Errorf("metered %v s, want 100 s", metered)
 	}
 }
 

@@ -4,8 +4,8 @@
 // System power is the sum of a constant platform base (PSU overhead,
 // motherboard, DRAM, disk), the CPU's electrical power, and the fan's
 // electrical power. The Meter integrates samples into energy and exposes
-// the summary statistics the paper's Table 1 reports: average power and
-// the power-delay product.
+// the summary statistics the paper's Table 1 reports: average power
+// (the power-delay product is average power times execution time).
 package power
 
 import "time"
@@ -30,8 +30,6 @@ type Meter struct {
 	energyJ   float64
 	elapsed   time.Duration
 	peakW     float64
-	samples   uint64
-	energyCPU float64
 	energyFan float64
 }
 
@@ -40,10 +38,8 @@ func (m *Meter) Sample(b Breakdown, dt time.Duration) {
 	s := dt.Seconds()
 	w := b.Total()
 	m.energyJ += w * s
-	m.energyCPU += b.CPU * s
 	m.energyFan += b.Fan * s
 	m.elapsed += dt
-	m.samples++
 	if w > m.peakW {
 		m.peakW = w
 	}
@@ -52,14 +48,8 @@ func (m *Meter) Sample(b Breakdown, dt time.Duration) {
 // EnergyJ returns total integrated energy in joules.
 func (m *Meter) EnergyJ() float64 { return m.energyJ }
 
-// CPUEnergyJ returns the CPU component of the integrated energy.
-func (m *Meter) CPUEnergyJ() float64 { return m.energyCPU }
-
 // FanEnergyJ returns the fan component of the integrated energy.
 func (m *Meter) FanEnergyJ() float64 { return m.energyFan }
-
-// Elapsed returns the metered duration.
-func (m *Meter) Elapsed() time.Duration { return m.elapsed }
 
 // AverageW returns mean power over the metered interval, or 0 if nothing
 // was sampled.
@@ -73,17 +63,3 @@ func (m *Meter) AverageW() float64 {
 
 // PeakW returns the highest sampled total power.
 func (m *Meter) PeakW() float64 { return m.peakW }
-
-// Samples returns the number of samples recorded.
-func (m *Meter) Samples() uint64 { return m.samples }
-
-// PowerDelayProduct returns average power times elapsed time (W·s) — the
-// combined power/performance metric of the paper's Table 1. Numerically
-// it equals the consumed energy, but the paper frames it as avg·delay, so
-// we expose it under that name.
-func (m *Meter) PowerDelayProduct() float64 {
-	return m.AverageW() * m.elapsed.Seconds()
-}
-
-// Reset clears the meter.
-func (m *Meter) Reset() { *m = Meter{} }

@@ -121,12 +121,3 @@ func (s *CampaignSummary) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
-
-// ReadCampaignSummary parses a summary previously written by WriteJSON.
-func ReadCampaignSummary(r io.Reader) (*CampaignSummary, error) {
-	var s CampaignSummary
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}

@@ -170,18 +170,3 @@ func normBounds(x1, x2 uint64) (lo, hi float64, ok bool) {
 
 // signBit returns 1 for a negative x (and -0), 0 otherwise.
 func signBit(x float64) uint64 { return math.Float64bits(x) >> 63 }
-
-// NormRange returns a normal value with the given mean and standard
-// deviation, clamped to [lo, hi]. Clamping (rather than redrawing) keeps
-// the number of consumed stream values fixed per call, which preserves
-// reproducibility when parameters change.
-func (s *Source) NormRange(mean, stddev, lo, hi float64) float64 {
-	v := mean + stddev*s.Norm()
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

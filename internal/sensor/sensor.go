@@ -39,8 +39,6 @@ type Config struct {
 	Quantum float64
 	// NoiseStd is the standard deviation of per-read Gaussian noise, °C.
 	NoiseStd float64
-	// Offset is a fixed per-part calibration error, °C.
-	Offset float64
 }
 
 // Default returns the sensor characteristics used in the reproduction:
@@ -145,7 +143,7 @@ func (s *Sensor) ReadChecked() (float64, error) {
 	if st.SensorStuck && s.haveGood {
 		return s.good(), nil
 	}
-	return s.convert(s.src.Temperature() + s.cfg.Offset + st.SensorSpikeC), nil
+	return s.convert(s.src.Temperature() + st.SensorSpikeC), nil
 }
 
 // Outside reports whether one sample lies outside [lo, hi], i.e.
@@ -172,7 +170,7 @@ func (s *Sensor) Outside(lo, hi float64) (bool, error) {
 		v := s.good()
 		return v < lo || v > hi, nil
 	}
-	raw := s.src.Temperature() + s.cfg.Offset + st.SensorSpikeC
+	raw := s.src.Temperature() + st.SensorSpikeC
 	if s.tick != nil {
 		// The slack covers the rounding of the noise, sum and
 		// quantization steps, far below a micro-degree at physical
@@ -262,14 +260,6 @@ func (s *Sensor) quantize(t float64) float64 {
 		t = math.Round(t/s.cfg.Quantum) * s.cfg.Quantum
 	}
 	return t
-}
-
-// Millidegrees returns one sample in millidegrees Celsius, the unit used
-// by Linux hwmon temp*_input files.
-//
-//thermlint:unit milli°C
-func (s *Sensor) Millidegrees() int64 {
-	return int64(math.Round(s.Read() * 1000))
 }
 
 // CheckedMillidegrees is Millidegrees with dropout faults surfaced as an

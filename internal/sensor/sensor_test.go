@@ -28,13 +28,6 @@ func TestNoNoiseWithoutStream(t *testing.T) {
 	}
 }
 
-func TestOffsetApplied(t *testing.T) {
-	s := New(Config{Offset: 1.5}, SourceFunc(func() float64 { return 40 }), nil)
-	if got := s.Read(); got != 41.5 {
-		t.Errorf("read with offset = %v, want 41.5", got)
-	}
-}
-
 func TestNoiseStatistics(t *testing.T) {
 	src := SourceFunc(func() float64 { return 50 })
 	s := New(Config{NoiseStd: 0.15}, src, rng.New(1))
@@ -62,13 +55,6 @@ func TestDefaultRealism(t *testing.T) {
 		if v < 50 || v > 52 {
 			t.Fatalf("default sensor read %v strayed more than 1°C from truth", v)
 		}
-	}
-}
-
-func TestMillidegrees(t *testing.T) {
-	s := New(Config{}, SourceFunc(func() float64 { return 51.25 }), nil)
-	if got := s.Millidegrees(); got != 51250 {
-		t.Errorf("Millidegrees = %v, want 51250", got)
 	}
 }
 
@@ -144,7 +130,7 @@ func TestOutsideAgreesWithEagerComparison(t *testing.T) {
 	cfgs := []Config{
 		Default(),
 		{Quantum: 0.25, NoiseStd: 0.001},
-		{Quantum: 0.25, NoiseStd: 0.15, Offset: 0.3},
+		{Quantum: 0.25, NoiseStd: 0.15},
 	}
 	for ci, cfg := range cfgs {
 		for _, ticked := range []bool{true, false} {

@@ -31,7 +31,7 @@ func (s State) Terminal() bool {
 }
 
 // Job is one submitted campaign. All mutable fields are guarded by mu;
-// the identity fields (id, scenario, ctx/cancel, hub, dir) are set at
+// the identity fields (id, scenario, ctx/cancel, hub) are set at
 // construction and never change.
 type Job struct {
 	id       string
@@ -39,7 +39,6 @@ type Job struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	hub      *hub
-	dir      string
 
 	mu        sync.Mutex
 	state     State

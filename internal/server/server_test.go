@@ -152,8 +152,8 @@ func TestJobLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET report: status %d", resp.StatusCode)
 	}
-	sum, err := report.ReadCampaignSummary(resp.Body)
-	if err != nil {
+	sum := new(report.CampaignSummary)
+	if err := json.NewDecoder(resp.Body).Decode(sum); err != nil {
 		t.Fatalf("decode report: %v", err)
 	}
 	// The report names the program canonically (BT.B.4), not by the
@@ -377,8 +377,8 @@ func TestChaosHorizonRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sum, err := report.ReadCampaignSummary(resp.Body)
-	if err != nil {
+	sum := new(report.CampaignSummary)
+	if err := json.NewDecoder(resp.Body).Decode(sum); err != nil {
 		t.Fatalf("decode report: %v", err)
 	}
 	if sum.Chaos == nil {
@@ -765,7 +765,7 @@ func TestScenarioArtifactPersisted(t *testing.T) {
 		t.Fatalf("scenario artifact: %v", err)
 	}
 	defer f.Close()
-	spec, err := config.ReadScenario(f)
+	spec, err := config.ReadScenarioDir(f, "")
 	if err != nil {
 		t.Fatalf("stored scenario does not round-trip: %v", err)
 	}

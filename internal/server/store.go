@@ -30,9 +30,6 @@ func NewStore(root string) (*Store, error) {
 	return &Store{root: root}, nil
 }
 
-// Root returns the artifact root directory.
-func (s *Store) Root() string { return s.root }
-
 // JobDir creates and returns the job's artifact directory.
 func (s *Store) JobDir(id string) (string, error) {
 	dir := filepath.Join(s.root, id)

@@ -48,14 +48,14 @@ func TestExtendsGroupsRoundTripAPI(t *testing.T) {
 	}
 
 	// The persisted artifact is the flattened scenario: it re-reads
-	// through plain ReadScenario (no library needed — no extends left)
+	// with no scenario directory (no library needed — no extends left)
 	// with the base's groups and the child's workload override.
 	f, err := os.Open(fmt.Sprintf("%s/%s/scenario.json", dir, v.ID))
 	if err != nil {
 		t.Fatalf("scenario artifact: %v", err)
 	}
 	defer f.Close()
-	spec, err := config.ReadScenario(f)
+	spec, err := config.ReadScenarioDir(f, "")
 	if err != nil {
 		t.Fatalf("stored scenario does not round-trip: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestProgramlessJobDefaultsWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spec, err := config.ReadScenario(f)
+	spec, err := config.ReadScenarioDir(f, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,16 @@
-// Package simclock provides a deterministic, fixed-step simulation clock
-// with event scheduling.
+// Package simclock provides a deterministic, fixed-step simulation
+// clock.
 //
 // All thermal, power and workload models in this repository advance in
 // lock-step under a single Clock so that every experiment is exactly
 // reproducible: the same seed and parameters always produce the same
 // temperature traces, the same controller decisions and the same summary
-// statistics. Real wall-clock time is never consulted.
-//
-// The clock counts in integer ticks. A Clock created with NewClock(dt)
-// advances simulated time by dt per Step. Periodic and one-shot callbacks
-// may be registered; they fire in deterministic order (by deadline, then by
-// registration order) at the *end* of the step that reaches their deadline.
+// statistics. Real wall-clock time is never consulted. Work on its own
+// cadence is scheduled by the cluster (cluster.Scheduled), not by the
+// clock.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -23,16 +19,13 @@ import (
 //
 // The zero value is not usable; construct with NewClock.
 type Clock struct {
-	dt    time.Duration
-	now   time.Duration
-	tick  uint64
-	queue eventQueue
-	seq   uint64 // registration order tiebreaker
+	dt  time.Duration
+	now time.Duration
 }
 
 // NewClock returns a clock that advances by dt per Step.
 // It panics if dt is not positive, since a non-advancing clock would
-// make every scheduled event fire immediately and forever.
+// never reach any deadline.
 func NewClock(dt time.Duration) *Clock {
 	if dt <= 0 {
 		panic(fmt.Sprintf("simclock: non-positive step %v", dt))
@@ -44,114 +37,8 @@ func NewClock(dt time.Duration) *Clock {
 // simulation.
 func (c *Clock) Now() time.Duration { return c.now }
 
-// Tick returns the number of completed steps.
-func (c *Clock) Tick() uint64 { return c.tick }
-
 // Dt returns the step size.
 func (c *Clock) Dt() time.Duration { return c.dt }
 
-// Seconds returns the current simulated time in seconds.
-func (c *Clock) Seconds() float64 { return c.now.Seconds() }
-
-// Step advances simulated time by one dt and fires every event whose
-// deadline has been reached, in deadline order (ties broken by
-// registration order). Periodic events re-arm themselves.
-func (c *Clock) Step() {
-	c.tick++
-	c.now += c.dt
-	for len(c.queue) > 0 && c.queue[0].when <= c.now {
-		ev := heap.Pop(&c.queue).(*event)
-		if ev.cancelled {
-			continue
-		}
-		ev.fn(c.now)
-		if ev.period > 0 && !ev.cancelled {
-			ev.when += ev.period
-			heap.Push(&c.queue, ev)
-		}
-	}
-}
-
-// Run advances the clock until at least d simulated time has elapsed from
-// the current instant.
-func (c *Clock) Run(d time.Duration) {
-	deadline := c.now + d
-	for c.now < deadline {
-		c.Step()
-	}
-}
-
-// Event is a handle to a scheduled callback. Cancel prevents future
-// firings; it is safe to call more than once.
-type Event struct{ ev *event }
-
-// Cancel deactivates the event. A cancelled one-shot that has already
-// fired is a no-op.
-func (e Event) Cancel() {
-	if e.ev != nil {
-		e.ev.cancelled = true
-	}
-}
-
-// After schedules fn to run once, d from now. Scheduling with d <= 0 fires
-// on the next Step.
-func (c *Clock) After(d time.Duration, fn func(now time.Duration)) Event {
-	return c.add(c.now+d, 0, fn)
-}
-
-// Every schedules fn to run every period, first firing one period from
-// now. It panics if period is not positive.
-func (c *Clock) Every(period time.Duration, fn func(now time.Duration)) Event {
-	if period <= 0 {
-		panic(fmt.Sprintf("simclock: non-positive period %v", period))
-	}
-	return c.add(c.now+period, period, fn)
-}
-
-func (c *Clock) add(when, period time.Duration, fn func(time.Duration)) Event {
-	c.seq++
-	ev := &event{when: when, period: period, fn: fn, seq: c.seq}
-	heap.Push(&c.queue, ev)
-	return Event{ev}
-}
-
-type event struct {
-	when      time.Duration
-	period    time.Duration
-	fn        func(now time.Duration)
-	seq       uint64
-	cancelled bool
-	index     int
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
+// Step advances simulated time by one dt.
+func (c *Clock) Step() { c.now += c.dt }

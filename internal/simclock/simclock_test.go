@@ -20,150 +20,13 @@ func TestNewClockPanicsOnNonPositiveStep(t *testing.T) {
 
 func TestStepAdvancesTime(t *testing.T) {
 	c := NewClock(250 * time.Millisecond)
-	if c.Now() != 0 || c.Tick() != 0 {
-		t.Fatalf("fresh clock: Now=%v Tick=%d, want 0,0", c.Now(), c.Tick())
+	if c.Now() != 0 || c.Dt() != 250*time.Millisecond {
+		t.Fatalf("fresh clock: Now=%v Dt=%v, want 0, 250ms", c.Now(), c.Dt())
 	}
 	for i := 0; i < 8; i++ {
 		c.Step()
 	}
 	if got, want := c.Now(), 2*time.Second; got != want {
 		t.Errorf("Now after 8 steps of 250ms = %v, want %v", got, want)
-	}
-	if c.Tick() != 8 {
-		t.Errorf("Tick = %d, want 8", c.Tick())
-	}
-	if c.Seconds() != 2.0 {
-		t.Errorf("Seconds = %v, want 2", c.Seconds())
-	}
-}
-
-func TestRunReachesDeadline(t *testing.T) {
-	c := NewClock(300 * time.Millisecond)
-	c.Run(time.Second)
-	// 4 steps of 300ms = 1.2s is the first instant >= 1s.
-	if got, want := c.Now(), 1200*time.Millisecond; got != want {
-		t.Errorf("Now after Run(1s) = %v, want %v", got, want)
-	}
-}
-
-func TestAfterFiresOnce(t *testing.T) {
-	c := NewClock(time.Second)
-	var fired []time.Duration
-	c.After(3*time.Second, func(now time.Duration) { fired = append(fired, now) })
-	c.Run(10 * time.Second)
-	if len(fired) != 1 || fired[0] != 3*time.Second {
-		t.Errorf("After fired at %v, want exactly once at 3s", fired)
-	}
-}
-
-func TestAfterZeroDelayFiresNextStep(t *testing.T) {
-	c := NewClock(time.Second)
-	fired := false
-	c.After(0, func(time.Duration) { fired = true })
-	if fired {
-		t.Fatal("fired before any Step")
-	}
-	c.Step()
-	if !fired {
-		t.Error("After(0) did not fire on the next Step")
-	}
-}
-
-func TestEveryFiresPeriodically(t *testing.T) {
-	c := NewClock(250 * time.Millisecond)
-	var fired []time.Duration
-	c.Every(time.Second, func(now time.Duration) { fired = append(fired, now) })
-	c.Run(4 * time.Second)
-	want := []time.Duration{1 * time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d times (%v), want %d", len(fired), fired, len(want))
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Errorf("firing %d at %v, want %v", i, fired[i], want[i])
-		}
-	}
-}
-
-func TestEveryPanicsOnNonPositivePeriod(t *testing.T) {
-	c := NewClock(time.Second)
-	defer func() {
-		if recover() == nil {
-			t.Error("Every(0): expected panic")
-		}
-	}()
-	c.Every(0, func(time.Duration) {})
-}
-
-func TestCancelStopsPeriodicEvent(t *testing.T) {
-	c := NewClock(time.Second)
-	n := 0
-	ev := c.Every(time.Second, func(time.Duration) { n++ })
-	c.Run(3 * time.Second)
-	ev.Cancel()
-	ev.Cancel() // double-cancel is a no-op
-	c.Run(3 * time.Second)
-	if n != 3 {
-		t.Errorf("periodic fired %d times, want 3 (cancelled after 3s)", n)
-	}
-}
-
-func TestCancelOneShotBeforeFiring(t *testing.T) {
-	c := NewClock(time.Second)
-	fired := false
-	ev := c.After(2*time.Second, func(time.Duration) { fired = true })
-	ev.Cancel()
-	c.Run(5 * time.Second)
-	if fired {
-		t.Error("cancelled one-shot still fired")
-	}
-}
-
-func TestDeterministicOrderingSameDeadline(t *testing.T) {
-	c := NewClock(time.Second)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		c.After(time.Second, func(time.Duration) { order = append(order, i) })
-	}
-	c.Step()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("firing order %v, want registration order", order)
-		}
-	}
-}
-
-func TestEventsFireInDeadlineOrder(t *testing.T) {
-	c := NewClock(5 * time.Second)
-	var order []string
-	c.After(4*time.Second, func(time.Duration) { order = append(order, "b") })
-	c.After(2*time.Second, func(time.Duration) { order = append(order, "a") })
-	c.Step() // one big step covers both deadlines
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Errorf("order = %v, want [a b]", order)
-	}
-}
-
-func TestPeriodicEventCatchesUpWithinStep(t *testing.T) {
-	// A periodic event with period smaller than dt fires multiple times
-	// per step, at its own cadence.
-	c := NewClock(time.Second)
-	n := 0
-	c.Every(250*time.Millisecond, func(time.Duration) { n++ })
-	c.Step()
-	if n != 4 {
-		t.Errorf("250ms event fired %d times in a 1s step, want 4", n)
-	}
-}
-
-func BenchmarkClockStepWithEvents(b *testing.B) {
-	c := NewClock(250 * time.Millisecond)
-	for i := 0; i < 16; i++ {
-		c.Every(time.Second, func(time.Duration) {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Step()
 	}
 }

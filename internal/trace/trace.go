@@ -24,7 +24,6 @@ type Point struct {
 
 // Series is a named time series.
 type Series struct {
-	Name   string
 	Points []Point
 }
 
@@ -119,29 +118,6 @@ func (s *Series) StabilizationTime(band float64) time.Duration {
 	return s.Points[0].T
 }
 
-// Percentile returns the p-th percentile of the series values using
-// linear interpolation between closest ranks, for p in [0, 100]. It
-// returns NaN for an empty series or out-of-range p. Thermal SLOs are
-// stated as tails (p95/p99 of die temperature), not means.
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.Points) == 0 || p < 0 || p > 100 || math.IsNaN(p) {
-		return math.NaN()
-	}
-	vs := s.Values()
-	sort.Float64s(vs)
-	if len(vs) == 1 {
-		return vs[0]
-	}
-	rank := p / 100 * float64(len(vs)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return vs[lo]
-	}
-	frac := rank - float64(lo)
-	return vs[lo] + frac*(vs[hi]-vs[lo])
-}
-
 // Mean returns the arithmetic mean of vs, or NaN if empty.
 func Mean(vs []float64) float64 {
 	if len(vs) == 0 {
@@ -152,20 +128,6 @@ func Mean(vs []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vs))
-}
-
-// Std returns the population standard deviation of vs.
-func Std(vs []float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(vs)
-	var ss float64
-	for _, v := range vs {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(vs)))
 }
 
 // Recorder collects multiple named series with a shared sampling
@@ -208,7 +170,7 @@ func (r *Recorder) track(name string) *Series {
 	s, ok := r.series[name]
 	if !ok {
 		//thermlint:allow hotalloc -- first-use only: a series is created once per name, then reused
-		s = &Series{Name: name}
+		s = &Series{}
 		r.series[name] = s
 		//thermlint:allow hotalloc -- first-use only: grows once per distinct series name
 		r.order = append(r.order, name)

@@ -93,58 +93,13 @@ func TestStabilizationFlatSeries(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	var s Series
-	for i, v := range []float64{10, 20, 30, 40, 50} {
-		s.Add(sec(float64(i)), v)
-	}
-	if got := s.Percentile(0); got != 10 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := s.Percentile(100); got != 50 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := s.Percentile(50); got != 30 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := s.Percentile(25); got != 20 {
-		t.Errorf("p25 = %v", got)
-	}
-	if got := s.Percentile(90); math.Abs(got-46) > 1e-9 {
-		t.Errorf("p90 = %v, want 46 (interpolated)", got)
-	}
-}
-
-func TestPercentileEdgeCases(t *testing.T) {
-	var s Series
-	if !math.IsNaN(s.Percentile(50)) {
-		t.Error("empty series percentile should be NaN")
-	}
-	s.Add(0, 42)
-	if got := s.Percentile(99); got != 42 {
-		t.Errorf("single sample p99 = %v", got)
-	}
-	if !math.IsNaN(s.Percentile(-1)) || !math.IsNaN(s.Percentile(101)) {
-		t.Error("out-of-range p should be NaN")
-	}
-	// Percentile must not mutate the series ordering.
-	s.Add(sec(1), 1)
-	s.Percentile(50)
-	if s.Points[0].V != 42 {
-		t.Error("Percentile reordered the series")
-	}
-}
-
-func TestStdAndMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	vs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(vs); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
 	}
-	if sd := Std(vs); math.Abs(sd-2) > 1e-9 {
-		t.Errorf("Std = %v, want 2", sd)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Std(nil)) {
-		t.Error("empty Mean/Std should be NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("empty Mean should be NaN")
 	}
 }
 

@@ -14,6 +14,8 @@ func lineTime(i int) time.Duration { return time.Duration(i) }
 // are stored: the text contract of the old .trace files, carried in
 // the binary format so every go test run exercises the writer, reader
 // and diff together.
+//
+//thermlint:allow deadcode -- cross-package golden helper: the core, baseline and cluster goldens are encoded with it
 func EncodeEvents(lines []string) ([]byte, error) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, nil, nil)
@@ -29,30 +31,12 @@ func EncodeEvents(lines []string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeEvents reads back the lines of an event-only trace image.
-func DecodeEvents(b []byte) ([]string, error) {
-	r, err := NewBytesReader(b)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Incomplete(); err != nil {
-		return nil, err
-	}
-	var lines []string
-	err = r.Events(Window{}, func(e Event) error {
-		lines = append(lines, e.Text)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return lines, nil
-}
-
 // DiffEventLines compares produced lines against a golden trace image
 // via the same Diff primitives thermtrace uses, returning nil when
 // they match and a descriptive error naming the first divergence when
 // not.
+//
+//thermlint:allow deadcode -- cross-package golden helper: the core, baseline and cluster goldens are compared with it
 func DiffEventLines(golden []byte, lines []string) error {
 	gr, err := NewBytesReader(golden)
 	if err != nil {

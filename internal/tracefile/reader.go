@@ -10,8 +10,6 @@ import (
 	"math"
 	"os"
 	"time"
-
-	"thermctl/internal/trace"
 )
 
 // Reader provides random access to a trace file. It is backed by an
@@ -358,22 +356,6 @@ func (r *Reader) Events(win Window, fn func(e Event) error) error {
 		}
 	}
 	return nil
-}
-
-// ReadRecorder loads the windowed samples into an in-memory
-// trace.Recorder keyed by the schema's series names — the bridge back
-// to every existing summary and report helper. Use the streaming
-// Samples for files larger than RAM.
-func (r *Reader) ReadRecorder(win Window) (*trace.Recorder, error) {
-	rec := trace.NewRecorder()
-	err := r.Samples(win, func(s Sample) error {
-		rec.Record(r.schema[s.Series].Name, s.T, s.V)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rec, nil
 }
 
 // decoder holds the reusable scratch buffers of chunk decoding.

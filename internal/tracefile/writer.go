@@ -77,7 +77,6 @@ func (c *chunk) reset() {
 // first encode, write or compression failure is reported by Close
 // (and every later Append is a no-op), mirroring bufio.Writer.
 type Writer struct {
-	schema   []SeriesDef
 	compress bool
 
 	sealBytes int
@@ -149,7 +148,6 @@ func NewWriter(dst io.Writer, schema []SeriesDef, opt *Options) (*Writer, error)
 		return nil, fmt.Errorf("tracefile: writing header: %w", err)
 	}
 	w := &Writer{
-		schema:    append([]SeriesDef(nil), schema...),
 		compress:  !o.NoCompress,
 		sealBytes: o.ChunkBytes,
 		free:      make(chan *chunk, o.Buffers),

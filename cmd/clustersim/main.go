@@ -53,7 +53,6 @@ import (
 	"runtime"
 	"time"
 
-	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/metrics"
 )
@@ -170,18 +169,9 @@ func main() {
 	fmt.Printf("clustersim: %s on %d nodes (%d workers), fan=%s dvfs=%s sleep=%s Pp=%d max-duty=%.0f%%\n",
 		load, s.Nodes, c.Workers(), s.Control.Fan, s.Control.DVFS, s.Control.Sleep,
 		s.Control.Tuning.Pp, s.Control.Tuning.MaxFanDuty)
-	var res cluster.RunResult
-	if rig.Program != nil {
-		res = c.RunProgram(*rig.Program, 0)
-	} else {
-		horizon := rig.ChaosHorizon
-		if horizon <= 0 {
-			horizon = *runFor
-		}
-		res = c.RunGenerators(rig.Generators, horizon)
-		if res.Err != nil {
-			fatal(res.Err)
-		}
+	res := rig.Run(*runFor)
+	if res.Err != nil {
+		fatal(res.Err)
 	}
 	closeTrace()
 	if res.TimedOut {

@@ -1,8 +1,12 @@
 // Command thermlint is the repository's domain-aware static-analysis
 // gate. It loads the whole module into one program (so analyzers can
 // follow calls across package boundaries through the shared call graph
-// in internal/lint/callgraph) and runs ten analyzers:
+// in internal/lint/callgraph) and runs eleven analyzers:
 //
+//	deadcode      — no function, exported value or struct field that
+//	                no root (main, init, variable initializers, the
+//	                root package's API, the bench module) reaches;
+//	                code only tests reach counts as dead
 //	determinism   — no wall-clock, global math/rand or map-ordered
 //	                effects inside the simulation core
 //	onstepblock   — no blocking calls reachable from Controller.OnStep

@@ -35,6 +35,10 @@ func FuzzReadScenario(f *testing.F) {
 	f.Add([]byte(`{"groups": [], "metrics": {"enabled": true, "labels": {}}, "control": {}}`))
 	f.Add([]byte(`{"extends": "./deep0.json", "seed": 3}`))
 	f.Add([]byte(`{"extends": "deep1.json", "name": "shallow enough"}`))
+	// Node counts past MaxNodes, flat and per group: once accepted,
+	// they panicked or exhausted memory in Build.
+	f.Add([]byte(`{"nodes": 1000000000000000}`))
+	f.Add([]byte(`{"groups": [{"name": "a", "nodes": 4611686018427387904}, {"name": "b", "nodes": 4611686018427387904}, {"name": "c", "nodes": 4611686018427387904}, {"name": "d", "nodes": 4611686018427387904}]}`))
 
 	dir := f.TempDir()
 	write := func(name string, body []byte) {

@@ -108,6 +108,15 @@ type Scenario struct {
 	Metrics MetricsSpec `json:"metrics,omitempty"`
 }
 
+// MaxNodes bounds a scenario's node count, flat or per group. It is
+// four times the largest shipped fleet (fleet-auto's 1024 nodes), and
+// small enough that Build at the bound fits a small host's memory (a
+// 4096-node build peaks at about 60 MiB RSS on a 2-vCPU Xeon). A
+// thermsrv submission is untrusted input: a count near the int range
+// would otherwise panic in, or exhaust the memory of, the job that
+// builds it.
+const MaxNodes = 4096
+
 // DefaultScenario is the paper's standard 4-node unified-control run.
 func DefaultScenario() Scenario {
 	return Scenario{
@@ -156,6 +165,9 @@ func (s *Scenario) Validate() error {
 	if s.Nodes < 1 {
 		return fmt.Errorf("config: nodes %d: cluster needs at least one node", s.Nodes)
 	}
+	if s.Nodes > MaxNodes {
+		return fmt.Errorf("config: nodes %d: more than the %d a scenario may hold", s.Nodes, MaxNodes)
+	}
 	switch s.Program {
 	case "", "bt", "lu":
 	default:
@@ -183,6 +195,9 @@ func (s *Scenario) Validate() error {
 			seen[g.Name] = true
 			if g.Nodes < 1 {
 				return fmt.Errorf("config: group %q: nodes %d: needs at least one node", g.Name, g.Nodes)
+			}
+			if g.Nodes > MaxNodes {
+				return fmt.Errorf("config: group %q: nodes %d: more than the %d a scenario may hold", g.Name, g.Nodes, MaxNodes)
 			}
 			if err := g.Hardware.validate(); err != nil {
 				return fmt.Errorf("config: group %q: %w", g.Name, err)
@@ -460,6 +475,20 @@ type Rig struct {
 	// Groups locates each declared node group inside Cluster.Nodes
 	// (nil for ungrouped scenarios).
 	Groups []BuiltGroup
+}
+
+// Run executes the rig's load: the program to its end, or else the
+// generators for ChaosHorizon, or for fallback when the scenario sets
+// no chaos horizon.
+func (r *Rig) Run(fallback time.Duration) cluster.RunResult {
+	if r.Program != nil {
+		return r.Cluster.RunProgram(*r.Program, 0)
+	}
+	horizon := r.ChaosHorizon
+	if horizon <= 0 {
+		horizon = fallback
+	}
+	return r.Cluster.RunGenerators(r.Generators, horizon)
 }
 
 // Build assembles the scenario: cluster, settle, fault campaign,

@@ -330,6 +330,32 @@ func TestScenarioChaosHorizonExplicit(t *testing.T) {
 	}
 }
 
+// TestRigRun: a generator-driven rig runs for its chaos horizon when
+// the scenario sets one and for the caller's fallback otherwise.
+func TestRigRun(t *testing.T) {
+	for _, tc := range []struct {
+		chaos ChaosSpec
+		want  time.Duration
+	}{
+		{ChaosSpec{}, 3 * time.Second},
+		{ChaosSpec{Seed: 11, HorizonMS: 2000}, 2 * time.Second},
+	} {
+		s := DefaultScenario()
+		s.Nodes = 1
+		s.Program = ""
+		s.Workload = &workload.Spec{Kind: "constant", Util: 0.5}
+		s.Chaos = tc.chaos
+		rig, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rig.Run(3 * time.Second)
+		if res.Err != nil || res.ExecTime != tc.want {
+			t.Errorf("chaos %+v: ran %s (err %v), want %s", tc.chaos, res.ExecTime, res.Err, tc.want)
+		}
+	}
+}
+
 // TestScenarioChaosHorizonDerived: with a program and a zero horizon,
 // Build derives 1.5× the program's ideal time as before.
 func TestScenarioChaosHorizonDerived(t *testing.T) {

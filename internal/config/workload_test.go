@@ -147,6 +147,8 @@ func TestScenarioGroupValidation(t *testing.T) {
 		{"unnamed group", `{"groups": [{"nodes": 2}], "control": {}}`, "missing name"},
 		{"duplicate group", `{"groups": [{"name": "a", "nodes": 1}, {"name": "a", "nodes": 1}], "control": {}}`, "declared twice"},
 		{"empty group", `{"groups": [{"name": "a", "nodes": 0}], "control": {}}`, "at least one node"},
+		{"huge group", `{"groups": [{"name": "a", "nodes": 4097}], "control": {}}`, "more than the 4096"},
+		{"huge groups wrapping the sum", `{"groups": [{"name": "a", "nodes": 4611686018427387904}, {"name": "b", "nodes": 4611686018427387904}, {"name": "c", "nodes": 4611686018427387904}, {"name": "d", "nodes": 4611686018427387904}], "control": {}}`, "more than the 4096"},
 		{"nodes conflict", `{"nodes": 9, "groups": [{"name": "a", "nodes": 2}], "control": {}}`, "conflicts"},
 		{"ascending freqs", `{"groups": [{"name": "a", "nodes": 1, "hardware": {"freqs_ghz": [1.0, 2.0]}}], "control": {}}`, "descending"},
 		{"negative freq", `{"groups": [{"name": "a", "nodes": 1, "hardware": {"freqs_ghz": [-1]}}], "control": {}}`, "positive"},

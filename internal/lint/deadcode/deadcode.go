@@ -30,7 +30,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 	"sync"
 
@@ -61,11 +60,7 @@ func isBench(pkgPath string) bool {
 
 func run(pass *lint.Pass) error {
 	lv := liveFor(pass.Prog)
-	pkg := pass.Prog.Package(pass.Pkg.Path())
-	if pkg == nil {
-		return nil
-	}
-	for _, f := range pkg.Files {
+	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
@@ -196,6 +191,23 @@ func newWalker(prog *lint.Program) *walker {
 }
 
 func (w *walker) walk() *liveness {
+	// Index every constant first: a root may name one declared in a
+	// package not yet visited.
+	for _, pkg := range w.prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.CONST {
+					for _, spec := range d.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if c, ok := pkg.Info.Defs[id].(*types.Const); ok {
+								w.consts[c] = constSpec{pkg, spec.(*ast.ValueSpec)}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 	for _, pkg := range w.prog.Pkgs {
 		allowed := lint.Allowed(pkg, name)
 		keep := func(pos token.Pos) bool { return allowed(w.prog.Fset.Position(pos)) }
@@ -263,12 +275,8 @@ func (w *walker) rootGen(pkg *lint.Package, d *ast.GenDecl, rootPkg bool, keep f
 		switch spec := spec.(type) {
 		case *ast.ValueSpec:
 			for _, id := range spec.Names {
-				obj := pkg.Info.Defs[id]
-				if c, ok := obj.(*types.Const); ok {
-					w.consts[c] = constSpec{pkg, spec}
-				}
 				if rootPkg || keep(id.Pos()) {
-					w.markValue(obj)
+					w.markValue(pkg.Info.Defs[id])
 				}
 			}
 			if d.Tok == token.VAR {
@@ -327,26 +335,23 @@ func (w *walker) markValue(obj types.Object) {
 // and marks the types of its fields in turn: a live struct carries
 // values of them.
 func (w *walker) markType(t types.Type) {
+elems:
 	for {
 		switch u := t.(type) {
 		case *types.Pointer:
 			t = u.Elem()
-			continue
 		case *types.Slice:
 			t = u.Elem()
-			continue
 		case *types.Array:
 			t = u.Elem()
-			continue
 		case *types.Chan:
 			t = u.Elem()
-			continue
 		case *types.Map:
 			w.markType(u.Key())
 			t = u.Elem()
-			continue
+		default:
+			break elems
 		}
-		break
 	}
 	named := namedOf(t)
 	if named == nil {
@@ -604,7 +609,6 @@ func externalMethods(prog *lint.Program) map[*types.TypeName][]*types.Func {
 			for i := 0; i < named.NumMethods(); i++ {
 				declared[named.Method(i).Name()] = named.Method(i)
 			}
-			keep := map[*types.Func]bool{}
 			for _, it := range ifaces {
 				if declared[it.Method(0).Name()] == nil {
 					continue
@@ -614,14 +618,10 @@ func externalMethods(prog *lint.Program) map[*types.TypeName][]*types.Func {
 				}
 				for i := 0; i < it.NumMethods(); i++ {
 					if m := declared[it.Method(i).Name()]; m != nil {
-						keep[m] = true
+						out[tn] = append(out[tn], m)
 					}
 				}
 			}
-			for m := range keep {
-				out[tn] = append(out[tn], m)
-			}
-			sort.Slice(out[tn], func(i, j int) bool { return out[tn][i].Pos() < out[tn][j].Pos() })
 		}
 	}
 	return out

@@ -52,6 +52,11 @@ const Limit = 5 // want `exported const Limit is dead`
 
 const Cap = 6
 
+// Scale is live only through Scaled, which main reads.
+const Scale = 2
+
+const Scaled = Scale * 3
+
 // registry's initializer is a root: callback is live without a call.
 var registry = map[string]func() int{"cb": callback}
 
@@ -81,7 +86,7 @@ func main() {
 	inc := c.Inc // a method value
 	inc()
 	var s Shape = Square{side: 2}
-	fmt.Println(c.Over(), s.Area(), Mode(1), apply(byValue), registry["cb"]())
+	fmt.Println(c.Over(), s.Area(), Mode(1), apply(byValue), registry["cb"](), Scaled)
 }
 
 // An allow on a type keeps every field.

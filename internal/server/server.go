@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/metrics"
 	"thermctl/internal/report"
@@ -501,19 +500,10 @@ func (s *Server) execute(j *Job) (*report.CampaignSummary, error) {
 		return nil, fmt.Errorf("trace probe: %w", err)
 	}
 
-	var res cluster.RunResult
-	if rig.Program != nil {
-		res = c.RunProgram(*rig.Program, 0)
-	} else {
-		// Generator-driven job: the rig carries one generator per node
-		// (handleSubmit defaults the workload plane for programless
-		// scenarios), and cancellation rides the SetStop signal above.
-		horizon := rig.ChaosHorizon
-		if horizon <= 0 {
-			horizon = s.cfg.GeneratorHorizon
-		}
-		res = c.RunGenerators(rig.Generators, horizon)
-	}
+	// A generator-driven job carries one generator per node
+	// (handleSubmit defaults the workload plane for programless
+	// scenarios), and cancellation rides the SetStop signal above.
+	res := rig.Run(s.cfg.GeneratorHorizon)
 
 	twErr := tw.Close()
 	tfErr := tf.Close()

@@ -213,6 +213,26 @@ func TestSubmitInvalidScenario(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsHugeNodeCount: a node count past config.MaxNodes is
+// a 400 at submission, not a panic or an allocation of terabytes on the
+// job goroutine, and the server keeps running jobs afterwards.
+func TestSubmitRejectsHugeNodeCount(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, spec := range []string{
+		`{"nodes": 1000000000000000}`,
+		fmt.Sprintf(`{"nodes": %d}`, config.MaxNodes+1),
+		fmt.Sprintf(`{"groups": [{"name": "a", "nodes": %d}]}`, config.MaxNodes+1),
+	} {
+		if _, status := trySubmit(t, ts, spec); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", spec, status)
+		}
+	}
+	v := submit(t, ts, `{"nodes": 1, "program": "", "chaos": {"horizon_ms": 2000}}`)
+	if final := waitTerminal(t, ts, v.ID); final.State != StateDone {
+		t.Fatalf("job after the rejected submissions ended %s (%s)", final.State, final.Error)
+	}
+}
+
 func TestUnknownJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/trace", "/v1/jobs/nope/report", "/v1/jobs/nope/stream"} {

@@ -19,8 +19,7 @@
 // knots over [0, 1], linearly interpolated between them, exact at each
 // knot and within 1e-6 of math.Pow relative to the value everywhere.
 // Below convSeam, where a^0.8's slope grows without bound (a stalled
-// or spinning-down fan), and for any exponent other than 0.8, the law
-// calls math.Pow.
+// or spinning-down fan), the law calls math.Pow.
 package thermal
 
 import (
@@ -41,10 +40,11 @@ type Config struct {
 	// ConvH0 and ConvH1 define the convective conductance
 	// 1/Rsa = H0 + H1·airflow^ConvExp  (W/K).
 	ConvH0, ConvH1 float64
-	// ConvExp is the forced-convection exponent (≈0.8 for turbulent
-	// flow over a finned sink).
-	ConvExp float64
 }
+
+// ConvExp is the forced-convection exponent: 0.8 for turbulent flow
+// over a finned sink.
+const ConvExp = 0.8
 
 // Default returns parameters calibrated for the paper's platform: a
 // compute-bound Athlon64 (≈60 W) sits near 50 °C with the fan at 75%
@@ -58,7 +58,6 @@ func Default() Config {
 		RjsKPerW:   0.10,
 		ConvH0:     1.14,
 		ConvH1:     2.19,
-		ConvExp:    0.8,
 	}
 }
 
@@ -87,22 +86,22 @@ const convKnots = 4096
 // at most 0.02/k² of the value, which is 3e-7 at the seam's knot 256.
 const convSeam = 256.0 / convKnots
 
-// convTable holds a^0.8 at a = i/convKnots, i = 0..convKnots, plus a
+// convTable holds a^ConvExp at a = i/convKnots, i = 0..convKnots, plus a
 // copy of the last knot so that a = 1 interpolates without a bounds
 // special case. Immutable after initialisation.
 var convTable = func() []float64 {
 	t := make([]float64, convKnots+2)
 	for i := 0; i <= convKnots; i++ {
-		t[i] = math.Pow(float64(i)/convKnots, 0.8)
+		t[i] = math.Pow(float64(i)/convKnots, ConvExp)
 	}
 	t[convKnots+1] = t[convKnots]
 	return t
 }()
 
-// pow08 returns a^0.8 for a in [0, 1].
+// pow08 returns a^ConvExp for a in [0, 1].
 func pow08(a float64) float64 {
 	if a < convSeam {
-		return math.Pow(a, 0.8)
+		return math.Pow(a, ConvExp)
 	}
 	x := a * convKnots
 	i := int(x)
@@ -120,13 +119,7 @@ func (n *Network) RsaKPerW(airflow float64) float64 {
 	if airflow > 1 {
 		airflow = 1
 	}
-	var p float64
-	if n.cfg.ConvExp == 0.8 {
-		p = pow08(airflow)
-	} else {
-		p = math.Pow(airflow, n.cfg.ConvExp)
-	}
-	h := n.cfg.ConvH0 + n.cfg.ConvH1*p
+	h := n.cfg.ConvH0 + n.cfg.ConvH1*pow08(airflow)
 	if h <= 0 {
 		return math.Inf(1)
 	}

@@ -115,7 +115,7 @@ func randomSteps(seed uint64, count int, pmax float64) (dts []time.Duration, ps,
 func TestStepMatchesPowReference(t *testing.T) {
 	cfg := Default()
 	ref := func(a float64) float64 {
-		return 1 / (cfg.ConvH0 + cfg.ConvH1*math.Pow(a, cfg.ConvExp))
+		return 1 / (cfg.ConvH0 + cfg.ConvH1*math.Pow(a, ConvExp))
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		dts, ps, as := randomSteps(seed, 10000, 120)

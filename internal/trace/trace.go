@@ -131,11 +131,13 @@ func Mean(vs []float64) float64 {
 }
 
 // Recorder collects multiple named series with a shared sampling
-// schedule. Record, Names, Series and WriteCSV are safe for concurrent
-// use: out-of-band probes (BMC pollers, the IPMI server's connection
-// goroutines) append samples concurrently with the in-band sampling
-// loop. Mutating a *Series obtained from Series while others record is
-// the caller's responsibility to serialize.
+// schedule. Record, Track, Names, Series and WriteCSV serialize on one
+// mutex, so a recorder may be read from one goroutine while another
+// records into it. Every producer in this module is its recorder's only
+// writer (a run's sampler, or a command decoding a file), so the lock
+// is uncontended; it keeps the type safe to share rather than relying on
+// each caller to confine it. Mutating a *Series obtained from Series
+// while others record is the caller's responsibility to serialize.
 type Recorder struct {
 	mu     sync.Mutex
 	order  []string

@@ -14,9 +14,9 @@
 //   - every function of the bench module, so what the benchmark
 //     harness calls stays;
 //   - methods that satisfy an interface declared outside the module
-//     (String, Error, MarshalJSON, ServeHTTP, Write, ...) on a type
-//     that live code names: the standard library calls them through
-//     its own interfaces, which the graph cannot see;
+//     (String, Error, MarshalJSON, ServeHTTP, Write, ...): the standard
+//     library calls them through its own interfaces, which the graph
+//     cannot see;
 //   - declarations carrying a scoped //thermlint:allow deadcode
 //     directive, so a deliberate survivor keeps its callees alive.
 //
@@ -130,7 +130,6 @@ func kind(obj types.Object) string {
 type liveness struct {
 	funcs  map[*types.Func]bool
 	values map[types.Object]bool
-	types  map[*types.TypeName]bool
 	read   map[*types.Var]bool
 	// written holds the fields stored with a value other than the
 	// constant zero value.
@@ -153,25 +152,15 @@ func liveFor(prog *lint.Program) *liveness {
 	return lv
 }
 
-// walker computes liveness by a worklist over functions, package-level
-// constants and named types.
+// walker computes liveness by a worklist over functions.
 type walker struct {
 	prog  *lint.Program
 	g     *callgraph.Graph
 	lv    *liveness
 	queue []*callgraph.Node
-	// consts maps a package-level constant to the spec defining it, so
-	// a live constant keeps the constants its value names alive.
-	consts map[*types.Const]constSpec
-	// extMethods maps a named type to its methods that satisfy an
-	// interface declared outside the module: roots once live code names
-	// the type.
-	extMethods map[*types.TypeName][]*types.Func
-}
-
-type constSpec struct {
-	pkg  *lint.Package
-	spec *ast.ValueSpec
+	// external holds the methods that satisfy an interface declared
+	// outside the module.
+	external map[*types.Func]bool
 }
 
 func newWalker(prog *lint.Program) *walker {
@@ -181,33 +170,14 @@ func newWalker(prog *lint.Program) *walker {
 		lv: &liveness{
 			funcs:   map[*types.Func]bool{},
 			values:  map[types.Object]bool{},
-			types:   map[*types.TypeName]bool{},
 			read:    map[*types.Var]bool{},
 			written: map[*types.Var]bool{},
 		},
-		consts:     map[*types.Const]constSpec{},
-		extMethods: externalMethods(prog),
+		external: externalMethods(prog),
 	}
 }
 
 func (w *walker) walk() *liveness {
-	// Index every constant first: a root may name one declared in a
-	// package not yet visited.
-	for _, pkg := range w.prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.CONST {
-					for _, spec := range d.Specs {
-						for _, id := range spec.(*ast.ValueSpec).Names {
-							if c, ok := pkg.Info.Defs[id].(*types.Const); ok {
-								w.consts[c] = constSpec{pkg, spec.(*ast.ValueSpec)}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 	for _, pkg := range w.prog.Pkgs {
 		allowed := lint.Allowed(pkg, name)
 		keep := func(pos token.Pos) bool { return allowed(w.prog.Fset.Position(pos)) }
@@ -221,7 +191,7 @@ func (w *walker) walk() *liveness {
 					if !ok {
 						continue
 					}
-					if bench || keep(d.Name.Pos()) || isEntry(pkg, d) || api && exportedAPI(fn) {
+					if bench || keep(d.Name.Pos()) || isEntry(pkg, d) || api && exportedAPI(fn) || w.external[fn] {
 						w.markFunc(fn)
 					}
 				case *ast.GenDecl:
@@ -237,9 +207,6 @@ func (w *walker) walk() *liveness {
 			w.markFunc(e.Callee.Fn)
 		}
 		w.scan(n.Pkg, n.Decl)
-		if recv := n.Fn.Type().(*types.Signature).Recv(); recv != nil {
-			w.markType(recv.Type())
-		}
 	}
 	return w.lv
 }
@@ -268,8 +235,8 @@ func exportedAPI(fn *types.Func) bool {
 }
 
 // rootGen roots the package-level declarations of d: every variable
-// initializer, every value of a root package, and every allowed value
-// or field.
+// initializer and constant value, every value of a root package, and
+// every allowed value or field.
 func (w *walker) rootGen(pkg *lint.Package, d *ast.GenDecl, rootPkg bool, keep func(token.Pos) bool) {
 	for _, spec := range d.Specs {
 		switch spec := spec.(type) {
@@ -279,18 +246,14 @@ func (w *walker) rootGen(pkg *lint.Package, d *ast.GenDecl, rootPkg bool, keep f
 					w.markValue(pkg.Info.Defs[id])
 				}
 			}
+			// A constant's value counts as a use of what it names.
 			if d.Tok == token.VAR {
 				for _, e := range w.g.Edges(pkg, spec) {
 					w.markFunc(e.Callee.Fn)
 				}
-				w.scan(pkg, spec)
 			}
+			w.scan(pkg, spec)
 		case *ast.TypeSpec:
-			if rootPkg {
-				if tn, ok := pkg.Info.Defs[spec.Name].(*types.TypeName); ok {
-					w.markType(tn.Type())
-				}
-			}
 			// An allow on the type keeps all of its fields.
 			all := keep(spec.Name.Pos())
 			ast.Inspect(spec.Type, func(n ast.Node) bool {
@@ -318,61 +281,9 @@ func (w *walker) markFunc(fn *types.Func) {
 	}
 }
 
-func (w *walker) markValue(obj types.Object) {
-	if obj == nil || w.lv.values[obj] {
-		return
-	}
-	w.lv.values[obj] = true
-	if c, ok := obj.(*types.Const); ok {
-		if cs, ok := w.consts[c]; ok {
-			w.scan(cs.pkg, cs.spec)
-		}
-	}
-}
+func (w *walker) markValue(obj types.Object) { w.lv.values[obj] = true }
 
-// markType records that live code names t (through pointers, slices,
-// maps, arrays and channels), roots its externally dispatched methods,
-// and marks the types of its fields in turn: a live struct carries
-// values of them.
-func (w *walker) markType(t types.Type) {
-elems:
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Slice:
-			t = u.Elem()
-		case *types.Array:
-			t = u.Elem()
-		case *types.Chan:
-			t = u.Elem()
-		case *types.Map:
-			w.markType(u.Key())
-			t = u.Elem()
-		default:
-			break elems
-		}
-	}
-	named := namedOf(t)
-	if named == nil {
-		return
-	}
-	tn := named.Origin().Obj()
-	if w.lv.types[tn] {
-		return
-	}
-	w.lv.types[tn] = true
-	for _, m := range w.extMethods[tn] {
-		w.markFunc(m)
-	}
-	if st, ok := named.Underlying().(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			w.markType(st.Field(i).Type())
-		}
-	}
-}
-
-// scan records the value, type and field uses in one live declaration.
+// scan records the value and field uses in one live declaration.
 func (w *walker) scan(pkg *lint.Package, root ast.Node) {
 	info := pkg.Info
 	// stores holds the field selectors an assignment stores to, with
@@ -427,13 +338,6 @@ func (w *walker) scan(pkg *lint.Package, root ast.Node) {
 				if isPackageLevel(obj) {
 					w.markValue(obj)
 				}
-			case *types.TypeName:
-				w.markType(obj.Type())
-			}
-		}
-		if e, ok := n.(ast.Expr); ok {
-			if tv, ok := info.Types[e]; ok && tv.Type != nil && !tv.IsType() {
-				w.markType(tv.Type)
 			}
 		}
 		return true
@@ -553,10 +457,11 @@ func namedOf(t types.Type) *types.Named {
 	return n
 }
 
-// externalMethods maps each module type to its methods that satisfy an
+// externalMethods returns the module's methods that satisfy an
 // interface declared outside the module: one imported by a module
-// package, or the predeclared error.
-func externalMethods(prog *lint.Program) map[*types.TypeName][]*types.Func {
+// package, the predeclared error, or the shapes package errors tests
+// for.
+func externalMethods(prog *lint.Program) map[*types.Func]bool {
 	var ifaces []*types.Interface
 	seen := map[*types.TypeName]bool{}
 	addIface := func(tn *types.TypeName) {
@@ -590,7 +495,7 @@ func externalMethods(prog *lint.Program) map[*types.TypeName][]*types.Func {
 		}
 	}
 
-	out := map[*types.TypeName][]*types.Func{}
+	out := map[*types.Func]bool{}
 	for _, pkg := range prog.Pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
@@ -618,7 +523,7 @@ func externalMethods(prog *lint.Program) map[*types.TypeName][]*types.Func {
 				}
 				for i := 0; i < it.NumMethods(); i++ {
 					if m := declared[it.Method(i).Name()]; m != nil {
-						out[tn] = append(out[tn], m)
+						out[m] = true
 					}
 				}
 			}

@@ -4,16 +4,12 @@ package main
 
 import "fmt"
 
-// Mode's String runs inside fmt, through fmt.Stringer: live, because
-// main names Mode.
+// Mode's String runs inside fmt, through fmt.Stringer: a root.
 type Mode int
 
 func (m Mode) String() string { return "mode" }
 
-// Unused satisfies fmt.Stringer too, but no live code names the type.
-type Unused int
-
-func (u Unused) String() string { return "unused" } // want `Unused\)\.String is dead`
+func (m Mode) Next() Mode { return m + 1 } // want `Mode\)\.Next is dead`
 
 // Shape's Area is called through the interface: every implementation
 // is live.

@@ -14,12 +14,11 @@
 // descriptor every period; FS.Open is that fd analogue. It cleans and
 // resolves a path once and returns an *Attr that caches the resolved
 // File, with its IntReader/IntWriter fast paths, and the tree's
-// registration generation. Register and Unregister bump the
-// generation; a handle whose generation is stale resolves its path
-// again on the next access. A handle therefore returns exactly what
-// the by-path call returns at that moment, ENOENT and EISDIR
-// included, while the steady state costs no path cleaning and no map
-// lookup. The by-path calls (ReadFile, WriteFile, ReadInt, WriteInt)
+// registration generation. Register bumps the generation; a handle
+// whose generation is stale resolves its path again on the next
+// access. A handle therefore returns exactly what the by-path call
+// returns at that moment, ENOENT and EISDIR included, while the steady
+// state costs no path cleaning and no map lookup. The by-path calls (ReadFile, WriteFile, ReadInt, WriteInt)
 // are one-shot handles over the same lookup.
 package hwmon
 
@@ -210,7 +209,7 @@ func checkRange(v, lo, hi int64) error {
 type FS struct {
 	files map[string]File // cleaned absolute path → attribute
 	dirs  map[string]bool // cleaned absolute path → exists
-	// gen counts Register and Unregister calls; an Attr resolved at an
+	// gen counts Register calls; an Attr resolved at an
 	// older generation resolves its path again before its next access.
 	gen uint64
 }
@@ -278,9 +277,8 @@ type IntWriter interface {
 // it resolved to (or the error the resolution gave) with the
 // IntReader/IntWriter assertions already made, and the generation of
 // the tree at resolution. Any access first compares that generation
-// with the tree's and resolves the path again if a Register or
-// Unregister happened since, so a handle never outlives a replaced or
-// removed attribute. Like its FS, an Attr belongs to the stepping
+// with the tree's and resolves the path again if a Register happened
+// since, so a handle never outlives a replaced attribute. Like its FS, an Attr belongs to the stepping
 // goroutine.
 type Attr struct {
 	fs   *FS

@@ -262,8 +262,9 @@ func (s *Sensor) quantize(t float64) float64 {
 	return t
 }
 
-// CheckedMillidegrees is Millidegrees with dropout faults surfaced as an
-// error, matching the EIO a dead hwmon temp*_input read returns.
+// CheckedMillidegrees returns the reading in millidegrees C, the
+// hwmon temp*_input encoding, with dropout faults surfaced as an error
+// matching the EIO a dead temp*_input read returns.
 //
 //thermlint:unit milli°C
 func (s *Sensor) CheckedMillidegrees() (int64, error) {

@@ -251,47 +251,75 @@ func fieldsProcStat(line string) (busy, total float64, err error) {
 	return busy, total, nil
 }
 
+// procStatLines are /proc/stat lines with the error each must give
+// ("" for none): TestParseProcStat's table and FuzzParseProcStat's
+// seed corpus.
+var procStatLines = []struct {
+	line    string
+	wantErr string
+}{
+	{"cpu  4705 150 1120 16250 520 0 7", ""},
+	{"cpu 0.1 0.2 0.30000000000000004 1e3", ""},
+	// Extra fields (steal, guest, guest_nice) are summed too.
+	{"cpu 4705 150 1120 16250 520 0 7 3 0 0", ""},
+	{"\tcpu\t1.5  2.25\v3\f4 \r5  ", ""},
+	{"cpu 1 2 3 4 5", ""},
+	{"", "malformed"},
+	{"cpu", "malformed"},
+	{"cpu 1 2 3", "malformed"},
+	{"cpu0 1 2 3 4 5", "malformed"},
+	{"intr 1 2 3 4 5", "malformed"},
+	// A short line is malformed even with a non-numeric count.
+	{"cpu 1 x 3", "malformed"},
+	{"cpu 1 2 x 4 5", "bad jiffy count \"x\""},
+	{"cpu 1 2 3 4 5 y z", "bad jiffy count \"y\""},
+	{"cpu 1 2 3 0x1p-2 5", ""},
+}
+
+// sameProcStat reports how parseProcStat's result for line differs
+// from fieldsProcStat's: sums compared by Float64bits, errors by their
+// text. Empty when they agree.
+func sameProcStat(line string) string {
+	busy, total, err := parseProcStat(line)
+	rb, rt, rerr := fieldsProcStat(line)
+	switch {
+	case (err == nil) != (rerr == nil):
+		return fmt.Sprintf("err %v, reference %v", err, rerr)
+	case err != nil && err.Error() != rerr.Error():
+		return fmt.Sprintf("err %q, reference %q", err, rerr)
+	case math.Float64bits(busy) != math.Float64bits(rb) || math.Float64bits(total) != math.Float64bits(rt):
+		return fmt.Sprintf("busy, total = %v, %v; reference %v, %v", busy, total, rb, rt)
+	}
+	return ""
+}
+
 func TestParseProcStat(t *testing.T) {
-	for _, tc := range []struct {
-		line    string
-		wantErr string
-	}{
-		{"cpu  4705 150 1120 16250 520 0 7", ""},
-		{"cpu 0.1 0.2 0.30000000000000004 1e3", ""},
-		// Extra fields (steal, guest, guest_nice) are summed too.
-		{"cpu 4705 150 1120 16250 520 0 7 3 0 0", ""},
-		{"\tcpu\t1.5  2.25\v3\f4 \r5  ", ""},
-		{"cpu 1 2 3 4 5", ""},
-		{"", "malformed"},
-		{"cpu", "malformed"},
-		{"cpu 1 2 3", "malformed"},
-		{"cpu0 1 2 3 4 5", "malformed"},
-		{"intr 1 2 3 4 5", "malformed"},
-		// A short line is malformed even with a non-numeric count.
-		{"cpu 1 x 3", "malformed"},
-		{"cpu 1 2 x 4 5", "bad jiffy count \"x\""},
-		{"cpu 1 2 3 4 5 y z", "bad jiffy count \"y\""},
-		{"cpu 1 2 3 0x1p-2 5", ""},
-	} {
-		busy, total, err := parseProcStat(tc.line)
-		rb, rt, rerr := fieldsProcStat(tc.line)
-		if tc.wantErr == "" {
-			if err != nil || rerr != nil {
-				t.Errorf("%q: err %v (reference %v), want nil", tc.line, err, rerr)
-				continue
-			}
-			if math.Float64bits(busy) != math.Float64bits(rb) || math.Float64bits(total) != math.Float64bits(rt) {
-				t.Errorf("%q: busy, total = %v, %v; reference %v, %v", tc.line, busy, total, rb, rt)
-			}
-			continue
+	for _, tc := range procStatLines {
+		if diff := sameProcStat(tc.line); diff != "" {
+			t.Errorf("%q: %s", tc.line, diff)
 		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+		_, _, err := parseProcStat(tc.line)
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("%q: err %v, want nil", tc.line, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 			t.Errorf("%q: err %v, want one containing %q", tc.line, err, tc.wantErr)
 		}
-		if rerr == nil || err.Error() != rerr.Error() {
-			t.Errorf("%q: err %v, reference %v", tc.line, err, rerr)
-		}
 	}
+}
+
+// FuzzParseProcStat checks the allocation-free scan against the
+// slice-building reference on arbitrary lines: identical sums, bit for
+// bit, and identical error text.
+func FuzzParseProcStat(f *testing.F) {
+	for _, tc := range procStatLines {
+		f.Add(tc.line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		if diff := sameProcStat(line); diff != "" {
+			t.Fatalf("%q: %s", line, diff)
+		}
+	})
 }
 
 func TestParseProcStatAllocationFree(t *testing.T) {

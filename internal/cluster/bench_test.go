@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"thermctl/internal/core"
 	"thermctl/internal/faults"
 	"thermctl/internal/metrics"
 	"thermctl/internal/rack"
@@ -188,8 +187,9 @@ func BenchmarkClusterStepWorkload(b *testing.B) {
 // hybrid), all of it running through the core engine's
 // binding/policy pipeline in the node-local control sweep of the
 // parallel phase. The delta against BenchmarkClusterStep at a matching
-// shape is the whole cost of software thermal control — sysfs
-// sampling, window updates and policy decisions on every fifth step
+// shape is the whole cost of software thermal control — one sysfs
+// temperature read per round shared by both lanes, window updates and
+// policy decisions on every fifth step
 // (SamplePeriod 250ms over DefaultDt 50ms), not just engine dispatch.
 // The four idle steps in between dispatch no control sweep at all: the
 // hybrids report their next round through NextDue, and the cluster
@@ -210,24 +210,7 @@ func BenchmarkEngineStep(b *testing.B) {
 			b.Run(fmt.Sprintf("nodes=%d/workers=%d", nodes, workers), func(b *testing.B) {
 				c := benchCluster(b, nodes, workers)
 				defer c.Close()
-				for i, n := range c.Nodes {
-					read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
-					fan, err := core.NewController(core.DefaultConfig(50), read,
-						core.ActuatorBinding{Actuator: core.NewFanActuator(
-							core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
-					if err != nil {
-						b.Fatal(err)
-					}
-					act, err := core.NewDVFSActuator(core.NewSysfsFreqPort(n.FS, n.Cpufreq))
-					if err != nil {
-						b.Fatal(err)
-					}
-					dvfs, err := core.NewTDVFS(core.DefaultTDVFSConfig(50), read, act)
-					if err != nil {
-						b.Fatal(err)
-					}
-					c.AddNodeController(i, core.NewHybrid(fan, dvfs))
-				}
+				attachHybrids(b, c)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					c.Step()

@@ -68,12 +68,6 @@ type Scheduled interface {
 	NextDue() time.Duration
 }
 
-// ControllerFunc adapts a function to Controller.
-type ControllerFunc func(now time.Duration)
-
-// OnStep implements Controller.
-func (f ControllerFunc) OnStep(now time.Duration) { f(now) }
-
 // Cluster is a fixed set of nodes sharing a simulation clock.
 type Cluster struct {
 	Nodes []*node.Node

@@ -10,6 +10,13 @@ import (
 	"thermctl/internal/workload"
 )
 
+// ControllerFunc adapts a function to Controller, for tests that
+// observe or drive a cluster with a closure.
+type ControllerFunc func(now time.Duration)
+
+// OnStep implements Controller.
+func (f ControllerFunc) OnStep(now time.Duration) { f(now) }
+
 // cpuAverageW is n's mean CPU power over its metered time: the mean
 // wall power less the fan's share and the platform base.
 func cpuAverageW(n *node.Node) float64 {

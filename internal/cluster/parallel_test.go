@@ -11,6 +11,30 @@ import (
 	"thermctl/internal/workload"
 )
 
+// attachHybrids gives every node of c the paper's hybrid controller on
+// its own sysfs ports, as node-local controllers.
+func attachHybrids(tb testing.TB, c *Cluster) {
+	tb.Helper()
+	for i, n := range c.Nodes {
+		read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
+		fan, err := core.NewController(core.DefaultConfig(50), read,
+			core.ActuatorBinding{Actuator: core.NewFanActuator(
+				core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		act, err := core.NewDVFSActuator(core.NewSysfsFreqPort(n.FS, n.Cpufreq))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		dvfs, err := core.NewTDVFS(core.DefaultTDVFSConfig(50), read, act)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		c.AddNodeController(i, core.NewHybrid(fan, dvfs))
+	}
+}
+
 // signature captures the full observable state trajectory of a cluster
 // run with the given worker count: every node's bit-exact die
 // temperature, sensed temperature, fan duty, frequency and power at
@@ -34,24 +58,7 @@ func signature(t *testing.T, workers int) []byte {
 	// actuates only its own node, so its decisions alter the trajectory
 	// (fan duty, frequency) and any cross-worker nondeterminism in the
 	// local phase would surface in the signature.
-	for i, n := range c.Nodes {
-		read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
-		fan, err := core.NewController(core.DefaultConfig(50), read,
-			core.ActuatorBinding{Actuator: core.NewFanActuator(
-				core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		act, err := core.NewDVFSActuator(core.NewSysfsFreqPort(n.FS, n.Cpufreq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dvfs, err := core.NewTDVFS(core.DefaultTDVFSConfig(50), read, act)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.AddNodeController(i, core.NewHybrid(fan, dvfs))
-	}
+	attachHybrids(t, c)
 
 	var sig []byte
 	bits := func(v float64) {

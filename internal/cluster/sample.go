@@ -47,18 +47,27 @@ type sampler struct {
 	next  time.Duration
 	frame []float64
 	sinks []Sink
+	// fill samples node i into its frame block, wired once in Sample
+	// so a sample dispatches it without allocating.
+	fill func(i int)
 }
 
-// Sample registers a sampler with AddController, so it runs serially
-// in the current phase. At the first step and then once per interval it
-// fills one frame from every node at one step boundary, identical at
-// every worker count, and passes it to sinks in order.
+// Sample registers a sampler with AddController, so it runs in the
+// current serial phase. At the first step after attachment and then
+// once per interval it fills one frame from every node at one step
+// boundary and passes it to sinks in order. The fill runs on the step
+// pool (inline without one): each node's block is written by the
+// participant that owns the node, and SampleNode touches only that
+// node, so the frame is identical at every worker count. The sinks run
+// serially, in order, on the complete frame.
 func (c *Cluster) Sample(every time.Duration, sinks ...Sink) error {
 	if every <= 0 {
 		return ErrSampleInterval
 	}
-	c.AddController(&sampler{c: c, every: every,
-		frame: make([]float64, len(c.Nodes)*FrameWidth), sinks: sinks})
+	s := &sampler{c: c, every: every, next: c.Clock.Now(),
+		frame: make([]float64, len(c.Nodes)*FrameWidth), sinks: sinks}
+	s.fill = func(i int) { SampleNode(c.Nodes[i], s.frame[i*FrameWidth:]) }
+	c.AddController(s)
 	return nil
 }
 
@@ -68,9 +77,7 @@ func (s *sampler) OnStep(now time.Duration) {
 		return
 	}
 	s.next += s.every
-	for i, n := range s.c.Nodes {
-		SampleNode(n, s.frame[i*FrameWidth:])
-	}
+	s.c.advanceNodes(s.fill)
 	for _, sink := range s.sinks {
 		sink(now, s.frame)
 	}

@@ -252,9 +252,27 @@ func (b *Binding) due(now time.Duration) bool {
 }
 
 // OnStep runs the engine pipeline once: gate on the sampling cadence,
-// read, maintain the fail-safe state machine, feed the history window,
-// and hand completed rounds to the policy. Implements the cluster
-// Controller interface.
+// read, and hand the sample to the post-read pipeline (see run).
+// Implements the cluster Controller interface.
+func (b *Binding) OnStep(now time.Duration) {
+	if !b.due(now) {
+		return
+	}
+	var t float64
+	var err error
+	if b.read != nil {
+		t, err = b.read()
+	}
+	b.run(now, t, err)
+}
+
+// run is the post-read pipeline of one due step: advance the sampling
+// schedule, maintain the fail-safe state machine on the read's outcome
+// (t, or err), feed the history window, and hand completed rounds to
+// the policy. A binding without a reader ignores t and err and decides
+// on NaN. Binding.OnStep calls it after its own read, Engine.OnStep
+// after the engine's one read of the step, so a lane behaves exactly
+// as a standalone binding sampling the same reader.
 //
 // Error handling is the fail-safe degradation policy: a failed read (or
 // actuation) is counted, and EscalateErrors consecutive failures drive
@@ -262,16 +280,12 @@ func (b *Binding) due(now time.Duration) bool {
 // cool maximally, not skip rounds while the die cooks. The escalation
 // releases after RecoverSamples consecutive clean samples, after which
 // the window has fresh data and normal control resumes.
-func (b *Binding) OnStep(now time.Duration) {
-	if !b.due(now) {
-		return
-	}
+func (b *Binding) run(now time.Duration, t float64, err error) {
 	if b.period > 0 {
 		b.next += b.period
 	}
 	b.tx = Txn{b: b, now: now, sample: math.NaN()}
 	if b.read != nil {
-		t, err := b.read()
 		if err != nil {
 			b.errs.Add(1)
 			b.mt.errors.Inc()
@@ -465,23 +479,39 @@ type lane struct {
 	pre func(now time.Duration)
 }
 
-// Engine steps an ordered set of bindings as one control plane. The
-// hybrid coordinator is an engine of two lanes — the threshold (tDVFS)
-// binding first, then the ctlarray (fan) binding with a pre-round hook
-// that holds the fan floor while the in-band knob is engaged. Any
-// number of lanes compose the same way; ordering is attachment order.
+// Engine steps an ordered set of bindings as one control plane on one
+// temperature reader. The hybrid coordinator is an engine of two
+// lanes — the threshold (tDVFS) binding first, then the ctlarray (fan)
+// binding with a pre-round hook that holds the fan floor while the
+// in-band knob is engaged. Any number of lanes compose the same way;
+// ordering is attachment order.
+//
+// A lane samples when its binding has a reader, and the engine's
+// reader supplies that sample: on a step where any sampling lane is
+// due, the engine reads once and hands the sample, or the read error,
+// to every due sampling lane. One reading drives every knob, as the
+// paper's hybrid samples the die once per round for fan and tDVFS
+// alike. Sharing is exact because a read depends only on the step, the
+// plant and the fault state, none of which a lane's actuation changes
+// within the step.
 type Engine struct {
+	read  TempReader
 	lanes []lane
 }
 
-// NewEngine returns an empty engine.
-func NewEngine() *Engine { return &Engine{} }
+// NewEngine returns an empty engine sampling read. read may be nil
+// only for an engine whose bindings have no reader.
+func NewEngine(read TempReader) *Engine { return &Engine{read: read} }
 
 // Attach appends a binding, with an optional pre-round coordination
 // hook (nil for none). The hook runs only on steps where the binding
-// is due (see Binding.NextDue), just before the binding's OnStep.
-// Wiring time only.
+// is due (see Binding.NextDue), just before the binding's round.
+// Wiring time only; panics when the binding samples and the engine has
+// no reader.
 func (e *Engine) Attach(b *Binding, pre func(now time.Duration)) {
+	if b.read != nil && e.read == nil {
+		panic("core: a sampling binding attached to an engine without a reader")
+	}
 	e.lanes = append(e.lanes, lane{b: b, pre: pre})
 }
 
@@ -496,8 +526,12 @@ func (e *Engine) NextDue() time.Duration {
 }
 
 // OnStep steps every due lane in order, running its pre-round hook
-// first. Implements the cluster Controller interface.
+// first; the first due sampling lane triggers the step's one read.
+// Implements the cluster Controller interface.
 func (e *Engine) OnStep(now time.Duration) {
+	var t float64
+	var err error
+	read := false
 	for _, l := range e.lanes {
 		if !l.b.due(now) {
 			continue
@@ -505,6 +539,10 @@ func (e *Engine) OnStep(now time.Duration) {
 		if l.pre != nil {
 			l.pre(now)
 		}
-		l.b.OnStep(now)
+		if l.b.read != nil && !read {
+			t, err = e.read()
+			read = true
+		}
+		l.b.run(now, t, err)
 	}
 }

@@ -315,11 +315,9 @@ func TestGoldenTDVFS(t *testing.T) {
 
 func TestGoldenHybrid(t *testing.T) {
 	tr := &trace{}
-	// Each lane owns its reader, as in the daemons: the DVFS lane
-	// samples first each step, then the fan lane.
-	fanR := &scriptReader{temp: hybridScript,
-		fail: func(i int) bool { return i >= 300 && i < 312 }}
-	dvfsR := &scriptReader{temp: hybridScript,
+	// Both lanes sample one reader, as ControlSpec.BuildNode wires
+	// them; the engine reads it once per round for both.
+	r := &scriptReader{temp: hybridScript,
 		fail: func(i int) bool { return i >= 300 && i < 312 }}
 	fanAct := &traceActuator{name: "fan", modes: 100, tr: tr}
 	port := &traceFreqPort{tr: tr,
@@ -329,12 +327,12 @@ func TestGoldenHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fan, err := core.NewController(core.DefaultConfig(50), fanR.read,
+	fan, err := core.NewController(core.DefaultConfig(50), r.read,
 		core.ActuatorBinding{Actuator: fanAct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dvfs, err := core.NewTDVFS(core.DefaultTDVFSConfig(50), dvfsR.read, dvfsAct)
+	dvfs, err := core.NewTDVFS(core.DefaultTDVFSConfig(50), r.read, dvfsAct)
 	if err != nil {
 		t.Fatal(err)
 	}

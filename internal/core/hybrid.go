@@ -28,7 +28,9 @@ import (
 // so "coupled controllers" is ordering plus one hook, not a bespoke
 // loop. The hook runs only on fan rounds: engagement changes only at
 // tDVFS rounds, and the fan policy reads the floor only when it
-// decides.
+// decides. Both lanes sample one sensor, and the engine reads it once
+// per round and hands that sample to both, as the paper's controller
+// drives both knobs from one 4 Hz reading.
 type Hybrid struct {
 	// Fan is the dynamic fan controller (out-of-band knob).
 	Fan *Controller
@@ -42,9 +44,12 @@ type Hybrid struct {
 	holdRounds *metrics.Counter
 }
 
-// NewHybrid couples the two controllers.
+// NewHybrid couples the two controllers. Both must be built on one
+// temperature reader, as ControlSpec.BuildNode builds them: the engine
+// is built on that reader (the fan controller's) and reads it once per
+// round for both lanes.
 func NewHybrid(fan *Controller, dvfs *TDVFS) *Hybrid {
-	h := &Hybrid{Fan: fan, DVFS: dvfs, eng: NewEngine()}
+	h := &Hybrid{Fan: fan, DVFS: dvfs, eng: NewEngine(fan.b.read)}
 	h.eng.Attach(dvfs.Binding(), nil)
 	h.eng.Attach(fan.Binding(), func(time.Duration) {
 		engaged := dvfs.Engaged()

@@ -206,9 +206,10 @@ func TestHybridLanesFailSafeOnDeadSensor(t *testing.T) {
 }
 
 // BenchmarkControlRound times one hybrid node's control round through
-// the in-band sysfs ports: the temperature read, the fan array and
-// tDVFS decisions, and any pwm1/scaling_setspeed write they make. The
-// node is warmed under cpu-burn first and not stepped while timed.
+// the in-band sysfs ports: the one temperature read both lanes share
+// (a full sensor conversion), the fan array and tDVFS decisions, and
+// any pwm1/scaling_setspeed write they make. The node is warmed under
+// cpu-burn first and not stepped while timed.
 func BenchmarkControlRound(b *testing.B) {
 	n, h := newHybridRig(b, 50, 30)
 	n.SetGenerator(workload.NewCPUBurn(nil))

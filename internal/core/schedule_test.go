@@ -17,7 +17,7 @@ func (p *countPolicy) Decide(tx *Txn) { p.n++ }
 
 func TestLaneHookRunsOnlyOnItsRounds(t *testing.T) {
 	const dt = 50 * time.Millisecond
-	eng := NewEngine()
+	eng := NewEngine(nil)
 	var hooks [3][]time.Duration
 	periods := []time.Duration{250 * time.Millisecond, 100 * time.Millisecond, 0}
 	for i, p := range periods {
@@ -48,7 +48,7 @@ func TestLaneHookRunsOnlyOnItsRounds(t *testing.T) {
 		}
 	}
 
-	gated := NewEngine()
+	gated := NewEngine(nil)
 	for _, p := range periods[:2] {
 		b, err := NewBinding(BindingConfig{Policy: &countPolicy{}, SamplePeriod: p})
 		if err != nil {

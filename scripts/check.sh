@@ -66,6 +66,15 @@ go run ./cmd/experiments -only chaos >/dev/null
 echo "==> report smoke (experiments -markdown -workers 2 matches docs/report.md)"
 go run ./cmd/experiments -markdown -workers 2 | diff -u docs/report.md -
 
+echo "==> trace parity (clustersim -trace identical at -workers 1 and 2)"
+# The sampler fills each frame on the step pool; the file on disk must
+# not depend on the worker count.
+tmp="$(mktemp -d)"
+go run ./cmd/clustersim -nodes 64 -for 60s -workers 1 -trace "$tmp/w1.tct" >/dev/null
+go run ./cmd/clustersim -nodes 64 -for 60s -workers 2 -trace "$tmp/w2.tct" >/dev/null
+cmp "$tmp/w1.tct" "$tmp/w2.tct"
+rm -rf "$tmp"
+
 echo "==> campaign server smoke (scripts/serversmoke.sh)"
 TRACE="$(mktemp -u).tct" ./scripts/serversmoke.sh >/dev/null
 

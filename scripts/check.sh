@@ -54,8 +54,14 @@ done
 echo "==> fan-failure example (output matches examples/fan-failure/output.txt)"
 go run ./examples/fan-failure | diff -u examples/fan-failure/output.txt -
 
-echo "==> thermctld fault-drill smoke (thermctld -faults)"
-go run ./cmd/thermctld -duration 2m -faults examples/faults/thermctld-drill.json >/dev/null
+echo "==> examples (output matches each examples/<name>/output.txt)"
+for e in quickstart cluster-hybrid cpuburn-fan datacenter-policy; do
+	go run "./examples/$e" | diff -u "examples/$e/output.txt" -
+done
+
+echo "==> thermctld fault-drill (output matches examples/faults/thermctld-drill.out)"
+go run ./cmd/thermctld -duration 2m -faults examples/faults/thermctld-drill.json |
+	diff -u examples/faults/thermctld-drill.out -
 
 echo "==> IPMI smoke (scripts/ipmismoke.sh: race-built thermctld driven by ipmitool)"
 ./scripts/ipmismoke.sh >/dev/null

@@ -19,11 +19,16 @@ import (
 // gets more aggressive (smaller Pp), which holds for fan-dominated
 // plants; the simulation budget is ~7 runs of calibration duration.
 //
+// newGen builds the workload; every calibration run gets a fresh
+// generator from it, so each probe sees the same load whatever ran
+// before it (a generator is stateful: one shared across probes would
+// give each a different stretch of its stream).
+//
 // It returns the chosen Pp and whether even that policy met the target
 // (when false, the returned Pp is PpMin — the plant cannot reach targetC
 // with this fan alone).
-func RecommendPp(cfg NodeConfig, gen Generator, maxDuty, targetC float64) (pp int, meets bool, err error) {
-	steady, err := calibrateSteady(cfg, gen, maxDuty)
+func RecommendPp(cfg NodeConfig, newGen func() Generator, maxDuty, targetC float64) (pp int, meets bool, err error) {
+	steady, err := calibrateSteady(cfg, newGen, maxDuty)
 	if err != nil {
 		return 0, false, err
 	}
@@ -59,9 +64,10 @@ func RecommendPp(cfg NodeConfig, gen Generator, maxDuty, targetC float64) (pp in
 }
 
 // calibrateSteady returns a probe function measuring the steady die
-// temperature at one policy value.
-func calibrateSteady(cfg NodeConfig, gen Generator, maxDuty float64) (func(pp int) (float64, error), error) {
-	if gen == nil {
+// temperature at one policy value, on a fresh node under a fresh
+// generator.
+func calibrateSteady(cfg NodeConfig, newGen func() Generator, maxDuty float64) (func(pp int) (float64, error), error) {
+	if newGen == nil {
 		return nil, fmt.Errorf("thermctl: RecommendPp needs a workload generator")
 	}
 	const (
@@ -76,16 +82,16 @@ func calibrateSteady(cfg NodeConfig, gen Generator, maxDuty float64) (func(pp in
 			return 0, err
 		}
 		n.Settle(0)
-		ctl, err := NewDynamicFanControl(n, pp, maxDuty)
+		nc, err := NewDynamicFanControl(n, pp, maxDuty)
 		if err != nil {
 			return 0, err
 		}
-		n.SetGenerator(gen)
+		n.SetGenerator(newGen())
 		var sum float64
 		var count int
 		for n.Elapsed() < runTime {
 			n.Step(dt)
-			ctl.OnStep(n.Elapsed())
+			nc.OnStep(n.Elapsed())
 			if n.Elapsed() > runTime*2/3 {
 				sum += n.TrueDieC()
 				count++

@@ -9,7 +9,7 @@ func TestRecommendPpFindsCostEfficientPolicy(t *testing.T) {
 	cfg := DefaultNodeConfig("advise", 101)
 	// cpu-burn with a full fan: achievable targets lie roughly between
 	// 50 °C (Pp=1, fan pegged) and 56 °C (Pp=100, lazy fan).
-	pp, meets, err := RecommendPp(cfg, CPUBurn(3), 100, 52.5)
+	pp, meets, err := RecommendPp(cfg, func() Generator { return CPUBurn(3) }, 100, 52.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestRecommendPpFindsCostEfficientPolicy(t *testing.T) {
 		t.Fatalf("pp = %d out of range", pp)
 	}
 	// A looser target must never recommend a more aggressive policy.
-	ppLoose, meetsLoose, err := RecommendPp(cfg, CPUBurn(3), 100, 55)
+	ppLoose, meetsLoose, err := RecommendPp(cfg, func() Generator { return CPUBurn(3) }, 100, 55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRecommendPpFindsCostEfficientPolicy(t *testing.T) {
 func TestRecommendPpUnreachableTarget(t *testing.T) {
 	cfg := DefaultNodeConfig("advise2", 103)
 	// A 30% duty cap cannot hold cpu-burn at 45 °C no matter the policy.
-	pp, meets, err := RecommendPp(cfg, CPUBurn(5), 30, 45)
+	pp, meets, err := RecommendPp(cfg, func() Generator { return CPUBurn(5) }, 30, 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,31 @@ func TestRecommendPpUnreachableTarget(t *testing.T) {
 func TestRecommendPpTrivialTarget(t *testing.T) {
 	cfg := DefaultNodeConfig("advise3", 107)
 	// A 70 °C target is met even by the laziest policy.
-	pp, meets, err := RecommendPp(cfg, CPUBurn(7), 100, 70)
+	pp, meets, err := RecommendPp(cfg, func() Generator { return CPUBurn(7) }, 100, 70)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !meets || pp != PpMax {
 		t.Errorf("trivial target: pp=%d meets=%v, want PpMax/true", pp, meets)
+	}
+}
+
+// TestRecommendPpRepeatable: the answer depends only on the arguments.
+// Two calls on one generator constructor must agree; a generator shared
+// across calibration runs would hand each probe a different load.
+func TestRecommendPpRepeatable(t *testing.T) {
+	cfg := DefaultNodeConfig("adv", 1)
+	newGen := func() Generator { return CPUBurn(3) }
+	pp1, meets1, err := RecommendPp(cfg, newGen, 100, 52.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp2, meets2, err := RecommendPp(cfg, newGen, 100, 52.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp1 != pp2 || meets1 != meets2 {
+		t.Errorf("same arguments, different answers: Pp %d (meets %v), then %d (meets %v)", pp1, meets1, pp2, meets2)
 	}
 }
 
@@ -81,7 +100,7 @@ func TestControllerStatus(t *testing.T) {
 		n.Step(250 * time.Millisecond)
 		ctl.OnStep(n.Elapsed())
 	}
-	st := ctl.Status()
+	st := ctl.Fan.Status()
 	if st.Pp != 50 {
 		t.Errorf("status Pp = %d", st.Pp)
 	}

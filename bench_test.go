@@ -259,7 +259,7 @@ func benchFanRun(b *testing.B, win window.Config, useL2 bool) (steadyC float64, 
 	n.SetGenerator(workload.NewCPUBurn(nil))
 	for i := 0; i < 1200; i++ {
 		n.Step(250 * time.Millisecond)
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	return n.TrueDieC(), ctl.Moves(0)
 }
@@ -340,7 +340,7 @@ func BenchmarkAblatePpSweep(b *testing.B) {
 			n.SetGenerator(workload.NewCPUBurn(nil))
 			for s := 0; s < 1200; s++ {
 				n.Step(250 * time.Millisecond)
-				ctl.OnStep(n.Elapsed())
+				ctl.Binding().OnStep(n.Elapsed())
 			}
 			if i == 0 {
 				b.ReportMetric(n.TrueDieC(), "degC-pp"+itoa(pp))
@@ -380,7 +380,7 @@ func BenchmarkAblateVsPID(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			step = c.OnStep
+			step = c.Binding().OnStep
 		}
 		dt := 250 * time.Millisecond
 		n.SetGenerator(workload.NewCPUBurn(nil))

@@ -218,8 +218,8 @@ func run(o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for _, ctl := range nc.Controllers {
-		c.AddNodeController(0, ctl)
+	if len(nc.Lanes) > 0 {
+		c.AddNodeController(0, nc.Engine)
 	}
 	n.Fan.InstrumentMetrics(reg)
 	n.Chip.InstrumentMetrics(reg)

@@ -55,7 +55,7 @@ func ExampleNewUnified() {
 		node.Step(250 * time.Millisecond)
 		unified.OnStep(node.Elapsed())
 	}
-	fmt.Printf("DVFS engaged: %v\n", unified.DVFS.Engaged())
+	fmt.Printf("DVFS engaged: %v\n", unified.TDVFS.Engaged())
 	fmt.Printf("frequency reduced: %v\n", node.CPU.FreqGHz() < 2.4)
 	fmt.Printf("few transitions: %v\n", node.CPU.Transitions() <= 6)
 	// Output:

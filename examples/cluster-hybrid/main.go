@@ -27,7 +27,7 @@ func main() {
 		cluster.Settle(0)
 
 		// One hybrid controller per node, as daemons run per machine.
-		var hybrids []*thermctl.Hybrid
+		var hybrids []*thermctl.NodeControl
 		for i, n := range cluster.Nodes {
 			h, err := thermctl.NewUnified(n, pp, 50)
 			if err != nil {
@@ -42,7 +42,7 @@ func main() {
 		// Earliest in-band trigger across the nodes.
 		trigger := "never"
 		for _, h := range hybrids {
-			if at, ok := h.DVFS.TriggeredAt(); ok {
+			if at, ok := h.TDVFS.TriggeredAt(); ok {
 				trigger = fmt.Sprintf("%.0f s", at.Seconds())
 				break
 			}

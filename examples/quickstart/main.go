@@ -44,7 +44,7 @@ func main() {
 
 		if node.Elapsed()%(30*time.Second) == 0 {
 			state := "idle"
-			if unified.DVFS.Engaged() {
+			if unified.TDVFS.Engaged() {
 				state = "engaged"
 			}
 			fmt.Printf("%-8s %5.1f °C %7.0f %%  %6.1f GHz  %s\n",

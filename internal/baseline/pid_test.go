@@ -168,7 +168,7 @@ func TestPIDChurnsOnJitterWherePaperControllerHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.OnStep
+		return c.Binding().OnStep
 	})
 	if paperSwing >= pidSwing {
 		t.Errorf("window controller duty swing %.1f not below PID's %.1f under jitter",

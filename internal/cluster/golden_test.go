@@ -82,7 +82,10 @@ func hybridClusterTrace(t *testing.T, nodes, workers, want int) []string {
 		// byte-identical to the committed golden recorded under the
 		// serial controller list — that equality is this test's proof
 		// that the hierarchical split preserves behavior.
-		c.AddNodeController(i, core.NewHybrid(fan, dvfs))
+		eng := core.NewEngine(read)
+		eng.Attach(dvfs.Binding(), nil)
+		eng.Attach(fan.Binding(), core.HoldFloorHook(fan.Policy(), dvfs.Policy(), nil))
+		c.AddNodeController(i, eng)
 		fans = append(fans, fan)
 		dvfss = append(dvfss, dvfs)
 	}

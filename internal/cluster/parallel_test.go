@@ -31,7 +31,10 @@ func attachHybrids(tb testing.TB, c *Cluster) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		c.AddNodeController(i, core.NewHybrid(fan, dvfs))
+		eng := core.NewEngine(read)
+		eng.Attach(dvfs.Binding(), nil)
+		eng.Attach(fan.Binding(), core.HoldFloorHook(fan.Policy(), dvfs.Policy(), nil))
+		c.AddNodeController(i, eng)
 	}
 }
 

@@ -274,23 +274,31 @@ type Lane struct {
 	Binding *core.Binding
 }
 
-// NodeControl is the per-node controller set a ControlSpec builds. The
-// Controllers slice is what the caller attaches (in order); Lanes is
-// what reports walk; the typed fields expose technique-specific state.
+// NodeControl is the per-node control stack a ControlSpec builds: one
+// Engine stepping every lane. It is itself a cluster.Controller and a
+// cluster.Scheduled, so a hand-driven loop calls OnStep after each node
+// step and a cluster attaches it as one node-local controller; the
+// typed fields expose technique-specific state.
 type NodeControl struct {
-	// Controllers in attachment order.
+	// Engine steps the lanes in the order dvfs, fan, sleep, on the
+	// node's one temperature reader, so each due round reads the sensor
+	// once for every lane. Under dynamic fan plus tDVFS the fan lane
+	// runs behind core.HoldFloorHook. A node left on the chip's auto
+	// curve gets an empty engine.
+	*core.Engine
+	// Controllers is [Engine], or nil when the node has no lane. It is
+	// kept for bench/rig.go until ROADMAP item 7; attach the
+	// NodeControl's Engine instead.
 	Controllers []cluster.Controller
 	// Lanes holds every binding BuildNode created, always in the order
-	// fan, dvfs, sleep, whatever order the controllers step in (the
-	// hybrid steps dvfs first). A sleep actuator hosted on the dynamic
-	// fan controller is a slot of the fan lane, not a lane of its own.
+	// fan, dvfs, sleep, whatever order the engine steps them in. A
+	// sleep actuator hosted on the dynamic fan controller is a slot of
+	// the fan lane, not a lane of its own.
 	Lanes []Lane
 	// Fan is the dynamic ctlarray controller (nil for other methods).
 	// When Sleep is ctlarray and Fan is dynamic, the sleep actuator is
 	// a second binding on this controller.
 	Fan *core.Controller
-	// Hybrid couples Fan and TDVFS when both are selected.
-	Hybrid *core.Hybrid
 	// TDVFS is the in-band daemon (nil unless dvfs=tdvfs).
 	TDVFS *core.TDVFS
 	// Sleep is the standalone sleep-state ctlarray controller, built
@@ -351,9 +359,9 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 	tune := cs.Tuning
 	tune.Normalize()
 
-	// Dynamic fan controller first: it may also host the sleep-state
-	// array, and it is consumed by the hybrid when tDVFS is selected.
-	var fanCtl *core.Controller
+	// The dynamic fan controller may also host the sleep-state array.
+	var fan, dvfs, sleep *core.Binding
+	var hold func(time.Duration)
 	switch cs.Fan {
 	case "dynamic":
 		bindings := []core.ActuatorBinding{{
@@ -368,20 +376,18 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 		if err != nil {
 			return nil, err
 		}
-		fanCtl = ctl
-		out.Fan = ctl
-		out.Lanes = append(out.Lanes, Lane{"fan", ctl.Binding()})
+		if opt.Registry != nil {
+			ctl.InstrumentMetrics(opt.Registry, opt.Labels...)
+		}
+		out.Fan, fan = ctl, ctl.Binding()
 	case "static":
 		s, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(tune.MaxFanDuty), temp(), fanPort())
 		if err != nil {
 			return nil, err
 		}
-		out.Controllers = append(out.Controllers, s)
-		out.Lanes = append(out.Lanes, Lane{"fan", s})
+		fan = s
 	case "constant":
-		cf := baseline.NewConstantFan(tune.MaxFanDuty, fanPort())
-		out.Controllers = append(out.Controllers, cf)
-		out.Lanes = append(out.Lanes, Lane{"fan", cf})
+		fan = baseline.NewConstantFan(tune.MaxFanDuty, fanPort())
 	case "auto":
 		// chip firmware curve; nothing to attach
 	}
@@ -396,36 +402,21 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 		if err != nil {
 			return nil, err
 		}
-		out.TDVFS = d
-		out.Lanes = append(out.Lanes, Lane{"dvfs", d.Binding()})
-		if fanCtl != nil {
-			h := core.NewHybrid(fanCtl, d)
-			if opt.Registry != nil {
-				h.InstrumentMetrics(opt.Registry, opt.Labels...)
-			}
-			out.Hybrid = h
-			out.Controllers = append(out.Controllers, h)
-			fanCtl = nil
-		} else {
-			if opt.Registry != nil {
-				d.InstrumentMetrics(opt.Registry, opt.Labels...)
-			}
-			out.Controllers = append(out.Controllers, d)
+		if opt.Registry != nil {
+			d.InstrumentMetrics(opt.Registry, opt.Labels...)
+		}
+		out.TDVFS, dvfs = d, d.Binding()
+		if out.Fan != nil {
+			hold = core.HoldFloorHook(out.Fan.Policy(), d.Policy(),
+				core.NewHoldRoundsCounter(opt.Registry, opt.Labels...))
 		}
 	case "cpuspeed":
 		csd, err := baseline.NewCPUSpeed(baseline.DefaultCPUSpeedConfig(), n.FS, freqPort())
 		if err != nil {
 			return nil, err
 		}
-		out.Controllers = append(out.Controllers, csd)
-		out.Lanes = append(out.Lanes, Lane{"dvfs", csd})
+		dvfs = csd
 	case "none":
-	}
-	if fanCtl != nil {
-		if opt.Registry != nil {
-			fanCtl.InstrumentMetrics(opt.Registry, opt.Labels...)
-		}
-		out.Controllers = append(out.Controllers, fanCtl)
 	}
 
 	// Standalone sleep-state array when no dynamic fan controller
@@ -440,9 +431,29 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 		if opt.Registry != nil {
 			ctl.InstrumentMetrics(opt.Registry, opt.Labels...)
 		}
-		out.Sleep = ctl
-		out.Controllers = append(out.Controllers, ctl)
-		out.Lanes = append(out.Lanes, Lane{"sleep", ctl.Binding()})
+		out.Sleep, sleep = ctl, ctl.Binding()
+	}
+
+	// One engine on the node's one reader (nil when no lane samples),
+	// stepping dvfs, then fan, then sleep: the hybrid's order, in which
+	// the fan lane sees the engagement tDVFS decided in the same round.
+	out.Engine = core.NewEngine(read)
+	if dvfs != nil {
+		out.Engine.Attach(dvfs, nil)
+	}
+	if fan != nil {
+		out.Engine.Attach(fan, hold)
+	}
+	if sleep != nil {
+		out.Engine.Attach(sleep, nil)
+	}
+	for _, l := range []Lane{{"fan", fan}, {"dvfs", dvfs}, {"sleep", sleep}} {
+		if l.Binding != nil {
+			out.Lanes = append(out.Lanes, l)
+		}
+	}
+	if len(out.Lanes) > 0 {
+		out.Controllers = []cluster.Controller{out.Engine}
 	}
 	return out, nil
 }
@@ -601,10 +612,11 @@ func AttachControl(c *cluster.Cluster, cs ControlSpec, reg *metrics.Registry, la
 		if err != nil {
 			return nil, err
 		}
-		// BuildNode's controllers observe and actuate only their own
-		// node, so they join the sharded node-local phase.
-		for _, ctl := range nc.Controllers {
-			c.AddNodeController(i, ctl)
+		// A node's engine observes and actuates only its own node, so
+		// it joins the sharded node-local phase; a node on the chip's
+		// auto curve attaches nothing.
+		if len(nc.Lanes) > 0 {
+			c.AddNodeController(i, nc.Engine)
 		}
 		out = append(out, nc)
 	}

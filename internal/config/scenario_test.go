@@ -2,12 +2,17 @@ package config
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"thermctl/internal/cluster"
 	"thermctl/internal/core"
+	"thermctl/internal/faults"
 	"thermctl/internal/node"
+	"thermctl/internal/rng"
 	"thermctl/internal/workload"
 )
 
@@ -100,32 +105,29 @@ func TestScenarioBuildDefault(t *testing.T) {
 		t.Fatalf("node controls = %d, want 2", len(rig.Nodes))
 	}
 	for _, nc := range rig.Nodes {
-		if nc.Hybrid == nil || nc.Fan == nil || nc.TDVFS == nil || nc.Sleep != nil {
+		if nc.Fan == nil || nc.TDVFS == nil || nc.Sleep != nil {
 			t.Errorf("default wiring = %+v, want hybrid over fan+tdvfs", nc)
 		}
 		if len(nc.Controllers) != 1 {
-			t.Errorf("controllers = %d, want 1 (the hybrid)", len(nc.Controllers))
+			t.Errorf("controllers = %d, want 1 (the node's engine)", len(nc.Controllers))
 		}
 	}
 }
 
 // TestBuildNodeLanes walks every fan × dvfs × sleep combination:
 // Lanes names each binding BuildNode created, always in the order fan,
-// dvfs, sleep, and each entry is the very binding the controllers step.
+// dvfs, sleep; Controllers is the node's one engine, or nil without
+// lanes; and stepping that engine is exact against stepping the same
+// lanes one by one as standalone bindings, each reading the sensor
+// itself, in the order they stepped as separate controllers — through
+// two minutes of cpu-burn with a sensor-dropout spell.
 func TestBuildNodeLanes(t *testing.T) {
 	for _, fan := range []string{"dynamic", "static", "constant", "auto"} {
 		for _, dvfs := range []string{"none", "tdvfs", "cpuspeed"} {
 			for _, sleep := range []string{"none", "ctlarray"} {
 				name := fan + "/" + dvfs + "/" + sleep
-				n, err := node.New(node.DefaultConfig("n0", 1))
-				if err != nil {
-					t.Fatal(err)
-				}
 				cs := ControlSpec{Fan: fan, DVFS: dvfs, Sleep: sleep, Tuning: Default()}
-				nc, err := cs.BuildNode(n, NodeOptions{})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+				n, nc, plane := buildDropoutNode(t, cs)
 
 				var want []string
 				if fan != "auto" {
@@ -146,29 +148,11 @@ func TestBuildNodeLanes(t *testing.T) {
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("%s: lanes %v, want %v", name, got, want)
 				}
-
-				// Every lane is a binding some attached controller steps.
-				stepped := map[*core.Binding]bool{}
-				for _, ctl := range nc.Controllers {
-					switch c := ctl.(type) {
-					case *core.Hybrid:
-						stepped[c.Fan.Binding()] = true
-						stepped[c.DVFS.Binding()] = true
-					case *core.Binding:
-						stepped[c] = true
-					case interface{ Binding() *core.Binding }:
-						stepped[c.Binding()] = true
-					default:
-						t.Errorf("%s: controller %T exposes no binding", name, ctl)
-					}
+				if len(want) == 0 && nc.Controllers != nil {
+					t.Errorf("%s: a lane-less node has controllers %v, want nil", name, nc.Controllers)
 				}
-				if len(stepped) != len(nc.Lanes) {
-					t.Errorf("%s: controllers step %d bindings, lanes list %d", name, len(stepped), len(nc.Lanes))
-				}
-				for _, l := range nc.Lanes {
-					if !stepped[l.Binding] {
-						t.Errorf("%s: lane %q binding is not stepped by any controller", name, l.Name)
-					}
+				if len(want) > 0 && (len(nc.Controllers) != 1 || nc.Controllers[0] != cluster.Controller(nc.Engine)) {
+					t.Errorf("%s: controllers %v, want [Engine]", name, nc.Controllers)
 				}
 				if nc.Fan != nil && lane["fan"] != nc.Fan.Binding() {
 					t.Errorf("%s: fan lane is not Fan.Binding()", name)
@@ -179,8 +163,112 @@ func TestBuildNodeLanes(t *testing.T) {
 				if nc.Sleep != nil && lane["sleep"] != nc.Sleep.Binding() {
 					t.Errorf("%s: sleep lane is not Sleep.Binding()", name)
 				}
+				checkEngineMatchesStandalone(t, name, cs, n, nc, plane)
 			}
 		}
+	}
+}
+
+// buildDropoutNode builds a settled node under cpu-burn, the spec's
+// control stack on it, and the fault plane that drops its sensor out
+// from 40 s to 60 s.
+func buildDropoutNode(t *testing.T, cs ControlSpec) (*node.Node, *NodeControl, *faults.Plane) {
+	t.Helper()
+	n, err := node.New(node.DefaultConfig("n0", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Settle(0)
+	plane, err := faults.NewPlane(faults.Plan{Name: "dropout", Schedules: []faults.Schedule{{
+		Target: n.Name,
+		Episodes: []faults.Episode{{Kind: faults.SensorDropout,
+			Start: faults.Dur(40 * time.Second), Duration: faults.Dur(20 * time.Second)}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AttachFaults(plane.Injector(n.Name), rng.New(3))
+	n.SetGenerator(workload.NewCPUBurn(rng.New(5)))
+	nc, err := cs.BuildNode(n, NodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, nc, plane
+}
+
+// checkEngineMatchesStandalone steps nc's engine on n and, on a twin
+// node with its own plane, the same spec's lanes as standalone bindings in the order they
+// stepped as separate controllers: a static or constant fan, the dvfs
+// lane, a dynamic fan (behind the hold-floor hook when tDVFS runs),
+// then the sleep array. Frames must match bit for bit at every step,
+// and each lane's moves, errors and fail-safe log at the end.
+func checkEngineMatchesStandalone(t *testing.T, name string, cs ControlSpec, n *node.Node, nc *NodeControl, plane *faults.Plane) {
+	t.Helper()
+	twin, alone, twinPlane := buildDropoutNode(t, cs)
+	lane := map[string]*core.Binding{}
+	for _, l := range alone.Lanes {
+		lane[l.Name] = l.Binding
+	}
+	var order []*core.Binding
+	if cs.Fan == "static" || cs.Fan == "constant" {
+		order = append(order, lane["fan"])
+	}
+	if b := lane["dvfs"]; b != nil {
+		order = append(order, b)
+	}
+	if cs.Fan == "dynamic" {
+		order = append(order, lane["fan"])
+	}
+	if b := lane["sleep"]; b != nil {
+		order = append(order, b)
+	}
+	var hold func(time.Duration)
+	if alone.Fan != nil && alone.TDVFS != nil {
+		hold = core.HoldFloorHook(alone.Fan.Policy(), alone.TDVFS.Policy(), nil)
+	}
+
+	got, want := make([]float64, cluster.FrameWidth), make([]float64, cluster.FrameWidth)
+	for n.Elapsed() < 2*time.Minute {
+		n.Step(cluster.DefaultDt)
+		twin.Step(cluster.DefaultDt)
+		now := n.Elapsed()
+		plane.OnStep(now)
+		twinPlane.OnStep(now)
+		nc.OnStep(now)
+		for _, b := range order {
+			if hold != nil && b == lane["fan"] && b.NextDue() <= now {
+				hold(now)
+			}
+			b.OnStep(now)
+		}
+		cluster.SampleNode(n, got)
+		cluster.SampleNode(twin, want)
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Errorf("%s: t=%v %s = %v on the engine, %v stepped lane by lane",
+					name, now, cluster.FrameFields[k].Name, got[k], want[k])
+				return
+			}
+		}
+	}
+	var errs uint64
+	for i, l := range nc.Lanes {
+		a, b := l.Binding, alone.Lanes[i].Binding
+		for s := 0; s < a.Slots(); s++ {
+			if a.Moves(s) != b.Moves(s) {
+				t.Errorf("%s: %s slot %d moves %d, standalone %d", name, l.Name, s, a.Moves(s), b.Moves(s))
+			}
+		}
+		if a.Errors() != b.Errors() {
+			t.Errorf("%s: %s errors %d, standalone %d", name, l.Name, a.Errors(), b.Errors())
+		}
+		if !slices.Equal(a.FailSafeEvents(), b.FailSafeEvents()) {
+			t.Errorf("%s: %s fail-safe log %v, standalone %v", name, l.Name, a.FailSafeEvents(), b.FailSafeEvents())
+		}
+		errs += a.Errors()
+	}
+	if samples := cs.Fan == "dynamic" || cs.Fan == "static" || cs.DVFS == "tdvfs" || cs.Sleep == "ctlarray"; samples && errs == 0 {
+		t.Errorf("%s: no lane counted an error; the dropout did not bite", name)
 	}
 }
 
@@ -229,7 +317,7 @@ func TestScenarioBuildStandaloneSleep(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc := rig.Nodes[0]
-	if nc.Sleep == nil || nc.Fan != nil || nc.Hybrid != nil {
+	if nc.Sleep == nil || nc.Fan != nil || nc.TDVFS != nil {
 		t.Fatalf("wiring = %+v, want a standalone sleep controller", nc)
 	}
 	if got := nc.Sleep.Binding().Actuator(0).Name(); got != "cstates" {
@@ -400,7 +488,7 @@ func TestScenarioBuildDeterministic(t *testing.T) {
 		}
 		res := rig.Cluster.RunProgram(*rig.Program, 0)
 		n := rig.Cluster.Nodes[0]
-		return res.ExecTime.Seconds(), n.Meter.AverageW(), rig.Nodes[0].Hybrid.Fan.Binding().Errors() + rig.Nodes[0].Hybrid.DVFS.Binding().Errors()
+		return res.ExecTime.Seconds(), n.Meter.AverageW(), rig.Nodes[0].Fan.Binding().Errors() + rig.Nodes[0].TDVFS.Binding().Errors()
 	}
 	t1, w1, e1 := run()
 	t2, w2, e2 := run()

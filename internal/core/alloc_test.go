@@ -30,7 +30,7 @@ func TestPolicyRootsAllocationFree(t *testing.T) {
 	if !ok {
 		t.Fatalf("DVFS policy is %T, want *ThresholdPolicy", dvfs.Policy())
 	}
-	eng, now := h.eng, n.Elapsed()
+	eng, now := h.Engine, n.Elapsed()
 	act, err := NewDVFSActuator(NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)

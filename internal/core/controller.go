@@ -79,8 +79,9 @@ func (cfg Config) validate() error {
 // temperature stream, one two-level history window, one policy
 // parameter, any number of actuators. Since the control-plane
 // unification it is a facade over the engine — a Binding hosting the
-// CtlArrayPolicy — kept for its stable constructor and observability
-// surface. It implements the cluster Controller interface via OnStep.
+// CtlArrayPolicy — kept for its constructor and observability surface.
+// It is stepped through its Binding, on an Engine (see
+// config.ControlSpec.BuildNode) or alone.
 type Controller struct {
 	cfg Config
 	b   *Binding
@@ -130,7 +131,7 @@ func NewController(cfg Config, read TempReader, bindings ...ActuatorBinding) (*C
 }
 
 // Binding exposes the engine binding hosting this controller, for
-// composition into an Engine (the hybrid coordinator does this).
+// composition into an Engine or for stepping it alone.
 func (c *Controller) Binding() *Binding { return c.b }
 
 // Policy exposes the hosted ctlarray policy.
@@ -214,19 +215,3 @@ func (s Status) String() string {
 	}
 	return out
 }
-
-// SetHoldFloor, while set, blocks index *decreases* (cooling
-// reductions); increases stay allowed. The Hybrid coordinator uses it
-// to stop the out-of-band knob from relaxing while the in-band knob is
-// engaged.
-func (c *Controller) SetHoldFloor(hold bool) { c.pol.SetHoldFloor(hold) }
-
-// NextDue forwards the binding's; implements cluster.Scheduled.
-func (c *Controller) NextDue() time.Duration { return c.b.NextDue() }
-
-// OnStep samples and, on each completed window round, updates every
-// actuator through the hosted ctlarray policy. Call it once per
-// simulation step with the current time. Sampling cadence, fail-safe
-// degradation and error accounting are the engine's (see
-// Binding.OnStep).
-func (c *Controller) OnStep(now time.Duration) { c.b.OnStep(now) }

@@ -32,7 +32,7 @@ func TestAntiWindupBoundsLead(t *testing.T) {
 	coef := 99.0 / 44.0
 	period := 250 * time.Millisecond
 	for i := 1; i <= 200; i++ {
-		c.OnStep(time.Duration(i) * period)
+		c.Binding().OnStep(time.Duration(i) * period)
 		avg := c.Binding().Window().Avg()
 		if math.IsNaN(avg) {
 			continue
@@ -65,7 +65,7 @@ func TestReactivityFloorPullsIndexUp(t *testing.T) {
 	}
 	period := 250 * time.Millisecond
 	for i := 1; i <= 120; i++ {
-		c.OnStep(time.Duration(i) * period)
+		c.Binding().OnStep(time.Duration(i) * period)
 	}
 	coef := 99.0 / 44.0
 	center := coef * (68 - 38)
@@ -92,7 +92,7 @@ func TestCustomWindowConfigHonored(t *testing.T) {
 		if i == 8 && !math.IsNaN(win.Avg()) {
 			t.Fatalf("a round completed after %d samples of an 8-entry window", i-1)
 		}
-		c.OnStep(time.Duration(i) * period)
+		c.Binding().OnStep(time.Duration(i) * period)
 	}
 	if win.Avg() != 45 {
 		t.Errorf("round average = %v after 8 samples, want 45", win.Avg())
@@ -132,7 +132,7 @@ func TestHoldFloorStillAllowsIncreases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetHoldFloor(true)
+	c.Policy().SetHoldFloor(true)
 	drive(c, 60)
 	if len(fa.applied) < 2 {
 		t.Fatalf("hold-floor blocked increases too: %v", fa.applied)

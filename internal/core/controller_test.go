@@ -56,7 +56,7 @@ func minInt(a, b int) int {
 func drive(c *Controller, n int) {
 	period := 250 * time.Millisecond
 	for i := 1; i <= n; i++ {
-		c.OnStep(time.Duration(i) * period)
+		c.Binding().OnStep(time.Duration(i) * period)
 	}
 }
 
@@ -256,7 +256,7 @@ func TestSensorErrorCounted(t *testing.T) {
 	if len(fa.applied) != 0 {
 		t.Error("actuator moved before the escalation threshold")
 	}
-	c.OnStep(8 * 250 * time.Millisecond)
+	c.Binding().OnStep(8 * 250 * time.Millisecond)
 	if !c.Binding().FailSafe() {
 		t.Error("8 consecutive failed reads did not engage the fail-safe")
 	}
@@ -287,7 +287,7 @@ func TestSamplingHonorsPeriod(t *testing.T) {
 	}
 	// Step every 50 ms for 2 s: 40 calls, but period is 250 ms → 8 reads.
 	for i := 1; i <= 40; i++ {
-		c.OnStep(time.Duration(i) * 50 * time.Millisecond)
+		c.Binding().OnStep(time.Duration(i) * 50 * time.Millisecond)
 	}
 	if reads != 8 {
 		t.Errorf("reads = %d, want 8 (4 Hz sampling)", reads)
@@ -316,7 +316,7 @@ func TestEndToEndFanControlOnNode(t *testing.T) {
 	dt := 250 * time.Millisecond
 	for i := 0; i < 1200; i++ { // 5 minutes
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	finalTemp := n.TrueDieC()
 	finalDuty := n.Fan.Duty()
@@ -341,6 +341,6 @@ func BenchmarkControllerRound(b *testing.B) {
 	}
 	period := 250 * time.Millisecond
 	for i := 1; i <= b.N; i++ {
-		c.OnStep(time.Duration(i) * period)
+		c.Binding().OnStep(time.Duration(i) * period)
 	}
 }

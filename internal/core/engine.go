@@ -22,7 +22,8 @@ import (
 // types, see controller.go and tdvfs.go), the tach watchdog
 // (watchdog.go), and the baselines of internal/baseline — static map,
 // constant duty, CPUSPEED and PID — whose constructors return the
-// binding itself. The hybrid coordinator is an Engine of two bindings
+// binding itself. A node's control stack is one Engine over all its
+// bindings, the hybrid's coordination one pre-round hook on it
 // (hybrid.go).
 
 // Policy is the pluggable decision layer of the control engine: the
@@ -480,11 +481,10 @@ type lane struct {
 }
 
 // Engine steps an ordered set of bindings as one control plane on one
-// temperature reader. The hybrid coordinator is an engine of two
-// lanes — the threshold (tDVFS) binding first, then the ctlarray (fan)
-// binding with a pre-round hook that holds the fan floor while the
-// in-band knob is engaged. Any number of lanes compose the same way;
-// ordering is attachment order.
+// temperature reader: config.ControlSpec.BuildNode puts every lane of a
+// node on one engine, in the order dvfs, fan, sleep. Under the hybrid
+// the fan lane runs behind HoldFloorHook, which holds the fan floor
+// while the in-band knob is engaged. Ordering is attachment order.
 //
 // A lane samples when its binding has a reader, and the engine's
 // reader supplies that sample: on a step where any sampling lane is

@@ -45,7 +45,7 @@ func TestFailSafePermanentReadFailureDrivesFanToMax(t *testing.T) {
 	}
 	drive2 := func(from, n int) {
 		for i := from + 1; i <= from+n; i++ {
-			c.OnStep(time.Duration(i) * period)
+			c.Binding().OnStep(time.Duration(i) * period)
 		}
 	}
 	esc := DefaultFailSafeConfig().EscalateErrors
@@ -96,7 +96,7 @@ func TestFailSafeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 200; i++ {
-		c.OnStep(time.Duration(i) * period)
+		c.Binding().OnStep(time.Duration(i) * period)
 	}
 	ev := c.FailSafeEvents()
 	if len(ev) != 2 || !ev[0].Engaged || ev[1].Engaged {
@@ -147,7 +147,7 @@ func TestFailSafeActuationFailuresEscalate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 400; i++ {
-		c.OnStep(time.Duration(i) * period)
+		c.Binding().OnStep(time.Duration(i) * period)
 	}
 	ev := c.FailSafeEvents()
 	if len(ev) == 0 || !ev[0].Engaged {
@@ -199,7 +199,7 @@ func TestTDVFSFailSafeDrivesFrequencyFloor(t *testing.T) {
 	period := 250 * time.Millisecond
 	esc := DefaultFailSafeConfig().EscalateErrors
 	for i := 41; i <= 40+esc; i++ {
-		d.OnStep(time.Duration(i) * period)
+		d.Binding().OnStep(time.Duration(i) * period)
 	}
 	if !d.Binding().FailSafe() {
 		t.Fatal("fail-safe not engaged after the escalation threshold")

@@ -35,7 +35,7 @@ func TestFanControlSurvivesFlakyBus(t *testing.T) {
 	dt := 250 * time.Millisecond
 	for i := 0; i < 2400; i++ {
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	if ctl.Binding().Errors() == 0 {
 		t.Error("no errors counted despite 20% bus fault rate")
@@ -80,7 +80,7 @@ func TestTDVFSSurvivesSensorDropouts(t *testing.T) {
 	}
 	period := 250 * time.Millisecond
 	for s := 1; s <= 600; s++ {
-		d.OnStep(time.Duration(s) * period)
+		d.Binding().OnStep(time.Duration(s) * period)
 	}
 	if d.Binding().Errors() == 0 {
 		t.Error("no read errors counted")

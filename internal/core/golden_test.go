@@ -212,7 +212,7 @@ func TestGoldenFanClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 1200; step++ {
-		c.OnStep(time.Duration(step) * stepDt)
+		c.Binding().OnStep(time.Duration(step) * stepDt)
 		if step%5 == 0 {
 			fanState(tr, step, c, 1)
 		}
@@ -243,7 +243,7 @@ func TestGoldenFanFaulty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 1200; step++ {
-		c.OnStep(time.Duration(step) * stepDt)
+		c.Binding().OnStep(time.Duration(step) * stepDt)
 		if step%5 == 0 {
 			fanState(tr, step, c, 1)
 		}
@@ -266,7 +266,7 @@ func TestGoldenFanMultiActuator(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 1500; step++ {
-		c.OnStep(time.Duration(step) * stepDt)
+		c.Binding().OnStep(time.Duration(step) * stepDt)
 		if step%5 == 0 {
 			fanState(tr, step, c, 3)
 		}
@@ -298,7 +298,7 @@ func TestGoldenTDVFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 2600; step++ {
-		d.OnStep(time.Duration(step) * stepDt)
+		d.Binding().OnStep(time.Duration(step) * stepDt)
 		if step%5 == 0 {
 			tr.addf("step=%04d errs=%d fs=%v mode=%d downs=%d ups=%d engaged=%v",
 				step, d.Binding().Errors(), d.Binding().FailSafe(), d.Binding().Policy().(*core.ThresholdPolicy).CurrentMode(),
@@ -336,9 +336,11 @@ func TestGoldenHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := core.NewHybrid(fan, dvfs)
+	eng := core.NewEngine(r.read)
+	eng.Attach(dvfs.Binding(), nil)
+	eng.Attach(fan.Binding(), core.HoldFloorHook(fan.Policy(), dvfs.Policy(), nil))
 	for step := 0; step < 2200; step++ {
-		h.OnStep(time.Duration(step) * stepDt)
+		eng.OnStep(time.Duration(step) * stepDt)
 		if step%5 == 0 {
 			tr.addf("step=%04d fan[errs=%d fs=%v idx=%d moves=%d] dvfs[errs=%d fs=%v mode=%d engaged=%v]",
 				step, fan.Binding().Errors(), fan.Binding().FailSafe(), fan.Policy().Index(0), fan.Moves(0),

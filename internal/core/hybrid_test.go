@@ -5,12 +5,38 @@ import (
 	"testing"
 	"time"
 
+	"thermctl/internal/metrics"
 	"thermctl/internal/node"
 	"thermctl/internal/workload"
 )
 
+// hybrid is the unified controller as ControlSpec.BuildNode wires it:
+// one engine on the lanes' shared reader, the tDVFS lane first, then
+// the fan lane behind HoldFloorHook.
+type hybrid struct {
+	*Engine
+	Fan  *Controller
+	DVFS *TDVFS
+}
+
+// newHybrid couples fan and dvfs on one engine; holdRounds may be nil.
+func newHybrid(fan *Controller, dvfs *TDVFS, holdRounds *metrics.Counter) *hybrid {
+	eng := NewEngine(fan.b.read)
+	eng.Attach(dvfs.b, nil)
+	eng.Attach(fan.b, HoldFloorHook(fan.pol, dvfs.pol, holdRounds))
+	return &hybrid{Engine: eng, Fan: fan, DVFS: dvfs}
+}
+
+// InstrumentMetrics instruments both lanes and rewires the hook onto
+// the coordination counter, as BuildNode does under a registry.
+func (h *hybrid) InstrumentMetrics(reg *metrics.Registry) {
+	h.Fan.InstrumentMetrics(reg)
+	h.DVFS.InstrumentMetrics(reg)
+	*h = *newHybrid(h.Fan, h.DVFS, NewHoldRoundsCounter(reg))
+}
+
 // newHybridRig builds a node with a full unified controller.
-func newHybridRig(t testing.TB, pp int, maxDuty float64) (*node.Node, *Hybrid) {
+func newHybridRig(t testing.TB, pp int, maxDuty float64) (*node.Node, *hybrid) {
 	t.Helper()
 	n, err := node.New(node.DefaultConfig("hybrid", 13))
 	if err != nil {
@@ -31,10 +57,10 @@ func newHybridRig(t testing.TB, pp int, maxDuty float64) (*node.Node, *Hybrid) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, NewHybrid(fan, dvfs)
+	return n, newHybrid(fan, dvfs, nil)
 }
 
-func runHybrid(n *node.Node, h *Hybrid, d time.Duration) {
+func runHybrid(n *node.Node, h *hybrid, d time.Duration) {
 	dt := 250 * time.Millisecond
 	deadline := n.Elapsed() + d
 	for n.Elapsed() < deadline {
@@ -149,7 +175,7 @@ func TestControllerSetHoldFloorBlocksDecreases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetHoldFloor(true)
+	c.Policy().SetHoldFloor(true)
 	drive(c, 80)
 	// Only the anchor application may have happened; the falling
 	// temperature must not have produced downward moves.
@@ -183,7 +209,7 @@ func TestHybridLanesFailSafeOnDeadSensor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHybrid(fan, dvfs)
+	h := newHybrid(fan, dvfs, nil)
 	for i := 1; i <= 120; i++ {
 		h.OnStep(time.Duration(i) * 250 * time.Millisecond)
 	}

@@ -2,8 +2,8 @@ package core
 
 import "thermctl/internal/metrics"
 
-// This file wires the controller facades and the watchdog binding to
-// the metrics layer.
+// This file wires the controller facades and the hybrid coordination
+// hook to the metrics layer.
 // Registration happens here, at wiring time — never inside
 // OnStep-reachable code (the metricsafe analyzer enforces that) — and
 // the handles themselves are nil-safe, so an uninstrumented controller
@@ -70,11 +70,13 @@ func (d *TDVFS) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label
 	}
 }
 
-// InstrumentMetrics instruments both coupled controllers plus the
-// coordination itself. Wiring-time only.
-func (h *Hybrid) InstrumentMetrics(reg *metrics.Registry, labels ...metrics.Label) {
-	h.Fan.InstrumentMetrics(reg, labels...)
-	h.DVFS.InstrumentMetrics(reg, labels...)
-	h.holdRounds = reg.NewCounter("thermctl_hybrid_hold_rounds_total",
+// NewHoldRoundsCounter registers the hybrid coordination counter that
+// HoldFloorHook increments: fan rounds taken with the floor held. A nil
+// reg returns the nil (uninstrumented) counter. Wiring-time only.
+func NewHoldRoundsCounter(reg *metrics.Registry, labels ...metrics.Label) *metrics.Counter {
+	if reg == nil {
+		return nil
+	}
+	return reg.NewCounter("thermctl_hybrid_hold_rounds_total",
 		"control rounds with the fan floor held while tDVFS was engaged", labels...)
 }

@@ -42,7 +42,7 @@ func runFanControlOver(t *testing.T, seed uint64, oob bool) (finalTempC, finalDu
 	dt := 250 * time.Millisecond
 	for i := 0; i < 1200; i++ {
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	return n.TrueDieC(), n.Fan.Duty(), ctl.Binding().Errors()
 }
@@ -120,7 +120,7 @@ func TestOutOfBandOverTCP(t *testing.T) {
 		owner.Lock()
 		n.Step(dt)
 		owner.Unlock()
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

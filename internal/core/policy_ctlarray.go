@@ -34,8 +34,8 @@ type ctlArrayMetrics struct {
 	// produced no index move and the long-horizon Δt_L2 predictor was
 	// consulted instead.
 	l2Fallbacks *metrics.Counter
-	// holdFloor is 1 while downward index moves are suppressed by the
-	// hybrid coordinator.
+	// holdFloor is 1 while downward index moves are suppressed by
+	// HoldFloorHook.
 	holdFloor *metrics.Gauge
 }
 
@@ -89,8 +89,8 @@ func (p *CtlArrayPolicy) Mode(i int) int { return p.slots[i].arr.Mode(p.slots[i]
 func (p *CtlArrayPolicy) HoldFloor() bool { return p.holdFloor }
 
 // SetHoldFloor, while set, blocks index *decreases* (cooling
-// reductions); increases stay allowed. The Hybrid coordinator uses it
-// to stop the out-of-band knob from relaxing while the in-band knob is
+// reductions); increases stay allowed. HoldFloorHook uses it to stop
+// the out-of-band knob from relaxing while the in-band knob is
 // engaged.
 func (p *CtlArrayPolicy) SetHoldFloor(hold bool) {
 	p.holdFloor = hold

@@ -76,7 +76,7 @@ func TestHybridHoldCounterCountsFanRounds(t *testing.T) {
 	for n.Elapsed() < 12*time.Minute {
 		n.Step(dt)
 		now := n.Elapsed()
-		fanDue := h.Fan.NextDue() <= now
+		fanDue := h.Fan.Binding().NextDue() <= now
 		hold := h.Fan.Policy().HoldFloor()
 		h.OnStep(now)
 		if h.DVFS.Engaged() {

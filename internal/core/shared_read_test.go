@@ -28,7 +28,7 @@ func (c *countingTemp) read() (float64, error) {
 
 // newCountingHybrid builds a hybrid over fake ports on one counting
 // reader.
-func newCountingHybrid(t *testing.T, r *countingTemp) *Hybrid {
+func newCountingHybrid(t *testing.T, r *countingTemp) *hybrid {
 	t.Helper()
 	fan, err := NewController(DefaultConfig(50), r.read,
 		ActuatorBinding{Actuator: NewFanActuator(&fakeFanPort{}, 100)})
@@ -40,7 +40,7 @@ func newCountingHybrid(t *testing.T, r *countingTemp) *Hybrid {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewHybrid(fan, dvfs)
+	return newHybrid(fan, dvfs, nil)
 }
 
 // TestHybridReadsOncePerRound: both lanes sample every 250 ms, so a
@@ -164,8 +164,8 @@ func TestEngineLanesMatchStandaloneBindingsOnFaultyReader(t *testing.T) {
 		now := time.Duration(k) * dt
 		shared.step, alone.step = k, k
 		h.OnStep(now)
-		dvfs.OnStep(now)
-		fan.OnStep(now)
+		dvfs.Binding().OnStep(now)
+		fan.Binding().OnStep(now)
 		for _, l := range lanes {
 			if l.got.Errors() != l.want.Errors() || l.got.FailSafe() != l.want.FailSafe() {
 				t.Fatalf("t=%v %s lane: errors %d fail-safe %v, standalone %d %v",

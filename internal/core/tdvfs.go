@@ -108,8 +108,8 @@ func (cfg TDVFSConfig) withDefaults() TDVFSConfig {
 // until heat demonstrably exceeds what the fan can remove, minimizing
 // the in-band technique's performance cost. Since the control-plane
 // unification it is a facade over the engine — a Binding hosting the
-// ThresholdPolicy — kept for its stable constructor and observability
-// surface.
+// ThresholdPolicy — kept for its constructor and observability
+// surface, and stepped through its Binding.
 type TDVFS struct {
 	b   *Binding
 	pol *ThresholdPolicy
@@ -144,8 +144,11 @@ func NewTDVFS(cfg TDVFSConfig, read TempReader, act *DVFSActuator) (*TDVFS, erro
 }
 
 // Binding exposes the engine binding hosting this daemon, for
-// composition into an Engine (the hybrid coordinator does this).
+// composition into an Engine or for stepping it alone.
 func (d *TDVFS) Binding() *Binding { return d.b }
+
+// Policy exposes the hosted threshold policy.
+func (d *TDVFS) Policy() *ThresholdPolicy { return d.pol }
 
 // Downscales returns the number of scale-down decisions taken.
 func (d *TDVFS) Downscales() uint64 { return d.pol.Downscales() }
@@ -160,12 +163,3 @@ func (d *TDVFS) TriggeredAt() (time.Duration, bool) { return d.pol.TriggeredAt()
 // Engaged reports whether the daemon is holding the CPU below its
 // nominal frequency.
 func (d *TDVFS) Engaged() bool { return d.pol.Engaged() }
-
-// NextDue forwards the binding's; implements cluster.Scheduled.
-func (d *TDVFS) NextDue() time.Duration { return d.b.NextDue() }
-
-// OnStep samples and decides through the hosted threshold policy.
-// Implements the cluster Controller interface. Sampling cadence,
-// fail-safe degradation and error accounting are the engine's (see
-// Binding.OnStep).
-func (d *TDVFS) OnStep(now time.Duration) { d.b.OnStep(now) }

@@ -24,7 +24,7 @@ func newDVFSRig(t *testing.T) (*node.Node, *DVFSActuator) {
 func driveTDVFS(d *TDVFS, samples int, temp func(i int) float64) {
 	period := 250 * time.Millisecond
 	for i := 1; i <= samples; i++ {
-		d.OnStep(time.Duration(i) * period)
+		d.Binding().OnStep(time.Duration(i) * period)
 	}
 	_ = temp
 }
@@ -163,7 +163,7 @@ func TestTDVFSRestoresNominalDirectly(t *testing.T) {
 	hot = false
 	period := 250 * time.Millisecond
 	for i := 61; i <= 200; i++ {
-		d.OnStep(time.Duration(i) * period)
+		d.Binding().OnStep(time.Duration(i) * period)
 	}
 	if n.CPU.FreqGHz() != 2.4 {
 		t.Errorf("after cooling, frequency %v GHz, want direct restore to 2.4", n.CPU.FreqGHz())
@@ -223,7 +223,7 @@ func TestTDVFSHysteresisPreventsChatter(t *testing.T) {
 	hot = false
 	period := 250 * time.Millisecond
 	for i := 61; i <= 260; i++ {
-		d.OnStep(time.Duration(i) * period)
+		d.Binding().OnStep(time.Duration(i) * period)
 	}
 	if n.CPU.FreqGHz() != 2.2 {
 		t.Errorf("frequency chattered to %v GHz inside the hysteresis band", n.CPU.FreqGHz())
@@ -293,7 +293,7 @@ func TestTDVFSEndToEndStabilizesHotNode(t *testing.T) {
 	dt := 250 * time.Millisecond
 	for i := 0; i < 2400; i++ { // 10 minutes
 		n.Step(dt)
-		d.OnStep(n.Elapsed())
+		d.Binding().OnStep(n.Elapsed())
 	}
 	if d.Downscales() == 0 {
 		t.Fatal("tDVFS never triggered on a hot node")

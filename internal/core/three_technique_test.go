@@ -41,7 +41,7 @@ func TestUnifiedControllerOverThreeTechniques(t *testing.T) {
 	dt := 250 * time.Millisecond
 	for i := 0; i < 1200; i++ {
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	// All three knobs respond to the same window and policy: under
 	// sustained load the fan spins up, and the in-band knobs engage
@@ -80,7 +80,7 @@ func TestThrottleOnlyCooling(t *testing.T) {
 	dt := 250 * time.Millisecond
 	for i := 0; i < 2400; i++ {
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	if n.CPU.Throttle() >= 1 {
 		t.Fatal("throttle never engaged on a fan-failed box")

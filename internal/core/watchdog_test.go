@@ -170,7 +170,10 @@ func TestWatchdogBeatsThermalResponse(t *testing.T) {
 			}
 			ctl, err = NewWatchdog(DefaultWatchdogConfig(), rpm, act)
 		} else {
-			ctl, err = NewTDVFS(DefaultTDVFSConfig(50), SysfsTemp(n.FS, n.Hwmon.TempInput), act)
+			var d *TDVFS
+			if d, err = NewTDVFS(DefaultTDVFSConfig(50), SysfsTemp(n.FS, n.Hwmon.TempInput), act); err == nil {
+				ctl = d.Binding()
+			}
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -169,7 +169,7 @@ func TestFailSafeDrivesDeepestState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 20; i++ {
-		ctl.OnStep(time.Duration(i) * 250 * time.Millisecond)
+		ctl.Binding().OnStep(time.Duration(i) * 250 * time.Millisecond)
 	}
 	if !ctl.Binding().FailSafe() {
 		t.Fatal("fail-safe never engaged under a dead sensor")

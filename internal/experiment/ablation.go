@@ -71,7 +71,7 @@ func ablationRun(seed uint64, win window.Config) (AblationRow, error) {
 	n.SetGenerator(workload.NewCPUBurn(nil))
 	for i := 0; i < 1920; i++ { // 8 min: warm-up and settle
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	row := AblationRow{
 		L1Size:  win.L1Size,
@@ -82,7 +82,7 @@ func ablationRun(seed uint64, win window.Config) (AblationRow, error) {
 	n.SetGenerator(workload.Jitter{Low: 0.2, High: 0.9, Period: time.Second})
 	for i := 0; i < 1440; i++ { // 6 min of jitter
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		ctl.Binding().OnStep(n.Elapsed())
 	}
 	row.Moves = ctl.Moves(0)
 	row.JitterMoves = ctl.Moves(0) - movesAtJitter

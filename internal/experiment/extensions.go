@@ -78,7 +78,7 @@ func fanFailureRun(seed uint64, setup string, failAtS float64) (FanFailureRow, e
 	if err != nil {
 		return FanFailureRow{}, err
 	}
-	controllers, dvfs := nc.Controllers, nc.TDVFS
+	dvfs := nc.TDVFS
 
 	n.SetGenerator(workload.NewCPUBurn(nil))
 	peak := &trace.Series{}
@@ -88,9 +88,7 @@ func fanFailureRun(seed uint64, setup string, failAtS float64) (FanFailureRow, e
 	failed := false
 	for n.Elapsed() < total {
 		n.Step(dt)
-		for _, c := range controllers {
-			c.OnStep(n.Elapsed())
-		}
+		nc.OnStep(n.Elapsed())
 		if !failed && n.Elapsed().Seconds() >= failAtS {
 			failed = true
 			n.Fan.SetFailed(true)

@@ -48,7 +48,6 @@ func fig5Run(seed uint64, pp int) (Fig5Row, error) {
 	if err != nil {
 		return Fig5Row{}, err
 	}
-	ctl := nc.Fan
 
 	row := Fig5Row{
 		Pp:   pp,
@@ -63,7 +62,7 @@ func fig5Run(seed uint64, pp int) (Fig5Row, error) {
 	frame := make([]float64, cluster.FrameWidth)
 	for n.Elapsed() < total {
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		nc.OnStep(n.Elapsed())
 		cluster.SampleNode(n, frame)
 		row.Temp.Add(n.Elapsed(), frame[cluster.FrameTemp])
 		row.Duty.Add(n.Elapsed(), frame[cluster.FrameDuty])

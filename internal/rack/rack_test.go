@@ -155,7 +155,7 @@ func TestUnifiedControlCompensatesHotSlot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.AddNodeController(i, ctl)
+				c.AddNodeController(i, ctl.Binding())
 			} else {
 				// Equal fixed duty on every slot: the gradient hits
 				// the dies one to one.

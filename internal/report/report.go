@@ -124,7 +124,6 @@ func CollectMetrics(seed uint64) ([]metrics.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := nc.Hybrid
 	n.Fan.InstrumentMetrics(reg)
 	n.Chip.InstrumentMetrics(reg)
 
@@ -132,7 +131,7 @@ func CollectMetrics(seed uint64) ([]metrics.Sample, error) {
 	dt := 250 * time.Millisecond
 	for n.Elapsed() < 10*time.Minute {
 		n.Step(dt)
-		u.OnStep(n.Elapsed())
+		nc.OnStep(n.Elapsed())
 	}
 
 	var out []metrics.Sample

@@ -15,8 +15,9 @@
 //     so DVFS decisions become measurable execution time.
 //   - The paper's contribution: the two-level temperature history
 //     window, the Pp-driven thermal control array, a unified controller
-//     over any set of actuators, the tDVFS daemon, and the Hybrid
-//     coordinator that couples the fan and DVFS knobs under one policy.
+//     over any set of actuators, the tDVFS daemon, and their coordination
+//     under one policy: each node's stack is one control engine that
+//     reads the sensor once per round and drives every knob from it.
 //   - The paper's baselines: traditional static fan control, constant
 //     fan speed, and the CPUSPEED utilization governor, selected by
 //     name in a Scenario's control spec.
@@ -26,14 +27,18 @@
 // # Quickstart
 //
 //	n, _ := thermctl.NewNode("n0", 1)
-//	ctl, _ := thermctl.NewDynamicFanControl(n, 50, 100) // Pp=50, full fan
+//	nc, _ := thermctl.NewUnified(n, 50, 100) // Pp=50, full fan, plus tDVFS
 //	n.SetGenerator(thermctl.CPUBurn(2))
 //	for i := 0; i < 1200; i++ { // five simulated minutes
 //		n.Step(250 * time.Millisecond)
-//		ctl.OnStep(n.Elapsed())
+//		nc.OnStep(n.Elapsed()) // one engine steps every lane
 //	}
-//	fmt.Printf("die %.1f °C at %.0f%% duty\n", n.TrueDieC(), n.Fan.Duty())
+//	fmt.Printf("die %.1f °C at %.0f%% duty, tDVFS engaged %v\n",
+//		n.TrueDieC(), n.Fan.Duty(), nc.TDVFS.Engaged())
 //
+// Every constructor returns a NodeControl: the node's one control
+// engine, itself a cluster controller, so cluster.AddNodeController
+// takes it as is.
 // The controllers act only through the node's virtual sysfs files and
 // BMC commands, never on simulator internals, so porting them to a real
 // Linux host is a matter of pointing the ports at /sys and /dev/ipmi0.
@@ -67,17 +72,18 @@ type (
 	Cluster = cluster.Cluster
 	// RunResult summarizes one program execution on a cluster.
 	RunResult = cluster.RunResult
-	// Controller is the paper's unified dynamic thermal controller.
-	Controller = core.Controller
-	// ControllerConfig parameterizes a Controller.
+	// NodeControl is one node's control stack: a control engine
+	// stepping every lane (fan, tDVFS or CPUSPEED, sleep states) from
+	// one sensor reading per round, with the technique-specific state
+	// in its Fan, TDVFS and Sleep fields. Call OnStep after each node
+	// step.
+	NodeControl = config.NodeControl
+	// ControllerConfig parameterizes the paper's unified dynamic
+	// thermal controller.
 	ControllerConfig = core.Config
-	// TDVFS is the temperature-aware DVFS daemon of the paper's §4.3.
-	TDVFS = core.TDVFS
-	// TDVFSConfig parameterizes a TDVFS daemon.
+	// TDVFSConfig parameterizes the temperature-aware DVFS daemon of
+	// the paper's §4.3.
 	TDVFSConfig = core.TDVFSConfig
-	// Hybrid couples a fan Controller and a TDVFS daemon under one
-	// policy with explicit coordination (§4.4).
-	Hybrid = core.Hybrid
 	// Window is the two-level temperature history (§3.2.1).
 	Window = window.Window
 	// WindowConfig sizes a Window.
@@ -150,7 +156,7 @@ func NewCluster(n int, seed uint64) (*Cluster, error) {
 // stack, at policy pp with the fan capped at maxDuty percent. The tuning
 // is validated first: BuildNode normalizes, which would quietly turn a
 // zero Pp into the default.
-func buildNode(n *Node, fan, dvfs, sleep string, pp int, maxDuty float64) (*config.NodeControl, error) {
+func buildNode(n *Node, fan, dvfs, sleep string, pp int, maxDuty float64) (*NodeControl, error) {
 	tune := config.Default()
 	tune.Pp, tune.MaxFanDuty = pp, maxDuty
 	if err := tune.Validate(); err != nil {
@@ -163,47 +169,34 @@ func buildNode(n *Node, fan, dvfs, sleep string, pp int, maxDuty float64) (*conf
 // NewDynamicFanControl attaches the paper's history-based dynamic fan
 // controller to a node: policy pp in [1,100], fan duty capped at
 // maxDuty percent in [1,100]. Drive it by calling OnStep after each
-// node Step.
-func NewDynamicFanControl(n *Node, pp int, maxDuty float64) (*Controller, error) {
-	nc, err := buildNode(n, "dynamic", "none", "none", pp, maxDuty)
-	if err != nil {
-		return nil, err
-	}
-	return nc.Fan, nil
+// node Step; the controller itself is the result's Fan.
+func NewDynamicFanControl(n *Node, pp int, maxDuty float64) (*NodeControl, error) {
+	return buildNode(n, "dynamic", "none", "none", pp, maxDuty)
 }
 
 // NewTDVFS attaches the temperature-aware DVFS daemon to a node with
-// the paper's parameters (51 °C threshold) at policy pp.
-func NewTDVFS(n *Node, pp int) (*TDVFS, error) {
-	nc, err := buildNode(n, "auto", "tdvfs", "none", pp, 100)
-	if err != nil {
-		return nil, err
-	}
-	return nc.TDVFS, nil
+// the paper's parameters (51 °C threshold) at policy pp; the daemon is
+// the result's TDVFS.
+func NewTDVFS(n *Node, pp int) (*NodeControl, error) {
+	return buildNode(n, "auto", "tdvfs", "none", pp, 100)
 }
 
 // NewUnified attaches the full unified controller to a node: dynamic
 // fan control and tDVFS coordinated under one policy pp, fan capped at
-// maxDuty percent.
-func NewUnified(n *Node, pp int, maxDuty float64) (*Hybrid, error) {
-	nc, err := buildNode(n, "dynamic", "tdvfs", "none", pp, maxDuty)
-	if err != nil {
-		return nil, err
-	}
-	return nc.Hybrid, nil
+// maxDuty percent. The fan holds its floor while tDVFS is engaged
+// (core.HoldFloorHook).
+func NewUnified(n *Node, pp int, maxDuty float64) (*NodeControl, error) {
+	return buildNode(n, "dynamic", "tdvfs", "none", pp, maxDuty)
 }
 
 // NewSleepStateControl attaches a thermal control array driving the
 // node's ACPI processor sleep states (C0..C3) — the same decision law
 // as the fan controller, walking the C-state table instead of duty
-// steps. It demonstrates the array is technique-agnostic: any actuator
-// with ordered modes plugs in.
-func NewSleepStateControl(n *Node, pp int) (*Controller, error) {
-	nc, err := buildNode(n, "auto", "none", "ctlarray", pp, 100)
-	if err != nil {
-		return nil, err
-	}
-	return nc.Sleep, nil
+// steps; the controller is the result's Sleep. It demonstrates the
+// array is technique-agnostic: any actuator with ordered modes plugs
+// in.
+func NewSleepStateControl(n *Node, pp int) (*NodeControl, error) {
+	return buildNode(n, "auto", "none", "ctlarray", pp, 100)
 }
 
 // LoadScenario reads, normalizes and validates a JSON scenario file.

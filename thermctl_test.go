@@ -49,7 +49,7 @@ func TestUnifiedControllerOnWeakFan(t *testing.T) {
 		n.Step(250 * time.Millisecond)
 		u.OnStep(n.Elapsed())
 	}
-	if !u.DVFS.Engaged() {
+	if !u.TDVFS.Engaged() {
 		t.Error("unified controller never engaged DVFS despite the 25% fan cap")
 	}
 	if n.TrueDieC() > 58 {
@@ -84,8 +84,8 @@ func TestBaselinesConstruct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nc.Controllers) != 2 {
-		t.Errorf("static fan + CPUSPEED built %d controllers, want 2", len(nc.Controllers))
+	if len(nc.Lanes) != 2 || len(nc.Controllers) != 1 {
+		t.Errorf("static fan + CPUSPEED built %d lanes on %d controllers, want 2 on 1", len(nc.Lanes), len(nc.Controllers))
 	}
 	if _, err := NewTDVFS(n, 50); err != nil {
 		t.Error(err)
@@ -177,7 +177,7 @@ func TestSleepStateControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := ctl.Binding()
+	b := ctl.Sleep.Binding()
 	if b.Slots() != 1 || b.Actuator(0).Name() != "cstates" {
 		t.Fatalf("binding drives %d slots (first %q), want the cstates actuator alone",
 			b.Slots(), b.Actuator(0).Name())
@@ -188,7 +188,7 @@ func TestSleepStateControl(t *testing.T) {
 		n.Step(250 * time.Millisecond)
 		ctl.OnStep(n.Elapsed())
 	}
-	if ctl.Moves(0) == 0 {
+	if ctl.Sleep.Moves(0) == 0 {
 		t.Error("sleep-state array never moved under bursty load")
 	}
 	if _, err := NewSleepStateControl(n, 0); err == nil {

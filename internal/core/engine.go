@@ -23,7 +23,7 @@ import (
 // (watchdog.go), and the baselines of internal/baseline — static map,
 // constant duty, CPUSPEED and PID — whose constructors return the
 // binding itself. A node's control stack is one Engine over all its
-// bindings, the hybrid's coordination one pre-round hook on it
+// bindings, and the hybrid's coordination is one pre-round hook on it
 // (hybrid.go).
 
 // Policy is the pluggable decision layer of the control engine: the

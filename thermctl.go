@@ -36,9 +36,10 @@
 //	fmt.Printf("die %.1f °C at %.0f%% duty, tDVFS engaged %v\n",
 //		n.TrueDieC(), n.Fan.Duty(), nc.TDVFS.Engaged())
 //
-// Every constructor returns a NodeControl: the node's one control
-// engine, itself a cluster controller, so cluster.AddNodeController
-// takes it as is.
+// NewDynamicFanControl, NewTDVFS, NewUnified and NewSleepStateControl
+// each return a NodeControl: the node's one control engine, itself a
+// cluster controller, so Cluster.AddNodeController takes it as is.
+//
 // The controllers act only through the node's virtual sysfs files and
 // BMC commands, never on simulator internals, so porting them to a real
 // Linux host is a matter of pointing the ports at /sys and /dev/ipmi0.

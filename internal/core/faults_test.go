@@ -108,18 +108,18 @@ func TestBMCPathSurvivesFlakyBus(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Bus.AttachInjector(faults.Static(faults.State{I2CFaultRate: 1.0}), rng.New(3)) // every transaction fails
-	port := &IPMIFanPort{C: clientFor(n)}
-	if err := port.SetDutyPercent(50); err == nil {
+	c := ipmi.NewClient(local{n.BMC})
+	if err := c.SetFanManual(true); err == nil {
+		t.Error("fan mode command succeeded over a dead bus")
+	}
+	if err := c.SetFanDuty(50); err == nil {
 		t.Error("fan command succeeded over a dead bus")
 	}
 	n.Bus.AttachInjector(nil, nil)
-	if err := port.SetDutyPercent(50); err != nil {
+	if err := c.SetFanManual(true); err != nil {
+		t.Errorf("fan mode command failed after bus recovered: %v", err)
+	}
+	if err := c.SetFanDuty(50); err != nil {
 		t.Errorf("fan command failed after bus recovered: %v", err)
 	}
-}
-
-// clientFor builds a local IPMI client for a node (helper shared by
-// fault tests).
-func clientFor(n *node.Node) *ipmi.Client {
-	return ipmi.NewClient(ipmi.Local{H: n.BMC})
 }

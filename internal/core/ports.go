@@ -6,15 +6,17 @@
 //   - the two-level temperature history lives in core/window;
 //   - the thermal control array and its Pp-driven fill in core/ctlarray;
 //   - this package supplies the Actuator abstraction that unifies the
-//     techniques (fan duty over sysfs or IPMI, DVFS over cpufreq), the
+//     techniques (fan duty and DVFS, both over sysfs), the
 //     Controller that drives any set of actuators from one temperature
 //     stream and one policy parameter, and the TDVFS daemon
 //     (threshold-gated frequency scaling, §4.3).
 //
 // Controllers touch the hardware only through small port interfaces
-// (TempReader, FanPort, FreqPort), each with an in-band (virtual sysfs)
-// and an out-of-band (IPMI) implementation, so the same control law runs
-// over either path — the unification the paper's title claims.
+// (TempReader, FanPort, FreqPort) over the virtual sysfs tree. The fan
+// port writes hwmon's pwm1, which the ADT7467 driver carries over i2c
+// to the chip (the out-of-band knob); the frequency port writes cpufreq
+// (the in-band one). One control law drives both — the unification the
+// paper's title claims.
 package core
 
 import (
@@ -23,7 +25,6 @@ import (
 
 	"thermctl/internal/cpufreq"
 	"thermctl/internal/hwmon"
-	"thermctl/internal/ipmi"
 )
 
 // TempReader returns one temperature sample in °C. The tach watchdog
@@ -49,8 +50,9 @@ type FanPort interface {
 	SetDutyPercent(p float64) error
 }
 
-// SysfsFanPort drives pwm1 through the virtual sysfs (in-band). It
-// flips pwm1_enable to manual on first use.
+// SysfsFanPort drives pwm1 through the virtual sysfs; the ADT7467
+// driver behind it writes the chip over i2c. It flips pwm1_enable to
+// manual on first use.
 type SysfsFanPort struct {
 	pwm, enable *hwmon.Attr
 
@@ -88,26 +90,6 @@ func dutyToPWMReg(d float64) int64 {
 		return 255
 	}
 	return int64(math.Round(d * 255 / 100))
-}
-
-// IPMIFanPort drives the fan through the BMC (out-of-band). It switches
-// the BMC to manual fan mode on first use.
-type IPMIFanPort struct {
-	//thermlint:allow deadcode -- the paper's out-of-band fan path: the oob and fault tests drive a controller through the BMC; no control spec selects it yet
-	C *ipmi.Client
-
-	armed bool
-}
-
-// SetDutyPercent implements FanPort.
-func (p *IPMIFanPort) SetDutyPercent(d float64) error {
-	if !p.armed {
-		if err := p.C.SetFanManual(true); err != nil {
-			return err
-		}
-		p.armed = true
-	}
-	return p.C.SetFanDuty(d)
 }
 
 // FreqPort commands a CPU frequency in kHz.

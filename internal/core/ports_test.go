@@ -74,8 +74,7 @@ func TestSysfsPortsAllocationFree(t *testing.T) {
 func TestIPMITempReader(t *testing.T) {
 	n := newTestNode(t)
 	n.Settle(0)
-	read := ipmiTemp(ipmi.NewClient(ipmi.Local{H: n.BMC}), node.SensorCPUTemp)
-	v, err := read()
+	v, err := ipmi.NewClient(local{n.BMC}).ReadSensor(node.SensorCPUTemp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +95,6 @@ func TestSysfsFanPort(t *testing.T) {
 	got, err := n.FS.ReadInt(n.Hwmon.PWM)
 	if err != nil || math.Abs(float64(got)*100/255-60) > 1 {
 		t.Errorf("pwm1 readback = %v, %v", got, err)
-	}
-}
-
-func TestIPMIFanPort(t *testing.T) {
-	n := newTestNode(t)
-	p := &IPMIFanPort{C: ipmi.NewClient(ipmi.Local{H: n.BMC})}
-	if err := p.SetDutyPercent(35); err != nil {
-		t.Fatal(err)
-	}
-	if d := n.Fan.Duty(); math.Abs(d-35) > 1 {
-		t.Errorf("fan duty = %v, want ≈35", d)
 	}
 }
 
@@ -188,7 +176,8 @@ func TestDVFSActuatorClamping(t *testing.T) {
 	}
 }
 
-// ipmiTemp reads a BMC sensor — the out-of-band temperature path.
-func ipmiTemp(c *ipmi.Client, sensorNum uint8) TempReader {
-	return func() (float64, error) { return c.ReadSensor(sensorNum) }
-}
+// local is an in-process IPMI transport: requests go straight to the
+// BMC, on the caller's goroutine.
+type local struct{ h ipmi.Handler }
+
+func (l local) Send(req ipmi.Request) (ipmi.Response, error) { return l.h.Handle(req), nil }

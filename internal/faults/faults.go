@@ -2,7 +2,7 @@
 //
 // The paper's premise is that thermal control must keep working when the
 // physical world misbehaves: sensors stick or drop out, SMBus transactions
-// NAK, the BMC stops answering, fan bearings degrade. This package gives
+// NAK, fan bearings degrade or the rotor seizes. This package gives
 // every device model a single, seeded source of truth for "is something
 // wrong right now": typed fault Episodes grouped into per-target Schedules,
 // replayable bit-for-bit from a seed (Generate) or a JSON file (LoadPlan).
@@ -52,11 +52,6 @@ const (
 	// I2CNAK makes each bus transaction NAK with probability Rate,
 	// modelling a device that intermittently stops acknowledging.
 	I2CNAK Kind = "i2c-nak"
-	// IPMITimeout makes the BMC transport drop requests (the caller times
-	// out).
-	IPMITimeout Kind = "ipmi-timeout"
-	// IPMILatency adds Param milliseconds of latency to each BMC request.
-	IPMILatency Kind = "ipmi-latency"
 	// FanDegrade models bearing wear: the fan only reaches Param (a
 	// fraction in (0,1]) of its commanded speed.
 	FanDegrade Kind = "fan-degrade"
@@ -68,7 +63,6 @@ const (
 var kinds = [...]Kind{
 	SensorStuck, SensorDropout, SensorSpike,
 	I2CFault, I2CNAK,
-	IPMITimeout, IPMILatency,
 	FanDegrade, FanStall,
 }
 
@@ -147,6 +141,11 @@ func (e Episode) Validate() error {
 	if e.Duration <= 0 {
 		return fmt.Errorf("%s: non-positive duration %s", e.Kind, e.Duration)
 	}
+	// The end must be representable: an overflowed end is negative, and
+	// the episode would never be active.
+	if e.Start > math.MaxInt64-e.Duration {
+		return fmt.Errorf("%s: end %s + %s overflows", e.Kind, e.Start, e.Duration)
+	}
 	if math.IsNaN(e.Param) || math.IsInf(e.Param, 0) {
 		return fmt.Errorf("%s: non-finite param", e.Kind)
 	}
@@ -158,9 +157,6 @@ func (e Episode) Validate() error {
 	}
 	if e.Kind == FanDegrade && (e.Param <= 0 || e.Param > 1) {
 		return fmt.Errorf("fan-degrade: param %v outside (0,1]", e.Param)
-	}
-	if e.Kind == IPMILatency && e.Param < 0 {
-		return fmt.Errorf("ipmi-latency: negative param %v", e.Param)
 	}
 	return nil
 }
@@ -246,8 +242,6 @@ func Generate(seed uint64, targets []string, total time.Duration) Plan {
 			switch ep.Kind {
 			case SensorSpike:
 				ep.Param = 8 + 8*src.Float64()
-			case IPMILatency:
-				ep.Param = 5 + 45*src.Float64()
 			case FanDegrade:
 				ep.Param = 0.2 + 0.5*src.Float64()
 			}

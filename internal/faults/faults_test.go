@@ -53,20 +53,27 @@ func TestParsePlanRoundTrip(t *testing.T) {
 }
 
 func TestParsePlanRejectsInvalid(t *testing.T) {
-	cases := map[string]string{
-		"unknown kind":  `{"schedules":[{"target":"a","episodes":[{"kind":"nope","start":"0s","for":"1s"}]}]}`,
-		"zero duration": `{"schedules":[{"target":"a","episodes":[{"kind":"fan-stall","start":"0s","for":"0s"}]}]}`,
-		"neg start":     `{"schedules":[{"target":"a","episodes":[{"kind":"fan-stall","start":"-1s","for":"1s"}]}]}`,
-		"rate > 1":      `{"schedules":[{"target":"a","episodes":[{"kind":"i2c-nak","start":"0s","for":"1s","rate":1.5}]}]}`,
-		"rate missing":  `{"schedules":[{"target":"a","episodes":[{"kind":"i2c-fault","start":"0s","for":"1s"}]}]}`,
-		"bad degrade":   `{"schedules":[{"target":"a","episodes":[{"kind":"fan-degrade","start":"0s","for":"1s","param":1.5}]}]}`,
-		"empty target":  `{"schedules":[{"target":"","episodes":[]}]}`,
-		"dup target":    `{"schedules":[{"target":"a","episodes":[]},{"target":"a","episodes":[]}]}`,
-		"bad json":      `{"schedules":`,
+	// Each case names a substring the error must carry.
+	cases := map[string]struct{ src, want string }{
+		"unknown kind":  {`{"schedules":[{"target":"a","episodes":[{"kind":"nope","start":"0s","for":"1s"}]}]}`, "unknown fault kind"},
+		"ipmi-timeout":  {`{"schedules":[{"target":"a","episodes":[{"kind":"ipmi-timeout","start":"0s","for":"1s"}]}]}`, "unknown fault kind"},
+		"ipmi-latency":  {`{"schedules":[{"target":"a","episodes":[{"kind":"ipmi-latency","start":"0s","for":"1s","param":20}]}]}`, "unknown fault kind"},
+		"zero duration": {`{"schedules":[{"target":"a","episodes":[{"kind":"fan-stall","start":"0s","for":"0s"}]}]}`, "non-positive duration"},
+		"neg start":     {`{"schedules":[{"target":"a","episodes":[{"kind":"fan-stall","start":"-1s","for":"1s"}]}]}`, "negative start"},
+		"end overflows": {`{"schedules":[{"target":"a","episodes":[{"kind":"fan-stall","start":"2000000h","for":"2000000h"}]}]}`, "fan-stall: end"},
+		"rate > 1":      {`{"schedules":[{"target":"a","episodes":[{"kind":"i2c-nak","start":"0s","for":"1s","rate":1.5}]}]}`, "outside [0,1]"},
+		"rate missing":  {`{"schedules":[{"target":"a","episodes":[{"kind":"i2c-fault","start":"0s","for":"1s"}]}]}`, "rate required"},
+		"bad degrade":   {`{"schedules":[{"target":"a","episodes":[{"kind":"fan-degrade","start":"0s","for":"1s","param":1.5}]}]}`, "fan-degrade: param"},
+		"empty target":  {`{"schedules":[{"target":"","episodes":[]}]}`, "empty target"},
+		"dup target":    {`{"schedules":[{"target":"a","episodes":[]},{"target":"a","episodes":[]}]}`, "duplicate target"},
+		"bad json":      {`{"schedules":`, "parse plan"},
 	}
-	for name, src := range cases {
-		if _, err := ParsePlan([]byte(src)); err == nil {
+	for name, c := range cases {
+		_, err := ParsePlan([]byte(c.src))
+		if err == nil {
 			t.Errorf("%s: ParsePlan accepted invalid plan", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", name, err, c.want)
 		}
 	}
 }
@@ -178,7 +185,8 @@ func TestPlaneUnknownTargetHealthy(t *testing.T) {
 func FuzzParsePlan(f *testing.F) {
 	f.Add([]byte(`{"name":"x","schedules":[{"target":"a","episodes":[{"kind":"sensor-stuck","start":"1s","for":"2s"}]}]}`))
 	f.Add([]byte(`{"schedules":[{"target":"a","episodes":[{"kind":"i2c-nak","start":0,"for":1,"rate":0.5}]}]}`))
-	f.Add([]byte(`{"schedules":[{"target":"a","episodes":[{"kind":"ipmi-latency","start":"0s","for":"1s","param":20}]}]}`))
+	f.Add([]byte(`{"schedules":[{"target":"a","episodes":[{"kind":"fan-degrade","start":"0s","for":"1s","param":0.5}]}]}`))
+	f.Add([]byte(`{"schedules":[{"target":"a","episodes":[{"kind":"fan-stall","start":"2000000h","for":"2000000h"}]}]}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"schedules":[{"target":"a","episodes":[{"kind":"fan-degrade","start":"0s","for":"1s","param":1e309}]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -190,6 +198,14 @@ func FuzzParsePlan(f *testing.F) {
 		// marshal/reparse round trip.
 		if err := p.Validate(); err != nil {
 			t.Fatalf("accepted plan fails Validate: %v", err)
+		}
+		// Every accepted episode is active from its start.
+		for _, s := range p.Schedules {
+			for _, ep := range s.Episodes {
+				if !ep.active(time.Duration(ep.Start)) {
+					t.Fatalf("accepted episode %+v is not active at its start", ep)
+				}
+			}
 		}
 		pl, err := NewPlane(p)
 		if err != nil {

@@ -21,8 +21,6 @@ type State struct {
 	SensorSpikeC  float64
 	I2CFaultRate  float64
 	I2CNAKRate    float64
-	IPMIDrop      bool
-	IPMILatency   time.Duration
 	FanStalled    bool
 	FanDegrade    float64 // fraction of commanded speed reached; 0 means unimpaired
 }
@@ -43,12 +41,6 @@ func (s State) merge(e Episode) State {
 	case I2CNAK:
 		if e.Rate > s.I2CNAKRate {
 			s.I2CNAKRate = e.Rate
-		}
-	case IPMITimeout:
-		s.IPMIDrop = true
-	case IPMILatency:
-		if d := time.Duration(e.Param * float64(time.Millisecond)); d > s.IPMILatency {
-			s.IPMILatency = d
 		}
 	case FanDegrade:
 		if s.FanDegrade == 0 || e.Param < s.FanDegrade {

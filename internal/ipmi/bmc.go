@@ -104,7 +104,6 @@ func (b *BMC) dispatch(req Request) Response {
 	case req.NetFn == NetFnSensor && req.Cmd == CmdGetSensorReading:
 		return b.getSensor(req)
 	case req.NetFn == NetFnSensor && req.Cmd == CmdGetSDRCount:
-		//thermlint:allow hotalloc -- IPMI responses are built per command at actuation cadence, not per control round
 		return Response{CC: CCOK, Data: []byte{byte(len(b.sensors))}}
 	case req.NetFn == NetFnSensor && req.Cmd == CmdGetSDR:
 		return b.getSDR(req)
@@ -136,7 +135,6 @@ func (b *BMC) getSensor(req Request) Response {
 	}
 	m := int32(math.Round(v * math.Pow(10, -float64(exp))))
 	um := uint32(m)
-	//thermlint:allow hotalloc -- IPMI responses are built per command at actuation cadence, not per control round
 	return Response{CC: CCOK, Data: []byte{
 		byte(exp), byte(um >> 24), byte(um >> 16), byte(um >> 8), byte(um),
 	}}
@@ -164,7 +162,6 @@ func (b *BMC) getSDR(req Request) Response {
 	case "Watts":
 		unit = 2
 	}
-	//thermlint:allow hotalloc -- SDR records are fetched at discovery time, not per control round
 	data := append([]byte{rec.Number, unit}, []byte(rec.Name)...)
 	return Response{CC: CCOK, Data: data}
 }
@@ -179,7 +176,6 @@ func (b *BMC) oem(req Request) Response {
 		if err != nil {
 			return Response{CC: CCUnspecified}
 		}
-		//thermlint:allow hotalloc -- IPMI responses are built per command at actuation cadence, not per control round
 		return Response{CC: CCOK, Data: []byte{byte(math.Round(d))}}
 	case CmdOEMSetFanDuty:
 		if len(req.Data) != 1 || req.Data[0] > 100 {
@@ -198,7 +194,6 @@ func (b *BMC) oem(req Request) Response {
 		if m {
 			mode = FanModeManual
 		}
-		//thermlint:allow hotalloc -- IPMI responses are built per command at actuation cadence, not per control round
 		return Response{CC: CCOK, Data: []byte{mode}}
 	case CmdOEMSetFanMode:
 		if len(req.Data) != 1 || req.Data[0] > FanModeManual {

@@ -99,7 +99,6 @@ func (c *Client) SetFanDuty(percent float64) error {
 	if percent < 0 || percent > 100 {
 		return fmt.Errorf("ipmi: duty %v out of range", percent)
 	}
-	//thermlint:allow hotalloc -- one-byte request payload per fan command at actuation cadence, not per control round
 	resp, err := c.T.Send(Request{NetFn: NetFnOEM, Cmd: CmdOEMSetFanDuty, Data: []byte{byte(percent + 0.5)}})
 	if err != nil {
 		return err
@@ -114,7 +113,6 @@ func (c *Client) SetFanManual(manual bool) error {
 	if manual {
 		mode = FanModeManual
 	}
-	//thermlint:allow hotalloc -- one-byte request payload per mode switch (first use only), not per control round
 	resp, err := c.T.Send(Request{NetFn: NetFnOEM, Cmd: CmdOEMSetFanMode, Data: []byte{mode}})
 	if err != nil {
 		return err

@@ -1,7 +1,7 @@
 // Package ipmi implements a miniature IPMI-style out-of-band management
 // plane: a baseboard management controller (BMC) with a sensor
-// repository and fan-control commands, a wire encoding, and both
-// in-process and TCP transports.
+// repository and fan-control commands, a wire encoding, and a TCP
+// transport.
 //
 // The paper reaches its fan controller through a PCI-attached i2c
 // adapter; on modern servers the same chip sits behind the BMC and is
@@ -95,24 +95,10 @@ type Transport interface {
 	Send(req Request) (Response, error)
 }
 
-// Handler processes requests; the BMC implements it, and Local adapts it
-// to a Transport.
+// Handler processes requests; the BMC implements it, and a Server
+// serves it over TCP.
 type Handler interface {
 	Handle(req Request) Response
-}
-
-// Local is an in-process transport: requests go straight to the handler.
-// It models the host-side /dev/ipmi0 system interface (KCS).
-//
-//thermlint:allow deadcode -- the in-process transport the out-of-band tests reach a BMC through
-type Local struct{ H Handler }
-
-// Send implements Transport.
-func (l Local) Send(req Request) (Response, error) {
-	if l.H == nil {
-		return Response{}, errors.New("ipmi: local transport has no handler")
-	}
-	return l.H.Handle(req), nil
 }
 
 // --- Wire encoding (for stream transports) ---
@@ -132,7 +118,6 @@ func EncodeRequest(req Request) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("ipmi: request payload %d exceeds frame limit", len(req.Data))
 	}
-	//thermlint:allow hotalloc -- wire frame built per command on the TCP transport at actuation cadence
 	buf := make([]byte, 2+n)
 	binary.BigEndian.PutUint16(buf, uint16(n))
 	buf[2] = req.NetFn
@@ -167,6 +152,5 @@ func DecodeResponse(body []byte) (Response, error) {
 	if len(body) < 1 {
 		return Response{}, errors.New("ipmi: short response frame")
 	}
-	//thermlint:allow hotalloc -- frame payload must be copied out of the read buffer; per command, not per round
 	return Response{CC: body[0], Data: append([]byte(nil), body[1:]...)}, nil
 }

@@ -15,6 +15,12 @@ import (
 	"thermctl/internal/sensor"
 )
 
+// local is an in-process transport: requests go straight to the
+// handler, on the caller's goroutine.
+type local struct{ h Handler }
+
+func (l local) Send(req Request) (Response, error) { return l.h.Handle(req), nil }
+
 func newBMCRig(t *testing.T) (*BMC, func(float64), *fan.Fan) {
 	t.Helper()
 	temp := 45.0
@@ -85,7 +91,7 @@ func TestDecodeShortFrames(t *testing.T) {
 
 func TestGetDeviceID(t *testing.T) {
 	b, _, _ := newBMCRig(t)
-	c := NewClient(Local{H: b})
+	c := NewClient(local{b})
 	resp, err := c.T.Send(Request{NetFn: NetFnApp, Cmd: CmdGetDeviceID})
 	if err == nil {
 		err = resp.Err()
@@ -100,7 +106,7 @@ func TestGetDeviceID(t *testing.T) {
 
 func TestReadSensorPreservesResolution(t *testing.T) {
 	b, set, _ := newBMCRig(t)
-	c := NewClient(Local{H: b})
+	c := NewClient(local{b})
 	set(51.25)
 	v, err := c.ReadSensor(1)
 	if err != nil {
@@ -113,7 +119,7 @@ func TestReadSensorPreservesResolution(t *testing.T) {
 
 func TestReadMissingSensor(t *testing.T) {
 	b, _, _ := newBMCRig(t)
-	c := NewClient(Local{H: b})
+	c := NewClient(local{b})
 	if _, err := c.ReadSensor(99); err == nil {
 		t.Error("missing sensor read succeeded")
 	}
@@ -142,7 +148,7 @@ func TestSensorRepositoryManagement(t *testing.T) {
 
 func TestOutOfBandFanControl(t *testing.T) {
 	b, _, f := newBMCRig(t)
-	c := NewClient(Local{H: b})
+	c := NewClient(local{b})
 	if err := c.SetFanManual(true); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +172,7 @@ func TestOutOfBandFanControl(t *testing.T) {
 
 func TestSetFanDutyValidation(t *testing.T) {
 	b, _, _ := newBMCRig(t)
-	c := NewClient(Local{H: b})
+	c := NewClient(local{b})
 	if err := c.SetFanDuty(150); err == nil {
 		t.Error("duty 150 accepted by client")
 	}
@@ -196,7 +202,7 @@ func TestListSensors(t *testing.T) {
 	b, _, _ := newBMCRig(t)
 	_ = b.AddSensor(SensorRecord{Number: 7, Name: "PSU Power", Unit: "Watts", Read: func() float64 { return 90 }})
 	_ = b.AddSensor(SensorRecord{Number: 3, Name: "Chassis Fan", Unit: "RPM", Read: func() float64 { return 2000 }})
-	c := NewClient(Local{H: b})
+	c := NewClient(local{b})
 	got, err := c.ListSensors()
 	if err != nil {
 		t.Fatal(err)
@@ -359,13 +365,6 @@ func TestCloseWithIdleClient(t *testing.T) {
 	}
 }
 
-func TestLocalTransportWithoutHandler(t *testing.T) {
-	var l Local
-	if _, err := l.Send(Request{}); err == nil {
-		t.Error("Local with nil handler did not error")
-	}
-}
-
 func TestResponseErr(t *testing.T) {
 	if (Response{CC: CCOK}).Err() != nil {
 		t.Error("OK response reported an error")
@@ -378,7 +377,7 @@ func TestResponseErr(t *testing.T) {
 func TestNegativeSensorValue(t *testing.T) {
 	b := NewBMC(nil)
 	_ = b.AddSensor(SensorRecord{Number: 3, Read: func() float64 { return -12.5 }})
-	c := NewClient(Local{H: b})
+	c := NewClient(local{b})
 	v, err := c.ReadSensor(3)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +392,7 @@ var _ = errors.Is // keep errors imported if assertions change
 func BenchmarkLocalRoundTrip(b *testing.B) {
 	bmc := NewBMC(nil)
 	_ = bmc.AddSensor(SensorRecord{Number: 1, Read: func() float64 { return 50 }})
-	c := NewClient(Local{H: bmc})
+	c := NewClient(local{bmc})
 	for i := 0; i < b.N; i++ {
 		_, _ = c.ReadSensor(1)
 	}

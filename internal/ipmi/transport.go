@@ -114,7 +114,6 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if int(n) > maxFrame {
 		return nil, fmt.Errorf("ipmi: frame length %d exceeds limit", n)
 	}
-	//thermlint:allow hotalloc -- one frame buffer per command on the TCP transport at actuation cadence
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err

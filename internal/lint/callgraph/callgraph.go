@@ -10,9 +10,10 @@
 //   - direct calls to package functions and methods (static edges);
 //   - interface-method calls, resolved against every concrete type
 //     declared in the program that implements the interface (one
-//     dynamic edge per implementation) — this is what lets an analyzer
-//     follow Binding.OnStep → Policy.Decide → Txn.Apply →
-//     Actuator.Apply → FanPort.SetDutyPercent across packages;
+//     dynamic edge per implementation, marked with that type) — this
+//     is what lets an analyzer follow Binding.OnStep → Policy.Decide →
+//     Txn.Apply → Actuator.Apply → FanPort.SetDutyPercent across
+//     packages;
 //   - calls inside `go` statements, kept as asynchronous edges that
 //     reachability skips: a spawned goroutine is not part of the
 //     synchronous round;
@@ -60,6 +61,13 @@ type Edge struct {
 	// Ref marks a function or method used as a value, not called here.
 	// Hot reachability does not traverse it.
 	Ref bool
+	// Impl is set on a dynamic edge (an interface call fanned out to
+	// one implementation): the concrete type the call dispatches on.
+	// For a method promoted through embedding it is the embedding type,
+	// not the callee's receiver. Hot reachability traverses dynamic
+	// edges like static ones; liveness follows one only once live code
+	// names Impl (rapid type analysis).
+	Impl *types.Named
 }
 
 // Hot records why a function is hot: the root it is reachable from and
@@ -384,7 +392,7 @@ func (b *edgeBuilder) addDynamic(e Edge, m *types.Func, iface *types.Interface) 
 			continue
 		}
 		if callee, ok := b.g.nodes[target]; ok {
-			e.Callee = callee
+			e.Callee, e.Impl = callee, named
 			b.out = append(b.out, e)
 		}
 	}

@@ -4,8 +4,14 @@
 // never read or never written except with their zero value.
 //
 // Liveness is computed once per program over the shared call graph
-// (internal/lint/callgraph), following call, interface and
-// function-value reference edges alike. The roots are:
+// (internal/lint/callgraph), following call and function-value
+// reference edges alike. An interface call is followed into a concrete
+// type only once live code names that type, in the manner of rapid
+// type analysis: in a composite literal, new, make or a conversion,
+// as the type of a declared variable or a used constant, or inside one
+// of those types (an element, a field, an embedded struct). A type
+// that only tests build therefore keeps none of its methods live
+// through the interface. The roots are:
 //
 //   - every main and init function;
 //   - every package-level variable initializer (it runs at init);
@@ -161,6 +167,10 @@ type walker struct {
 	// external holds the methods that satisfy an interface declared
 	// outside the module.
 	external map[*types.Func]bool
+	// named holds the types live code names; pending holds, per type
+	// not yet named, the callees of the dynamic edges that wait on it.
+	named   map[*types.Named]bool
+	pending map[*types.Named][]*types.Func
 }
 
 func newWalker(prog *lint.Program) *walker {
@@ -174,6 +184,8 @@ func newWalker(prog *lint.Program) *walker {
 			written: map[*types.Var]bool{},
 		},
 		external: externalMethods(prog),
+		named:    map[*types.Named]bool{},
+		pending:  map[*types.Named][]*types.Func{},
 	}
 }
 
@@ -204,7 +216,7 @@ func (w *walker) walk() *liveness {
 		n := w.queue[0]
 		w.queue = w.queue[1:]
 		for _, e := range n.Out {
-			w.markFunc(e.Callee.Fn)
+			w.follow(e)
 		}
 		w.scan(n.Pkg, n.Decl)
 	}
@@ -249,7 +261,7 @@ func (w *walker) rootGen(pkg *lint.Package, d *ast.GenDecl, rootPkg bool, keep f
 			// A constant's value counts as a use of what it names.
 			if d.Tok == token.VAR {
 				for _, e := range w.g.Edges(pkg, spec) {
-					w.markFunc(e.Callee.Fn)
+					w.follow(e)
 				}
 			}
 			w.scan(pkg, spec)
@@ -283,6 +295,46 @@ func (w *walker) markFunc(fn *types.Func) {
 
 func (w *walker) markValue(obj types.Object) { w.lv.values[obj] = true }
 
+// follow marks e's callee live, unless e is a dynamic edge into a type
+// no live code has named yet: then the callee waits on that type.
+func (w *walker) follow(e callgraph.Edge) {
+	if e.Impl == nil || w.named[e.Impl] {
+		w.markFunc(e.Callee.Fn)
+		return
+	}
+	w.pending[e.Impl] = append(w.pending[e.Impl], e.Callee.Fn)
+}
+
+// markType records that live code names a value of type t: every
+// module type it holds, through pointers, containers and struct fields
+// (embedded ones included), releases the dynamic edges that wait on it.
+func (w *walker) markType(t types.Type) {
+	for {
+		switch u := t.(type) {
+		case interface{ Elem() types.Type }: // pointer, slice, array, map, chan
+			t = u.Elem()
+		case *types.Named:
+			n := u.Origin()
+			if w.named[n] {
+				return
+			}
+			w.named[n] = true
+			for _, fn := range w.pending[n] {
+				w.markFunc(fn)
+			}
+			delete(w.pending, n)
+			t = n.Underlying()
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				w.markType(u.Field(i).Type())
+			}
+			return
+		default:
+			return
+		}
+	}
+}
+
 // scan records the value and field uses in one live declaration.
 func (w *walker) scan(pkg *lint.Package, root ast.Node) {
 	info := pkg.Info
@@ -313,6 +365,12 @@ func (w *walker) scan(pkg *lint.Package, root ast.Node) {
 			}
 		case *ast.CompositeLit:
 			w.compositeWrites(info, n)
+			w.markType(info.TypeOf(n))
+		case *ast.CallExpr:
+			// A conversion, new or make yields a value of its type.
+			if tv, ok := info.Types[n.Fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
+				w.markType(info.TypeOf(n))
+			}
 		case *ast.SelectorExpr:
 			if s := info.Selections[n]; s != nil {
 				switch s.Kind() {
@@ -329,12 +387,16 @@ func (w *walker) scan(pkg *lint.Package, root ast.Node) {
 				}
 			}
 		case *ast.Ident:
+			if v, ok := info.Defs[n].(*types.Var); ok {
+				w.markType(v.Type())
+			}
 			switch obj := info.Uses[n].(type) {
 			case *types.Var:
 				if isPackageLevel(obj) {
 					w.markValue(obj)
 				}
 			case *types.Const:
+				w.markType(obj.Type())
 				if isPackageLevel(obj) {
 					w.markValue(obj)
 				}

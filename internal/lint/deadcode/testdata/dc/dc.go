@@ -21,6 +21,30 @@ func (s Square) Area() float64 { return s.side * s.side }
 
 func (s Square) Perimeter() float64 { return 4 * s.side } // want `Square\)\.Perimeter is dead`
 
+// Circle implements Shape too, but no live code names a Circle: the
+// interface call in main does not reach its Area.
+type Circle struct{}
+
+func (c Circle) Area() float64 { return 3 } // want `Circle\)\.Area is dead`
+
+// Sizer is called through its interface. Only Labeled, which embeds
+// Plain, is named by live code; Plain's Size is live as Labeled's
+// promoted method.
+type Sizer interface{ Size() int }
+
+type Plain struct{}
+
+func (p Plain) Size() int { return 1 }
+
+type Labeled struct {
+	Plain
+	name string
+}
+
+func (l Labeled) Name() string { return l.name }
+
+func measure(s Sizer) int { return s.Size() }
+
 type Counter struct {
 	hits   int
 	label  string  // want `field Counter\.label is never read`
@@ -82,7 +106,8 @@ func main() {
 	inc := c.Inc // a method value
 	inc()
 	var s Shape = Square{side: 2}
-	fmt.Println(c.Over(), s.Area(), Mode(1), apply(byValue), registry["cb"](), Scaled)
+	l := Labeled{name: "l"}
+	fmt.Println(c.Over(), s.Area(), Mode(1), apply(byValue), registry["cb"](), Scaled, measure(l), l.Name())
 }
 
 // An allow on a type keeps every field.

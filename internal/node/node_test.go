@@ -126,9 +126,15 @@ func TestInBandFanThroughSysfs(t *testing.T) {
 	}
 }
 
+// local is an in-process IPMI transport: requests go straight to the
+// BMC, on the caller's goroutine.
+type local struct{ h ipmi.Handler }
+
+func (l local) Send(req ipmi.Request) (ipmi.Response, error) { return l.h.Handle(req), nil }
+
 func TestOutOfBandFanThroughBMC(t *testing.T) {
 	n := newNode(t)
-	c := ipmi.NewClient(ipmi.Local{H: n.BMC})
+	c := ipmi.NewClient(local{n.BMC})
 	if err := c.SetFanManual(true); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +206,7 @@ func TestBlockHoldsTheDevices(t *testing.T) {
 	}
 
 	b.sensor.AttachInjector(faults.Static(faults.State{SensorSpikeC: 30}))
-	c := ipmi.NewClient(ipmi.Local{H: n.BMC})
+	c := ipmi.NewClient(local{n.BMC})
 	temp, err := c.ReadSensor(SensorCPUTemp)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +219,7 @@ func TestBlockHoldsTheDevices(t *testing.T) {
 func TestBMCSensorsReadPlausibly(t *testing.T) {
 	n := newNode(t)
 	n.Settle(0.5)
-	c := ipmi.NewClient(ipmi.Local{H: n.BMC})
+	c := ipmi.NewClient(local{n.BMC})
 	temp, err := c.ReadSensor(SensorCPUTemp)
 	if err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func spec(o options) (config.ControlSpec, error) {
 
 // run assembles the simulated stack and executes the control loop. All
 // metric registration happens here, before the first step — the
-// metricsafe analyzer holds the module to that split.
+// hotalloc analyzer reports registration reached from a step.
 func run(o options, out io.Writer) error {
 	cs, err := spec(o)
 	if err != nil {

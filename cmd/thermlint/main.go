@@ -1,7 +1,7 @@
 // Command thermlint is the repository's domain-aware static-analysis
 // gate. It loads the whole module into one program (so analyzers can
 // follow calls across package boundaries through the shared call graph
-// in internal/lint/callgraph) and runs eleven analyzers:
+// in internal/lint/callgraph) and runs nine analyzers:
 //
 //	deadcode      — no function, exported value or struct field that
 //	                no root (main, init, variable initializers, the
@@ -16,37 +16,33 @@
 //	                `if err != nil { return }`) in Step/OnStep-reachable
 //	                code; count, escalate, or propagate instead
 //	hotalloc      — no heap allocation (escaping literals, append,
-//	                fmt/errors calls, closures, interface boxing) in
-//	                Step-reachable code
+//	                fmt/errors calls, closures, interface boxing, metric
+//	                registration) in Step-reachable code
 //	unitsafe      — no mixed-unit arithmetic across //thermlint:unit
 //	                tags (milli-°C vs °C, duty counts vs percent,
 //	                Hz vs kHz)
-//	mutexcallback — no user-supplied callbacks invoked under a sync
-//	                mutex
 //	shardsafe     — no runtime-mutable package-level state in the
 //	                node-model packages stepped in parallel
 //	singleowner   — no sync or sync/atomic in the node-model device
 //	                packages; the stepping goroutine owns them
-//	metricsafe    — no metric registration in Step-reachable code;
-//	                register at wiring time, update on the hot path
 //
 // Usage:
 //
 //	go run ./cmd/thermlint ./...
 //	go run ./cmd/thermlint -checks hotalloc,unitsafe ./internal/...
-//	go run ./cmd/thermlint -fix -diff ./...   # preview suggested fixes
-//	go run ./cmd/thermlint -fix ./...         # apply them
 //	go run ./cmd/thermlint -json ./...        # NDJSON for tooling
 //
 // Findings are printed as file:line:col: analyzer: message and make the
-// process exit 1. With -fix, diagnostics carrying suggested fixes are
-// applied atomically per file and do not fail the run; -diff previews
-// the edits without writing. -json emits one JSON object per finding
-// for scripts/lintannotate.sh and other tooling. Deliberate violations
+// process exit 1. -json emits one JSON object per finding for
+// scripts/lintannotate.sh and other tooling. Deliberate violations
 // carry an allow directive:
 //
 //	//thermlint:allow <analyzer>[,<analyzer>...] -- <reason>
-//	//thermlint:allow -- <reason>   (bare form: suppresses every analyzer)
+//
+// A directive is itself a finding (analyzer "directive") when it lacks
+// its reason or names no analyzer, when it names an analyzer not listed
+// above, and when an analyzer it names ran on the package and it
+// suppressed none of that analyzer's findings.
 package main
 
 import (
@@ -56,7 +52,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"thermctl/internal/lint"
@@ -65,8 +60,6 @@ import (
 	"thermctl/internal/lint/determinism"
 	"thermctl/internal/lint/errswallow"
 	"thermctl/internal/lint/hotalloc"
-	"thermctl/internal/lint/metricsafe"
-	"thermctl/internal/lint/mutexcallback"
 	"thermctl/internal/lint/onstepblock"
 	"thermctl/internal/lint/shardsafe"
 	"thermctl/internal/lint/singleowner"
@@ -79,8 +72,6 @@ var allAnalyzers = []*lint.Analyzer{
 	determinism.Analyzer,
 	errswallow.Analyzer,
 	hotalloc.Analyzer,
-	metricsafe.Analyzer,
-	mutexcallback.Analyzer,
 	onstepblock.Analyzer,
 	shardsafe.Analyzer,
 	singleowner.Analyzer,
@@ -100,8 +91,6 @@ func run(startDir string, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	checks := fs.String("checks", "", "comma-separated analyzer subset to run (default: all)")
 	list := fs.Bool("list", false, "list the registered analyzers and exit")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source files")
-	diff := fs.Bool("diff", false, "with -fix, print the edits as a diff instead of writing files")
 	asJSON := fs.Bool("json", false, "emit findings as newline-delimited JSON objects")
 	fs.Usage = func() { usage(fs, stderr) }
 	if err := fs.Parse(args); err != nil {
@@ -113,10 +102,6 @@ func run(startDir string, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *diff && !*fix {
-		fmt.Fprintln(stderr, "thermlint: -diff requires -fix")
-		return 2
 	}
 
 	analyzers, err := selectAnalyzers(*checks)
@@ -156,6 +141,7 @@ func run(startDir string, args []string, stdout, stderr io.Writer) int {
 	}
 	prog := lint.NewProgram(loader.Fset(), pkgs)
 
+	registered := func(name string) bool { return lookup(name) != nil }
 	var diags []lint.Diagnostic
 	matched := 0
 	for _, pkg := range pkgs {
@@ -163,11 +149,7 @@ func run(startDir string, args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		matched++
-		active := activeFor(analyzers, pkg.Path)
-		if len(active) == 0 {
-			continue
-		}
-		ds, err := lint.Run(prog, pkg, active)
+		ds, err := lint.Run(prog, pkg, activeFor(analyzers, pkg.Path), registered)
 		if err != nil {
 			fmt.Fprintln(stderr, "thermlint:", err)
 			return 1
@@ -180,58 +162,28 @@ func run(startDir string, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	fixed := map[string]bool{} // diagnostic key → fix applied
-	if *fix {
-		changed, skipped, err := lint.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "thermlint:", err)
-			return 1
-		}
-		for _, d := range skipped {
-			fmt.Fprintf(stderr, "thermlint: fix for %s conflicts with an earlier fix; not applied\n", d)
-		}
-		if *diff {
-			for _, file := range sortedKeys(changed) {
-				old, err := os.ReadFile(file)
-				if err != nil {
-					fmt.Fprintln(stderr, "thermlint:", err)
-					return 1
-				}
-				fmt.Fprint(stdout, lint.Diff(relPath(file), old, changed[file]))
-			}
-		} else {
-			if err := lint.WriteFixes(changed); err != nil {
-				fmt.Fprintln(stderr, "thermlint:", err)
-				return 1
-			}
-			for _, d := range diags {
-				if len(d.Fixes) > 0 && !isSkipped(d, skipped) {
-					fixed[d.String()] = true
-				}
-			}
-			if len(changed) > 0 {
-				fmt.Fprintf(stderr, "thermlint: fixed %d file(s)\n", len(changed))
-			}
-		}
-	}
-
-	findings := 0
 	for _, d := range diags {
-		if fixed[d.String()] {
-			continue // applied; no longer a failure
-		}
-		findings++
 		if *asJSON {
 			writeJSON(stdout, d)
 		} else {
 			fmt.Fprintln(stdout, rel(d))
 		}
 	}
-	if findings > 0 {
-		fmt.Fprintf(stderr, "thermlint: %d finding(s)\n", findings)
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "thermlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
+}
+
+// lookup returns the registered analyzer of that name, or nil.
+func lookup(name string) *lint.Analyzer {
+	for _, a := range allAnalyzers {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
 }
 
 // jsonDiag is the NDJSON shape consumed by scripts/lintannotate.sh.
@@ -241,7 +193,6 @@ type jsonDiag struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable,omitempty"`
 }
 
 func writeJSON(w io.Writer, d lint.Diagnostic) {
@@ -253,30 +204,11 @@ func writeJSON(w io.Writer, d lint.Diagnostic) {
 		Col:      d.Pos.Column,
 		Analyzer: d.Analyzer,
 		Message:  d.Message,
-		Fixable:  len(d.Fixes) > 0,
 	})
 }
 
-func isSkipped(d lint.Diagnostic, skipped []lint.Diagnostic) bool {
-	for _, s := range skipped {
-		if s.String() == d.String() {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedKeys(m map[string][]byte) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func usage(fs *flag.FlagSet, w io.Writer) {
-	fmt.Fprintf(w, "usage: thermlint [-checks a,b] [-list] [-fix [-diff]] [-json] [packages]\n\n")
+	fmt.Fprintf(w, "usage: thermlint [-checks a,b] [-list] [-json] [packages]\n\n")
 	fmt.Fprintf(w, "Packages are ./... style patterns relative to the module root.\nAnalyzers:\n")
 	for _, a := range allAnalyzers {
 		fmt.Fprintf(w, "  %-14s %s\n", a.Name, a.Doc)
@@ -288,15 +220,11 @@ func selectAnalyzers(checks string) ([]*lint.Analyzer, error) {
 	if checks == "" {
 		return allAnalyzers, nil
 	}
-	byName := map[string]*lint.Analyzer{}
-	for _, a := range allAnalyzers {
-		byName[a.Name] = a
-	}
 	var out []*lint.Analyzer
 	for _, n := range strings.Split(checks, ",") {
 		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
+		a := lookup(n)
+		if a == nil {
 			return nil, fmt.Errorf("unknown analyzer %q", n)
 		}
 		out = append(out, a)

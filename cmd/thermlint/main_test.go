@@ -25,9 +25,9 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// hotModule is a minimal module with one genuine, fixable hotalloc
-// finding: a constant fmt.Sprintf in a Step-reachable method. Its main
-// reaches every declaration, so deadcode has nothing to report.
+// hotModule is a minimal module with one genuine hotalloc finding: a
+// constant fmt.Sprintf in a Step-reachable method. Its main reaches
+// every declaration, so deadcode has nothing to report.
 func hotModule(t *testing.T) string {
 	t.Helper()
 	return writeModule(t, map[string]string{
@@ -54,8 +54,7 @@ func (c *C) Step(dt int) {
 	c.msg = fmt.Sprintf("steady")
 }
 
-// Describe is a cold debug helper; it keeps fmt imported after the
-// Step finding's fix is applied.
+// Describe is a cold debug helper.
 func (c *C) Describe() string { return fmt.Sprintf("C(%s)", c.msg) }
 `,
 	})
@@ -91,13 +90,15 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-func TestRunDiffRequiresFix(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(".", []string{"-diff"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("run -diff = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "-diff requires -fix") {
-		t.Fatalf("stderr missing -diff guidance:\n%s", stderr.String())
+func TestRunFixFlagsUnknown(t *testing.T) {
+	for _, flag := range []string{"-fix", "-diff"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(".", []string{flag, "./..."}, &stdout, &stderr); code != 2 {
+			t.Fatalf("run %s = %d, want 2", flag, code)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined") {
+			t.Fatalf("run %s: stderr missing the unknown-flag error:\n%s", flag, stderr.String())
+		}
 	}
 }
 
@@ -141,54 +142,80 @@ func TestRunFindingsAndJSON(t *testing.T) {
 		t.Fatalf("run -json = %d, want 1", code)
 	}
 	out := stdout.String()
-	for _, want := range []string{`"analyzer":"hotalloc"`, `"fixable":true`, `"line":10`} {
+	for _, want := range []string{`"analyzer":"hotalloc"`, `"line":10`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-json output missing %s:\n%s", want, out)
 		}
 	}
 }
 
-func TestRunFixDiffAndApply(t *testing.T) {
-	dir := hotModule(t)
-	src := filepath.Join(dir, "ctl", "ctl.go")
+// directiveModule has three allow directives in a hot Step: one that
+// suppresses a hotalloc finding, one that suppresses nothing, and one
+// naming an analyzer thermlint does not register.
+func directiveModule(t *testing.T) string {
+	t.Helper()
+	return writeModule(t, map[string]string{
+		"go.mod": "module m\n\ngo 1.21\n",
+		"main.go": `package main
 
-	// Dry run: -fix -diff prints the edit and leaves the file alone.
-	var stdout, stderr bytes.Buffer
-	if code := run(dir, []string{"-fix", "-diff", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("run -fix -diff = %d, want 1 (finding not applied)", code)
-	}
-	if !strings.Contains(stdout.String(), `"steady"`) {
-		t.Fatalf("diff output missing replacement text:\n%s", stdout.String())
-	}
-	body, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), `fmt.Sprintf("steady")`) {
-		t.Fatalf("-diff rewrote the file:\n%s", body)
-	}
+import "m/ctl"
 
-	// Real run: the fix lands and the finding no longer fails the run.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"-fix", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run -fix = %d, want 0; stdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "fixed 1 file(s)") {
-		t.Fatalf("stderr missing fix summary:\n%s", stderr.String())
-	}
-	body, err = os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(body), `fmt.Sprintf("steady")`) || !strings.Contains(string(body), `c.msg = "steady"`) {
-		t.Fatalf("fix not applied:\n%s", body)
-	}
+func main() {
+	c := new(ctl.C)
+	c.Step(1)
+}
+`,
+		"ctl/ctl.go": `package ctl
 
-	// The fixed module is clean on a fresh run.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("rerun after fix = %d, want 0; stdout:\n%s", code, stdout.String())
+import "fmt"
+
+// C is a controller with a hot Step.
+type C struct {
+	msg string
+	n   int
+}
+
+// Step advances the controller.
+func (c *C) Step(dt int) {
+	c.msg = fmt.Sprintf("%d", dt) //thermlint:allow hotalloc -- suppresses the Sprintf finding
+	c.n += dt                     //thermlint:allow hotalloc -- nothing here allocates
+	c.n++                         //thermlint:allow metricsafe -- no such analyzer
+	println(c.msg, c.n)
+}
+`,
+	})
+}
+
+func TestRunDirectives(t *testing.T) {
+	dir := directiveModule(t)
+	const (
+		unused  = "ctl/ctl.go:14:32: directive: thermlint:allow hotalloc suppresses no finding"
+		unknown = `ctl/ctl.go:15:32: directive: thermlint:allow names unknown analyzer "metricsafe"`
+	)
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"./..."}, []string{unused, unknown}},
+		{[]string{"-checks", "hotalloc", "./..."}, []string{unused, unknown}},
+		// hotalloc did not run: its directives are neither used nor
+		// unused. An unknown name is reported whatever ran.
+		{[]string{"-checks", "deadcode", "./..."}, []string{unknown}},
+	}
+	for _, c := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(dir, c.args, &stdout, &stderr); code != 1 {
+			t.Fatalf("run %v = %d, want 1; stderr:\n%s", c.args, code, stderr.String())
+		}
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+			if i := strings.Index(line, "ctl/ctl.go:"); i >= 0 {
+				line = line[i:]
+			}
+			got = append(got, strings.SplitN(line, "; ", 2)[0])
+		}
+		if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
+			t.Errorf("run %v findings:\n%s\nwant:\n%s", c.args, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
+		}
 	}
 }

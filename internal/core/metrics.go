@@ -5,7 +5,7 @@ import "thermctl/internal/metrics"
 // This file wires the controller facades and the hybrid coordination
 // hook to the metrics layer.
 // Registration happens here, at wiring time — never inside
-// OnStep-reachable code (the metricsafe analyzer enforces that) — and
+// OnStep-reachable code (the hotalloc analyzer reports that) — and
 // the handles themselves are nil-safe, so an uninstrumented controller
 // pays one predictable branch per event.
 //

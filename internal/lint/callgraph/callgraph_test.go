@@ -189,7 +189,7 @@ func TestHotDecls(t *testing.T) {
 				return nil
 			},
 		}
-		if _, err := lint.Run(prog, prog.Package(tc.path), []*lint.Analyzer{probe}); err != nil {
+		if _, err := lint.Run(prog, prog.Package(tc.path), []*lint.Analyzer{probe}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if strings.Join(got, ",") != strings.Join(tc.want, ",") {

@@ -26,6 +26,10 @@
 //   - declarations carrying a scoped //thermlint:allow deadcode
 //     directive, so a deliberate survivor keeps its callees alive.
 //
+// Such a directive counts as used only if its declaration would be
+// reported without it: a kept function that other kept or live code
+// reaches anyway leaves its directive unused, and lint reports it.
+//
 // Test files are not part of the program, so code that only tests
 // reach is dead. Fields with a struct tag count as read and written
 // (encoding/json reaches them by reflection), and embedded fields are
@@ -95,34 +99,40 @@ func reportGen(pass *lint.Pass, lv *liveness, d *ast.GenDecl) {
 				}
 			}
 		case *ast.TypeSpec:
-			ast.Inspect(spec.Type, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok {
-					return true
+			fields(pass.TypesInfo, spec, func(id *ast.Ident, v *types.Var) {
+				switch read, written := lv.read[v], lv.written[v]; {
+				case !read && !written:
+					pass.Reportf(id.Pos(), "field %s.%s is dead: never read or written", spec.Name.Name, id.Name)
+				case !read:
+					pass.Reportf(id.Pos(), "field %s.%s is never read", spec.Name.Name, id.Name)
+				case !written:
+					pass.Reportf(id.Pos(), "field %s.%s is never written except with its zero value", spec.Name.Name, id.Name)
 				}
-				for _, field := range st.Fields.List {
-					if field.Tag != nil || len(field.Names) == 0 {
-						continue
-					}
-					for _, id := range field.Names {
-						v, ok := pass.TypesInfo.Defs[id].(*types.Var)
-						if !ok || id.Name == "_" {
-							continue
-						}
-						switch read, written := lv.read[v], lv.written[v]; {
-						case !read && !written:
-							pass.Reportf(id.Pos(), "field %s.%s is dead: never read or written", spec.Name.Name, id.Name)
-						case !read:
-							pass.Reportf(id.Pos(), "field %s.%s is never read", spec.Name.Name, id.Name)
-						case !written:
-							pass.Reportf(id.Pos(), "field %s.%s is never written except with its zero value", spec.Name.Name, id.Name)
-						}
-					}
-				}
-				return true
 			})
 		}
 	}
+}
+
+// fields calls f for each field of the structs in spec that deadcode
+// reports on: named, untagged and not blank.
+func fields(info *types.Info, spec *ast.TypeSpec, f func(*ast.Ident, *types.Var)) {
+	ast.Inspect(spec.Type, func(n ast.Node) bool {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, field := range st.Fields.List {
+			if field.Tag != nil {
+				continue
+			}
+			for _, id := range field.Names {
+				if v, ok := info.Defs[id].(*types.Var); ok && id.Name != "_" {
+					f(id, v)
+				}
+			}
+		}
+		return true
+	})
 }
 
 func kind(obj types.Object) string {
@@ -153,9 +163,11 @@ func liveFor(prog *lint.Program) *liveness {
 	if lv, ok := cache[prog]; ok {
 		return lv
 	}
-	lv := newWalker(prog).walk()
-	cache[prog] = lv
-	return lv
+	w := newWalker(prog, externalMethods(prog))
+	w.walk()
+	w.useDirectives()
+	cache[prog] = w.lv
+	return w.lv
 }
 
 // walker computes liveness by a worklist over functions.
@@ -171,9 +183,18 @@ type walker struct {
 	// not yet named, the callees of the dynamic edges that wait on it.
 	named   map[*types.Named]bool
 	pending map[*types.Named][]*types.Func
+	// keptFuncs, keptValues and keptFields map each declaration an
+	// allow directive keeps to that directive; called holds the
+	// functions some edge reaches. skip is a function whose directive
+	// the walk ignores (see useDirectives).
+	keptFuncs  map[*types.Func]*lint.Directive
+	keptValues map[types.Object]*lint.Directive
+	keptFields map[*types.Var]*lint.Directive
+	called     map[*types.Func]bool
+	skip       *types.Func
 }
 
-func newWalker(prog *lint.Program) *walker {
+func newWalker(prog *lint.Program, external map[*types.Func]bool) *walker {
 	return &walker{
 		prog: prog,
 		g:    callgraph.For(prog),
@@ -183,16 +204,21 @@ func newWalker(prog *lint.Program) *walker {
 			read:    map[*types.Var]bool{},
 			written: map[*types.Var]bool{},
 		},
-		external: externalMethods(prog),
-		named:    map[*types.Named]bool{},
-		pending:  map[*types.Named][]*types.Func{},
+		external:   external,
+		named:      map[*types.Named]bool{},
+		pending:    map[*types.Named][]*types.Func{},
+		keptFuncs:  map[*types.Func]*lint.Directive{},
+		keptValues: map[types.Object]*lint.Directive{},
+		keptFields: map[*types.Var]*lint.Directive{},
+		called:     map[*types.Func]bool{},
 	}
 }
 
-func (w *walker) walk() *liveness {
+func (w *walker) walk() {
 	for _, pkg := range w.prog.Pkgs {
-		allowed := lint.Allowed(pkg, name)
-		keep := func(pos token.Pos) bool { return allowed(w.prog.Fset.Position(pos)) }
+		allowed := func(pos token.Pos) *lint.Directive {
+			return lint.Allowed(pkg, name, w.prog.Fset.Position(pos))
+		}
 		api := pkg.Path == apiPackage
 		bench := isBench(pkg.Path)
 		for _, f := range pkg.Files {
@@ -203,11 +229,14 @@ func (w *walker) walk() *liveness {
 					if !ok {
 						continue
 					}
-					if bench || keep(d.Name.Pos()) || isEntry(pkg, d) || api && exportedAPI(fn) || w.external[fn] {
+					if bench || isEntry(pkg, d) || api && exportedAPI(fn) || w.external[fn] {
+						w.markFunc(fn)
+					} else if dir := allowed(d.Name.Pos()); dir != nil && fn != w.skip {
+						w.keptFuncs[fn] = dir
 						w.markFunc(fn)
 					}
 				case *ast.GenDecl:
-					w.rootGen(pkg, d, api || bench, keep)
+					w.rootGen(pkg, d, api || bench, allowed)
 				}
 			}
 		}
@@ -220,7 +249,37 @@ func (w *walker) walk() *liveness {
 		}
 		w.scan(n.Pkg, n.Decl)
 	}
-	return w.lv
+}
+
+// useDirectives marks used each allow directive whose declaration
+// would be reported without it, then keeps the kept values and fields;
+// neither propagates liveness, so marking them after the walk changes
+// nothing else. A kept function that some edge reaches is walked for
+// once more with its own directive ignored.
+func (w *walker) useDirectives() {
+	for fn, dir := range w.keptFuncs {
+		if w.called[fn] {
+			ex := newWalker(w.prog, w.external)
+			ex.skip = fn
+			ex.walk()
+			if ex.lv.funcs[fn] {
+				continue
+			}
+		}
+		dir.Use(name)
+	}
+	for obj, dir := range w.keptValues {
+		if !w.lv.values[obj] {
+			dir.Use(name)
+			w.markValue(obj)
+		}
+	}
+	for v, dir := range w.keptFields {
+		if !w.lv.read[v] || !w.lv.written[v] {
+			dir.Use(name)
+			w.lv.read[v], w.lv.written[v] = true, true
+		}
+	}
 }
 
 // isEntry reports whether d is run by the Go runtime: main in a main
@@ -247,15 +306,18 @@ func exportedAPI(fn *types.Func) bool {
 }
 
 // rootGen roots the package-level declarations of d: every variable
-// initializer and constant value, every value of a root package, and
-// every allowed value or field.
-func (w *walker) rootGen(pkg *lint.Package, d *ast.GenDecl, rootPkg bool, keep func(token.Pos) bool) {
+// initializer and constant value and every value of a root package.
+// It records the exported values and the fields an allow directive
+// keeps.
+func (w *walker) rootGen(pkg *lint.Package, d *ast.GenDecl, rootPkg bool, allowed func(token.Pos) *lint.Directive) {
 	for _, spec := range d.Specs {
 		switch spec := spec.(type) {
 		case *ast.ValueSpec:
 			for _, id := range spec.Names {
-				if rootPkg || keep(id.Pos()) {
+				if rootPkg {
 					w.markValue(pkg.Info.Defs[id])
+				} else if dir := allowed(id.Pos()); dir != nil && id.IsExported() {
+					w.keptValues[pkg.Info.Defs[id]] = dir
 				}
 			}
 			// A constant's value counts as a use of what it names.
@@ -267,16 +329,13 @@ func (w *walker) rootGen(pkg *lint.Package, d *ast.GenDecl, rootPkg bool, keep f
 			w.scan(pkg, spec)
 		case *ast.TypeSpec:
 			// An allow on the type keeps all of its fields.
-			all := keep(spec.Name.Pos())
-			ast.Inspect(spec.Type, func(n ast.Node) bool {
-				if field, ok := n.(*ast.Field); ok {
-					for _, id := range field.Names {
-						if v, ok := pkg.Info.Defs[id].(*types.Var); ok && (all || keep(id.Pos())) {
-							w.lv.read[v], w.lv.written[v] = true, true
-						}
-					}
+			all := allowed(spec.Name.Pos())
+			fields(pkg.Info, spec, func(id *ast.Ident, v *types.Var) {
+				if dir := allowed(id.Pos()); dir != nil {
+					w.keptFields[v] = dir
+				} else if all != nil {
+					w.keptFields[v] = all
 				}
-				return true
 			})
 		}
 	}
@@ -298,6 +357,7 @@ func (w *walker) markValue(obj types.Object) { w.lv.values[obj] = true }
 // follow marks e's callee live, unless e is a dynamic edge into a type
 // no live code has named yet: then the callee waits on that type.
 func (w *walker) follow(e callgraph.Edge) {
+	w.called[e.Callee.Fn.Origin()] = true
 	if e.Impl == nil || w.named[e.Impl] {
 		w.markFunc(e.Callee.Fn)
 		return

@@ -70,7 +70,7 @@ func TestModuleRoots(t *testing.T) {
 		if !deadcode.Analyzer.AppliesTo(pkg.Path) {
 			continue
 		}
-		diags, err := lint.Run(prog, pkg, []*lint.Analyzer{deadcode.Analyzer})
+		diags, err := lint.Run(prog, pkg, []*lint.Analyzer{deadcode.Analyzer}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,6 +46,7 @@ func (l Labeled) Name() string { return l.name }
 func measure(s Sizer) int { return s.Size() }
 
 type Counter struct {
+	//thermlint:allow deadcode -- hits is read and written: keeps nothing // want `deadcode suppresses no finding`
 	hits   int
 	label  string  // want `field Counter\.label is never read`
 	limit  int     // want `field Counter\.limit is never written except with its zero value`
@@ -66,7 +67,7 @@ func (c *Counter) Reset() { c.hits = 0 } // want `Counter\)\.Reset is dead`
 
 var Exported = 3 // want `exported var Exported is dead`
 
-var Used = 4
+var Used = 4 //thermlint:allow deadcode -- callback reads it: keeps nothing // want `deadcode suppresses no finding`
 
 const Limit = 5 // want `exported const Limit is dead`
 
@@ -94,7 +95,10 @@ func byValue() int { return 7 }
 //thermlint:allow deadcode -- the fixture's kept oracle
 func oracle() int { return oracleHelper() }
 
-// oracleHelper is live through the allowed oracle.
+// oracleHelper is live through the allowed oracle, so its own
+// directive keeps nothing and is reported.
+//
+//thermlint:allow deadcode -- redundant: oracle keeps it // want `thermlint:allow deadcode suppresses no finding`
 func oracleHelper() int { return 8 }
 
 func dead() int { return deadCallee() } // want `dc\.dead is dead`

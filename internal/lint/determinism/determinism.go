@@ -14,7 +14,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"thermctl/internal/lint"
 )
@@ -23,7 +22,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name:      "determinism",
 	Doc:       "forbid wall-clock time, global math/rand and map-iteration-ordered effects in simulation packages",
-	AppliesTo: InScope,
+	AppliesTo: lint.InPackages(scopePrefixes...),
 	Run:       run,
 }
 
@@ -64,18 +63,6 @@ var scopePrefixes = []string{
 	"internal/workload",
 	"cmd/experiments",
 	"cmd/clustersim",
-}
-
-// InScope reports whether the import path belongs to the deterministic
-// simulation core.
-func InScope(pkgPath string) bool {
-	rel := strings.TrimPrefix(pkgPath, "thermctl/")
-	for _, p := range scopePrefixes {
-		if rel == p || strings.HasPrefix(rel, p+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 // forbiddenTime are the time package functions that read or wait on the

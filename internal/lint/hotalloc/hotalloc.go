@@ -174,43 +174,11 @@ func (w *walker) checkCall(call *ast.CallExpr) bool {
 		return true
 	}
 	if why, ok := allocFuncs[fn.FullName()]; ok {
-		if fix, ok := w.constFormatFix(call, fn); ok {
-			w.pass.ReportFix(call.Pos(), fix, "call to %s %s per round%s; precompute the constant", fn.FullName(), why, w.via)
-		} else {
-			w.pass.Reportf(call.Pos(), "call to %s %s per round%s; hoist it to wiring time or a rare path", fn.FullName(), why, w.via)
-		}
+		w.pass.Reportf(call.Pos(), "call to %s %s per round%s; hoist it to wiring time or a rare path", fn.FullName(), why, w.via)
 		return true
 	}
 	w.checkBoxing(call, fn)
 	return true
-}
-
-// constFormatFix builds the suggested fix for fmt.Sprintf/fmt.Sprint
-// calls whose value is a compile-time constant: a Sprintf with a
-// verb-free format and no arguments, or a Sprint of one string literal,
-// is replaced by the literal itself.
-func (w *walker) constFormatFix(call *ast.CallExpr, fn *types.Func) (lint.SuggestedFix, bool) {
-	name := fn.FullName()
-	if name != "fmt.Sprintf" && name != "fmt.Sprint" {
-		return lint.SuggestedFix{}, false
-	}
-	if len(call.Args) != 1 {
-		return lint.SuggestedFix{}, false
-	}
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind.String() != "STRING" {
-		return lint.SuggestedFix{}, false
-	}
-	if name == "fmt.Sprintf" && strings.Contains(lit.Value, "%") {
-		return lint.SuggestedFix{}, false
-	}
-	return lint.SuggestedFix{
-		Edits: []lint.TextEdit{{
-			Pos:     call.Pos(),
-			End:     call.End(),
-			NewText: lit.Value,
-		}},
-	}, true
 }
 
 // checkBoxing flags concrete non-pointer values passed where the callee

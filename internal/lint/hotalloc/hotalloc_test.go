@@ -10,10 +10,3 @@ import (
 func TestHotalloc(t *testing.T) {
 	linttest.Run(t, "testdata/ha", hotalloc.Analyzer)
 }
-
-// TestHotallocFix round-trips the testdata through ApplyFixes and
-// compares against the committed goldens: what `thermlint -fix` leaves
-// on disk for the constant fmt.Sprintf/fmt.Sprint calls.
-func TestHotallocFix(t *testing.T) {
-	linttest.RunFix(t, "testdata/ha", hotalloc.Analyzer)
-}

@@ -123,3 +123,32 @@ func notAStep() string {
 func (c *ctl) record(now time.Duration, frame []float64) {
 	c.last = fmt.Sprintf("%v", frame[0]) // want `call to fmt.Sprintf formats a new string per round`
 }
+
+// Registry has internal/metrics.Registry's shape: registering a metric
+// builds it and grows the registry.
+type Registry struct{ names []string }
+
+type Counter struct{ v uint64 }
+
+func (r *Registry) NewCounter(name string) *Counter {
+	r.names = append(r.names, name) // want `append may grow its backing array per round \(reached via .*metered\)\.Step → .*lazyInit → .*NewCounter\)`
+	return &Counter{}               // want `&.*Counter literal escapes to the heap per round`
+}
+
+type metered struct {
+	reg    *Registry
+	rounds *Counter
+}
+
+// Step that registers its counter on first use, through a helper: the
+// registration is flagged inside the registry. Register at wiring time.
+func (m *metered) Step(dt time.Duration) {
+	m.lazyInit()
+	m.rounds.v++
+}
+
+func (m *metered) lazyInit() {
+	if m.rounds == nil {
+		m.rounds = m.reg.NewCounter("rounds")
+	}
+}

@@ -1,7 +1,7 @@
 // Package lint is a miniature static-analysis framework for this
 // repository's domain-specific invariants: simulation determinism,
-// non-blocking control loops, checked actuator writes, and
-// callback-under-lock deadlock shapes.
+// non-blocking control loops, checked actuator writes, unit-tagged
+// arithmetic and allocation-free step paths.
 //
 // It deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer / Pass / Diagnostic) so the analyzers could be ported to a
@@ -14,13 +14,13 @@
 // flagged line or alone on the line directly above it:
 //
 //	//thermlint:allow <analyzer>[,<analyzer>...] -- <reason>
-//	//thermlint:allow -- <reason>
 //
-// The scoped form suppresses only the named analyzers; the bare form
-// (no analyzer names) suppresses every analyzer on the line. The reason
-// is mandatory in both forms: a directive without one is itself
-// reported (under the analyzer name "directive") and suppresses
-// nothing.
+// It suppresses only the named analyzers. A directive is itself
+// reported, under the analyzer name "directive", when it has no reason
+// or names no analyzer (it then suppresses nothing), when it names an
+// analyzer the driver does not register, and when an analyzer it names
+// ran on the package and it suppressed none of that analyzer's
+// findings.
 package lint
 
 import (
@@ -28,8 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -89,38 +88,11 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// TextEdit is one replacement of the source range [Pos, End) with
-// NewText, in the pass's file set.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  string
-}
-
-// SuggestedFix is one automatic remediation for a diagnostic: a set of
-// textual edits applied together.
-type SuggestedFix struct {
-	Edits []TextEdit
-}
-
-// Edit is a resolved TextEdit: byte offsets into a named file.
-type Edit struct {
-	File       string
-	Start, End int
-	NewText    string
-}
-
-// Fix is a resolved SuggestedFix, carried on the Diagnostic.
-type Fix struct {
-	Edits []Edit
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Fixes holds the suggested remediations (usually zero or one).
-	Fixes []Fix
 }
 
 func (d Diagnostic) String() string {
@@ -136,35 +108,28 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFix records a finding at pos carrying a suggested fix. Edits
-// are resolved to byte offsets immediately, so appliers need only the
-// diagnostics.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	var rf Fix
-	for _, e := range fix.Edits {
-		start := p.Fset.Position(e.Pos)
-		end := p.Fset.Position(e.End)
-		rf.Edits = append(rf.Edits, Edit{
-			File:    start.Filename,
-			Start:   start.Offset,
-			End:     end.Offset,
-			NewText: e.NewText,
-		})
+// InPackages returns an AppliesTo predicate accepting the module's
+// packages at or under one of the prefixes, each an import path
+// relative to the module ("internal/fan").
+func InPackages(prefixes ...string) func(pkgPath string) bool {
+	return func(pkgPath string) bool {
+		rel := strings.TrimPrefix(pkgPath, "thermctl/")
+		for _, p := range prefixes {
+			if rel == p || strings.HasPrefix(rel, p+"/") {
+				return true
+			}
+		}
+		return false
 	}
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    []Fix{rf},
-	})
 }
 
 // Run executes the analyzers over one loaded package and returns the
 // surviving diagnostics, sorted by position: allow directives have been
-// applied, and malformed directives reported. AppliesTo is NOT
-// consulted here — that is driver policy (see Driver.Run). A nil prog
-// wraps pkg in a singleton program.
-func Run(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// applied, and faulty or unused directives reported. When known is
+// non-nil, a directive naming an analyzer it rejects is reported too.
+// AppliesTo is NOT consulted here — that is driver policy (see the
+// thermlint command). A nil prog wraps pkg in a singleton program.
+func Run(prog *Program, pkg *Package, analyzers []*Analyzer, known func(name string) bool) ([]Diagnostic, error) {
 	if prog == nil {
 		prog = NewProgram(pkg.Fset, []*Package{pkg})
 	}
@@ -183,7 +148,7 @@ func Run(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, erro
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	diags = applyDirectives(pkg, diags)
+	diags = applyDirectives(pkg, diags, analyzers, known)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -200,21 +165,39 @@ func Run(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, erro
 	return diags, nil
 }
 
-// directive is one parsed //thermlint:allow comment.
-type directive struct {
-	pos       token.Position
-	analyzers map[string]bool
-	hasReason bool
+// Directive is one parsed //thermlint:allow comment.
+type Directive struct {
+	pos   token.Position
+	names []string
+	// fault says why the directive suppresses nothing; empty when it
+	// is well-formed.
+	fault string
 	// alone reports whether the comment is the only thing on its line,
-	// in which case it covers the following line instead.
+	// in which case it covers the following line too.
 	alone bool
+	// used holds the analyzers whose findings it suppressed.
+	used map[string]bool
 }
+
+// Use records that d suppressed a finding of the named analyzer.
+func (d *Directive) Use(analyzer string) { d.used[analyzer] = true }
 
 const directivePrefix = "thermlint:allow"
 
-// parseDirectives extracts the allow directives of every file.
-func parseDirectives(pkg *Package) []directive {
-	var out []directive
+// directives returns the allow directives of pkg, parsed on first use
+// and kept on the package so that their use accumulates across
+// analyzers.
+func directives(pkg *Package) []*Directive {
+	if pkg.directives == nil {
+		pkg.directives = parseDirectives(pkg)
+	}
+	return pkg.directives
+}
+
+// parseDirectives extracts the allow directives of every file. The
+// result is non-nil.
+func parseDirectives(pkg *Package) []*Directive {
+	out := []*Directive{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -225,15 +208,18 @@ func parseDirectives(pkg *Package) []directive {
 				}
 				rest := strings.TrimSpace(strings.TrimPrefix(text, directivePrefix))
 				names, reason, found := strings.Cut(rest, "--")
-				d := directive{
-					pos:       pkg.Fset.Position(c.Pos()),
-					analyzers: map[string]bool{},
-					hasReason: found && strings.TrimSpace(reason) != "",
+				d := &Directive{
+					pos: pkg.Fset.Position(c.Pos()),
+					names: strings.FieldsFunc(names, func(r rune) bool {
+						return r == ',' || r == ' ' || r == '\t'
+					}),
+					used: map[string]bool{},
 				}
-				for _, n := range strings.FieldsFunc(names, func(r rune) bool {
-					return r == ',' || r == ' ' || r == '\t'
-				}) {
-					d.analyzers[n] = true
+				switch {
+				case !found || strings.TrimSpace(reason) == "":
+					d.fault = "is missing its '-- reason'"
+				case len(d.names) == 0:
+					d.fault = "names no analyzer"
 				}
 				d.alone = d.pos.Column == 1 || onlyCommentOnLine(pkg, c)
 				out = append(out, d)
@@ -285,178 +271,52 @@ func onlyCommentOnLine(pkg *Package, c *ast.Comment) bool {
 	return true
 }
 
-// Allowed returns a predicate reporting whether a well-formed allow
-// directive in pkg suppresses the named analyzer at a position. An
-// analyzer whose findings propagate (a kept dead function keeps its
-// callees alive) asks it to tell a deliberate survivor from the rest.
-func Allowed(pkg *Package, analyzer string) func(token.Position) bool {
-	_, allowed := allowTable(parseDirectives(pkg))
-	return func(pos token.Position) bool {
-		m := allowed[pos.Filename][pos.Line]
-		return m[analyzer] || m[allowAll]
-	}
-}
-
-// applyDirectives filters diags through the allow directives and
-// appends a "directive" diagnostic for each malformed one.
-func applyDirectives(pkg *Package, diags []Diagnostic) []Diagnostic {
-	out, allowed := allowTable(parseDirectives(pkg))
-	for _, dg := range diags {
-		if m := allowed[dg.Pos.Filename]; m != nil && (m[dg.Pos.Line][dg.Analyzer] || m[dg.Pos.Line][allowAll]) {
-			continue
-		}
-		out = append(out, dg)
-	}
-	return out
-}
-
-// allowTable indexes the well-formed directives as
-// allowed[file][line][analyzer] and returns a "directive" diagnostic
-// for each malformed one.
-func allowTable(dirs []directive) (out []Diagnostic, allowed map[string]map[int]map[string]bool) {
-	allowed = map[string]map[int]map[string]bool{}
-	add := func(file string, line int, names map[string]bool) {
-		if allowed[file] == nil {
-			allowed[file] = map[int]map[string]bool{}
-		}
-		if allowed[file][line] == nil {
-			allowed[file][line] = map[string]bool{}
-		}
-		for n := range names {
-			allowed[file][line][n] = true
-		}
-	}
-	for _, d := range dirs {
-		if !d.hasReason {
-			out = append(out, Diagnostic{
-				Pos:      d.pos,
-				Analyzer: "directive",
-				Message:  "thermlint:allow directive is missing its '-- reason'; it suppresses nothing",
-			})
-			continue
-		}
-		if len(d.analyzers) == 0 {
-			// Bare form: suppress every analyzer on the covered line(s).
-			d.analyzers = map[string]bool{allowAll: true}
-		}
-		line := d.pos.Line
-		add(d.pos.Filename, line, d.analyzers)
-		if d.alone {
-			add(d.pos.Filename, line+1, d.analyzers)
-		}
-	}
-	return out, allowed
-}
-
-// allowAll is the internal marker for a bare allow directive. The "*"
-// name cannot collide with a real analyzer (names are identifiers).
-const allowAll = "*"
-
-// ApplyFixes merges the suggested fixes of diags into their files'
-// current on-disk content and returns the new content per file.
-// Overlapping edits are resolved first-come (by diagnostic order);
-// later conflicting fixes are dropped and reported in skipped.
-func ApplyFixes(diags []Diagnostic) (changed map[string][]byte, skipped []Diagnostic, err error) {
-	type span struct{ start, end int }
-	taken := map[string][]span{}
-	edits := map[string][]Edit{}
-	for _, d := range diags {
-		if len(d.Fixes) == 0 {
-			continue
-		}
-		fix := d.Fixes[0]
-		conflict := false
-		for _, e := range fix.Edits {
-			for _, s := range taken[e.File] {
-				if e.Start < s.end && s.start < e.End {
-					conflict = true
-				}
-			}
-		}
-		if conflict {
-			skipped = append(skipped, d)
-			continue
-		}
-		for _, e := range fix.Edits {
-			taken[e.File] = append(taken[e.File], span{e.Start, e.End})
-			edits[e.File] = append(edits[e.File], e)
-		}
-	}
-	changed = map[string][]byte{}
-	for file, es := range edits {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lint: applying fixes: %w", err)
-		}
-		sort.Slice(es, func(i, j int) bool { return es[i].Start > es[j].Start })
-		for _, e := range es {
-			if e.Start < 0 || e.End > len(src) || e.Start > e.End {
-				return nil, nil, fmt.Errorf("lint: fix edit out of range in %s [%d,%d)", file, e.Start, e.End)
-			}
-			src = append(src[:e.Start], append([]byte(e.NewText), src[e.End:]...)...)
-		}
-		changed[file] = src
-	}
-	return changed, skipped, nil
-}
-
-// WriteFixes writes each fixed file atomically: the new content lands
-// in a temp file in the same directory and replaces the original with
-// a rename, so a crash mid-run never leaves a half-written source file.
-func WriteFixes(changed map[string][]byte) error {
-	files := make([]string, 0, len(changed))
-	for f := range changed {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		tmp, err := os.CreateTemp(filepath.Dir(file), ".thermlint-fix-*")
-		if err != nil {
-			return fmt.Errorf("lint: writing fixes: %w", err)
-		}
-		if _, err := tmp.Write(changed[file]); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("lint: writing fixes: %w", err)
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("lint: writing fixes: %w", err)
-		}
-		if err := os.Rename(tmp.Name(), file); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("lint: writing fixes: %w", err)
+// Allowed returns the well-formed allow directive in pkg that names
+// the analyzer and covers pos, or nil. It does not mark the directive
+// used: the caller calls Use once the directive has kept a finding
+// from being reported. An analyzer whose findings propagate (a kept
+// dead function keeps its callees alive) asks it directly to tell a
+// deliberate survivor from the rest.
+func Allowed(pkg *Package, analyzer string, pos token.Position) *Directive {
+	for _, d := range directives(pkg) {
+		if d.fault == "" && d.pos.Filename == pos.Filename &&
+			(d.pos.Line == pos.Line || d.alone && d.pos.Line+1 == pos.Line) &&
+			slices.Contains(d.names, analyzer) {
+			return d
 		}
 	}
 	return nil
 }
 
-// Diff renders a minimal old→new hunk for one fixed file: the common
-// prefix and suffix lines are trimmed and the changed middle printed
-// with -/+ markers. Good enough for `-fix -diff` dry runs; not a patch
-// format.
-func Diff(name string, oldSrc, newSrc []byte) string {
-	oldLines := strings.SplitAfter(string(oldSrc), "\n")
-	newLines := strings.SplitAfter(string(newSrc), "\n")
-	pre := 0
-	for pre < len(oldLines) && pre < len(newLines) && oldLines[pre] == newLines[pre] {
-		pre++
+// applyDirectives filters diags through the allow directives and
+// appends a "directive" diagnostic for each faulty one, each one
+// naming an analyzer known rejects, and each name of an analyzer in
+// ran whose findings the directive never suppressed.
+func applyDirectives(pkg *Package, diags []Diagnostic, ran []*Analyzer, known func(string) bool) []Diagnostic {
+	var out []Diagnostic
+	for _, dg := range diags {
+		if d := Allowed(pkg, dg.Analyzer, dg.Pos); d != nil {
+			d.Use(dg.Analyzer)
+			continue
+		}
+		out = append(out, dg)
 	}
-	oldTail, newTail := len(oldLines), len(newLines)
-	for oldTail > pre && newTail > pre && oldLines[oldTail-1] == newLines[newTail-1] {
-		oldTail--
-		newTail--
+	report := func(d *Directive, format string, args ...any) {
+		out = append(out, Diagnostic{Pos: d.pos, Analyzer: "directive", Message: fmt.Sprintf(format, args...)})
 	}
-	if pre == oldTail && pre == newTail {
-		return ""
+	for _, d := range directives(pkg) {
+		if d.fault != "" {
+			report(d, "thermlint:allow directive %s; it suppresses nothing", d.fault)
+			continue
+		}
+		for _, n := range d.names {
+			switch {
+			case known != nil && !known(n):
+				report(d, "thermlint:allow names unknown analyzer %q", n)
+			case !d.used[n] && slices.ContainsFunc(ran, func(a *Analyzer) bool { return a.Name == n }):
+				report(d, "thermlint:allow %s suppresses no finding; delete it", n)
+			}
+		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "--- %s\n+++ %s\n@@ line %d @@\n", name, name, pre+1)
-	for _, l := range oldLines[pre:oldTail] {
-		b.WriteString("-" + strings.TrimSuffix(l, "\n") + "\n")
-	}
-	for _, l := range newLines[pre:newTail] {
-		b.WriteString("+" + strings.TrimSuffix(l, "\n") + "\n")
-	}
-	return b.String()
+	return out
 }

@@ -43,9 +43,10 @@ func a() {
 	forbidden()
 	forbidden() //thermlint:allow testcheck
 	forbidden() //thermlint:allow othercheck -- names a different analyzer
-	forbidden() //thermlint:allow -- bare form suppresses every analyzer
-	//thermlint:allow -- standalone bare form covers the next line
-	forbidden()
+	forbidden() //thermlint:allow -- names no analyzer
+	//thermlint:allow testcheck -- covers no finding
+	_ = 0
+	forbidden() //thermlint:allow testcheck,nosuchcheck -- names an analyzer the driver does not register
 }
 `
 
@@ -64,7 +65,8 @@ func loadFixture(t *testing.T) *lint.Package {
 
 func TestDirectives(t *testing.T) {
 	pkg := loadFixture(t)
-	diags, err := lint.Run(nil, pkg, []*lint.Analyzer{testAnalyzer})
+	known := func(name string) bool { return name == "testcheck" || name == "othercheck" }
+	diags, err := lint.Run(nil, pkg, []*lint.Analyzer{testAnalyzer}, known)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,11 @@ func TestDirectives(t *testing.T) {
 		{6, "testcheck", "forbidden call"},           // no directive
 		{10, "testcheck", "forbidden call"},          // malformed directive suppresses nothing...
 		{10, "directive", "missing its '-- reason'"}, // ...and is itself reported
-		{11, "testcheck", "forbidden call"},          // wrong analyzer name
+		{11, "testcheck", "forbidden call"},          // wrong analyzer name; othercheck did not run, so no unused report
+		{12, "testcheck", "forbidden call"},
+		{12, "directive", "names no analyzer"},
+		{13, "directive", "testcheck suppresses no finding"}, // covers line 14, which has no finding
+		{15, "directive", `unknown analyzer "nosuchcheck"`},  // the testcheck name on it is used
 	}
 	if len(diags) != len(wants) {
 		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(wants), diags)
@@ -87,6 +93,22 @@ func TestDirectives(t *testing.T) {
 		if d.Pos.Line != w.line || d.Analyzer != w.analyzer || !strings.Contains(d.Message, w.contains) {
 			t.Errorf("diag %d = %s, want line %d analyzer %s containing %q", i, d, w.line, w.analyzer, w.contains)
 		}
+	}
+
+	// Without the driver's registry no name is unknown, and a run of
+	// no analyzer reports no directive unused.
+	pkg = loadFixture(t)
+	diags, err = lint.Run(nil, pkg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if strings.Contains(d.Message, "suppresses no finding") || strings.Contains(d.Message, "unknown analyzer") {
+			t.Errorf("run of no analyzer reported %s", d)
+		}
+	}
+	if len(diags) != 2 {
+		t.Errorf("run of no analyzer: got %d diagnostics, want the 2 malformed directives:\n%v", len(diags), diags)
 	}
 }
 

@@ -5,12 +5,12 @@
 // A want comment expects one diagnostic on its line whose message
 // matches the quoted regular expression. Lines without a want comment
 // must produce no diagnostics. Allow directives in the fixtures are
-// honored, so suppression can be tested with a directive and no want.
+// honored, so suppression can be tested with a directive and no want;
+// a directive that suppresses nothing is itself a finding.
 package linttest
 
 import (
 	"go/ast"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -34,50 +34,12 @@ type want struct {
 //thermlint:allow deadcode -- cross-package test helper: every analyzer's testdata runs through it
 func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	t.Helper()
-	runDiags(t, dir, a)
-}
-
-// RunFix runs the analyzer like Run, then applies every suggested fix
-// and compares each fixed file against its committed golden twin
-// (<file>.golden in the same directory). This is the `-fix` round-trip
-// test: the goldens are what thermlint -fix would leave on disk.
-//
-//thermlint:allow deadcode -- cross-package test helper: the -fix round trip of hotalloc's testdata runs through it
-func RunFix(t *testing.T, dir string, a *lint.Analyzer) {
-	t.Helper()
-	diags := runDiags(t, dir, a)
-	changed, skipped, err := lint.ApplyFixes(diags)
-	if err != nil {
-		t.Fatalf("applying fixes in %s: %v", dir, err)
-	}
-	for _, d := range skipped {
-		t.Errorf("fix skipped as conflicting: %s", d)
-	}
-	if len(changed) == 0 {
-		t.Fatalf("RunFix(%s): analyzer produced no fixes; use Run for fix-less analyzers", dir)
-	}
-	for file, got := range changed {
-		golden := file + ".golden"
-		wantSrc, err := os.ReadFile(golden)
-		if err != nil {
-			t.Errorf("fixed %s but no golden: %v", file, err)
-			continue
-		}
-		if string(got) != string(wantSrc) {
-			t.Errorf("fix output for %s does not match %s:\n%s", file, golden,
-				lint.Diff(file, wantSrc, got))
-		}
-	}
-}
-
-func runDiags(t *testing.T, dir string, a *lint.Analyzer) []lint.Diagnostic {
-	t.Helper()
 	loader := lint.NewLoader("", "")
 	pkg, err := loader.LoadDir(dir, dir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	diags, err := lint.Run(nil, pkg, []*lint.Analyzer{a})
+	diags, err := lint.Run(nil, pkg, []*lint.Analyzer{a}, nil)
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
@@ -95,7 +57,6 @@ func runDiags(t *testing.T, dir string, a *lint.Analyzer) []lint.Diagnostic {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.pattern)
 		}
 	}
-	return diags
 }
 
 var wantRe = regexp.MustCompile(`//\s*want\s+(` + "`[^`]*`" + `|"(?:[^"\\]|\\.)*")`)

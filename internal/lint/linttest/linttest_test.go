@@ -41,25 +41,28 @@ func writeFixture(t *testing.T, src string) string {
 }
 
 // TestAllowDirectiveForms drives Run over a fixture whose expectations
-// only hold if both directive forms behave as documented: the scoped
-// form suppresses exactly the named analyzers, the bare form suppresses
-// everything, and a directive naming some other analyzer suppresses
-// nothing.
+// only hold if the directives behave as documented: a directive
+// suppresses exactly the analyzers it names, one naming some other
+// analyzer suppresses nothing, one naming no analyzer is a finding,
+// and one naming the analyzer that ran but covering none of its
+// findings is reported as unused.
 func TestAllowDirectiveForms(t *testing.T) {
 	dir := writeFixture(t, `package fix
 
 func forbidden() {}
 
+func fine() {}
+
 func a() {
 	forbidden() // want "forbidden call"
-	forbidden() //thermlint:allow calltrap -- scoped form suppresses the named analyzer
-	//thermlint:allow calltrap -- standalone scoped form covers the next line
+	forbidden() //thermlint:allow calltrap -- suppresses the named analyzer
+	//thermlint:allow calltrap -- standalone form covers the next line
 	forbidden()
 	forbidden() //thermlint:allow othercheck -- names a different analyzer: still reported // want "forbidden call"
 	forbidden() //thermlint:allow calltrap,othercheck -- a list may mix names
-	forbidden() //thermlint:allow -- bare form suppresses every analyzer
-	//thermlint:allow -- standalone bare form covers the next line
-	forbidden()
+	forbidden() //thermlint:allow -- names no analyzer // want "forbidden call" // want "names no analyzer"
+	//thermlint:allow calltrap -- covers no finding // want "calltrap suppresses no finding"
+	fine()
 }
 `)
 	Run(t, dir, calltrap)

@@ -22,6 +22,10 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	// directives caches the package's allow directives and their use;
+	// lint.Run updates it, so one package is not run concurrently.
+	directives []*Directive
 }
 
 // Loader parses and type-checks packages of one module from source,

@@ -28,7 +28,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"thermctl/internal/lint"
 )
@@ -37,7 +36,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name:      "shardsafe",
 	Doc:       "forbid runtime-mutable package-level state in the node-model packages stepped in parallel",
-	AppliesTo: InScope,
+	AppliesTo: lint.InPackages(scopePrefixes...),
 	Run:       run,
 }
 
@@ -72,18 +71,6 @@ var scopePrefixes = []string{
 	"internal/thermal",
 	"internal/tracefile",
 	"internal/workload",
-}
-
-// InScope reports whether the import path belongs to the parallel
-// stepping phase's call graph.
-func InScope(pkgPath string) bool {
-	rel := strings.TrimPrefix(pkgPath, "thermctl/")
-	for _, p := range scopePrefixes {
-		if rel == p || strings.HasPrefix(rel, p+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 func run(pass *lint.Pass) error {

@@ -13,7 +13,6 @@ package singleowner
 
 import (
 	"strconv"
-	"strings"
 
 	"thermctl/internal/lint"
 )
@@ -22,7 +21,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name:      "singleowner",
 	Doc:       "forbid sync and sync/atomic in the node-model packages owned by the stepping goroutine",
-	AppliesTo: InScope,
+	AppliesTo: lint.InPackages(scopePrefixes...),
 	Run:       run,
 }
 
@@ -42,17 +41,6 @@ var scopePrefixes = []string{
 	"internal/power",
 	"internal/sensor",
 	"internal/thermal",
-}
-
-// InScope reports whether the import path is a node-model package.
-func InScope(pkgPath string) bool {
-	rel := strings.TrimPrefix(pkgPath, "thermctl/")
-	for _, p := range scopePrefixes {
-		if rel == p || strings.HasPrefix(rel, p+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 func run(pass *lint.Pass) error {

@@ -11,9 +11,10 @@
 // Gauge.Set, Histogram.Observe) are single atomic operations with no
 // allocation and no locks, cheap enough to live inside Cluster.Step and
 // the controllers' OnStep methods. The split is enforced statically by
-// the metricsafe thermlint analyzer: registration must happen at
-// wiring time (constructors, InstrumentMetrics methods, main), never in
-// code reachable from a Step or OnStep method.
+// the hotalloc thermlint analyzer, which reports registration's
+// allocations when a Step or OnStep method reaches it: registration
+// must happen at wiring time (constructors, InstrumentMetrics methods,
+// main).
 //
 // Every instrument is nil-safe: calling Inc/Set/Observe on a nil
 // pointer is a no-op, so components carry optional metric handles that

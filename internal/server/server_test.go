@@ -363,19 +363,21 @@ func TestQueueOverflow(t *testing.T) {
 }
 
 // waitHookParked waits until the job has flipped to running (the hook
-// is holding the worker).
+// is holding the worker). It polls s.mu with TryLock, so a hook run
+// under s.mu fails the test at the deadline instead of hanging it.
 func waitHookParked(t *testing.T, s *Server, id string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		s.mu.Lock()
-		j := s.jobs[id]
-		s.mu.Unlock()
-		if j != nil && j.State() == StateRunning {
-			return
+		if s.mu.TryLock() {
+			j := s.jobs[id]
+			s.mu.Unlock()
+			if j != nil && j.State() == StateRunning {
+				return
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("worker never parked in the hook")
+			t.Fatal("worker never parked in the hook with s.mu free")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -171,10 +171,8 @@ func (r *Recorder) Track(name string) *Series {
 func (r *Recorder) track(name string) *Series {
 	s, ok := r.series[name]
 	if !ok {
-		//thermlint:allow hotalloc -- first-use only: a series is created once per name, then reused
 		s = &Series{}
 		r.series[name] = s
-		//thermlint:allow hotalloc -- first-use only: grows once per distinct series name
 		r.order = append(r.order, name)
 	}
 	return s

@@ -14,8 +14,6 @@ func lineTime(i int) time.Duration { return time.Duration(i) }
 // are stored: the text contract of the old .trace files, carried in
 // the binary format so every go test run exercises the writer, reader
 // and diff together.
-//
-//thermlint:allow deadcode -- cross-package golden helper: the core, baseline and cluster goldens are encoded with it
 func EncodeEvents(lines []string) ([]byte, error) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, nil, nil)

@@ -32,11 +32,11 @@ if [ -n "$out" ]; then
 		if (match($0, /"line":[0-9]+/))       lineno   = substr($0, RSTART + 7,  RLENGTH - 7)
 		if (match($0, /"col":[0-9]+/))        col      = substr($0, RSTART + 6,  RLENGTH - 6)
 		if (match($0, /"analyzer":"[^"]*"/))  analyzer = substr($0, RSTART + 12, RLENGTH - 13)
-		# The message is the tail of the object: strip everything up to
-		# its opening quote, then the closing quote and trailing fields.
+		# The message is the last field of the object: strip everything
+		# up to its opening quote, then its closing quote and brace.
 		msg = $0
 		sub(/^.*"message":"/, "", msg)
-		if (!sub(/","fixable":(true|false)\}$/, "", msg)) sub(/"\}$/, "", msg)
+		sub(/"\}$/, "", msg)
 		gsub(/\\"/, "\"", msg)
 		gsub(/\\\\/, "\\", msg)
 		# GitHub annotation escaping.

@@ -2,8 +2,10 @@
 // control as a service. Clients POST config.Scenario documents — the
 // same JSON that clustersim -scenario and the experiment harness read —
 // and the server runs each as a simulated campaign on a bounded worker
-// pool, streams live telemetry over Server-Sent Events, and keeps the
-// .tct trace and JSON report per job in a disk store.
+// pool, streams live telemetry over Server-Sent Events, and keeps a
+// disk store under -dir: each job's <id>.tct trace, plus one line per
+// finished job (state, timestamps, scenario, report) in the
+// append-only jobs.jsonl.
 //
 // Usage:
 //

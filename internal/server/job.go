@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -85,16 +86,46 @@ func (j *Job) markRunning() bool {
 	return true
 }
 
-// finish records the terminal state. err and summary may be nil.
-func (j *Job) finish(st State, err error, sum *report.CampaignSummary) {
+// finish makes the job terminal in st: it first hands the job's log
+// line to persist, then publishes the state, so a client that sees the
+// job terminal finds its line in the log. If persist fails, the job
+// fails and keeps no report. A job canceled in the queue keeps the
+// finish time Cancel stamped. err and sum may be nil; persist runs
+// under j.mu. It returns the state the job ended in.
+func (j *Job) finish(st State, err error, sum *report.CampaignSummary, persist func(*jobRecord) error) State {
 	j.mu.Lock()
-	j.state = st
-	if err != nil {
-		j.errText = err.Error()
+	defer j.mu.Unlock()
+	if j.finished.IsZero() {
+		j.finished = time.Now()
 	}
-	j.summary = sum
-	j.finished = time.Now()
-	j.mu.Unlock()
+	rec := &jobRecord{
+		ID:          j.id,
+		Name:        j.scenario.Name,
+		State:       st,
+		SubmittedAt: j.submitted.Format(time.RFC3339Nano),
+		FinishedAt:  j.finished.Format(time.RFC3339Nano),
+		Scenario:    j.scenario,
+		Report:      sum,
+	}
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	if !j.started.IsZero() {
+		rec.StartedAt = j.started.Format(time.RFC3339Nano)
+	}
+	if perr := persist(rec); perr != nil {
+		st, rec.Error, sum = StateFailed, fmt.Sprintf("job log: %v", perr), nil
+	}
+	j.state, j.errText, j.summary = st, rec.Error, sum
+	return st
+}
+
+// reportState returns the job's state and the summary its report route
+// serves (nil when the job produced none).
+func (j *Job) reportState() (State, *report.CampaignSummary) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.summary
 }
 
 // View is the job's JSON wire representation.
@@ -140,7 +171,7 @@ func (j *Job) view() View {
 	if j.summary != nil {
 		v.ExecTimeMS = j.summary.ExecTimeMS
 	}
-	if j.state == StateDone || (j.state == StateCanceled && j.summary != nil) {
+	if j.summary != nil {
 		v.Artifacts = map[string]string{
 			"trace":  "/v1/jobs/" + j.id + "/trace",
 			"report": "/v1/jobs/" + j.id + "/report",

@@ -1,8 +1,8 @@
 // Package server is the multi-tenant campaign service: a REST API
 // that accepts config.Scenario specs, runs each as a simulated thermal
 // campaign on a bounded worker pool, streams live telemetry over SSE,
-// and persists per-job artifacts (a .tct trace and a JSON report) to a
-// disk store.
+// and persists each job to a disk store: its .tct trace, and a line in
+// an append-only job log that holds its scenario and report.
 //
 // Lifecycle: POST /v1/jobs validates the spec and enqueues a Job
 // (FIFO, bounded — a full queue refuses with 429). A pool of N workers
@@ -206,22 +206,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// A programless scenario with no workload plane runs the historical
 	// server default: per-node cpu-burn. Setting it here (rather than
 	// inside execute) persists the effective workload in the job's
-	// scenario.json artifact.
+	// log line.
 	if spec.Program == "" && !spec.HasWorkload() {
 		spec.Workload = &workload.Spec{Kind: workload.KindCPUBurn}
 	}
 
 	id := s.newID()
-	dir, err := s.store.JobDir(id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if err := writeScenarioFile(s.store.ScenarioPath(id), spec); err != nil {
-		writeError(w, http.StatusInternalServerError, "persist scenario: %v", err)
-		return
-	}
-
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	job := &Job{
 		id:        id,
@@ -247,12 +237,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		cancel()
 		s.m.rejected[rejectQueue].Inc()
-		// Drop the provisional artifact dir: the job never existed.
-		if err := os.RemoveAll(dir); err != nil {
-			writeError(w, http.StatusTooManyRequests,
-				"queue full (%d waiting); artifact cleanup also failed: %v", s.cfg.QueueDepth, err)
-			return
-		}
 		writeError(w, http.StatusTooManyRequests, "queue full (%d jobs waiting)", s.cfg.QueueDepth)
 		return
 	}
@@ -263,22 +247,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.m.submitted.Inc()
 	s.m.queueDepth.Add(1)
 	writeJSON(w, http.StatusAccepted, job.view())
-}
-
-// writeScenarioFile persists the normalized spec as the job's
-// scenario.json artifact.
-func writeScenarioFile(path string, spec config.Scenario) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(spec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // listBody is the GET /v1/jobs envelope.
@@ -335,32 +303,50 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
-// handleTrace serves the job's .tct trace artifact.
+// handleTrace serves the job's .tct trace artifact from the store.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.serveArtifact(w, r, s.store.TracePath, "application/octet-stream")
-}
-
-// handleReport serves the job's JSON report artifact.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	s.serveArtifact(w, r, s.store.ReportPath, "application/json")
-}
-
-func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, path func(string) string, ctype string) {
 	j := s.lookup(w, r)
-	if j == nil {
+	if j == nil || !artifactReady(w, j, j.State()) {
 		return
 	}
-	if !j.State().Terminal() {
-		writeError(w, http.StatusConflict, "job %s is %s; artifacts appear when it finishes", j.ID(), j.State())
-		return
-	}
-	p := path(j.ID())
+	p := s.store.TracePath(j.ID())
 	if _, err := os.Stat(p); err != nil {
 		writeError(w, http.StatusNotFound, "job %s produced no such artifact", j.ID())
 		return
 	}
-	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Type", "application/octet-stream")
 	http.ServeFile(w, r, p)
+}
+
+// handleReport serves the job's campaign summary from the job table,
+// the same summary its log line holds.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	j := s.lookup(w, r)
+	if j == nil {
+		return
+	}
+	st, sum := j.reportState()
+	if !artifactReady(w, j, st) {
+		return
+	}
+	if sum == nil {
+		writeError(w, http.StatusNotFound, "job %s produced no such artifact", j.ID())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	// The log append already marshaled sum, so only delivery can fail,
+	// and the response writer owns that.
+	_ = sum.WriteJSON(w)
+}
+
+// artifactReady writes a 409 and reports false while j, in state st,
+// is not yet terminal.
+func artifactReady(w http.ResponseWriter, j *Job, st State) bool {
+	if !st.Terminal() {
+		writeError(w, http.StatusConflict, "job %s is %s; artifacts appear when it finishes", j.ID(), st)
+		return false
+	}
+	return true
 }
 
 // handleStream serves the job's live telemetry as Server-Sent Events:
@@ -441,7 +427,7 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *Job) {
 	if !j.markRunning() {
 		// Canceled while queued.
-		s.m.finished[StateCanceled].Inc()
+		s.m.finished[j.finish(StateCanceled, nil, nil, s.store.logJob)].Inc()
 		j.hub.close()
 		return
 	}
@@ -458,7 +444,7 @@ func (s *Server) runJob(j *Job) {
 	case sum != nil && sum.Canceled:
 		st = StateCanceled
 	}
-	j.finish(st, err, sum)
+	st = j.finish(st, err, sum, s.store.logJob)
 	s.m.running.Add(-1)
 	s.m.jobSeconds.ObserveSince(start)
 	s.m.finished[st].Inc()
@@ -475,9 +461,9 @@ func (s *Server) build(j *Job) (*config.Rig, error) {
 	return sc.Build()
 }
 
-// execute builds and runs one campaign, writing the trace and report
-// artifacts. The returned summary is non-nil whenever the simulation
-// ran, even if canceled part-way.
+// execute builds and runs one campaign, writing its trace artifact. The
+// returned summary is non-nil whenever the simulation ran to its end or
+// to a cancel, and nil with the error otherwise.
 func (s *Server) execute(j *Job) (*report.CampaignSummary, error) {
 	rig, err := s.build(j)
 	if err != nil {
@@ -517,24 +503,7 @@ func (s *Server) execute(j *Job) (*report.CampaignSummary, error) {
 		return nil, fmt.Errorf("trace file: %w", tfErr)
 	}
 
-	sum := report.SummarizeCampaign(rig, res)
-	if err := writeReportFile(s.store.ReportPath(j.id), sum); err != nil {
-		return sum, fmt.Errorf("report artifact: %w", err)
-	}
-	return sum, nil
-}
-
-// writeReportFile persists the report.json artifact.
-func writeReportFile(path string, sum *report.CampaignSummary) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sum.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return report.SummarizeCampaign(rig, res), nil
 }
 
 // cancelAll cancels every job's context.
@@ -558,7 +527,8 @@ var ErrShutdownForced = errors.New("server: shutdown deadline hit; remaining job
 // submissions get 503), then the worker pool drains — queued and
 // running jobs finish normally. If ctx expires first, every remaining
 // job is canceled and Shutdown returns ErrShutdownForced once the
-// workers exit. Either way, SSE handlers are released.
+// workers exit. Either way, SSE handlers are released and the job log
+// is closed once the workers are gone.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -575,11 +545,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		s.baseCancel()
-		return nil
+		return s.store.Close()
 	case <-ctx.Done():
 		s.cancelAll()
 		s.baseCancel()
 		<-done
-		return ErrShutdownForced
+		return errors.Join(ErrShutdownForced, s.store.Close())
 	}
 }

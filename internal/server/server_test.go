@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -782,15 +781,7 @@ func TestScenarioArtifactPersisted(t *testing.T) {
 	v := submit(t, ts, btSpec)
 	waitTerminal(t, ts, v.ID)
 
-	f, err := os.Open(fmt.Sprintf("%s/%s/scenario.json", dir, v.ID))
-	if err != nil {
-		t.Fatalf("scenario artifact: %v", err)
-	}
-	defer f.Close()
-	spec, err := config.ReadScenarioDir(f, "")
-	if err != nil {
-		t.Fatalf("stored scenario does not round-trip: %v", err)
-	}
+	spec := lineScenario(t, jobLine(t, dir, v.ID))
 	if spec.Program != "bt" || spec.Nodes != 2 {
 		t.Fatalf("stored scenario = %+v", spec)
 	}

@@ -1,25 +1,55 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+
+	"thermctl/internal/config"
+	"thermctl/internal/report"
 )
 
-// Store lays out per-job artifacts on disk:
+// Store lays out the server's artifacts under one root directory:
 //
-//	<root>/<job-id>/scenario.json   the submitted spec, verbatim
-//	<root>/<job-id>/trace.tct       the campaign trace (tracefile)
-//	<root>/<job-id>/report.json     the terminal campaign summary
+//	<root>/<job-id>.tct   each job's campaign trace (tracefile)
+//	<root>/jobs.jsonl     one JSON line per terminal job (jobRecord):
+//	                      state, timestamps, the normalized scenario
+//	                      and the campaign summary
 //
-// Artifacts outlive the in-memory job table only as files — the server
-// does not rebuild job state from disk on restart (campaigns are cheap
-// to resubmit; traces are the durable output).
+// A job creates one file, its trace: a new inode costs far more than
+// an append to an open file. The rest reaches disk as the job's log
+// line when it ends. The server does not rebuild job state from disk on
+// restart (campaigns are cheap to resubmit; traces and the log are the
+// durable output).
 type Store struct {
 	root string
+
+	// mu serializes appends to log; each record is one Write.
+	mu  sync.Mutex
+	log *os.File // opened by the first append, closed by Close
+}
+
+// jobLogName is the job log's file name under the store root.
+const jobLogName = "jobs.jsonl"
+
+// jobRecord is one line of the job log. Report is the summary the
+// report route serves, or null when the job produced none.
+type jobRecord struct {
+	ID          string                  `json:"id"`
+	Name        string                  `json:"name,omitempty"`
+	State       State                   `json:"state"`
+	Error       string                  `json:"error,omitempty"`
+	SubmittedAt string                  `json:"submitted_at"`
+	StartedAt   string                  `json:"started_at,omitempty"`
+	FinishedAt  string                  `json:"finished_at"`
+	Scenario    config.Scenario         `json:"scenario"`
+	Report      *report.CampaignSummary `json:"report"`
 }
 
 // NewStore creates (if needed) and wraps the artifact root directory.
+// It creates no file: the job log opens on the first append.
 func NewStore(root string) (*Store, error) {
 	if root == "" {
 		return nil, fmt.Errorf("server: artifact store needs a root directory")
@@ -30,26 +60,41 @@ func NewStore(root string) (*Store, error) {
 	return &Store{root: root}, nil
 }
 
-// JobDir creates and returns the job's artifact directory.
-func (s *Store) JobDir(id string) (string, error) {
-	dir := filepath.Join(s.root, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("server: job dir: %w", err)
-	}
-	return dir, nil
-}
-
-// ScenarioPath returns the job's stored scenario spec path.
-func (s *Store) ScenarioPath(id string) string {
-	return filepath.Join(s.root, id, "scenario.json")
-}
-
 // TracePath returns the job's trace artifact path.
 func (s *Store) TracePath(id string) string {
-	return filepath.Join(s.root, id, "trace.tct")
+	return filepath.Join(s.root, id+".tct")
 }
 
-// ReportPath returns the job's report artifact path.
-func (s *Store) ReportPath(id string) string {
-	return filepath.Join(s.root, id, "report.json")
+// logJob writes rec as one line at the end of the job log, opening the
+// log (never truncating it) on first use.
+func (s *Store) logJob(rec *jobRecord) error {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log == nil {
+		f, err := os.OpenFile(filepath.Join(s.root, jobLogName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			return err
+		}
+		s.log = f
+	}
+	_, err = s.log.Write(line)
+	return err
+}
+
+// Close closes the job log if an append opened it. A later append
+// reopens it.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log == nil {
+		return nil
+	}
+	err := s.log.Close()
+	s.log = nil
+	return err
 }

@@ -1,21 +1,18 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"thermctl/internal/config"
 )
 
 // TestExtendsGroupsRoundTripAPI is the workload plane's API acceptance
 // path: a scenario composed with "extends" over a heterogeneous
 // grouped fleet submits against a server configured with a scenario
-// library, runs to completion, and the persisted scenario.json is the
-// flattened document — groups, workload and all, with no trace of the
+// library, runs to completion, and the scenario in its job log line is
+// the flattened document — groups, workload and all, with no trace of the
 // extends chain.
 func TestExtendsGroupsRoundTripAPI(t *testing.T) {
 	lib := t.TempDir()
@@ -47,18 +44,10 @@ func TestExtendsGroupsRoundTripAPI(t *testing.T) {
 		t.Fatalf("state = %s, want done (err %q)", final.State, final.Error)
 	}
 
-	// The persisted artifact is the flattened scenario: it re-reads
+	// The logged scenario is the flattened one: it re-reads
 	// with no scenario directory (no library needed — no extends left)
 	// with the base's groups and the child's workload override.
-	f, err := os.Open(fmt.Sprintf("%s/%s/scenario.json", dir, v.ID))
-	if err != nil {
-		t.Fatalf("scenario artifact: %v", err)
-	}
-	defer f.Close()
-	spec, err := config.ReadScenarioDir(f, "")
-	if err != nil {
-		t.Fatalf("stored scenario does not round-trip: %v", err)
-	}
+	spec := lineScenario(t, jobLine(t, dir, v.ID))
 	if spec.Name != "fleet-hot" || spec.Seed != 9 || spec.Nodes != 4 {
 		t.Fatalf("stored scenario = %s/%d/%d nodes", spec.Name, spec.Seed, spec.Nodes)
 	}
@@ -86,7 +75,7 @@ func TestExtendsRefusedWithoutLibrary(t *testing.T) {
 // TestProgramlessJobDefaultsWorkload: the pre-plane contract — a bare
 // programless scenario still runs cpu-burn — now goes through the
 // declarative plane, and the effective workload is persisted in the
-// job's scenario.json rather than implied by server code.
+// job's log line rather than implied by server code.
 func TestProgramlessJobDefaultsWorkload(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{Dir: dir, GeneratorHorizon: 5 * time.Second})
@@ -95,15 +84,7 @@ func TestProgramlessJobDefaultsWorkload(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("state = %s (err %q)", final.State, final.Error)
 	}
-	f, err := os.Open(fmt.Sprintf("%s/%s/scenario.json", dir, v.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	spec, err := config.ReadScenarioDir(f, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := lineScenario(t, jobLine(t, dir, v.ID))
 	if spec.Workload == nil || spec.Workload.Kind != "cpuburn" {
 		t.Fatalf("defaulted workload not persisted: %+v", spec.Workload)
 	}

@@ -42,6 +42,9 @@ go test -run '^$' -bench '^BenchmarkAblateVsPID$' -benchtime 1x . >/dev/null
 # EngineStep steps controlled clusters through idle and control steps,
 # the node-local sweep's due-time path.
 go test -run '^$' -bench '^BenchmarkEngineStep$' -benchtime 1x ./internal/cluster >/dev/null
+# JobRoundTrip runs one campaign-server job through the API and fails
+# unless the job creates exactly one file in the store, its trace.
+go test -run '^$' -bench '^BenchmarkJobRoundTrip$' -benchtime 1x ./internal/server >/dev/null
 
 echo "==> scenario gallery (examples/*.json load + build, extends chains included)"
 go test ./internal/config -run 'TestScenarioGallery|TestGalleryExtendsChains' -count=1

@@ -1,10 +1,12 @@
 #!/bin/sh
 # serversmoke.sh boots the campaign server and drives one campaign
 # through the public API end to end: submit the committed example
-# scenario with thermq, wait for it to finish, pull both artifacts,
-# validate the .tct with thermtrace, and check the /metrics ledger.
+# scenario with thermq, wait for it to finish, check the store holds
+# the job's trace and its job log line and nothing else, pull both
+# artifacts, validate the .tct with thermtrace, and check the /metrics
+# ledger.
 # A clean exit means the service path — REST admission, worker pool,
-# trace/report artifact store, instrumentation, graceful shutdown —
+# trace store and job log, instrumentation, graceful shutdown —
 # works outside the Go test harness.
 #
 # The downloaded trace is left at $TRACE (default server-smoke.tct)
@@ -53,6 +55,25 @@ case "$out" in
 	exit 1
 	;;
 esac
+
+echo "==> store holds the job's trace and log line, and no directory"
+for f in "$id.tct" jobs.jsonl; do
+	if [ ! -f "$DATA/jobs/$f" ]; then
+		echo "store is missing $f:" >&2
+		ls -la "$DATA/jobs" >&2
+		exit 1
+	fi
+done
+if [ -n "$(find "$DATA/jobs" -mindepth 1 -type d)" ]; then
+	echo "store holds a directory:" >&2
+	ls -la "$DATA/jobs" >&2
+	exit 1
+fi
+if ! grep -F "\"id\":\"$id\"" "$DATA/jobs/jobs.jsonl" | grep -Fq '"state":"done"'; then
+	echo "job log has no done line for $id:" >&2
+	cat "$DATA/jobs/jobs.jsonl" >&2
+	exit 1
+fi
 
 echo "==> report artifact carries the campaign summary"
 "$DATA/bin/thermq" report -addr "$ADDR" "$id" | grep -q '"cluster_avg_w"'

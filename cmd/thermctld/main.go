@@ -243,7 +243,7 @@ func run(o options, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		if tw, err = tracefile.NewWriter(f, config.ClusterTraceSchema(1), nil); err != nil {
+		if tw, err = tracefile.NewWriter(f, config.ClusterTraceSchema(1), true); err != nil {
 			return err
 		}
 	}

@@ -23,7 +23,7 @@ func writeTrace(t *testing.T, mutate func(i int, v float64) float64) string {
 	w, err := tracefile.NewWriter(f, []tracefile.SeriesDef{
 		{Name: "n0_temp", Unit: "degC"},
 		{Name: "n0_fan", Unit: "percent"},
-	}, nil)
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -94,9 +94,11 @@ func BenchmarkClusterStep(b *testing.B) {
 // BenchmarkClusterStep at the 64-node scale: the same step loop with
 // the production trace path — the cluster sampler (Cluster.Sample)
 // feeding Writer.AppendFrame once per simulated second, the -trace
-// cadence of clustersim — writer draining to io.Discard with raw
-// chunks. That is config.AttachTraceProbe minus the schema header,
-// which package cluster cannot import (cycle). It sits directly
+// cadence of clustersim — writer sealing raw chunks into a file in
+// b.TempDir(). A chunk is written inside the Step that seals it, so
+// the timed loop includes the write. That is config.AttachTraceProbe
+// minus the schema header, which package cluster cannot import
+// (cycle). It sits directly
 // after BenchmarkClusterStep in the file on purpose: the two record
 // close together in time, so the 5% gate compares numbers from the
 // same host conditions rather than minutes of drift apart.
@@ -119,8 +121,12 @@ func BenchmarkClusterStepTrace(b *testing.B) {
 					schema = append(schema, tracefile.SeriesDef{Name: fmt.Sprintf("n%d_%s", i, f.Name), Unit: f.Unit})
 				}
 			}
-			w, err := tracefile.NewWriter(io.Discard, schema,
-				&tracefile.Options{NoCompress: true})
+			f, err := os.Create(filepath.Join(b.TempDir(), "trace.tct"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			w, err := tracefile.NewWriter(f, schema, false)
 			if err != nil {
 				b.Fatal(err)
 			}

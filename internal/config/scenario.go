@@ -70,6 +70,26 @@ type MetricsSpec struct {
 	Labels map[string]string `json:"labels,omitempty"`
 }
 
+// validate checks the constant label names, in sorted order, against
+// the rule the metrics registry enforces by panicking. "node" is
+// refused too: AttachControl stamps it on every controller series.
+func (m MetricsSpec) validate() error {
+	keys := make([]string, 0, len(m.Labels))
+	for k := range m.Labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if k == "node" {
+			return fmt.Errorf("config: metrics label %q: reserved for the per-node label", k)
+		}
+		if err := metrics.CheckLabelName(k); err != nil {
+			return fmt.Errorf("config: metrics labels: %w", err)
+		}
+	}
+	return nil
+}
+
 // Scenario is the serialized deployment description.
 type Scenario struct {
 	// Name labels the scenario in logs.
@@ -230,6 +250,9 @@ func (s *Scenario) Validate() error {
 	case "none", "ctlarray":
 	default:
 		return fmt.Errorf("config: sleep %q: unknown sleep-state control (want none or ctlarray)", s.Control.Sleep)
+	}
+	if err := s.Metrics.validate(); err != nil {
+		return err
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("config: workers %d: must be >= 0 (0 means GOMAXPROCS)", s.Workers)

@@ -89,6 +89,24 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
+// TestScenarioRejectsBadMetricLabels: label names the registry would
+// panic on, and the per-node label's own name, are refused when the
+// spec is read, before Build can see them.
+func TestScenarioRejectsBadMetricLabels(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"bad-name", "invalid label name"},
+		{"", "empty label name"},
+		{"0rack", "invalid label name"},
+		{"node", "reserved"},
+	} {
+		spec := fmt.Sprintf(`{"nodes": 2, "program": "bt", "metrics": {"enabled": true, "labels": {%q: "x"}}}`, tc.name)
+		_, err := ReadScenarioDir(strings.NewReader(spec), "")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("label %q: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestScenarioBuildDefault builds the paper's standard run and checks
 // the rig shape: a hybrid per node, the program resolved, no plane.
 func TestScenarioBuildDefault(t *testing.T) {

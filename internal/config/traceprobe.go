@@ -32,17 +32,16 @@ func ClusterTraceSchema(n int) []tracefile.SeriesDef {
 // after the run to flush chunks and the index footer; the first
 // append/write error surfaces there.
 //
-// The step-path probe writes raw (uncompressed) chunks: on a
-// single-core host the flusher's flate pass cannot overlap the step
-// loop, and its cost alone breaches the 5% trace-overhead gate —
-// while the delta+varint encoding already carries most of the size
-// win. Offline writers (golden images) keep compression on.
+// The probe writes raw (uncompressed) chunks: each chunk is sealed
+// inside the cluster step that fills it, and a flate pass there alone
+// breaches the 5% trace-overhead gate, while the delta+varint encoding
+// already carries most of the size win. thermctld and the golden
+// images keep compression on.
 func AttachTraceProbe(c *cluster.Cluster, dst io.Writer, every time.Duration, also ...cluster.Sink) (*tracefile.Writer, error) {
 	if every <= 0 {
 		return nil, fmt.Errorf("config: trace probe: %w (got %s)", ErrTraceInterval, every)
 	}
-	w, err := tracefile.NewWriter(dst, ClusterTraceSchema(len(c.Nodes)),
-		&tracefile.Options{NoCompress: true})
+	w, err := tracefile.NewWriter(dst, ClusterTraceSchema(len(c.Nodes)), false)
 	if err != nil {
 		return nil, err
 	}

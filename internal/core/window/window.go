@@ -40,7 +40,6 @@ type Window struct {
 
 	l2 []float64 // FIFO of round averages; index 0 = front (oldest)
 
-	rounds      int
 	deltaL1     float64
 	prevDeltaL1 float64
 	lastRange   float64 // max-min of the last completed round, for jitter detection
@@ -103,7 +102,6 @@ func (w *Window) Add(sample float64) bool {
 	w.l2 = append(w.l2, avg)
 
 	w.l1n = 0 // clear level one for the next round
-	w.rounds++
 	return true
 }
 

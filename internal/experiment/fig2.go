@@ -23,7 +23,7 @@ type Fig2Result struct {
 	// onset (30-45 s), jitter (95-150 s) and gradual-ramp (160-230 s)
 	// segments respectively.
 	SuddenInOnset  int
-	JitterInJitter int
+	JitterInJitter int //thermlint:allow deadcode -- read only by BenchmarkFig2ThermalTypes; no report prints it
 	GradualInRamp  int
 	RoundsInOnset  int
 	RoundsInJitter int

@@ -406,15 +406,17 @@ func (w *walker) scan(pkg *lint.Package, root ast.Node) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, l := range n.Lhs {
+				zero := false
 				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
-					zero := len(n.Rhs) == len(n.Lhs) && isZero(info, n.Rhs[i])
-					w.store(info, stores, l, zero)
-				} else {
-					w.modify(info, l) // op-assignment: read and written
+					zero = len(n.Rhs) == len(n.Lhs) && isZero(info, n.Rhs[i])
 				}
+				// An op-assignment reads the field only to write it
+				// back: a field only ever updated in place is never
+				// read.
+				w.store(info, stores, l, zero)
 			}
 		case *ast.IncDecStmt:
-			w.modify(info, n.X)
+			w.store(info, stores, n.X, false)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				w.modify(info, n.X) // the address may be written through

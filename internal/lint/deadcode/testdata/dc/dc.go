@@ -51,12 +51,18 @@ type Counter struct {
 	label  string  // want `field Counter\.label is never read`
 	limit  int     // want `field Counter\.limit is never written except with its zero value`
 	spare  float64 // want `field Counter\.spare is dead: never read or written`
+	rounds int     // want `field Counter\.rounds is never read`
+	total  float64 // want `field Counter\.total is never read`
 	Tagged string  `json:"tagged"`
 	//thermlint:allow deadcode -- the fixture's kept field
 	kept int
 }
 
-func (c *Counter) Inc() { c.hits++ }
+func (c *Counter) Inc() {
+	c.hits++
+	c.rounds++
+	c.total += 0.5
+}
 
 func (c *Counter) Over() bool {
 	c.limit = 0

@@ -290,7 +290,7 @@ func (r *Registry) register(m *metric) {
 		panic(fmt.Sprintf("metrics: %v", err))
 	}
 	for _, l := range m.labels {
-		if err := checkLabelKey(l.Key); err != nil {
+		if err := CheckLabelName(l.Key); err != nil {
 			panic(fmt.Sprintf("metrics: %s: %v", m.name, err))
 		}
 	}
@@ -327,8 +327,11 @@ func checkName(name string) error {
 	return nil
 }
 
-// checkLabelKey validates a Prometheus label name.
-func checkLabelKey(key string) error {
+// CheckLabelName validates a Prometheus label name: a letter or
+// underscore, then letters, digits and underscores. Registering a
+// metric with a label that fails it panics, so callers that take label
+// names from input check them first.
+func CheckLabelName(key string) error {
 	if key == "" {
 		return fmt.Errorf("empty label name")
 	}

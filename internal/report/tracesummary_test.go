@@ -20,7 +20,7 @@ func TestSummarizeTraceFile(t *testing.T) {
 	w, err := tracefile.NewWriter(f, []tracefile.SeriesDef{
 		{Name: "temp", Unit: "degC"},
 		{Name: "quiet", Unit: "W"},
-	}, nil)
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,17 +198,28 @@ func fetchTrace(t *testing.T, ts *httptest.Server, v View, nodes int) *tracefile
 	return r
 }
 
+// TestSubmitInvalidScenario: each spec is a 400 at submission. The
+// metric label names would panic the registry in Build on the job's
+// goroutine (or, for "node", duplicate the per-node label), so the
+// server must still run a job afterwards.
 func TestSubmitInvalidScenario(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, spec := range map[string]string{
-		"bad json":        `{"nodes": `,
-		"unknown program": `{"program": "mg"}`,
-		"unknown field":   `{"porgram": "bt"}`,
-		"bad workers":     `{"workers": -1}`,
+		"bad json":         `{"nodes": `,
+		"unknown program":  `{"program": "mg"}`,
+		"unknown field":    `{"porgram": "bt"}`,
+		"bad workers":      `{"workers": -1}`,
+		"bad label name":   `{"metrics": {"enabled": true, "labels": {"bad-name": "x"}}}`,
+		"empty label name": `{"metrics": {"enabled": true, "labels": {"": "x"}}}`,
+		"per-node label":   `{"metrics": {"enabled": true, "labels": {"node": "x"}}}`,
 	} {
 		if _, status := trySubmit(t, ts, spec); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, status)
 		}
+	}
+	v := submit(t, ts, `{"nodes": 2, "program": "bt", "metrics": {"enabled": true, "labels": {"rack": "r1"}}}`)
+	if final := waitTerminal(t, ts, v.ID); final.State != StateDone {
+		t.Fatalf("job after the rejected submissions ended %s (%s)", final.State, final.Error)
 	}
 }
 

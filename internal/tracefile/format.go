@@ -2,9 +2,9 @@
 // long-horizon campaigns: a streaming, chunked, optionally compressed
 // time-series file (extension .tct) that replaces in-memory
 // trace.Series accumulation when a run is longer than RAM. A campaign
-// of millions of rounds streams through a fixed-size buffer to disk;
-// reports, golden tests and the cmd/thermtrace tool read it back with
-// random access by time window.
+// of millions of rounds streams through one 64 KiB chunk buffer, and
+// each chunk is written as it fills; reports, golden tests and the
+// cmd/thermtrace tool read it back with random access by time window.
 //
 // # On-disk layout (version 1; see DESIGN.md §12)
 //

@@ -13,9 +13,9 @@ import (
 func FuzzReadTrace(f *testing.F) {
 	// Seed with real images so mutations explore the interesting
 	// neighborhood of the format, not just the magic check.
-	seed := func(opt *Options, events bool) []byte {
+	seed := func(compress bool, sealBytes int, events bool) []byte {
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf, testSchema, opt)
+		w, err := newWriter(&buf, testSchema, compress, sealBytes)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -31,10 +31,10 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	full := seed(nil, true)
+	full := seed(true, chunkBytes, true)
 	f.Add(full)
-	f.Add(seed(&Options{NoCompress: true}, false))
-	f.Add(seed(&Options{ChunkBytes: 64}, true))
+	f.Add(seed(false, chunkBytes, false))
+	f.Add(seed(true, 64, true))
 	f.Add(full[:len(full)/2]) // truncated
 	f.Add([]byte("THERMTCT"))
 	f.Add([]byte{})

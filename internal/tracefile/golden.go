@@ -16,7 +16,7 @@ func lineTime(i int) time.Duration { return time.Duration(i) }
 // and diff together.
 func EncodeEvents(lines []string) ([]byte, error) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, nil, nil)
+	w, err := NewWriter(&buf, nil, true)
 	if err != nil {
 		return nil, err
 	}

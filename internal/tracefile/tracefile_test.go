@@ -18,11 +18,11 @@ var testSchema = []SeriesDef{
 }
 
 // writeImage renders a trace image with count samples per series at
-// 250ms cadence plus a few events, under the given options.
-func writeImage(t *testing.T, opt *Options, count int) []byte {
+// 250ms cadence plus a few events, in chunks sealed at sealBytes.
+func writeImage(t *testing.T, compress bool, sealBytes, count int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testSchema, opt)
+	w, err := newWriter(&buf, testSchema, compress, sealBytes)
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -56,17 +56,18 @@ func expected(count int) []Sample {
 
 func TestRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opt  Options
+		name      string
+		compress  bool
+		sealBytes int
 	}{
-		{"default", Options{}},
-		{"no-compress", Options{NoCompress: true}},
-		{"tiny-chunks", Options{ChunkBytes: 128}},
-		{"tiny-chunks-no-compress", Options{ChunkBytes: 128, NoCompress: true}},
+		{"default", true, chunkBytes},
+		{"no-compress", false, chunkBytes},
+		{"tiny-chunks", true, 128},
+		{"tiny-chunks-no-compress", false, 128},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const count = 500
-			img := writeImage(t, &tc.opt, count)
+			img := writeImage(t, tc.compress, tc.sealBytes, count)
 			r, err := NewBytesReader(img)
 			if err != nil {
 				t.Fatalf("NewBytesReader: %v", err)
@@ -117,7 +118,7 @@ func TestRoundTrip(t *testing.T) {
 func TestWindowedReads(t *testing.T) {
 	const count = 1000
 	// Tiny chunks so the window actually skips chunks via the index.
-	img := writeImage(t, &Options{ChunkBytes: 256}, count)
+	img := writeImage(t, true, 256, count)
 	r, err := NewBytesReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestWindowedReads(t *testing.T) {
 }
 
 func TestEarlyStop(t *testing.T) {
-	img := writeImage(t, nil, 100)
+	img := writeImage(t, true, chunkBytes, 100)
 	r, err := NewBytesReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +179,7 @@ func TestOutOfOrderTimestamps(t *testing.T) {
 	// Events and samples may go backwards in time (chaos replays splice
 	// streams); the zigzag deltas must survive it.
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testSchema[:1], nil)
+	w, err := NewWriter(&buf, testSchema[:1], true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +218,8 @@ func TestOutOfOrderTimestamps(t *testing.T) {
 func TestAppendZeroAllocs(t *testing.T) {
 	// A chunk large enough that the measured appends never seal: the
 	// claim under test is the per-sample cost of the step path, not
-	// the amortized flusher work.
-	w, err := NewWriter(io.Discard, testSchema, &Options{ChunkBytes: 1 << 20})
+	// the amortized chunk write.
+	w, err := newWriter(io.Discard, testSchema, true, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,74 +234,74 @@ func TestAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// stalledWriter holds every Write until release is closed, so sealed
-// chunks pile up behind a flusher that cannot drain them.
-type stalledWriter struct {
-	release chan struct{}
-	buf     *bytes.Buffer
-}
-
-func (s stalledWriter) Write(p []byte) (int, error) {
-	<-s.release
-	return s.buf.Write(p)
-}
-
-func TestChunkBuffersAllocatedOnDemand(t *testing.T) {
-	// A trace shorter than one chunk allocates one chunk buffer, not
-	// Options.Buffers of them.
-	w, err := NewWriter(io.Discard, testSchema, nil)
+// readSamples decodes every sample img holds, rescanning the chunks
+// when the index footer is missing.
+func readSamples(t *testing.T, img []byte) (*Reader, []Sample) {
+	t.Helper()
+	r, err := NewBytesReader(img)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("NewBytesReader: %v", err)
 	}
-	for i := 0; i < 500; i++ {
-		w.Append(i%3, time.Duration(i)*time.Millisecond, float64(i))
+	var got []Sample
+	if err := r.Samples(Window{}, func(s Sample) error {
+		got = append(got, s)
+		return nil
+	}); err != nil {
+		t.Fatalf("Samples: %v", err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w.chunks != 1 {
-		t.Errorf("short trace allocated %d chunk buffers, want 1", w.chunks)
-	}
+	return r, got
+}
 
-	// Behind a stalled destination the count stops at the bound and
-	// Append waits for the flusher instead; nothing is lost.
+func TestSealWritesBeforeAppendReturns(t *testing.T) {
 	var buf bytes.Buffer
-	w, err = NewWriter(&buf, testSchema, &Options{ChunkBytes: 64, Buffers: 3, NoCompress: true})
+	w, err := newWriter(&buf, testSchema, false, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := stalledWriter{release: make(chan struct{}), buf: &buf}
-	w.dst = sw
-	const count = 1000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < count; i++ {
-			w.Append(i%3, time.Duration(i)*time.Millisecond, float64(i))
+	want := expected(100)
+	sealed, seals := 0, 0
+	for i, s := range want {
+		before := buf.Len()
+		w.Append(s.Series, s.T, s.V)
+		if buf.Len() == before {
+			continue
 		}
-	}()
-	// Give the appender time to run into the bound; an unbounded writer
-	// would allocate a buffer for each of the ~90 chunks meanwhile.
-	time.Sleep(20 * time.Millisecond)
-	close(sw.release)
-	<-done
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		// This Append sealed the chunk holding samples [sealed, i) and
+		// opened the next chunk with sample i. The sealed chunk must
+		// already be in the destination.
+		seals++
+		r, got := readSamples(t, buf.Bytes())
+		if r.Incomplete() == nil {
+			t.Fatalf("sample %d: a file without its footer reads as complete", i)
+		}
+		if r.NumChunks() != seals {
+			t.Fatalf("sample %d: destination holds %d chunks, want %d", i, r.NumChunks(), seals)
+		}
+		if len(got) != i {
+			t.Fatalf("sample %d: destination holds %d samples, want %d", i, len(got), i)
+		}
+		sealed = i
 	}
-	if w.chunks > 3 {
-		t.Errorf("stalled flusher: %d chunk buffers allocated, bound 3", w.chunks)
+	if seals < 10 {
+		t.Fatalf("only %d seals; want many small chunks", seals)
 	}
-	r, err := NewBytesReader(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	// Drop the writer without Close: only the open chunk is lost.
+	r, got := readSamples(t, buf.Bytes())
+	if r.Incomplete() == nil {
+		t.Fatal("an unclosed trace reads as complete")
 	}
-	if ns, _ := r.Counts(); ns != count {
-		t.Errorf("read back %d samples, want %d", ns, count)
+	if len(got) != sealed {
+		t.Fatalf("unclosed trace serves %d samples, want the %d sealed ones", len(got), sealed)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
 func TestWriterStickyErrors(t *testing.T) {
-	w, err := NewWriter(io.Discard, testSchema, nil)
+	w, err := NewWriter(io.Discard, testSchema, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +316,11 @@ func TestWriterStickyErrors(t *testing.T) {
 	// Append after Close must be a silent no-op, not a panic.
 	w.Append(0, 0, 1)
 
-	w2, err := NewWriter(io.Discard, nil, nil)
+	w2, err := NewWriter(io.Discard, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2.Event(0, strings.Repeat("x", defaultChunkBytes+maxRecordLen+1))
+	w2.Event(0, strings.Repeat("x", chunkBytes+maxRecordLen+1))
 	if err := w2.Close(); err != ErrRecordTooLarge {
 		t.Fatalf("Close = %v, want ErrRecordTooLarge", err)
 	}
@@ -336,7 +337,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteErrorSurfacesAtClose(t *testing.T) {
-	w, err := NewWriter(&failWriter{n: 1}, testSchema, &Options{ChunkBytes: 64})
+	w, err := newWriter(&failWriter{n: 1}, testSchema, true, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,14 +345,14 @@ func TestWriteErrorSurfacesAtClose(t *testing.T) {
 		w.Append(0, time.Duration(i), float64(i))
 	}
 	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Close = %v, want the flusher's disk error", err)
+		t.Fatalf("Close = %v, want the chunk write's disk error", err)
 	}
 }
 
 // corrupt variants: each takes a valid image and damages it.
 func TestCorruptInputs(t *testing.T) {
 	const count = 400
-	img := writeImage(t, &Options{ChunkBytes: 256}, count)
+	img := writeImage(t, true, 256, count)
 	full, err := NewBytesReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +484,7 @@ func TestCorruptInputs(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	img := writeImage(t, &Options{ChunkBytes: 512}, 300)
+	img := writeImage(t, true, 512, 300)
 	a, err := NewBytesReader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +506,7 @@ func TestDiff(t *testing.T) {
 
 	t.Run("value divergence and tolerance", func(t *testing.T) {
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf, testSchema, &Options{ChunkBytes: 512})
+		w, _ := newWriter(&buf, testSchema, true, 512)
 		n := 0
 		aR, _ := NewBytesReader(img)
 		aR.Samples(Window{}, func(s Sample) error {
@@ -551,7 +552,7 @@ func TestDiff(t *testing.T) {
 
 	t.Run("schema mismatch", func(t *testing.T) {
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf, testSchema[:2], nil)
+		w, _ := NewWriter(&buf, testSchema[:2], true)
 		w.Append(0, 0, 1)
 		w.Close()
 		b, _ := NewBytesReader(buf.Bytes())
@@ -566,7 +567,7 @@ func TestDiff(t *testing.T) {
 
 	t.Run("count mismatch", func(t *testing.T) {
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf, testSchema, nil)
+		w, _ := NewWriter(&buf, testSchema, true)
 		aR, _ := NewBytesReader(img)
 		n := 0
 		aR.Samples(Window{}, func(s Sample) error {
@@ -612,12 +613,13 @@ func TestGoldenEventHelpers(t *testing.T) {
 	}
 }
 
-// TestDeterministicBytes locks the property the acceptance criteria
+// TestDeterministicBytes locks the property the trace-parity checks
 // lean on: the same append sequence yields byte-identical files, every
-// time, regardless of flusher scheduling.
+// time. The bytes depend only on the appends, the seal size and the
+// compress flag.
 func TestDeterministicBytes(t *testing.T) {
-	a := writeImage(t, nil, 777)
-	b := writeImage(t, nil, 777)
+	a := writeImage(t, true, chunkBytes, 777)
+	b := writeImage(t, true, chunkBytes, 777)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same sequence differ byte for byte")
 	}

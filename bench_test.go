@@ -251,8 +251,7 @@ func benchFanRun(b *testing.B, win window.Config, useL2 bool) (steadyC float64, 
 	}
 	ctl, err := core.NewController(cfg,
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.ActuatorBinding{Actuator: core.NewFanActuator(
-			core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+		core.NewFanActuator(core.NewSysfsFanPort(n.FS, n.Hwmon), 100))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -332,8 +331,7 @@ func BenchmarkAblatePpSweep(b *testing.B) {
 			n.Settle(0)
 			ctl, err := core.NewController(core.DefaultConfig(pp),
 				core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-				core.ActuatorBinding{Actuator: core.NewFanActuator(
-					core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+				core.NewFanActuator(core.NewSysfsFanPort(n.FS, n.Hwmon), 100))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -365,8 +363,7 @@ func BenchmarkAblateVsPID(b *testing.B) {
 		n.Settle(0)
 		var step func(time.Duration)
 		if usePID {
-			p, err := baseline.NewPIDFan(baseline.DefaultPIDFanConfig(),
-				core.SysfsTemp(n.FS, n.Hwmon.TempInput),
+			p, err := baseline.NewPIDFan(core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 				core.NewSysfsFanPort(n.FS, n.Hwmon))
 			if err != nil {
 				b.Fatal(err)
@@ -375,8 +372,7 @@ func BenchmarkAblateVsPID(b *testing.B) {
 		} else {
 			c, err := core.NewController(core.DefaultConfig(50),
 				core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-				core.ActuatorBinding{Actuator: core.NewFanActuator(
-					core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+				core.NewFanActuator(core.NewSysfsFanPort(n.FS, n.Hwmon), 100))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -75,15 +75,8 @@ import (
 	"thermctl/internal/ipmi"
 	"thermctl/internal/metrics"
 	"thermctl/internal/node"
-	"thermctl/internal/rng"
 	"thermctl/internal/tracefile"
 )
-
-// retryStream is the rng stream index of the daemon's retry-jitter
-// draws, next to the cluster's fault stream (0xfa170000 + node index)
-// and disjoint from the node model's own streams (which are derived
-// from the seed with small indices).
-const retryStream = 0xfa170001
 
 // options holds the parsed command line plus the test hooks, so the
 // daemon loop is runnable (and stoppable) from a test without flag
@@ -202,12 +195,10 @@ func run(o options, out io.Writer) error {
 		}
 	}
 
-	// Every actuator write runs under the bounded-retry policy, so a
+	// Every actuator write runs under up to three attempts, so a
 	// transient bus fault is absorbed before the controller counts an
-	// error; persistent failure still escalates to fail-safe. The nil
-	// sleep hook keeps OnStep off the wall clock.
-	retrier := faults.NewRetrier(faults.DefaultRetryPolicy(),
-		rng.New(rng.Mix(o.seed, retryStream)), nil)
+	// error; persistent failure still escalates to fail-safe.
+	retrier := faults.NewRetrier()
 
 	// Wire the whole stack to one registry: controllers, device models,
 	// BMC, and the daemon's own loop timing. The scenario layer builds

@@ -56,7 +56,7 @@ func main() {
 				return float64(v), err
 			}
 			var b *core.Binding
-			if b, err = core.NewWatchdog(core.DefaultWatchdogConfig(), rpm, act); err == nil {
+			if b, err = core.NewWatchdog(rpm, act); err == nil {
 				ctl, wd = b, b.Policy().(*core.WatchdogPolicy)
 			}
 		default:

@@ -33,66 +33,48 @@ import (
 	"thermctl/internal/hwmon"
 )
 
-// StaticFanConfig parameterizes the traditional controller.
-type StaticFanConfig struct {
-	// TminC, TmaxC, MinDuty define the Figure 1 line: MinDuty at TminC,
-	// rising linearly to MaxDuty at TmaxC. Paper platform: 38 °C, 82 °C,
-	// 10%.
-	TminC, TmaxC float64
-	MinDuty      float64
-	// MaxDuty caps the speed ("the maximum allowed fan speed ... is
-	// set to 75%" in the paper's Figure 6 comparison).
-	MaxDuty float64
-	// SamplePeriod is how often the map is re-evaluated (250 ms).
-	SamplePeriod time.Duration
-}
+// The static map's Figure 1 line: staticMinDuty at staticTminC,
+// rising linearly to the cap at staticTmaxC, re-evaluated every
+// staticPeriod. Paper platform: 38 °C, 82 °C, 10%.
+const (
+	staticTminC   = 38
+	staticTmaxC   = 82
+	staticMinDuty = 10
+	staticPeriod  = 250 * time.Millisecond
+)
 
-// DefaultStaticFanConfig returns the paper's traditional fan curve with
-// the given duty cap.
-func DefaultStaticFanConfig(maxDuty float64) StaticFanConfig {
-	return StaticFanConfig{
-		TminC: 38, TmaxC: 82,
-		MinDuty: 10, MaxDuty: maxDuty,
-		SamplePeriod: 250 * time.Millisecond,
-	}
-}
-
-// Duty returns the static map's duty for temperature t — the Figure 1
-// line capped at MaxDuty.
-func (c StaticFanConfig) Duty(t float64) float64 {
-	d := adt7467.StaticCurve(t, c.TminC, c.TmaxC-c.TminC, c.MinDuty)
-	if d > c.MaxDuty {
-		d = c.MaxDuty
+// staticDuty returns the static map's duty for temperature t — the
+// Figure 1 line capped at maxDuty.
+func staticDuty(t, maxDuty float64) float64 {
+	d := adt7467.StaticCurve(t, staticTminC, staticTmaxC-staticTminC, staticMinDuty)
+	if d > maxDuty {
+		d = maxDuty
 	}
 	return d
 }
 
 // staticFanPolicy maps each sample through the Figure 1 line. The
 // static map is memoryless, so the policy is one expression.
-type staticFanPolicy struct{ cfg StaticFanConfig }
+type staticFanPolicy struct{ maxDuty float64 }
 
 // Decide implements core.Policy.
 func (p staticFanPolicy) Decide(tx *core.Txn) {
-	tx.ApplyDuty(0, p.cfg.Duty(tx.Sample()))
+	tx.ApplyDuty(0, staticDuty(tx.Sample(), p.maxDuty))
 }
 
 // NewStaticFan builds the traditional static fan controller: a binding
-// that re-evaluates the map every SamplePeriod.
-func NewStaticFan(cfg StaticFanConfig, read core.TempReader, port core.FanPort) (*core.Binding, error) {
+// that re-evaluates the map every 250 ms, its duty capped at maxDuty
+// ("the maximum allowed fan speed ... is set to 75%" in the paper's
+// Figure 6 comparison).
+func NewStaticFan(maxDuty float64, read core.TempReader, port core.FanPort) (*core.Binding, error) {
 	if read == nil || port == nil {
 		return nil, fmt.Errorf("baseline: static fan needs a reader and a port")
 	}
-	if cfg.SamplePeriod <= 0 {
-		return nil, fmt.Errorf("baseline: non-positive sample period")
-	}
-	if cfg.TmaxC <= cfg.TminC {
-		return nil, fmt.Errorf("baseline: Tmax must exceed Tmin")
-	}
 	return core.NewBinding(core.BindingConfig{
-		Policy:       staticFanPolicy{cfg: cfg},
+		Policy:       staticFanPolicy{maxDuty: maxDuty},
 		Read:         read,
-		SamplePeriod: cfg.SamplePeriod,
-		FailSafe:     core.FailSafeConfig{Disable: true},
+		SamplePeriod: staticPeriod,
+		NoFailSafe:   true,
 		Actuators:    []core.Actuator{&core.FanDutyActuator{Port: port}},
 	})
 }
@@ -120,9 +102,9 @@ func (p *constantFanPolicy) Decide(tx *core.Txn) {
 func NewConstantFan(duty float64, port core.FanPort) *core.Binding {
 	// Construction cannot fail with a non-nil policy.
 	b, err := core.NewBinding(core.BindingConfig{
-		Policy:    &constantFanPolicy{duty: duty},
-		FailSafe:  core.FailSafeConfig{Disable: true},
-		Actuators: []core.Actuator{&core.FanDutyActuator{Port: port}},
+		Policy:     &constantFanPolicy{duty: duty},
+		NoFailSafe: true,
+		Actuators:  []core.Actuator{&core.FanDutyActuator{Port: port}},
 	})
 	if err != nil {
 		panic(err)
@@ -130,40 +112,30 @@ func NewConstantFan(duty float64, port core.FanPort) *core.Binding {
 	return b
 }
 
-// CPUSpeedConfig parameterizes the CPUSPEED daemon model.
-type CPUSpeedConfig struct {
-	// Interval is the utilization evaluation period. The real daemon
-	// defaults to checking a few times per second; 500 ms here.
-	Interval time.Duration
-	// UpThreshold jumps straight to the maximum frequency when the
-	// interval utilization meets it (the daemon's responsiveness rule).
-	UpThreshold float64
-	// DownThreshold steps one frequency lower when the interval
-	// utilization falls below it.
-	DownThreshold float64
-}
-
-// DefaultCPUSpeedConfig returns thresholds representative of the
+// The CPUSPEED daemon model's thresholds, representative of the
 // distributed daemon's defaults. With a 500 ms interval against BT's
 // ≈1.1 s iterations, only the longer communication exchanges pull an
 // evaluation window under the down-threshold, so the daemon churns
 // intermittently — roughly one change every couple of seconds, the
 // 101-139 changes per BT run the paper's Table 1 measures — and each
 // excursion is recovered within an interval or two.
-func DefaultCPUSpeedConfig() CPUSpeedConfig {
-	return CPUSpeedConfig{
-		Interval:      500 * time.Millisecond,
-		UpThreshold:   0.88,
-		DownThreshold: 0.66,
-	}
-}
+const (
+	// cpuSpeedInterval is the utilization evaluation period. The real
+	// daemon defaults to checking a few times per second; 500 ms here.
+	cpuSpeedInterval = 500 * time.Millisecond
+	// cpuSpeedUp jumps straight to the maximum frequency when the
+	// interval utilization meets it (the daemon's responsiveness rule).
+	cpuSpeedUp = 0.88
+	// cpuSpeedDown steps one frequency lower when the interval
+	// utilization falls below it.
+	cpuSpeedDown = 0.66
+)
 
 // cpuSpeedPolicy holds the daemon's decision state. The binding has no
 // temperature reader — utilization is the only input — so the policy
 // gathers its own sample inside Decide and reports failures through
 // the transaction's error counter.
 type cpuSpeedPolicy struct {
-	cfg  CPUSpeedConfig
 	stat *hwmon.Attr // /proc/stat, opened when the daemon is built
 	freq core.FreqPort
 
@@ -177,21 +149,18 @@ type cpuSpeedPolicy struct {
 // file tree and frequency port. It reads /proc/stat through the
 // virtual sysfs and drives cpufreq, exactly as the real daemon does —
 // no temperature input at all.
-func NewCPUSpeed(cfg CPUSpeedConfig, fs *hwmon.FS, freq core.FreqPort) (*core.Binding, error) {
+func NewCPUSpeed(fs *hwmon.FS, freq core.FreqPort) (*core.Binding, error) {
 	if fs == nil || freq == nil {
 		return nil, fmt.Errorf("baseline: cpuspeed needs a filesystem and a freq port")
-	}
-	if cfg.Interval <= 0 {
-		return nil, fmt.Errorf("baseline: non-positive interval")
 	}
 	freqs, err := freq.AvailableKHz()
 	if err != nil {
 		return nil, fmt.Errorf("baseline: cpuspeed: %w", err)
 	}
 	return core.NewBinding(core.BindingConfig{
-		Policy:       &cpuSpeedPolicy{cfg: cfg, stat: fs.Open("/proc/stat"), freq: freq, nmodes: len(freqs)},
-		SamplePeriod: cfg.Interval,
-		FailSafe:     core.FailSafeConfig{Disable: true},
+		Policy:       &cpuSpeedPolicy{stat: fs.Open("/proc/stat"), freq: freq, nmodes: len(freqs)},
+		SamplePeriod: cpuSpeedInterval,
+		NoFailSafe:   true,
 	})
 }
 
@@ -273,11 +242,11 @@ func (p *cpuSpeedPolicy) Decide(tx *core.Txn) {
 	util := db / dt
 
 	switch {
-	case util >= p.cfg.UpThreshold && p.mode != 0:
+	case util >= cpuSpeedUp && p.mode != 0:
 		// Jump straight to the fastest frequency, as the daemon does.
 		p.mode = 0
 		p.apply(tx)
-	case util <= p.cfg.DownThreshold && p.mode < p.nmodes-1:
+	case util <= cpuSpeedDown && p.mode < p.nmodes-1:
 		p.mode++
 		p.apply(tx)
 	}

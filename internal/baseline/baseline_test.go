@@ -24,20 +24,19 @@ func newTestNode(t *testing.T) *node.Node {
 }
 
 func TestStaticFanDutyLine(t *testing.T) {
-	s := DefaultStaticFanConfig(100)
-	if d := s.Duty(30); d != 10 {
+	if d := staticDuty(30, 100); d != 10 {
 		t.Errorf("Duty(30) = %v, want PWMmin 10", d)
 	}
-	if d := s.Duty(60); math.Abs(d-55) > 0.5 {
+	if d := staticDuty(60, 100); math.Abs(d-55) > 0.5 {
 		t.Errorf("Duty(60) = %v, want ≈55 (linear midpoint)", d)
 	}
-	if d := s.Duty(90); d != 100 {
+	if d := staticDuty(90, 100); d != 100 {
 		t.Errorf("Duty(90) = %v, want 100", d)
 	}
 }
 
 func TestStaticFanCap(t *testing.T) {
-	if d := DefaultStaticFanConfig(75).Duty(90); d != 75 {
+	if d := staticDuty(90, 75); d != 75 {
 		t.Errorf("capped Duty(90) = %v, want 75", d)
 	}
 }
@@ -46,23 +45,18 @@ func TestStaticFanValidation(t *testing.T) {
 	n := newTestNode(t)
 	read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
 	port := core.NewSysfsFanPort(n.FS, n.Hwmon)
-	if _, err := NewStaticFan(DefaultStaticFanConfig(75), nil, port); err == nil {
+	if _, err := NewStaticFan(75, nil, port); err == nil {
 		t.Error("nil reader accepted")
 	}
-	if _, err := NewStaticFan(DefaultStaticFanConfig(75), read, nil); err == nil {
+	if _, err := NewStaticFan(75, read, nil); err == nil {
 		t.Error("nil port accepted")
-	}
-	bad := DefaultStaticFanConfig(75)
-	bad.TmaxC = bad.TminC
-	if _, err := NewStaticFan(bad, read, port); err == nil {
-		t.Error("degenerate range accepted")
 	}
 }
 
 func TestStaticFanFollowsTemperature(t *testing.T) {
 	n := newTestNode(t)
 	n.Settle(0)
-	s, err := NewStaticFan(DefaultStaticFanConfig(100),
+	s, err := NewStaticFan(100,
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 		core.NewSysfsFanPort(n.FS, n.Hwmon))
 	if err != nil {
@@ -75,7 +69,7 @@ func TestStaticFanFollowsTemperature(t *testing.T) {
 		s.OnStep(n.Elapsed())
 	}
 	// At the settled temperature the duty must match the line.
-	want := DefaultStaticFanConfig(100).Duty(n.Sensor.Read())
+	want := staticDuty(n.Sensor.Read(), 100)
 	if got := n.Fan.Duty(); math.Abs(got-want) > 3 {
 		t.Errorf("fan duty %v, static line says %v", got, want)
 	}
@@ -97,19 +91,17 @@ func TestConstantFanPins(t *testing.T) {
 func TestCPUSpeedValidation(t *testing.T) {
 	n := newTestNode(t)
 	port := core.NewSysfsFreqPort(n.FS, n.Cpufreq)
-	if _, err := NewCPUSpeed(DefaultCPUSpeedConfig(), nil, port); err == nil {
+	if _, err := NewCPUSpeed(nil, port); err == nil {
 		t.Error("nil fs accepted")
 	}
-	bad := DefaultCPUSpeedConfig()
-	bad.Interval = 0
-	if _, err := NewCPUSpeed(bad, n.FS, port); err == nil {
-		t.Error("zero interval accepted")
+	if _, err := NewCPUSpeed(n.FS, nil); err == nil {
+		t.Error("nil freq port accepted")
 	}
 }
 
 func TestCPUSpeedStaysFastUnderFullLoad(t *testing.T) {
 	n := newTestNode(t)
-	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
+	cs, err := NewCPUSpeed(n.FS,
 		core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +122,7 @@ func TestCPUSpeedStaysFastUnderFullLoad(t *testing.T) {
 
 func TestCPUSpeedStepsDownWhenIdle(t *testing.T) {
 	n := newTestNode(t)
-	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
+	cs, err := NewCPUSpeed(n.FS,
 		core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +140,7 @@ func TestCPUSpeedStepsDownWhenIdle(t *testing.T) {
 
 func TestCPUSpeedJumpsToMaxOnLoad(t *testing.T) {
 	n := newTestNode(t)
-	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
+	cs, err := NewCPUSpeed(n.FS,
 		core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +177,7 @@ func TestCPUSpeedChurnsOnParallelWorkload(t *testing.T) {
 	}
 	c.Settle(0)
 	for i, n := range c.Nodes {
-		cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
+		cs, err := NewCPUSpeed(n.FS,
 			core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +205,7 @@ func BenchmarkCPUSpeedOnStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), n.FS,
+	cs, err := NewCPUSpeed(n.FS,
 		core.NewSysfsFreqPort(n.FS, n.Cpufreq))
 	if err != nil {
 		b.Fatal(err)

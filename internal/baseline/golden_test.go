@@ -134,7 +134,7 @@ func TestGoldenStaticFan(t *testing.T) {
 	}
 	port := &traceFanPort{tr: tr,
 		fail: func(call int) bool { return call >= 40 && call < 43 }}
-	s, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(75), r.read, port)
+	s, err := baseline.NewStaticFan(75, r.read, port)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGoldenCPUSpeed(t *testing.T) {
 		freqs: []int64{2400000, 2200000, 2000000, 1800000, 1600000},
 		cur:   2400000,
 		fail:  func(call int) bool { return call == 5 }}
-	c, err := baseline.NewCPUSpeed(baseline.DefaultCPUSpeedConfig(), fs, port)
+	c, err := baseline.NewCPUSpeed(fs, port)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestGoldenPID(t *testing.T) {
 	}
 	port := &traceFanPort{tr: tr,
 		fail: func(call int) bool { return (call >= 20 && call < 23) || call == 100 }}
-	p, err := baseline.NewPIDFan(baseline.DefaultPIDFanConfig(), r.read, port)
+	p, err := baseline.NewPIDFan(r.read, port)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,11 @@ import (
 	"thermctl/internal/workload"
 )
 
-func pidRig(t *testing.T, cfg PIDFanConfig) (*node.Node, *core.Binding) {
+func pidRig(t *testing.T) (*node.Node, *core.Binding) {
 	t.Helper()
 	n := newTestNode(t)
 	n.Settle(0)
-	p, err := NewPIDFan(cfg,
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
+	p, err := NewPIDFan(core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 		core.NewSysfsFanPort(n.FS, n.Hwmon))
 	if err != nil {
 		t.Fatal(err)
@@ -27,23 +26,16 @@ func TestPIDValidation(t *testing.T) {
 	n := newTestNode(t)
 	read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
 	port := core.NewSysfsFanPort(n.FS, n.Hwmon)
-	if _, err := NewPIDFan(DefaultPIDFanConfig(), nil, port); err == nil {
+	if _, err := NewPIDFan(nil, port); err == nil {
 		t.Error("nil reader accepted")
 	}
-	bad := DefaultPIDFanConfig()
-	bad.SamplePeriod = 0
-	if _, err := NewPIDFan(bad, read, port); err == nil {
-		t.Error("zero period accepted")
-	}
-	bad2 := DefaultPIDFanConfig()
-	bad2.MaxDuty = bad2.MinDuty
-	if _, err := NewPIDFan(bad2, read, port); err == nil {
-		t.Error("empty duty range accepted")
+	if _, err := NewPIDFan(read, nil); err == nil {
+		t.Error("nil port accepted")
 	}
 }
 
 func TestPIDRegulatesToSetpoint(t *testing.T) {
-	n, p := pidRig(t, DefaultPIDFanConfig())
+	n, p := pidRig(t)
 	n.SetGenerator(workload.NewCPUBurn(nil))
 	dt := 250 * time.Millisecond
 	for i := 0; i < 2400; i++ { // 10 minutes
@@ -62,7 +54,7 @@ func TestPIDRegulatesToSetpoint(t *testing.T) {
 // once warm, one sample period of its binding — one temperature read, one
 // PID decision and one duty write — allocates nothing.
 func TestPIDDecideAllocationFree(t *testing.T) {
-	n, p := pidRig(t, DefaultPIDFanConfig())
+	n, p := pidRig(t)
 	n.SetGenerator(workload.NewCPUBurn(nil))
 	dt := 250 * time.Millisecond
 	for i := 0; i < 400; i++ {
@@ -72,7 +64,7 @@ func TestPIDDecideAllocationFree(t *testing.T) {
 	now := n.Elapsed()
 	moves := p.Moves(0)
 	decide := func() {
-		now += DefaultPIDFanConfig().SamplePeriod
+		now += pidPeriod
 		p.OnStep(now)
 	}
 	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
@@ -84,7 +76,7 @@ func TestPIDDecideAllocationFree(t *testing.T) {
 }
 
 func TestPIDIdlesLowBelowSetpoint(t *testing.T) {
-	n, p := pidRig(t, DefaultPIDFanConfig())
+	n, p := pidRig(t)
 	n.SetGenerator(workload.Constant(0.03))
 	dt := 250 * time.Millisecond
 	for i := 0; i < 1200; i++ {
@@ -102,7 +94,7 @@ func TestPIDAntiWindupRecovers(t *testing.T) {
 	// Saturate low for a long idle period, then slam the load: with
 	// anti-windup the loop must respond within seconds, not after
 	// unwinding minutes of accumulated negative integral.
-	n, p := pidRig(t, DefaultPIDFanConfig())
+	n, p := pidRig(t)
 	n.SetGenerator(workload.Step{Before: 0.03, After: 1.0, At: 5 * time.Minute})
 	dt := 250 * time.Millisecond
 	var dutyAtOnset float64
@@ -152,8 +144,7 @@ func TestPIDChurnsOnJitterWherePaperControllerHolds(t *testing.T) {
 	}
 
 	pidSwing := dutySwing(func(n *node.Node) func(time.Duration) {
-		p, err := NewPIDFan(DefaultPIDFanConfig(),
-			core.SysfsTemp(n.FS, n.Hwmon.TempInput),
+		p, err := NewPIDFan(core.SysfsTemp(n.FS, n.Hwmon.TempInput),
 			core.NewSysfsFanPort(n.FS, n.Hwmon))
 		if err != nil {
 			t.Fatal(err)
@@ -163,8 +154,7 @@ func TestPIDChurnsOnJitterWherePaperControllerHolds(t *testing.T) {
 	paperSwing := dutySwing(func(n *node.Node) func(time.Duration) {
 		c, err := core.NewController(core.DefaultConfig(50),
 			core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-			core.ActuatorBinding{Actuator: core.NewFanActuator(
-				core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+			core.NewFanActuator(core.NewSysfsFanPort(n.FS, n.Hwmon), 100))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,11 +24,11 @@ func (deadFanPort) DutyPercent() (float64, error) {
 
 func TestStaticFanErrorsConcurrentWithOnStep(t *testing.T) {
 	failing := func() (float64, error) { return 0, errors.New("sensor dead") }
-	s, err := NewStaticFan(DefaultStaticFanConfig(100), failing, deadFanPort{})
+	s, err := NewStaticFan(100, failing, deadFanPort{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	period := DefaultStaticFanConfig(100).SamplePeriod
+	period := staticPeriod
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -79,11 +79,11 @@ func TestCPUSpeedErrorsConcurrentWithOnStep(t *testing.T) {
 	fs.Register("/proc/stat", &hwmon.FuncFile{
 		ReadFn: func() (string, error) { return "", errors.New("procfs dead") },
 	})
-	cs, err := NewCPUSpeed(DefaultCPUSpeedConfig(), fs, deadFreqPort{})
+	cs, err := NewCPUSpeed(fs, deadFreqPort{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	interval := DefaultCPUSpeedConfig().Interval
+	interval := cpuSpeedInterval
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

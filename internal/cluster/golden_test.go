@@ -64,8 +64,7 @@ func hybridClusterTrace(t *testing.T, nodes, workers, want int) []string {
 	for i, n := range c.Nodes {
 		read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
 		fan, err := core.NewController(core.DefaultConfig(50), read,
-			core.ActuatorBinding{Actuator: core.NewFanActuator(
-				core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+			core.NewFanActuator(core.NewSysfsFanPort(n.FS, n.Hwmon), 100))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,7 @@ func attachHybrids(tb testing.TB, c *Cluster) {
 	for i, n := range c.Nodes {
 		read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
 		fan, err := core.NewController(core.DefaultConfig(50), read,
-			core.ActuatorBinding{Actuator: core.NewFanActuator(
-				core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+			core.NewFanActuator(core.NewSysfsFanPort(n.FS, n.Hwmon), 100))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -7,14 +7,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"thermctl/internal/workload"
 )
 
 // FuzzReadScenario drives ReadScenarioDir against a scenario library
 // holding the gallery's fleet-base.json, a two-file extends cycle and
 // a chain one link deeper than maxExtendsDepth. Properties: it never
 // panics; a document extending into the cycle or the deep chain is
-// rejected; and a document that parses re-marshals and parses again to
-// an equal Scenario. The seeds are the gallery's scenario files.
+// rejected; every millisecond field of an accepted document converts to
+// a non-negative Duration; and a document that parses re-marshals and
+// parses again to an equal Scenario. The seeds are the gallery's
+// scenario files.
 func FuzzReadScenario(f *testing.F) {
 	gallery := filepath.Join("..", "..", "examples")
 	files, err := filepath.Glob(filepath.Join(gallery, "*.json"))
@@ -39,6 +44,11 @@ func FuzzReadScenario(f *testing.F) {
 	// they panicked or exhausted memory in Build.
 	f.Add([]byte(`{"nodes": 1000000000000000}`))
 	f.Add([]byte(`{"groups": [{"name": "a", "nodes": 4611686018427387904}, {"name": "b", "nodes": 4611686018427387904}, {"name": "c", "nodes": 4611686018427387904}, {"name": "d", "nodes": 4611686018427387904}]}`))
+	// Millisecond fields past workload.MaxMS: once accepted, they
+	// wrapped to a wrong or negative Duration.
+	for _, spec := range overflowingMS {
+		f.Add([]byte(spec))
+	}
 
 	dir := f.TempDir()
 	write := func(name string, body []byte) {
@@ -78,6 +88,11 @@ func FuzzReadScenario(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for _, v := range msFields(&s) {
+			if d := time.Duration(v) * time.Millisecond; d < 0 || int64(d/time.Millisecond) != int64(v) {
+				t.Fatalf("accepted millisecond field %d converts to %v", v, d)
+			}
+		}
 		out, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("accepted scenario fails marshal: %v", err)
@@ -97,4 +112,28 @@ func FuzzReadScenario(f *testing.F) {
 			t.Fatalf("round trip changed the scenario:\n first: %s\nsecond: %s", out, out2)
 		}
 	})
+}
+
+// msFields lists every millisecond field of s: the chaos horizon, the
+// control sampling period, each group's fan time constant, and every
+// field of each workload spec, sequence segments included.
+func msFields(s *Scenario) []int {
+	out := []int{s.Chaos.HorizonMS, s.Control.Tuning.SampleMS}
+	var spec func(w *workload.Spec)
+	spec = func(w *workload.Spec) {
+		if w == nil {
+			return
+		}
+		out = append(out, w.AtMS, w.StartMS, w.OverMS, w.PeriodMS, w.HoldMS, w.PhaseMS, w.RiseMS, w.DecayMS)
+		for i := range w.Segments {
+			out = append(out, w.Segments[i].ForMS)
+			spec(&w.Segments[i].Spec)
+		}
+	}
+	spec(s.Workload)
+	for i := range s.Groups {
+		out = append(out, s.Groups[i].Hardware.FanTimeConstMS)
+		spec(s.Groups[i].Workload)
+	}
+	return out
 }

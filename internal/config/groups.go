@@ -98,6 +98,9 @@ func (h *HardwareSpec) validate() error {
 	if h.FanMaxRPM < 0 || h.FanMaxPowerW < 0 || h.FanTimeConstMS < 0 {
 		return fmt.Errorf("fan parameters must be >= 0")
 	}
+	if int64(h.FanTimeConstMS) > workload.MaxMS {
+		return fmt.Errorf("fan_time_const_ms %d: longer than %d", h.FanTimeConstMS, workload.MaxMS)
+	}
 	if h.FanFloorFrac < 0 || h.FanFloorFrac >= 1 {
 		return fmt.Errorf("fan_floor_frac %v outside [0, 1)", h.FanFloorFrac)
 	}

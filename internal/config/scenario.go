@@ -257,8 +257,8 @@ func (s *Scenario) Validate() error {
 	if s.Workers < 0 {
 		return fmt.Errorf("config: workers %d: must be >= 0 (0 means GOMAXPROCS)", s.Workers)
 	}
-	if s.Chaos.HorizonMS < 0 {
-		return fmt.Errorf("config: chaos horizon_ms %d: must be >= 0 (0 derives a default)", s.Chaos.HorizonMS)
+	if s.Chaos.HorizonMS < 0 || int64(s.Chaos.HorizonMS) > workload.MaxMS {
+		return fmt.Errorf("config: chaos horizon_ms %d: outside [0, %d] (0 derives a default)", s.Chaos.HorizonMS, workload.MaxMS)
 	}
 	if s.Chaos.Seed != 0 && s.Control.Fan == "auto" && s.Control.DVFS == "none" && s.Control.Sleep == "none" {
 		return fmt.Errorf("config: chaos seed %d: chaos needs a software controller to exercise", s.Chaos.Seed)
@@ -279,8 +279,8 @@ func LoadScenario(path string) (Scenario, error) {
 
 // NodeOptions adjusts BuildNode for the caller's environment.
 type NodeOptions struct {
-	// Retrier, when non-nil, wraps every actuator write in the bounded
-	// retry policy (thermctld's resilience posture).
+	// Retrier, when non-nil, runs every actuator write under up to
+	// three attempts (thermctld's resilience posture).
 	Retrier *faults.Retrier
 	// Registry, when non-nil, instruments the controllers at wiring
 	// time with the given constant labels.
@@ -387,15 +387,11 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 	var hold func(time.Duration)
 	switch cs.Fan {
 	case "dynamic":
-		bindings := []core.ActuatorBinding{{
-			Actuator: wrap(core.NewFanActuator(fanPort(), tune.MaxFanDuty)),
-		}}
+		acts := []core.Actuator{wrap(core.NewFanActuator(fanPort(), tune.MaxFanDuty))}
 		if cs.Sleep == "ctlarray" {
-			bindings = append(bindings, core.ActuatorBinding{
-				Actuator: wrap(cstates.NewActuator(n.FS, n.CStates)),
-			})
+			acts = append(acts, wrap(cstates.NewActuator(n.FS, n.CStates)))
 		}
-		ctl, err := core.NewController(tune.ControllerConfig(), temp(), bindings...)
+		ctl, err := core.NewController(tune.ControllerConfig(), temp(), acts...)
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +400,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 		}
 		out.Fan, fan = ctl, ctl.Binding()
 	case "static":
-		s, err := baseline.NewStaticFan(baseline.DefaultStaticFanConfig(tune.MaxFanDuty), temp(), fanPort())
+		s, err := baseline.NewStaticFan(tune.MaxFanDuty, temp(), fanPort())
 		if err != nil {
 			return nil, err
 		}
@@ -434,7 +430,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 				core.NewHoldRoundsCounter(opt.Registry, opt.Labels...))
 		}
 	case "cpuspeed":
-		csd, err := baseline.NewCPUSpeed(baseline.DefaultCPUSpeedConfig(), n.FS, freqPort())
+		csd, err := baseline.NewCPUSpeed(n.FS, freqPort())
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +443,7 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 	// set alone, proving the array is technique-agnostic.
 	if cs.Sleep == "ctlarray" && out.Fan == nil {
 		ctl, err := core.NewController(tune.ControllerConfig(), temp(),
-			core.ActuatorBinding{Actuator: wrap(cstates.NewActuator(n.FS, n.CStates))})
+			wrap(cstates.NewActuator(n.FS, n.CStates)))
 		if err != nil {
 			return nil, err
 		}

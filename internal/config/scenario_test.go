@@ -107,6 +107,40 @@ func TestScenarioRejectsBadMetricLabels(t *testing.T) {
 	}
 }
 
+// overflowingMS are scenarios whose one millisecond field is longer
+// than a time.Duration holds. Each used to wrap silently: the bt
+// horizon fell back to the derived one, the generator horizon went
+// negative, and the trace's 2^58 ms spacing became 0 ns.
+var overflowingMS = map[string]string{
+	"horizon with program":    `{"nodes": 1, "program": "bt", "chaos": {"seed": 3, "horizon_ms": 9300000000000}}`,
+	"horizon without program": `{"nodes": 1, "chaos": {"seed": 3, "horizon_ms": 9300000000000}}`,
+	"trace period":            `{"nodes": 1, "workload": {"kind": "trace", "samples": [0.2, 0.9], "period_ms": 288230376151711744}}`,
+	"sequence for_ms": `{"nodes": 1, "workload": {"kind": "sequence", "segments": [
+		{"kind": "constant", "util": 0.5, "for_ms": 9300000000000}, {"kind": "cpuburn"}]}}`,
+	"field the kind ignores": `{"nodes": 1, "workload": {"kind": "constant", "util": 0.5, "decay_ms": 9300000000000}}`,
+	"fan time constant":      `{"groups": [{"name": "a", "nodes": 1, "hardware": {"fan_time_const_ms": 9300000000000}}]}`,
+}
+
+// TestScenarioRejectsOverflowingMS: a millisecond field past
+// workload.MaxMS is refused when the scenario is read, while MaxMS
+// itself is accepted.
+func TestScenarioRejectsOverflowingMS(t *testing.T) {
+	for name, spec := range overflowingMS {
+		_, err := ReadScenarioDir(strings.NewReader(spec), "")
+		if err == nil || !strings.Contains(err.Error(), "_ms") {
+			t.Errorf("%s: err = %v, want one naming the _ms field", name, err)
+		}
+	}
+	spec := fmt.Sprintf(`{"nodes": 1, "chaos": {"seed": 3, "horizon_ms": %d}}`, workload.MaxMS)
+	s, err := ReadScenarioDir(strings.NewReader(spec), "")
+	if err != nil {
+		t.Fatalf("horizon_ms = MaxMS refused: %v", err)
+	}
+	if h := time.Duration(s.Chaos.HorizonMS) * time.Millisecond; h <= 0 {
+		t.Errorf("horizon_ms = MaxMS converts to %v", h)
+	}
+}
+
 // TestScenarioBuildDefault builds the paper's standard run and checks
 // the rig shape: a hybrid per node, the program resolved, no plane.
 func TestScenarioBuildDefault(t *testing.T) {

@@ -36,7 +36,7 @@ func TestPolicyRootsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tach := n.FS.Open(n.Hwmon.FanInput)
-	wdb, err := NewWatchdog(DefaultWatchdogConfig(), func() (float64, error) {
+	wdb, err := NewWatchdog(func() (float64, error) {
 		v, err := tach.ReadInt()
 		return float64(v), err
 	}, act)

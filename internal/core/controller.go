@@ -22,20 +22,17 @@ type Config struct {
 	SamplePeriod time.Duration
 	// Window sizes the two-level history (defaults: 4 and 5).
 	Window window.Config
-	// FailSafe parameterizes the consecutive-error escalation policy;
-	// zero fields take the defaults (see FailSafeConfig).
-	FailSafe FailSafeConfig
-	// MaxLeadC bounds how far (in °C-equivalent cells) the integrated
-	// index may run ahead of or behind the absolute-temperature anchor
-	// c·(T−Tmin). The index update is an integrator: on a large load
-	// step the temperature keeps rising for tens of seconds after each
-	// duty increase (the heatsink is slow), so pure integration winds
-	// the index to the array's end and pins the fan at maximum. The
-	// lead band keeps the controller proactive — it may run MaxLeadC
-	// degrees ahead of the static map — without unbounded windup.
-	// Default 7 °C.
-	MaxLeadC float64
 }
+
+// maxLeadC bounds how far (in °C-equivalent cells) the integrated
+// index may run ahead of or behind the absolute-temperature anchor
+// c·(T−Tmin). The index update is an integrator: on a large load step
+// the temperature keeps rising for tens of seconds after each duty
+// increase (the heatsink is slow), so pure integration winds the index
+// to the array's end and pins the fan at maximum. The lead band keeps
+// the controller proactive — it may run maxLeadC degrees ahead of the
+// static map — without unbounded windup.
+const maxLeadC = 7
 
 // DefaultConfig returns the paper's controller parameters with the
 // given policy.
@@ -46,8 +43,6 @@ func DefaultConfig(pp int) Config {
 		TmaxC:        82,
 		SamplePeriod: 250 * time.Millisecond,
 		Window:       window.Default(),
-		FailSafe:     DefaultFailSafeConfig(),
-		MaxLeadC:     7,
 	}
 }
 
@@ -57,10 +52,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Window.L1Size == 0 {
 		cfg.Window = window.Default()
 	}
-	if cfg.MaxLeadC == 0 {
-		cfg.MaxLeadC = 7
-	}
-	cfg.FailSafe = cfg.FailSafe.withDefaults()
 	return cfg
 }
 
@@ -88,32 +79,24 @@ type Controller struct {
 	pol *CtlArrayPolicy
 }
 
-// ActuatorBinding attaches an actuator to a controller. Its array has
-// NumModes cells for rich mode sets and 2×NumModes for sparse ones (under
-// ten modes), so index arithmetic has resolution.
-type ActuatorBinding struct {
-	Actuator Actuator
-}
-
-// NewController builds a controller over the given actuators.
-func NewController(cfg Config, read TempReader, bindings ...ActuatorBinding) (*Controller, error) {
+// NewController builds a controller over the given actuators. Each
+// actuator's array has NumModes cells for rich mode sets and
+// 2×NumModes for sparse ones (under ten modes), so index arithmetic
+// has resolution.
+func NewController(cfg Config, read TempReader, acts ...Actuator) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if read == nil {
 		return nil, fmt.Errorf("core: nil temperature reader")
 	}
-	if len(bindings) == 0 {
+	if len(acts) == 0 {
 		return nil, fmt.Errorf("core: controller needs at least one actuator")
 	}
 	cfg = cfg.withDefaults()
-	pol, err := NewCtlArrayPolicy(cfg, bindings...)
+	pol, err := NewCtlArrayPolicy(cfg, acts...)
 	if err != nil {
 		return nil, err
-	}
-	acts := make([]Actuator, len(bindings))
-	for i, bd := range bindings {
-		acts[i] = bd.Actuator
 	}
 	win := cfg.Window
 	b, err := NewBinding(BindingConfig{
@@ -121,7 +104,6 @@ func NewController(cfg Config, read TempReader, bindings ...ActuatorBinding) (*C
 		Read:         read,
 		SamplePeriod: cfg.SamplePeriod,
 		Window:       &win,
-		FailSafe:     cfg.FailSafe,
 		Actuators:    acts,
 	})
 	if err != nil {
@@ -187,7 +169,7 @@ func (c *Controller) Status() Status {
 		AvgC:      win.Avg(),
 		DeltaL1:   win.DeltaL1(),
 		DeltaL2:   win.DeltaL2(),
-		Behavior:  win.Classify(window.DefaultClassify()).String(),
+		Behavior:  win.Classify().String(),
 		HoldFloor: c.pol.HoldFloor(),
 		FailSafe:  c.b.FailSafe(),
 		Errors:    c.b.Errors(),

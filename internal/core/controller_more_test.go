@@ -25,7 +25,7 @@ func TestAntiWindupBoundsLead(t *testing.T) {
 	}
 	s := &scriptedTemp{vals: vals}
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(100), s.read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(100), s.read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestReactivityFloorPullsIndexUp(t *testing.T) {
 	}
 	s := &scriptedTemp{vals: vals}
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(100), s.read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(100), s.read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCustomWindowConfigHonored(t *testing.T) {
 	reads := 0
 	read := func() (float64, error) { reads++; return 45, nil }
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(cfg, read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(cfg, read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMovesCountsPerActuator(t *testing.T) {
 	fan := &fakeActuator{modes: 100}
 	dvfs := &fakeActuator{modes: 5}
 	c, err := NewController(DefaultConfig(50), s.read,
-		ActuatorBinding{Actuator: fan}, ActuatorBinding{Actuator: dvfs})
+		fan, dvfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestHoldFloorStillAllowsIncreases(t *testing.T) {
 	}
 	s := &scriptedTemp{vals: vals}
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), s.read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), s.read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}

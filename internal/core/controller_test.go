@@ -66,7 +66,7 @@ func constTemp(v float64) TempReader {
 
 func TestNewControllerValidation(t *testing.T) {
 	fa := &fakeActuator{modes: 100}
-	if _, err := NewController(DefaultConfig(50), nil, ActuatorBinding{Actuator: fa}); err == nil {
+	if _, err := NewController(DefaultConfig(50), nil, fa); err == nil {
 		t.Error("nil reader accepted")
 	}
 	if _, err := NewController(DefaultConfig(50), constTemp(40)); err == nil {
@@ -74,23 +74,23 @@ func TestNewControllerValidation(t *testing.T) {
 	}
 	bad := DefaultConfig(50)
 	bad.TmaxC = bad.TminC
-	if _, err := NewController(bad, constTemp(40), ActuatorBinding{Actuator: fa}); err == nil {
+	if _, err := NewController(bad, constTemp(40), fa); err == nil {
 		t.Error("Tmax==Tmin accepted")
 	}
 	bad2 := DefaultConfig(50)
 	bad2.SamplePeriod = 0
-	if _, err := NewController(bad2, constTemp(40), ActuatorBinding{Actuator: fa}); err == nil {
+	if _, err := NewController(bad2, constTemp(40), fa); err == nil {
 		t.Error("zero sample period accepted")
 	}
 	bad3 := DefaultConfig(0)
-	if _, err := NewController(bad3, constTemp(40), ActuatorBinding{Actuator: fa}); err == nil {
+	if _, err := NewController(bad3, constTemp(40), fa); err == nil {
 		t.Error("Pp=0 accepted")
 	}
 }
 
 func TestAnchorOnFirstRound(t *testing.T) {
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(100), constTemp(60), ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(100), constTemp(60), fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRisingTempIncreasesMode(t *testing.T) {
 	}
 	s := &scriptedTemp{vals: vals}
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), s.read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), s.read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFallingTempDecreasesMode(t *testing.T) {
 	}
 	s := &scriptedTemp{vals: vals}
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), s.read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), s.read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestJitterDoesNotMoveMode(t *testing.T) {
 	}
 	s := &scriptedTemp{vals: vals}
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), s.read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), s.read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestGradualDriftUsesLevelTwo(t *testing.T) {
 	}
 	s := &scriptedTemp{vals: vals}
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), s.read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), s.read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMultipleActuatorsShareOneWindow(t *testing.T) {
 	fan := &fakeActuator{modes: 100}
 	dvfs := &fakeActuator{modes: 5}
 	c, err := NewController(DefaultConfig(50), s.read,
-		ActuatorBinding{Actuator: fan}, ActuatorBinding{Actuator: dvfs})
+		fan, dvfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSmallerPpAppliesMoreEffectiveModes(t *testing.T) {
 		}
 		s := &scriptedTemp{vals: vals}
 		fa := &fakeActuator{modes: 100}
-		c, err := NewController(DefaultConfig(pp), s.read, ActuatorBinding{Actuator: fa})
+		c, err := NewController(DefaultConfig(pp), s.read, fa)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestSmallerPpAppliesMoreEffectiveModes(t *testing.T) {
 func TestSensorErrorCounted(t *testing.T) {
 	failing := func() (float64, error) { return 0, errors.New("i2c fault") }
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), failing, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), failing, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestSensorErrorCounted(t *testing.T) {
 
 func TestActuatorErrorCounted(t *testing.T) {
 	fa := &fakeActuator{modes: 100, fail: true}
-	c, err := NewController(DefaultConfig(50), constTemp(60), ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), constTemp(60), fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestSamplingHonorsPeriod(t *testing.T) {
 	reads := 0
 	read := func() (float64, error) { reads++; return 45, nil }
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestEndToEndFanControlOnNode(t *testing.T) {
 	ctl, err := NewController(
 		DefaultConfig(50),
 		SysfsTemp(n.FS, n.Hwmon.TempInput),
-		ActuatorBinding{Actuator: NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 100)},
+		NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 100),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestEndToEndFanControlOnNode(t *testing.T) {
 
 func BenchmarkControllerRound(b *testing.B) {
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), constTemp(50), ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), constTemp(50), fa)
 	if err != nil {
 		b.Fatal(err)
 	}

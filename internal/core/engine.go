@@ -139,10 +139,10 @@ type BindingConfig struct {
 	// Window, when non-nil, sizes the two-level history; Decide then
 	// fires once per completed round. Nil decides on every sample.
 	Window *window.Config
-	// FailSafe parameterizes the consecutive-error escalation; zero
-	// fields take the defaults, Disable opts out (the baselines keep
-	// their historical count-and-skip behaviour).
-	FailSafe FailSafeConfig
+	// NoFailSafe turns the consecutive-error escalation off: the
+	// baselines and the tach watchdog keep their historical
+	// count-and-skip behaviour. The zero value keeps it on.
+	NoFailSafe bool
 	// Actuators are the bound techniques, in slot order.
 	Actuators []Actuator
 }
@@ -154,7 +154,7 @@ type Binding struct {
 	read   TempReader
 	period time.Duration
 	win    *window.Window
-	fs     FailSafeConfig
+	noFS   bool
 	slots  []*slot
 	next   time.Duration
 
@@ -162,10 +162,10 @@ type Binding struct {
 	// goroutines while OnStep writes from the control loop.
 	errs atomic.Uint64
 
-	// fail-safe degradation state (see FailSafeConfig). Read and
-	// actuation failures are counted separately: reads fail once per
-	// sample, actuations only when a decision moves a mode, and a run
-	// of either kind must escalate.
+	// fail-safe degradation state (see FailSafeEscalateErrors). Read
+	// and actuation failures are counted separately: reads fail once
+	// per sample, actuations only when a decision moves a mode, and a
+	// run of either kind must escalate.
 	consecReadErrs  int
 	consecApplyErrs int
 	cleanSamples    int
@@ -190,7 +190,7 @@ func NewBinding(cfg BindingConfig) (*Binding, error) {
 		pol:    cfg.Policy,
 		read:   cfg.Read,
 		period: cfg.SamplePeriod,
-		fs:     cfg.FailSafe.withDefaults(),
+		noFS:   cfg.NoFailSafe,
 	}
 	if cfg.Window != nil {
 		b.win = window.New(*cfg.Window)
@@ -276,11 +276,12 @@ func (b *Binding) OnStep(now time.Duration) {
 // as a standalone binding sampling the same reader.
 //
 // Error handling is the fail-safe degradation policy: a failed read (or
-// actuation) is counted, and EscalateErrors consecutive failures drive
-// every actuator to its most effective mode — a blind controller must
-// cool maximally, not skip rounds while the die cooks. The escalation
-// releases after RecoverSamples consecutive clean samples, after which
-// the window has fresh data and normal control resumes.
+// actuation) is counted, and FailSafeEscalateErrors consecutive
+// failures drive every actuator to its most effective mode — a blind
+// controller must cool maximally, not skip rounds while the die cooks.
+// The escalation releases after FailSafeRecoverSamples consecutive
+// clean samples, after which the window has fresh data and normal
+// control resumes.
 func (b *Binding) run(now time.Duration, t float64, err error) {
 	if b.period > 0 {
 		b.next += b.period
@@ -292,7 +293,7 @@ func (b *Binding) run(now time.Duration, t float64, err error) {
 			b.mt.errors.Inc()
 			b.cleanSamples = 0
 			b.consecReadErrs++
-			if b.consecReadErrs >= b.fs.EscalateErrors {
+			if b.consecReadErrs >= FailSafeEscalateErrors {
 				b.escalate(now)
 			}
 			if b.failSafe {
@@ -308,7 +309,7 @@ func (b *Binding) run(now time.Duration, t float64, err error) {
 			// history.
 			b.applyFailSafe()
 			b.cleanSamples++
-			if b.cleanSamples >= b.fs.RecoverSamples && !b.fsPending() {
+			if b.cleanSamples >= FailSafeRecoverSamples && !b.fsPending() {
 				b.release(now)
 			}
 			if b.win != nil {
@@ -329,7 +330,7 @@ func (b *Binding) run(now time.Duration, t float64, err error) {
 // escalate enters the fail-safe hold: every actuator is driven to its
 // most effective mode until the escalation releases.
 func (b *Binding) escalate(now time.Duration) {
-	if b.failSafe || b.fs.Disable {
+	if b.failSafe || b.noFS {
 		return
 	}
 	b.failSafe = true
@@ -402,7 +403,7 @@ func (b *Binding) applyErr(now time.Duration) {
 	b.errs.Add(1)
 	b.mt.errors.Inc()
 	b.consecApplyErrs++
-	if b.consecApplyErrs >= b.fs.EscalateErrors {
+	if b.consecApplyErrs >= FailSafeEscalateErrors {
 		b.escalate(now)
 	}
 }

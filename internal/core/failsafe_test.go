@@ -35,7 +35,7 @@ func TestFailSafePermanentReadFailureDrivesFanToMax(t *testing.T) {
 	port := &fakeFanPort{}
 	fan := NewFanActuator(port, 100)
 	goodSamples := 40 // 10 clean rounds before the sensor dies
-	c, err := NewController(DefaultConfig(50), failAfter(goodSamples, 50), ActuatorBinding{Actuator: fan})
+	c, err := NewController(DefaultConfig(50), failAfter(goodSamples, 50), fan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFailSafePermanentReadFailureDrivesFanToMax(t *testing.T) {
 			c.Binding().OnStep(time.Duration(i) * period)
 		}
 	}
-	esc := DefaultFailSafeConfig().EscalateErrors
+	esc := FailSafeEscalateErrors
 	drive2(goodSamples, esc-1)
 	if c.Binding().FailSafe() {
 		t.Fatal("fail-safe engaged before the escalation threshold")
@@ -91,7 +91,7 @@ func TestFailSafeRecovery(t *testing.T) {
 		}
 		return 50, nil
 	}
-	c, err := NewController(DefaultConfig(50), read, ActuatorBinding{Actuator: fan})
+	c, err := NewController(DefaultConfig(50), read, fan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,7 @@ func TestFailSafeRecovery(t *testing.T) {
 	if len(ev) != 2 || !ev[0].Engaged || ev[1].Engaged {
 		t.Fatalf("events = %+v, want one escalation then one recovery", ev)
 	}
-	cfg := DefaultFailSafeConfig()
-	wantRelease := time.Duration(deadTo+cfg.RecoverSamples) * period
+	wantRelease := time.Duration(deadTo+FailSafeRecoverSamples) * period
 	if ev[1].At != wantRelease {
 		t.Errorf("released at %v, want %v", ev[1].At, wantRelease)
 	}
@@ -142,7 +141,7 @@ func TestFailSafeActuationFailuresEscalate(t *testing.T) {
 		reads++
 		return 40 + float64(reads)*0.25, nil
 	}
-	c, err := NewController(DefaultConfig(50), read, ActuatorBinding{Actuator: act})
+	c, err := NewController(DefaultConfig(50), read, act)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestFailSafeActuationFailuresEscalate(t *testing.T) {
 func TestErrorsConcurrentWithOnStep(t *testing.T) {
 	failing := func() (float64, error) { return 0, errors.New("dead") }
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), failing, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), failing, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestTDVFSFailSafeDrivesFrequencyFloor(t *testing.T) {
 		t.Fatal("fail-safe engaged while the sensor was healthy")
 	}
 	period := 250 * time.Millisecond
-	esc := DefaultFailSafeConfig().EscalateErrors
+	esc := FailSafeEscalateErrors
 	for i := 41; i <= 40+esc; i++ {
 		d.Binding().OnStep(time.Duration(i) * period)
 	}
@@ -219,20 +218,34 @@ func TestTDVFSFailSafeDrivesFrequencyFloor(t *testing.T) {
 	}
 }
 
+// NoFailSafe turns the escalation off: a dead sensor is only counted,
+// as the baselines and the tach watchdog want.
 func TestFailSafeDisable(t *testing.T) {
 	cfg := DefaultConfig(50)
-	cfg.FailSafe.Disable = true
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(cfg, failAfter(0, 0), ActuatorBinding{Actuator: fa})
+	pol, err := NewCtlArrayPolicy(cfg, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(c, 100)
-	if c.Binding().FailSafe() || len(fa.applied) != 0 {
+	b, err := NewBinding(BindingConfig{
+		Policy:       pol,
+		Read:         failAfter(0, 0),
+		SamplePeriod: cfg.SamplePeriod,
+		Window:       &cfg.Window,
+		NoFailSafe:   true,
+		Actuators:    []Actuator{fa},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 100; i++ {
+		b.OnStep(time.Duration(i) * cfg.SamplePeriod)
+	}
+	if b.FailSafe() || len(fa.applied) != 0 || len(b.FailSafeEvents()) != 0 {
 		t.Errorf("disabled fail-safe still escalated (applied=%v)", fa.applied)
 	}
-	if c.Binding().Errors() != 100 {
-		t.Errorf("Errors = %d, want 100", c.Binding().Errors())
+	if b.Errors() != 100 {
+		t.Errorf("Errors = %d, want 100", b.Errors())
 	}
 }
 
@@ -259,7 +272,7 @@ func TestFanDutyActuatorFailSafeEscalatesToFullDuty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	esc := DefaultFailSafeConfig().EscalateErrors
+	esc := FailSafeEscalateErrors
 	for i := 1; i <= goodSamples+esc; i++ {
 		b.OnStep(time.Duration(i) * period)
 		if i == goodSamples && port.duty != 30 {

@@ -27,7 +27,7 @@ func TestFanControlSurvivesFlakyBus(t *testing.T) {
 
 	ctl, err := NewController(DefaultConfig(50),
 		SysfsTemp(n.FS, n.Hwmon.TempInput), // hwmon path: unaffected by the bus
-		ActuatorBinding{Actuator: NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+		NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), 100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,8 +206,7 @@ func TestGoldenFanClean(t *testing.T) {
 	tr := &trace{}
 	r := &scriptReader{temp: fanScript}
 	act := &traceActuator{name: "fan", modes: 100, tr: tr}
-	c, err := core.NewController(core.DefaultConfig(50), r.read,
-		core.ActuatorBinding{Actuator: act})
+	c, err := core.NewController(core.DefaultConfig(50), r.read, act)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +236,7 @@ func TestGoldenFanFaulty(t *testing.T) {
 			return (call >= 10 && call < 13) || (call >= 30 && call < 33)
 		},
 	}
-	c, err := core.NewController(core.DefaultConfig(35), r.read,
-		core.ActuatorBinding{Actuator: act})
+	c, err := core.NewController(core.DefaultConfig(35), r.read, act)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +256,7 @@ func TestGoldenFanMultiActuator(t *testing.T) {
 	fan := &traceActuator{name: "fan", modes: 100, tr: tr}
 	dvfs := &traceActuator{name: "dvfs", modes: 5, tr: tr}
 	acpi := &traceActuator{name: "acpi", modes: 8, tr: tr}
-	c, err := core.NewController(core.DefaultConfig(60), r.read,
-		core.ActuatorBinding{Actuator: fan},
-		core.ActuatorBinding{Actuator: dvfs},
-		core.ActuatorBinding{Actuator: acpi})
+	c, err := core.NewController(core.DefaultConfig(60), r.read, fan, dvfs, acpi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +322,7 @@ func TestGoldenHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fan, err := core.NewController(core.DefaultConfig(50), r.read,
-		core.ActuatorBinding{Actuator: fanAct})
+	fan, err := core.NewController(core.DefaultConfig(50), r.read, fanAct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +390,7 @@ func TestGoldenWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.NewWatchdog(core.DefaultWatchdogConfig(), r.read, act)
+	b, err := core.NewWatchdog(r.read, act)
 	if err != nil {
 		t.Fatal(err)
 	}

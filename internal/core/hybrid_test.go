@@ -45,7 +45,7 @@ func newHybridRig(t testing.TB, pp int, maxDuty float64) (*node.Node, *hybrid) {
 	n.Settle(0)
 	read := SysfsTemp(n.FS, n.Hwmon.TempInput)
 	fan, err := NewController(DefaultConfig(pp), read,
-		ActuatorBinding{Actuator: NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), maxDuty)})
+		NewFanActuator(NewSysfsFanPort(n.FS, n.Hwmon), maxDuty))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestControllerSetHoldFloorBlocksDecreases(t *testing.T) {
 	}
 	s := &scriptedTemp{vals: vals}
 	fa := &fakeActuator{modes: 100}
-	c, err := NewController(DefaultConfig(50), s.read, ActuatorBinding{Actuator: fa})
+	c, err := NewController(DefaultConfig(50), s.read, fa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestHybridLanesFailSafeOnDeadSensor(t *testing.T) {
 	}
 	port := &fakeFanPort{}
 	fan, err := NewController(DefaultConfig(50), read,
-		ActuatorBinding{Actuator: NewFanActuator(port, 100)})
+		NewFanActuator(port, 100))
 	if err != nil {
 		t.Fatal(err)
 	}

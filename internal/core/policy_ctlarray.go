@@ -16,9 +16,8 @@ import (
 // ordered mode set, the same policy drives DVFS, ACPI throttling and
 // processor sleep states (cstates.Actuator) unchanged.
 type CtlArrayPolicy struct {
-	tminC    float64
-	maxLeadC float64
-	l2Size   int
+	tminC  float64
+	l2Size int
 
 	slots     []*ctlSlot
 	anchor    bool
@@ -52,17 +51,16 @@ type ctlSlot struct {
 	l2Cooldown int
 }
 
-// NewCtlArrayPolicy builds the policy over the given actuator bindings.
+// NewCtlArrayPolicy builds the policy over the given actuators.
 // Range validation on cfg is the caller's job (NewController performs
 // it); this constructor only rejects array-fill failures.
-func NewCtlArrayPolicy(cfg Config, bindings ...ActuatorBinding) (*CtlArrayPolicy, error) {
+func NewCtlArrayPolicy(cfg Config, acts ...Actuator) (*CtlArrayPolicy, error) {
 	p := &CtlArrayPolicy{
-		tminC:    cfg.TminC,
-		maxLeadC: cfg.MaxLeadC,
-		l2Size:   cfg.Window.L2Size,
+		tminC:  cfg.TminC,
+		l2Size: cfg.Window.L2Size,
 	}
-	for _, b := range bindings {
-		m := b.Actuator.NumModes()
+	for _, a := range acts {
+		m := a.NumModes()
 		n := m
 		if n < 10 {
 			n = 2 * m
@@ -140,11 +138,11 @@ func (p *CtlArrayPolicy) decideSlot(tx *Txn, i int) {
 	target := s.idx + di
 
 	// Anti-windup: the index may lead the static anchor by at most
-	// MaxLeadC degrees (proactivity) and must not lag it by more
+	// maxLeadC degrees (proactivity) and must not lag it by more
 	// (reactivity floor). Downward corrections are suppressed while
 	// the hybrid holds the fan floor.
 	center := s.coef * (win.Avg() - p.tminC)
-	lead := s.coef * p.maxLeadC
+	lead := s.coef * maxLeadC
 	if hi := int(math.Floor(center + lead)); target > hi && !(p.holdFloor && hi < s.idx) {
 		target = hi
 	}

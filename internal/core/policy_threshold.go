@@ -14,11 +14,8 @@ import (
 // the other techniques remove, minimizing the in-band technique's
 // performance cost. It is the policy behind the TDVFS facade.
 type ThresholdPolicy struct {
-	thresholdC       float64
-	hysteresisC      float64
-	trendEpsilonC    float64
-	emergencyMarginC float64
-	cooldownRounds   int
+	thresholdC  float64
+	hysteresisC float64
 
 	arr      *ctlarray.Array
 	curMode  int // physical mode currently applied (0 = nominal)
@@ -48,17 +45,14 @@ type thresholdMetrics struct {
 // NewThresholdPolicy builds the policy over an actuator's mode count.
 // Range validation on cfg is the caller's job (NewTDVFS performs it).
 func NewThresholdPolicy(cfg TDVFSConfig, numModes int) (*ThresholdPolicy, error) {
-	arr, err := ctlarray.New(cfg.N, numModes, cfg.Pp)
+	arr, err := ctlarray.New(tdvfsN, numModes, cfg.Pp)
 	if err != nil {
 		return nil, err
 	}
 	return &ThresholdPolicy{
-		thresholdC:       cfg.ThresholdC,
-		hysteresisC:      cfg.HysteresisC,
-		trendEpsilonC:    cfg.TrendEpsilonC,
-		emergencyMarginC: cfg.EmergencyMarginC,
-		cooldownRounds:   cfg.CooldownRounds,
-		arr:              arr,
+		thresholdC:  cfg.ThresholdC,
+		hysteresisC: cfg.HysteresisC,
+		arr:         arr,
 	}, nil
 }
 
@@ -93,8 +87,8 @@ func (p *ThresholdPolicy) Decide(tx *Txn) {
 		return
 	}
 	win := tx.Window()
-	rising := win.DeltaL2() > p.trendEpsilonC
-	emergency := win.AllL2Above(p.thresholdC + p.emergencyMarginC)
+	rising := win.DeltaL2() > trendEpsilonC
+	emergency := win.AllL2Above(p.thresholdC + emergencyMarginC)
 	switch {
 	case (win.AllL2Above(p.thresholdC) && rising) || emergency:
 		// Consistently above threshold: move to the least-effective
@@ -124,7 +118,7 @@ func (p *ThresholdPolicy) Decide(tx *Txn) {
 			p.triggered = true
 			p.firstDownAt = tx.Now()
 		}
-		p.cooldown = p.cooldownRounds
+		p.cooldown = tdvfsCooldownRounds
 
 	case p.curMode > 0 && win.AllL2Below(p.thresholdC-p.hysteresisC):
 		// Consistently below threshold: restore the nominal mode
@@ -137,7 +131,7 @@ func (p *ThresholdPolicy) Decide(tx *Txn) {
 		p.ups++
 		p.mt.upscales.Inc()
 		p.mt.engaged.SetBool(false)
-		p.cooldown = p.cooldownRounds
+		p.cooldown = tdvfsCooldownRounds
 	}
 }
 
@@ -153,5 +147,5 @@ func (p *ThresholdPolicy) OnFailSafeApplied(_, mode int) {
 // normal restore path brings it back to nominal once the re-armed
 // cooldown elapses.
 func (p *ThresholdPolicy) OnRelease() {
-	p.cooldown = p.cooldownRounds
+	p.cooldown = tdvfsCooldownRounds
 }

@@ -31,7 +31,7 @@ func (c *countingTemp) read() (float64, error) {
 func newCountingHybrid(t *testing.T, r *countingTemp) *hybrid {
 	t.Helper()
 	fan, err := NewController(DefaultConfig(50), r.read,
-		ActuatorBinding{Actuator: NewFanActuator(&fakeFanPort{}, 100)})
+		NewFanActuator(&fakeFanPort{}, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEngineLanesMatchStandaloneBindingsOnFaultyReader(t *testing.T) {
 
 	alone := &countingTemp{fail: fail}
 	fan, err := NewController(DefaultConfig(50), alone.read,
-		ActuatorBinding{Actuator: NewFanActuator(&fakeFanPort{}, 100)})
+		NewFanActuator(&fakeFanPort{}, 100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,79 +28,53 @@ type TDVFSConfig struct {
 	HysteresisC float64
 	// SamplePeriod is the temperature sampling interval (250 ms).
 	SamplePeriod time.Duration
-	// Window sizes the history. "Consistently" means every entry of
-	// the full level-two FIFO is on one side of the threshold, i.e.
-	// L2Size consecutive seconds. tDVFS uses a deeper FIFO than the
-	// fan controller (10 rounds vs 5): an in-band action is expensive,
-	// so the evidence bar is higher — sensor noise hovering at the
-	// threshold must not trigger a frequency change.
-	Window window.Config
-	// N is the control-array bound (default 10 over the 5 P-states).
-	N int
-	// CooldownRounds is the minimum number of window rounds between
-	// two frequency changes, letting the thermal response develop
-	// before judging again (default: 2×L2Size).
-	CooldownRounds int
-	// TrendEpsilonC makes the scale-down decision context-aware: a
+}
+
+// The daemon's fixed parameters. Its fail-safe escalation target is
+// its frequency floor (the slowest P-state).
+const (
+	// tdvfsL1Size and tdvfsL2Size size the history. "Consistently"
+	// means every entry of the full level-two FIFO is on one side of
+	// the threshold, i.e. tdvfsL2Size consecutive seconds. tDVFS uses a
+	// deeper FIFO than the fan controller (10 rounds vs 5): an in-band
+	// action is expensive, so the evidence bar is higher — sensor noise
+	// hovering at the threshold must not trigger a frequency change.
+	tdvfsL1Size = 4
+	tdvfsL2Size = 10
+	// tdvfsN is the control-array bound over the 5 P-states.
+	tdvfsN = 10
+	// tdvfsCooldownRounds is the minimum number of window rounds
+	// between two frequency changes (2×tdvfsL2Size), letting the
+	// thermal response develop before judging again.
+	tdvfsCooldownRounds = 2 * tdvfsL2Size
+	// trendEpsilonC makes the scale-down decision context-aware: a
 	// down-step is taken only when the level-two trend Δt_L2 exceeds
-	// +TrendEpsilonC, i.e. the temperature is above threshold *and
+	// +trendEpsilonC, i.e. the temperature is above threshold *and
 	// still rising*. This is the reading of the paper's "only when
 	// average temperature is stabilized above the threshold" that its
 	// Figure 9 demonstrates: tDVFS stops at 2.0 GHz with the die steady
 	// near 55 °C — above the threshold — and makes no further changes.
 	// The goal is stopping the rise (preventing the emergency), not
 	// forcing the die under the trigger value at any performance cost.
-	// Default 0.35 °C — above the sensor-noise floor of the round
-	// averages and above the asymptotic tail of an equilibrium
-	// approach, so the daemon stops once the rise has effectively
-	// flattened.
-	TrendEpsilonC float64
-	// EmergencyMarginC is the backstop: if the average is consistently
-	// above ThresholdC+EmergencyMarginC, scale down regardless of
-	// trend — a creeping rise too slow for trend detection must not
-	// reach the hardware's thermal-throttle point. Default 8 °C.
-	EmergencyMarginC float64
-	// FailSafe parameterizes the consecutive-error escalation policy;
-	// zero fields take the defaults (see FailSafeConfig). The daemon's
-	// escalation target is its frequency floor (the slowest P-state).
-	FailSafe FailSafeConfig
-}
+	// 0.35 °C is above the sensor-noise floor of the round averages and
+	// above the asymptotic tail of an equilibrium approach, so the
+	// daemon stops once the rise has effectively flattened.
+	trendEpsilonC = 0.35
+	// emergencyMarginC is the backstop: if the average is consistently
+	// above ThresholdC+emergencyMarginC, scale down regardless of trend
+	// — a creeping rise too slow for trend detection must not reach the
+	// hardware's thermal-throttle point.
+	emergencyMarginC = 8
+)
 
 // DefaultTDVFSConfig returns the paper's tDVFS parameters.
 func DefaultTDVFSConfig(pp int) TDVFSConfig {
 	return TDVFSConfig{
-		Pp:               pp,
-		ThresholdC:       51,
-		HysteresisC:      3.0,
-		SamplePeriod:     250 * time.Millisecond,
-		Window:           window.Config{L1Size: 4, L2Size: 10},
-		N:                10,
-		TrendEpsilonC:    0.35,
-		EmergencyMarginC: 8,
-		FailSafe:         DefaultFailSafeConfig(),
+		Pp:           pp,
+		ThresholdC:   51,
+		HysteresisC:  3.0,
+		SamplePeriod: 250 * time.Millisecond,
 	}
-}
-
-// withDefaults fills zero fields, mirroring the historical NewTDVFS
-// normalization.
-func (cfg TDVFSConfig) withDefaults() TDVFSConfig {
-	if cfg.Window.L1Size == 0 {
-		cfg.Window = window.Default()
-	}
-	if cfg.N == 0 {
-		cfg.N = 10
-	}
-	if cfg.CooldownRounds == 0 {
-		cfg.CooldownRounds = 2 * cfg.Window.L2Size
-	}
-	if cfg.TrendEpsilonC == 0 {
-		cfg.TrendEpsilonC = 0.35
-	}
-	if cfg.EmergencyMarginC == 0 {
-		cfg.EmergencyMarginC = 8
-	}
-	cfg.FailSafe = cfg.FailSafe.withDefaults()
-	return cfg
 }
 
 // TDVFS is the temperature-aware DVFS daemon. Unlike the continuous fan
@@ -123,18 +97,15 @@ func NewTDVFS(cfg TDVFSConfig, read TempReader, act *DVFSActuator) (*TDVFS, erro
 	if cfg.SamplePeriod <= 0 {
 		return nil, fmt.Errorf("core: tdvfs: non-positive sample period")
 	}
-	cfg = cfg.withDefaults()
 	pol, err := NewThresholdPolicy(cfg, act.NumModes())
 	if err != nil {
 		return nil, err
 	}
-	win := cfg.Window
 	b, err := NewBinding(BindingConfig{
 		Policy:       pol,
 		Read:         read,
 		SamplePeriod: cfg.SamplePeriod,
-		Window:       &win,
-		FailSafe:     cfg.FailSafe,
+		Window:       &window.Config{L1Size: tdvfsL1Size, L2Size: tdvfsL2Size},
 		Actuators:    []Actuator{act},
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -256,9 +258,7 @@ func TestTDVFSExtremePolicyJumpsToLowestDirectly(t *testing.T) {
 
 func TestTDVFSWalksDownToLowestMode(t *testing.T) {
 	n, act := newDVFSRig(t)
-	cfg := DefaultTDVFSConfig(50)
-	cfg.CooldownRounds = 5
-	d, err := NewTDVFS(cfg, constTemp(60), act)
+	d, err := NewTDVFS(DefaultTDVFSConfig(50), constTemp(60), act)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +271,58 @@ func TestTDVFSWalksDownToLowestMode(t *testing.T) {
 	driveTDVFS(d, 100, nil)
 	if n.CPU.Transitions() != before {
 		t.Error("transitions kept accumulating at the lowest mode")
+	}
+}
+
+// TestTDVFSWindowAndCooldownPinned pins the daemon's fixed parameters:
+// a 4-sample level one, a 10-round level two, and 20 rounds between two
+// frequency changes. A config that names only the four settable fields
+// runs exactly the daemon DefaultTDVFSConfig builds.
+func TestTDVFSWindowAndCooldownPinned(t *testing.T) {
+	cfg := TDVFSConfig{Pp: 50, ThresholdC: 51, HysteresisC: 3, SamplePeriod: 250 * time.Millisecond}
+	if cfg != DefaultTDVFSConfig(50) {
+		t.Fatalf("DefaultTDVFSConfig(50) = %+v, want %+v", DefaultTDVFSConfig(50), cfg)
+	}
+	_, act := newDVFSRig(t)
+	// 60 °C sits inside the emergency band, so every round after the
+	// cooldown scales down until the floor.
+	d, err := NewTDVFS(cfg, constTemp(60), act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := d.Binding().Window()
+	var downs []time.Duration
+	for i := 1; i <= 400; i++ {
+		now := time.Duration(i) * cfg.SamplePeriod
+		before := d.Downscales()
+		d.Binding().OnStep(now)
+		if got, want := !math.IsNaN(win.Avg()), i >= tdvfsL1Size; got != want {
+			t.Fatalf("after %d samples a round completed = %v, want %v", i, got, want)
+		}
+		if got, want := win.L2Full(), i >= tdvfsL1Size*tdvfsL2Size; got != want {
+			t.Fatalf("after %d samples the level-two FIFO full = %v, want %v", i, got, want)
+		}
+		if d.Downscales() > before {
+			downs = append(downs, now)
+		}
+	}
+	// The first change needs a full 10-round FIFO; each later one waits
+	// out 20 rounds of cooldown and decides on the 21st.
+	want := []time.Duration{10 * time.Second, 31 * time.Second, 52 * time.Second, 73 * time.Second}
+	if !slices.Equal(downs, want) {
+		t.Errorf("scale-downs at %v, want %v", downs, want)
+	}
+
+	// A slow rise trips the trend test once the 10 s FIFO spans more
+	// than trendEpsilonC of climb above the threshold.
+	_, act = newDVFSRig(t)
+	d, err = NewTDVFS(cfg, risingTemp(45, 0.02, 60), act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveTDVFS(d, 1200, nil)
+	if at, ok := d.TriggeredAt(); !ok || at != 85*time.Second {
+		t.Errorf("first scale-down on a 0.08 °C/s rise at %v (triggered %v), want 85s", at, ok)
 	}
 }
 

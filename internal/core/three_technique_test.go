@@ -29,9 +29,9 @@ func TestUnifiedControllerOverThreeTechniques(t *testing.T) {
 	throttleAct := acpi.NewActuator(n.FS, n.ACPI)
 
 	ctl, err := NewController(DefaultConfig(50), read,
-		ActuatorBinding{Actuator: fanAct},
-		ActuatorBinding{Actuator: dvfsAct},
-		ActuatorBinding{Actuator: throttleAct},
+		fanAct,
+		dvfsAct,
+		throttleAct,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestThrottleOnlyCooling(t *testing.T) {
 
 	ctl, err := NewController(DefaultConfig(25),
 		SysfsTemp(n.FS, n.Hwmon.TempInput),
-		ActuatorBinding{Actuator: acpi.NewActuator(n.FS, n.ACPI)})
+		acpi.NewActuator(n.FS, n.ACPI))
 	if err != nil {
 		t.Fatal(err)
 	}

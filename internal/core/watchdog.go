@@ -5,32 +5,21 @@ import (
 	"time"
 )
 
-// WatchdogConfig parameterizes the fan-failure watchdog.
-type WatchdogConfig struct {
-	// SamplePeriod is how often the tach is polled (default 1 s).
-	SamplePeriod time.Duration
-	// StallRPM is the reading at or below which the fan counts as not
-	// spinning (default 100 RPM — tachometers read ~0 on a seized
-	// rotor).
-	StallRPM float64
-	// StallSamples is how many consecutive stalled readings declare a
-	// failure (default 3; a fan takes ~1 s to spin up from rest, so a
-	// single zero can be a restart, not a failure).
-	StallSamples int
-	// RecoverSamples is how many consecutive healthy readings end the
-	// emergency (default 5).
-	RecoverSamples int
-}
-
-// DefaultWatchdogConfig returns the default thresholds.
-func DefaultWatchdogConfig() WatchdogConfig {
-	return WatchdogConfig{
-		SamplePeriod:   time.Second,
-		StallRPM:       100,
-		StallSamples:   3,
-		RecoverSamples: 5,
-	}
-}
+// The watchdog's fixed thresholds.
+const (
+	// watchdogPeriod is how often the tach is polled.
+	watchdogPeriod = time.Second
+	// stallRPM is the reading at or below which the fan counts as not
+	// spinning: tachometers read ~0 on a seized rotor.
+	stallRPM = 100
+	// stallSamples is how many consecutive stalled readings declare a
+	// failure. A fan takes ~1 s to spin up from rest, so a single zero
+	// can be a restart, not a failure.
+	stallSamples = 3
+	// healthySamples is how many consecutive healthy readings end the
+	// emergency.
+	healthySamples = 5
+)
 
 // WatchdogEvent records one state change.
 type WatchdogEvent struct {
@@ -52,7 +41,6 @@ type WatchdogEvent struct {
 // It runs on a Binding whose reader is the tach (see NewWatchdog):
 // each sample is one fan speed in RPM.
 type WatchdogPolicy struct {
-	cfg WatchdogConfig
 	// floor is the DVFS actuator's most effective (lowest frequency)
 	// mode.
 	floor int
@@ -65,26 +53,17 @@ type WatchdogPolicy struct {
 
 // NewWatchdog builds the watchdog: a binding that polls the tach
 // reader rpm (e.g. the hwmon fan1_input file or an IPMI fan sensor)
-// every SamplePeriod and commands the DVFS actuator during an
-// emergency. Its policy is a *WatchdogPolicy.
-func NewWatchdog(cfg WatchdogConfig, rpm TempReader, act *DVFSActuator) (*Binding, error) {
+// once a second and commands the DVFS actuator during an emergency.
+// Its policy is a *WatchdogPolicy.
+func NewWatchdog(rpm TempReader, act *DVFSActuator) (*Binding, error) {
 	if rpm == nil || act == nil {
 		return nil, fmt.Errorf("core: watchdog needs a tach reader and an actuator")
 	}
-	if cfg.SamplePeriod <= 0 {
-		return nil, fmt.Errorf("core: watchdog: non-positive sample period")
-	}
-	if cfg.StallSamples <= 0 {
-		cfg.StallSamples = 3
-	}
-	if cfg.RecoverSamples <= 0 {
-		cfg.RecoverSamples = 5
-	}
 	return NewBinding(BindingConfig{
-		Policy:       &WatchdogPolicy{cfg: cfg, floor: act.NumModes() - 1},
+		Policy:       &WatchdogPolicy{floor: act.NumModes() - 1},
 		Read:         rpm,
-		SamplePeriod: cfg.SamplePeriod,
-		FailSafe:     FailSafeConfig{Disable: true},
+		SamplePeriod: watchdogPeriod,
+		NoFailSafe:   true,
 		Actuators:    []Actuator{act},
 	})
 }
@@ -104,7 +83,7 @@ func (w *WatchdogPolicy) Events() []WatchdogEvent {
 // A failed write leaves the state unchanged, so the next sample
 // retries it.
 func (w *WatchdogPolicy) Decide(tx *Txn) {
-	if tx.Sample() <= w.cfg.StallRPM {
+	if tx.Sample() <= stallRPM {
 		w.stalled++
 		w.healthy = 0
 	} else {
@@ -113,7 +92,7 @@ func (w *WatchdogPolicy) Decide(tx *Txn) {
 	}
 
 	switch {
-	case !w.emergency && w.stalled >= w.cfg.StallSamples:
+	case !w.emergency && w.stalled >= stallSamples:
 		// Confirmed seizure: drop to the most effective (lowest
 		// frequency) mode right now.
 		if !tx.Apply(0, w.floor) {
@@ -122,7 +101,7 @@ func (w *WatchdogPolicy) Decide(tx *Txn) {
 		w.emergency = true
 		//thermlint:allow hotalloc -- seizure confirmations are rare transitions; the event log is the audit trail
 		w.events = append(w.events, WatchdogEvent{At: tx.Now(), Failure: true})
-	case w.emergency && w.healthy >= w.cfg.RecoverSamples:
+	case w.emergency && w.healthy >= healthySamples:
 		if !tx.Apply(0, 0) {
 			return
 		}

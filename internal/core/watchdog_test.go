@@ -28,7 +28,7 @@ func newWatchdogRig(t *testing.T) (*node.Node, *Binding, *WatchdogPolicy) {
 		v, err := fanInput.ReadInt()
 		return float64(v), err
 	}
-	b, err := NewWatchdog(DefaultWatchdogConfig(), rpm, act)
+	b, err := NewWatchdog(rpm, act)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +37,11 @@ func newWatchdogRig(t *testing.T) (*node.Node, *Binding, *WatchdogPolicy) {
 
 func TestWatchdogValidation(t *testing.T) {
 	_, act := newDVFSRig(t)
-	if _, err := NewWatchdog(DefaultWatchdogConfig(), nil, act); err == nil {
+	if _, err := NewWatchdog(nil, act); err == nil {
 		t.Error("nil reader accepted")
 	}
-	bad := DefaultWatchdogConfig()
-	bad.SamplePeriod = 0
-	if _, err := NewWatchdog(bad, func() (float64, error) { return 0, nil }, act); err == nil {
-		t.Error("zero period accepted")
+	if _, err := NewWatchdog(func() (float64, error) { return 0, nil }, nil); err == nil {
+		t.Error("nil actuator accepted")
 	}
 }
 
@@ -130,7 +128,7 @@ func TestWatchdogIgnoresBriefStall(t *testing.T) {
 		}
 	}
 	run(20)
-	// A 2-second glitch (shorter than StallSamples at 1 s cadence plus
+	// A 2-second glitch (shorter than stallSamples at 1 s cadence plus
 	// spin-down) must not trip: the tach only falls below 100 RPM well
 	// after the rotor coasts down, which takes seconds itself.
 	n.Fan.SetFailed(true)
@@ -168,7 +166,7 @@ func TestWatchdogBeatsThermalResponse(t *testing.T) {
 				v, err := fanInput.ReadInt()
 				return float64(v), err
 			}
-			ctl, err = NewWatchdog(DefaultWatchdogConfig(), rpm, act)
+			ctl, err = NewWatchdog(rpm, act)
 		} else {
 			var d *TDVFS
 			if d, err = NewTDVFS(DefaultTDVFSConfig(50), SysfsTemp(n.FS, n.Hwmon.TempInput), act); err == nil {

@@ -188,26 +188,21 @@ func (b Behavior) String() string {
 	}
 }
 
-// ClassifyConfig holds the classification thresholds, in the same units
-// as the samples (°C for temperature).
-type ClassifyConfig struct {
-	// SuddenDelta is the |Δt_L1| at or above which a round is Sudden.
-	SuddenDelta float64
-	// GradualDelta is the |Δt_L2| at or above which the long horizon is
-	// Gradual.
-	GradualDelta float64
-	// JitterRange is the intra-round (max-min) spread at or above which
+// The classification thresholds, in the same units as the samples (°C
+// for temperature), tuned for the repository's sensor model (0.25 °C
+// quantum, 0.15 °C noise).
+const (
+	// suddenDelta is the |Δt_L1| at or above which a round is Sudden:
+	// 0.6 °C of half-sum difference within one second, ≈1.8σ of the
+	// noise floor.
+	suddenDelta = 0.6
+	// gradualDelta is the |Δt_L2| at or above which the long horizon is
+	// Gradual: half a degree of drift across the five-second horizon.
+	gradualDelta = 0.5
+	// jitterRange is the intra-round (max-min) spread at or above which
 	// a trendless round is Jitter rather than Steady.
-	JitterRange float64
-}
-
-// DefaultClassify returns thresholds tuned for the repository's sensor
-// model (0.25 °C quantum, 0.15 °C noise): 0.6 °C of half-sum difference
-// within one second (≈1.8σ of the noise floor) flags sudden change, and
-// half a degree of drift across the five-second horizon flags gradual.
-func DefaultClassify() ClassifyConfig {
-	return ClassifyConfig{SuddenDelta: 0.6, GradualDelta: 0.5, JitterRange: 0.9}
-}
+	jitterRange = 0.9
+)
 
 // Classify labels the last completed round.
 //
@@ -217,17 +212,17 @@ func DefaultClassify() ClassifyConfig {
 // spike*, so the classifier also consults the previous round: a large
 // Δt_L1 whose sign flipped against an equally large previous delta is
 // jitter, not a new sudden event.
-func (w *Window) Classify(cfg ClassifyConfig) Behavior {
-	if math.Abs(w.deltaL1) >= cfg.SuddenDelta {
-		if w.deltaL1*w.prevDeltaL1 < 0 && math.Abs(w.prevDeltaL1) >= cfg.SuddenDelta/2 {
+func (w *Window) Classify() Behavior {
+	if math.Abs(w.deltaL1) >= suddenDelta {
+		if w.deltaL1*w.prevDeltaL1 < 0 && math.Abs(w.prevDeltaL1) >= suddenDelta/2 {
 			return Jitter
 		}
 		return Sudden
 	}
-	if w.L2Full() && math.Abs(w.DeltaL2()) >= cfg.GradualDelta {
+	if w.L2Full() && math.Abs(w.DeltaL2()) >= gradualDelta {
 		return Gradual
 	}
-	if w.lastRange >= cfg.JitterRange {
+	if w.lastRange >= jitterRange {
 		return Jitter
 	}
 	return Steady

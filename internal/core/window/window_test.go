@@ -139,7 +139,7 @@ func TestClassifySudden(t *testing.T) {
 	for _, v := range []float64{40, 40, 46, 46} {
 		w.Add(v)
 	}
-	if got := w.Classify(DefaultClassify()); got != Sudden {
+	if got := w.Classify(); got != Sudden {
 		t.Errorf("Classify = %v, want sudden", got)
 	}
 }
@@ -149,7 +149,7 @@ func TestClassifyJitter(t *testing.T) {
 	for _, v := range []float64{40, 42, 40, 42} {
 		w.Add(v)
 	}
-	if got := w.Classify(DefaultClassify()); got != Jitter {
+	if got := w.Classify(); got != Jitter {
 		t.Errorf("Classify = %v, want jitter", got)
 	}
 }
@@ -165,7 +165,7 @@ func TestClassifyGradual(t *testing.T) {
 			v += 0.1
 		}
 	}
-	if got := w.Classify(DefaultClassify()); got != Gradual {
+	if got := w.Classify(); got != Gradual {
 		t.Errorf("Classify = %v, want gradual (ΔL1=%v ΔL2=%v)", got, w.DeltaL1(), w.DeltaL2())
 	}
 }
@@ -177,7 +177,7 @@ func TestClassifySteady(t *testing.T) {
 			w.Add(45.25)
 		}
 	}
-	if got := w.Classify(DefaultClassify()); got != Steady {
+	if got := w.Classify(); got != Steady {
 		t.Errorf("Classify = %v, want steady", got)
 	}
 }

@@ -164,7 +164,7 @@ func TestFailSafeDrivesDeepestState(t *testing.T) {
 	fs, _, p := rig()
 	read := func() (float64, error) { return 0, errors.New("sensor dead") }
 	ctl, err := core.NewController(core.DefaultConfig(50), read,
-		core.ActuatorBinding{Actuator: NewActuator(fs, p)})
+		NewActuator(fs, p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,7 @@ func ablationRun(seed uint64, win window.Config) (AblationRow, error) {
 	cfg.Window = win
 	ctl, err := core.NewController(cfg,
 		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.ActuatorBinding{Actuator: core.NewFanActuator(
-			core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+		core.NewFanActuator(core.NewSysfsFanPort(n.FS, n.Hwmon), 100))
 	if err != nil {
 		return AblationRow{}, err
 	}

@@ -18,11 +18,10 @@ func TestChaosDropoutSurvival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := core.DefaultFailSafeConfig()
 	if !r.Escalated {
 		t.Fatal("fail-safe never engaged during a 30s total sensor dropout")
 	}
-	escWindow := time.Duration(fs.EscalateErrors+2) * chaosSamplePeriod
+	escWindow := time.Duration(core.FailSafeEscalateErrors+2) * chaosSamplePeriod
 	if lat := r.EscalateLatency(); lat > escWindow {
 		t.Errorf("escalate latency %v exceeds window %v", lat, escWindow)
 	}
@@ -41,15 +40,15 @@ func TestChaosDropoutSurvival(t *testing.T) {
 	if !r.Released {
 		t.Fatal("fail-safe never released after the sensor recovered")
 	}
-	recWindow := time.Duration(fs.RecoverSamples+2) * chaosSamplePeriod
+	recWindow := time.Duration(core.FailSafeRecoverSamples+2) * chaosSamplePeriod
 	if lat := r.RecoverLatency(); lat > recWindow {
 		t.Errorf("recover latency %v exceeds window %v", lat, recWindow)
 	}
 	if r.FinalDuty >= 100 {
 		t.Errorf("fan still pinned at %.1f%% at run end; control did not resume", r.FinalDuty)
 	}
-	if r.BlindRounds <= 0 || r.BlindRounds > fs.EscalateErrors+2 {
-		t.Errorf("BlindRounds = %d, want in (0, %d]", r.BlindRounds, fs.EscalateErrors+2)
+	if r.BlindRounds <= 0 || r.BlindRounds > core.FailSafeEscalateErrors+2 {
+		t.Errorf("BlindRounds = %d, want in (0, %d]", r.BlindRounds, core.FailSafeEscalateErrors+2)
 	}
 }
 

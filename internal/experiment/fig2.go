@@ -58,7 +58,6 @@ func Fig2(seed uint64) (*Fig2Result, error) {
 
 	n.SetGenerator(workload.Fig2Profile())
 	win := window.New(window.Default())
-	cls := window.DefaultClassify()
 
 	res := &Fig2Result{Temp: &trace.Series{}}
 	dt := 250 * time.Millisecond
@@ -71,7 +70,7 @@ func Fig2(seed uint64) (*Fig2Result, error) {
 		if !win.Add(t) {
 			continue
 		}
-		b := win.Classify(cls)
+		b := win.Classify()
 		res.Labels = append(res.Labels, b)
 		switch {
 		case now > 30*time.Second && now <= 45*time.Second:

@@ -150,8 +150,7 @@ func TestUnifiedControlCompensatesHotSlot(t *testing.T) {
 			if dynamic {
 				ctl, err := core.NewController(core.DefaultConfig(50),
 					core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-					core.ActuatorBinding{Actuator: core.NewFanActuator(
-						core.NewSysfsFanPort(n.FS, n.Hwmon), 100)})
+					core.NewFanActuator(core.NewSysfsFanPort(n.FS, n.Hwmon), 100))
 				if err != nil {
 					t.Fatal(err)
 				}

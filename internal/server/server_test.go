@@ -212,6 +212,9 @@ func TestSubmitInvalidScenario(t *testing.T) {
 		"bad label name":   `{"metrics": {"enabled": true, "labels": {"bad-name": "x"}}}`,
 		"empty label name": `{"metrics": {"enabled": true, "labels": {"": "x"}}}`,
 		"per-node label":   `{"metrics": {"enabled": true, "labels": {"node": "x"}}}`,
+		// Millisecond fields longer than a time.Duration holds.
+		"overflowing horizon_ms": `{"nodes": 1, "program": "bt", "chaos": {"seed": 3, "horizon_ms": 9300000000000}}`,
+		"overflowing period_ms":  `{"nodes": 1, "workload": {"kind": "trace", "samples": [0.2, 0.9], "period_ms": 288230376151711744}}`,
 	} {
 		if _, status := trySubmit(t, ts, spec); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, status)

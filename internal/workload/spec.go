@@ -17,6 +17,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"thermctl/internal/rng"
@@ -114,32 +115,51 @@ type SegmentSpec struct {
 	ForMS int `json:"for_ms"`
 }
 
+// MaxMS is the longest millisecond field a scenario may hold: the
+// largest count of milliseconds a time.Duration can carry. A longer one
+// would wrap when converted.
+const MaxMS = math.MaxInt64 / int64(time.Millisecond)
+
+// checkMS refuses a millisecond field that is negative or longer than
+// MaxMS, so every accepted one converts to a non-negative Duration.
+func checkMS(name string, v int) error {
+	if v < 0 || int64(v) > MaxMS {
+		return fmt.Errorf("workload: %s %d: outside [0, %d]", name, v, MaxMS)
+	}
+	return nil
+}
+
 // maxSequenceDepth bounds nested sequences; deeper nesting is almost
 // certainly a mistake in a hand-written scenario.
 const maxSequenceDepth = 4
 
 // Validate reports the first invalid field. It is deep: sequence
-// segments validate recursively.
+// segments validate recursively. Every millisecond field must lie in
+// [0, MaxMS], whichever kind reads it.
 func (s *Spec) Validate() error {
 	return s.validate(0)
 }
 
 func (s *Spec) validate(depth int) error {
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"at_ms", s.AtMS}, {"start_ms", s.StartMS}, {"over_ms", s.OverMS},
+		{"period_ms", s.PeriodMS}, {"hold_ms", s.HoldMS}, {"phase_ms", s.PhaseMS},
+		{"rise_ms", s.RiseMS}, {"decay_ms", s.DecayMS},
+	} {
+		if err := checkMS(f.name, f.v); err != nil {
+			return err
+		}
+	}
 	switch s.Kind {
 	case KindConstant:
 		if s.Util < 0 || s.Util > 1 {
 			return fmt.Errorf("workload: constant util %v outside [0, 1]", s.Util)
 		}
-	case KindCPUBurn, KindFig2:
-		// no parameters
-	case KindStep:
-		if s.AtMS < 0 {
-			return fmt.Errorf("workload: step at_ms %d: must be >= 0", s.AtMS)
-		}
-	case KindRamp:
-		if s.StartMS < 0 || s.OverMS < 0 {
-			return fmt.Errorf("workload: ramp start_ms/over_ms must be >= 0")
-		}
+	case KindCPUBurn, KindFig2, KindStep, KindRamp:
+		// no parameters beyond the millisecond fields checked above
 	case KindJitter:
 		if s.PeriodMS <= 0 {
 			return fmt.Errorf("workload: jitter period_ms %d: need a positive period", s.PeriodMS)
@@ -157,9 +177,6 @@ func (s *Spec) validate(depth int) error {
 		default:
 			return fmt.Errorf("workload: random dist %q: want uniform, exponential or heavytail", s.Dist)
 		}
-		if s.HoldMS < 0 {
-			return fmt.Errorf("workload: random hold_ms %d: must be >= 0", s.HoldMS)
-		}
 		if s.Max != 0 && s.Max < s.Min {
 			return fmt.Errorf("workload: random max %v below min %v", s.Max, s.Min)
 		}
@@ -175,9 +192,6 @@ func (s *Spec) validate(depth int) error {
 			return fmt.Errorf("workload: diurnal period_ms %d: need a positive cycle length", s.PeriodMS)
 		}
 	case KindFlashCrowd:
-		if s.AtMS < 0 || s.RiseMS < 0 || s.DecayMS < 0 {
-			return fmt.Errorf("workload: flashcrowd at_ms/rise_ms/decay_ms must be >= 0")
-		}
 		if s.Peak < s.Base {
 			return fmt.Errorf("workload: flashcrowd peak %v below base %v", s.Peak, s.Base)
 		}
@@ -190,8 +204,8 @@ func (s *Spec) validate(depth int) error {
 		}
 		for i := range s.Segments {
 			seg := &s.Segments[i]
-			if seg.ForMS < 0 {
-				return fmt.Errorf("workload: sequence segment %d for_ms %d: must be >= 0", i, seg.ForMS)
+			if err := checkMS("for_ms", seg.ForMS); err != nil {
+				return fmt.Errorf("workload: sequence segment %d: %w", i, err)
 			}
 			if err := seg.Spec.validate(depth + 1); err != nil {
 				return fmt.Errorf("workload: sequence segment %d: %w", i, err)

@@ -1,7 +1,10 @@
 #!/bin/sh
-# check.sh runs the repository's full verification gate — the same
-# steps CI runs (.github/workflows/ci.yml), in the same order, so a
-# clean local run means a clean CI run.
+# check.sh runs the repository's verification gate: the steps of CI's
+# test, mutants and coverage jobs (.github/workflows/ci.yml), in the
+# same order. What stays CI-only: the fuzz job (run it locally with
+# ./scripts/fuzz.sh), the bench smoke and the gates that read
+# BENCH_cluster.json (./scripts/bench.sh), the chaos-trace artifact and
+# the artifact uploads.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -86,5 +89,16 @@ rm -rf "$tmp"
 
 echo "==> campaign server smoke (scripts/serversmoke.sh)"
 TRACE="$(mktemp -u).tct" ./scripts/serversmoke.sh >/dev/null
+
+echo "==> mutants (scripts/mutants.sh: each is killed by its named test)"
+# mutants.sh reads committed files; git stash create snapshots the
+# tracked changes of the working tree (empty when it is clean).
+rev="$(git stash create)"
+./scripts/mutants.sh "${rev:-HEAD}"
+
+echo "==> coverage (scripts/coverage.sh: total above the floor)"
+profile="$(mktemp)"
+PROFILE="$profile" ./scripts/coverage.sh
+rm -f "$profile"
 
 echo "OK"
